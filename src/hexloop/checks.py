@@ -27,8 +27,8 @@ from .configs import (
     Params,
     SpinSystem,
     border_edges,
+    edge_components,
     log_spin_weight,
-    loop_components,
     loop_count,
     spin_counts,
     spins_to_loops,
@@ -36,24 +36,35 @@ from .configs import (
 from .errors import DomainNotSymmetric, EventNotIncreasing, OutOfRange, TooLarge
 from .exact import (
     MAX_SPIN_SITES,
-    MAX_SWEEP_WIDTH,
     _as_walks,
     _edges_of,
+    _free_hexagons,
     _log_Z,
+    _region,
     _spin_system,
     _walk_enumeration,
     catalan,
+    even_subgraphs,
+    exact_event_probability,
     parafermion_field,
     path_sum,
     relative_weight,
-    spin_partition,
-    sweep_width,
     x_critical,
 )
-from .lattice import Domain, mirror_tri, path_edges, tri_neighbors, triangle_domain
+from .lattice import (
+    Domain,
+    hexagon_components,
+    mirror_tri,
+    path_edges,
+    tri_neighbors,
+    triangle_domain,
+)
+from .observables import _sign_crossing
 
 ALGEBRAIC_TOL = 1e-12
 SERIES_TOL = 1e-9
+#: edges of the bordering set that check_bijection enumerates at most
+MAX_BIJECTION_EDGES = 40
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +114,6 @@ def _loop_region(params: Params) -> bool:
     """The regime n >= 1, x <= 1/sqrt(n) without external fields."""
     return (params.h == 0.0 and params.hp == 0.0 and params.n >= 1.0
             and params.x <= params.n ** -0.5 + ALGEBRAIC_TOL)
-
-
-def _pick_engine(edges, engine: str) -> str:
-    if engine != "auto":
-        return engine
-    return "sweep" if sweep_width(edges) <= MAX_SWEEP_WIDTH else "brute"
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +193,6 @@ def _verify_increasing(system: SpinSystem, event: Callable, name: str) -> None:
                     f"is raised")
 
 
-def _event_probability(system: SpinSystem, params: Params, event,
-                       max_sites: int) -> float:
-    total = spin_partition(system, params, None, max_sites=max_sites)
-    wanted = spin_partition(system, params, event, max_sites=max_sites)
-    if wanted.is_zero:
-        return 0.0
-    return math.exp(wanted.log_magnitude - total.log_magnitude)
-
-
 def check_cbc(region, tau_low, tau_high, params: Params, events, *,
               max_sites: int = MAX_SPIN_SITES) -> CheckReport:
     """Compare boundary conditions: under a pointwise larger frame, every
@@ -231,8 +227,10 @@ def check_cbc(region, tau_low, tau_high, params: Params, events, *,
     rows = []
     for name, fn in named:
         _verify_increasing(low, fn, name)
-        p_low = _event_probability(low, params, fn, max_sites)
-        p_high = _event_probability(high, params, fn, max_sites)
+        p_low = exact_event_probability(low, None, params, fn,
+                                        max_sites=max_sites)
+        p_high = exact_event_probability(high, None, params, fn,
+                                         max_sites=max_sites)
         rows.append({"event": name, "low": p_low, "high": p_high,
                      "gap": p_high - p_low})
     holds = all(row["gap"] >= -ALGEBRAIC_TOL for row in rows)
@@ -261,9 +259,9 @@ def check_several_faces(region, tau, faces_a, faces_b, params: Params, *,
     def joint(sign_a, sign_b):
         ev_a = constant_on(fa, sign_a)
         ev_b = constant_on(fb, sign_b)
-        return _event_probability(
-            system, params, lambda sigma: ev_a(sigma) and ev_b(sigma),
-            max_sites)
+        return exact_event_probability(
+            system, None, params, lambda sigma: ev_a(sigma) and ev_b(sigma),
+            max_sites=max_sites)
 
     p_pp = joint(1, 1)
     p_mm = joint(-1, -1)
@@ -294,11 +292,7 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
     flipping every spin carries the measure to the one with negated frame
     and negated external fields.
     """
-    region_inner = getattr(region, "domain", region)
-    if isinstance(region_inner, Domain):
-        free = set(region_inner.interior_hexagons)
-    else:
-        free = {tuple(h) for h in region}
+    free = set(_free_hexagons(region))
     sub = {tuple(h) for h in sub_region}
     if not sub:
         raise OutOfRange("the sub-region must be nonempty")
@@ -372,54 +366,6 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
                  "n_assignments": 1 << m})
 
 
-def _even_configs(edges, *, max_edges: int = 40):
-    """Every subgraph with all vertex degrees even, by pruned search.
-
-    This enumerates configurations from the graph parity structure alone,
-    so it is an independent route to the loop-side sample space.
-    """
-    es = tuple(sorted(edges))
-    if len(es) > max_edges:
-        raise TooLarge(f"{len(es)} edges exceed the enumeration cap "
-                       f"of {max_edges}")
-    verts = sorted({v for e in es for v in e})
-    vid = {v: i for i, v in enumerate(verts)}
-    remaining = [0] * len(verts)
-    for u, v in es:
-        remaining[vid[u]] += 1
-        remaining[vid[v]] += 1
-    deg = [0] * len(verts)
-    chosen: list = []
-    out = []
-
-    def rec(k: int) -> None:
-        if k == len(es):
-            out.append(frozenset(chosen))
-            return
-        u, v = es[k]
-        iu, iv = vid[u], vid[v]
-        for take in (False, True):
-            if take and (deg[iu] >= 2 or deg[iv] >= 2):
-                break
-            if take:
-                deg[iu] += 1
-                deg[iv] += 1
-                chosen.append(es[k])
-            remaining[iu] -= 1
-            remaining[iv] -= 1
-            if all(deg[i] % 2 == 0 for i in (iu, iv) if remaining[i] == 0):
-                rec(k + 1)
-            remaining[iu] += 1
-            remaining[iv] += 1
-            if take:
-                deg[iu] -= 1
-                deg[iv] -= 1
-                chosen.pop()
-
-    rec(0)
-    return out
-
-
 def check_bijection(region, tau, params: Params, *,
                     max_sites: int = MAX_SPIN_SITES) -> CheckReport:
     """Push the spin measure through the domain-wall map and compare it,
@@ -443,10 +389,13 @@ def check_bijection(region, tau, params: Params, *,
 
     edges = border_edges(system.free)
     verts = {v for e in edges for v in e}
-    cycle_rank = len(edges) - len(verts) + len(loop_components(edges))
+    cycle_rank = len(edges) - len(verts) + len(edge_components(edges))
     if cycle_rank != m:
         raise OutOfRange("the free set must fill a simply connected region "
                          f"(cycle rank {cycle_rank} for {m} hexagons)")
+    if len(edges) > MAX_BIJECTION_EDGES:
+        raise TooLarge(f"{len(edges)} edges exceed the enumeration cap "
+                       f"of {MAX_BIJECTION_EDGES}")
 
     spin_side: dict = {}
     for signs in product((-1, 1), repeat=m):
@@ -456,8 +405,10 @@ def check_bijection(region, tau, params: Params, *,
     z_spin = sum(spin_side.values())
 
     log_x, log_n = math.log(params.x), math.log(params.n)
-    loop_side = {cfg: math.exp(len(cfg) * log_x + loop_count(cfg) * log_n)
-                 for cfg in _even_configs(edges)}
+    loop_side = {}
+    for chosen in even_subgraphs(edges):
+        cfg = frozenset(chosen)
+        loop_side[cfg] = math.exp(len(cfg) * log_x + loop_count(cfg) * log_n)
     z_loop = sum(loop_side.values())
 
     support_match = set(spin_side) == set(loop_side)
@@ -478,53 +429,53 @@ def check_bijection(region, tau, params: Params, *,
 # weight bounds
 # ---------------------------------------------------------------------------
 
-def check_catalan_bound(domain, defect_vertices, params: Params, *,
-                        engine: str = "auto") -> CheckReport:
+def check_catalan_bound(domain, defect_vertices,
+                        params: Params) -> CheckReport:
     """Bound the defect partition ratio by the Catalan number over the
     square root of the loop weight to the number of defect pairs."""
-    inner = getattr(domain, "domain", domain)
+    inner = _region(domain)
     edges = _edges_of(inner)
     defects = tuple(sorted({tuple(v) for v in defect_vertices}))
     if len(defects) % 2:
         raise OutOfRange("the defect set must have even size")
-    boundary = getattr(inner, "boundary", None)
-    if boundary is not None:
-        off = [d for d in defects if d not in set(boundary)]
+    if isinstance(inner, Domain):
+        off = [d for d in defects if d not in set(inner.boundary)]
         if off:
             raise OutOfRange(f"defects must lie on the domain boundary: {off}")
 
     pairs = len(defects) // 2
     bound = catalan(pairs) / params.n ** (pairs / 2.0)
-    engine = _pick_engine(edges, engine)
-    log_full = _log_Z(edges, frozenset(), params, engine)
-    log_defect = _log_Z(edges, frozenset(defects), params, engine)
+    log_full = _log_Z(edges, frozenset(), params)
+    log_defect = _log_Z(edges, frozenset(defects), params)
     ratio = 0.0 if log_defect == -math.inf else math.exp(log_defect - log_full)
     return CheckReport(
         name="catalan_bound", holds=ratio <= bound + SERIES_TOL,
         in_region=_loop_region(params),
         details={"ratio": ratio, "bound": bound, "slack": bound - ratio,
-                 "n_pairs": pairs, "engine": engine})
+                 "n_pairs": pairs})
 
 
-def check_domain_monotonicity(inner, outer, gamma, params: Params, *,
-                              engine: str = "auto") -> CheckReport:
+def _nested_domains(inner, outer) -> tuple[Domain, Domain]:
+    """Both regions as Domains; raise unless the first lies in the second."""
+    dom_in, dom_out = _region(inner), _region(outer)
+    if not isinstance(dom_in, Domain) or not isinstance(dom_out, Domain):
+        raise OutOfRange("both regions must be bounded domains")
+    if not set(dom_in.edges) <= set(dom_out.edges):
+        raise OutOfRange("the domains are not nested")
+    return dom_in, dom_out
+
+
+def check_domain_monotonicity(inner, outer, gamma,
+                              params: Params) -> CheckReport:
     """Compare the relative weight of one walk in two nested domains.
 
     The weight in the larger domain may exceed the weight in the smaller by
     at most a factor of two, and by nothing at all when the walk starts and
     ends on the shared boundary.
     """
-    dom_in = getattr(inner, "domain", inner)
-    dom_out = getattr(outer, "domain", outer)
-    if not isinstance(dom_in, Domain) or not isinstance(dom_out, Domain):
-        raise OutOfRange("both regions must be bounded domains")
-    if not set(dom_in.edges) <= set(dom_out.edges):
-        raise OutOfRange("the domains are not nested")
-
-    w_in = relative_weight(dom_in, gamma, params,
-                           engine=_pick_engine(dom_in.edges, engine))
-    w_out = relative_weight(dom_out, gamma, params,
-                            engine=_pick_engine(dom_out.edges, engine))
+    dom_in, dom_out = _nested_domains(inner, outer)
+    w_in = relative_weight(dom_in, gamma, params)
+    w_out = relative_weight(dom_out, gamma, params)
 
     walks = _as_walks(gamma)
     shared = set(dom_in.boundary) & set(dom_out.boundary)
@@ -542,8 +493,8 @@ def check_domain_monotonicity(inner, outer, gamma, params: Params, *,
                  "factor_two": factor_two, "strengthened": strengthened})
 
 
-def check_cut_path_ratio(inner, outer, gamma, ends, params: Params, *,
-                         engine: str = "auto") -> CheckReport:
+def check_cut_path_ratio(inner, outer, gamma, ends,
+                         params: Params) -> CheckReport:
     """Measure the ratio behind the path-surgery bound: the weight of a walk
     in the inner domain against the total weight, in the outer domain, of
     walks between two boundary vertices that contain it as a subpath.
@@ -551,12 +502,7 @@ def check_cut_path_ratio(inner, outer, gamma, ends, params: Params, *,
     The bound's constant is not explicit, so only positivity of the measured
     ratio is asserted; the value is reported for the record.
     """
-    dom_in = getattr(inner, "domain", inner)
-    dom_out = getattr(outer, "domain", outer)
-    if not isinstance(dom_in, Domain) or not isinstance(dom_out, Domain):
-        raise OutOfRange("both regions must be bounded domains")
-    if not set(dom_in.edges) <= set(dom_out.edges):
-        raise OutOfRange("the domains are not nested")
+    dom_in, dom_out = _nested_domains(inner, outer)
     walks = _as_walks(gamma)
     if len(walks) != 1:
         raise OutOfRange("the cut-path check takes a single walk")
@@ -566,15 +512,13 @@ def check_cut_path_ratio(inner, outer, gamma, ends, params: Params, *,
             raise OutOfRange(f"{v} is not a boundary vertex of the outer "
                              f"domain")
 
-    engine_in = _pick_engine(dom_in.edges, engine)
-    engine_out = _pick_engine(dom_out.edges, engine)
-    w_in = relative_weight(dom_in, walks[0], params, engine=engine_in)
+    w_in = relative_weight(dom_in, walks[0], params)
     piece = set(path_edges(walks[0]))
     total = 0.0
     count = 0
     for walk in _walk_enumeration(dom_out, start, frozenset([goal])):
         if piece <= set(path_edges(walk)):
-            total += relative_weight(dom_out, walk, params, engine=engine_out)
+            total += relative_weight(dom_out, walk, params)
             count += 1
     ratio = math.inf if total == 0.0 else w_in / total
     return CheckReport(
@@ -584,16 +528,14 @@ def check_cut_path_ratio(inner, outer, gamma, ends, params: Params, *,
                  "n_superpaths": count, "ratio": ratio})
 
 
-def check_triangle_lower_bound(side: int, n: float, *,
-                               engine: str = "sweep") -> CheckReport:
+def check_triangle_lower_bound(side: int, n: float) -> CheckReport:
     """At the critical edge weight, the sum of relative weights of walks
     from the bottom-middle boundary vertex of a triangular domain to its
     left side is at least the critical weight squared."""
     tri = triangle_domain(side)
     x = x_critical(n)
     params = Params(n=n, x=x)
-    ps = path_sum(tri.domain, tri.start_vertex, tri.left_boundary, params,
-                  engine=engine)
+    ps = path_sum(tri.domain, tri.start_vertex, tri.left_boundary, params)
     threshold = x * x
     return CheckReport(
         name="triangle_lower_bound",
@@ -642,31 +584,6 @@ def check_contour_identity(side: int, n: float, x: float) -> CheckReport:
 # crossings of symmetric regions
 # ---------------------------------------------------------------------------
 
-def _connected_hexagons(sites) -> bool:
-    todo = set(sites)
-    if not todo:
-        return True
-    frontier = {todo.pop()}
-    while frontier:
-        frontier = {g for h in frontier for g in tri_neighbors(h)} & todo
-        todo -= frontier
-    return not todo
-
-
-def _hexagon_components(sites):
-    left = set(sites)
-    out = []
-    while left:
-        comp = {left.pop()}
-        frontier = set(comp)
-        while frontier:
-            frontier = {g for h in frontier for g in tri_neighbors(h)} & left
-            left -= frontier
-            comp |= frontier
-        out.append(frozenset(comp))
-    return out
-
-
 def check_symmetric_domain(region, plus_arcs, n: float, x: float, *,
                            max_sites: int = MAX_SPIN_SITES) -> CheckReport:
     """Crossing bound for a mirror-symmetric region with mixed boundary.
@@ -691,7 +608,7 @@ def check_symmetric_domain(region, plus_arcs, n: float, x: float, *,
     if not sa or not sb or not sa <= ring or not sb <= ring:
         raise OutOfRange("each plus arc must be a nonempty set of hexagons "
                          "bordering the region")
-    if not _connected_hexagons(sa) or not _connected_hexagons(sb):
+    if len(hexagon_components(sa)) > 1 or len(hexagon_components(sb)) > 1:
         raise OutOfRange("each plus arc must be contiguous")
 
     xs = [q + r for q, r in free]
@@ -699,7 +616,7 @@ def check_symmetric_domain(region, plus_arcs, n: float, x: float, *,
     if {mirror_tri(h, axis) for h in free} != set(free):
         raise DomainNotSymmetric("the region has no vertical mirror axis")
     minus = ring - sa - sb
-    minus_runs = _hexagon_components(minus)
+    minus_runs = hexagon_components(minus)
     if len(minus_runs) > 2:
         raise OutOfRange("the minus boundary must form at most two runs")
     targets = []
@@ -717,22 +634,15 @@ def check_symmetric_domain(region, plus_arcs, n: float, x: float, *,
                                  "plus arc")
 
     params = Params(n=n, x=x)
-    system = SpinSystem(free, {h: 1 for h in sa | sb}, sea=-1)
-    plus_ring = sa | sb
+    arcs = {h: 1 for h in sa | sb}
+    system = SpinSystem(free, arcs, sea=-1)
 
     def crossing(sigma) -> bool:
-        pluses = {h for h, s in sigma.items() if s == 1} | plus_ring
-        seen = set(sa)
-        frontier = set(sa)
-        while frontier:
-            if frontier & sb:
-                return True
-            frontier = {g for h in frontier
-                        for g in tri_neighbors(h)} & pluses - seen
-            seen |= frontier
-        return bool(seen & sb)
+        signs = {**sigma, **arcs}
+        return _sign_crossing(signs, signs, sa, sb, 1)
 
-    probability = _event_probability(system, params, crossing, max_sites)
+    probability = exact_event_probability(system, None, params, crossing,
+                                          max_sites=max_sites)
     bound = 1.0 / (1.0 + n)
     return CheckReport(
         name="symmetric_domain",

@@ -7,8 +7,9 @@ frozen fixture sets, nonzero exit on any in-region failure), ``render``
 phase table).
 
 Every run writes one JSON line with the fully resolved configuration to
-stderr, so any output can be reproduced from its log line.  Errors are
-reported as one JSON object on stderr with exit code 2.
+stderr, so any output can be reproduced from its log line.  Malformed input
+and unreadable files are reported as one JSON object on stderr with exit
+code 2; any other exception is a bug and propagates.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from .checks import (
     check_bijection,
@@ -50,6 +52,7 @@ from .fixtures import (
     resolve_x,
 )
 from .lattice import domain_from_hexagons, hexagon_ball, triangle_domain
+from .observables import event_from_json
 from .render import render_loops, render_spins
 from .sampler import run_chain
 
@@ -58,14 +61,26 @@ SUITES = ("fkg", "cbc", "markov", "bijection", "catalan", "monotone",
           "triangle", "contour", "symmetric", "all")
 
 
+@contextmanager
+def _user_input(what: str):
+    """Report a malformed value read from a flag or a user file as
+    OutOfRange, the error class that ``main`` turns into exit code 2."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise OutOfRange(f"malformed {what}: {exc!r}") from exc
+
+
 def _read_structured(text: str):
     """Parse a flag that is a file path or inline JSON."""
     if os.path.exists(text):
-        with open(text) as fh:
+        with open(text) as fh, _user_input(f"JSON in {text}"):
             return json.load(fh)
     stripped = text.strip()
     if stripped.startswith(("{", "[")):
-        return json.loads(stripped)
+        with _user_input("inline JSON"):
+            return json.loads(stripped)
     raise OutOfRange(f"not a file and not inline JSON: {text!r}")
 
 
@@ -83,13 +98,16 @@ def _domain_from_spec(text: str):
     if not isinstance(obj, dict):
         raise OutOfRange("a domain spec must be a JSON object")
     if "hexagons" in obj:
-        cells = [tuple(c) for c in obj["hexagons"]]
+        with _user_input("domain spec"):
+            cells = [(int(r), int(s)) for r, s in obj["hexagons"]]
         return obj.get("name", "hexagons"), domain_from_hexagons(cells)
     if "ball" in obj:
-        k = int(obj["ball"])
+        with _user_input("domain spec"):
+            k = int(obj["ball"])
         return f"ball{k}", domain_from_hexagons(hexagon_ball(k))
     if "triangle" in obj:
-        side = int(obj["triangle"])
+        with _user_input("domain spec"):
+            side = int(obj["triangle"])
         return f"triangle{side}", triangle_domain(side).domain
     if "fixture" in obj:
         for fixture in load_domains():
@@ -102,8 +120,8 @@ def _domain_from_spec(text: str):
 def _defects_from_flag(text: str) -> tuple:
     if not text.strip():
         return ()
-    obj = json.loads(text)
-    return tuple(tuple(v) for v in obj)
+    with _user_input("defect list"):
+        return tuple((int(r), int(s), int(c)) for r, s, c in json.loads(text))
 
 
 def _log_config(command: str, resolved: dict) -> None:
@@ -157,11 +175,18 @@ def _cmd_enumerate(args) -> int:
 # sample and scan
 # ---------------------------------------------------------------------------
 
+def _checked_event(spec):
+    """A user event spec, once it is known to parse."""
+    with _user_input("event spec"):
+        event_from_json(spec)
+    return spec
+
+
 def _event_list(text: str) -> list:
     obj = _read_structured(text)
     if isinstance(obj, dict):
         obj = [obj]
-    return obj
+    return [_checked_event(spec) for spec in obj]
 
 
 def _event_name(spec: dict) -> str:
@@ -209,11 +234,13 @@ def _cmd_scan(args) -> int:
     hexagons = tuple(sorted(domain.interior_hexagons))
     tau = 1 if args.tau == "plus" else -1
     xs = [resolve_x(tok, args.n) for tok in args.xs.split(",") if tok]
-    hs = [float(tok) for tok in args.hs.split(",") if tok]
-    event = _read_structured(args.event)
+    with _user_input("--hs"):
+        hs = [float(tok) for tok in args.hs.split(",") if tok]
+    event = _checked_event(_read_structured(args.event))
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("HEXLOOP_WORKERS", "1"))
+        with _user_input("HEXLOOP_WORKERS"):
+            workers = int(os.environ.get("HEXLOOP_WORKERS", "1"))
     cells = [(x, h) for x in xs for h in hs]
     _log_config("scan", {"domain": name, "tau": args.tau, "n": args.n,
                          "xs": xs, "hs": hs, "hp": args.hp,
@@ -244,18 +271,20 @@ def _cmd_scan(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _spin_points(grid: dict):
-    for spec in grid["spin_params"]:
-        x = resolve_x(spec["x"], spec["n"])
-        label = (f"n={spec['n']},x={spec['x']},h={spec['h']},"
-                 f"hp={spec['hp']}")
-        yield label, Params(spec["n"], x, spec["h"], spec["hp"])
+def _spin_points(grid: dict) -> list:
+    with _user_input("parameter grid"):
+        return [(f"n={spec['n']},x={spec['x']},h={spec['h']},"
+                 f"hp={spec['hp']}",
+                 Params(spec["n"], resolve_x(spec["x"], spec["n"]),
+                        spec["h"], spec["hp"]))
+                for spec in grid["spin_params"]]
 
 
-def _loop_points(grid: dict):
-    for spec in grid["loop_params"]:
-        x = resolve_x(spec["x"], spec["n"])
-        yield f"n={spec['n']},x={spec['x']}", Params(spec["n"], x)
+def _loop_points(grid: dict) -> list:
+    with _user_input("parameter grid"):
+        return [(f"n={spec['n']},x={spec['x']}",
+                 Params(spec["n"], resolve_x(spec["x"], spec["n"])))
+                for spec in grid["loop_params"]]
 
 
 def _suite_fkg(grid: dict) -> list:
@@ -329,21 +358,23 @@ def _suite_monotone(grid: dict) -> list:
 
 
 def _suite_triangle(grid: dict) -> list:
-    spec = grid["triangle"]
+    with _user_input("parameter grid"):
+        spec = grid["triangle"]
+        points = [(side, n) for side in spec["sides"] for n in spec["ns"]]
     return [(f"triangle/side{side}/n={n}",
-             check_triangle_lower_bound(side, n))
-            for side in spec["sides"] for n in spec["ns"]]
+             check_triangle_lower_bound(side, n)) for side, n in points]
 
 
 def _suite_contour(grid: dict) -> list:
-    spec = grid["contour"]
-    out = [(f"contour/side{side}/n={n}/x=auto",
-            check_contour_identity(side, n, resolve_x("auto", n)))
-           for side in spec["sides"] for n in spec["ns"]]
-    for off in spec.get("off_critical", ()):
-        out.append((f"contour/side{off['side']}/n={off['n']}/x={off['x']}",
-                    check_contour_identity(off["side"], off["n"], off["x"])))
-    return out
+    with _user_input("parameter grid"):
+        spec = grid["contour"]
+        points = [(side, n, "auto", resolve_x("auto", n))
+                  for side in spec["sides"] for n in spec["ns"]]
+        points += [(off["side"], off["n"], off["x"], off["x"])
+                   for off in spec.get("off_critical", ())]
+    return [(f"contour/side{side}/n={n}/x={label}",
+             check_contour_identity(side, n, x))
+            for side, n, label, x in points]
 
 
 def _suite_symmetric(grid: dict) -> list:
@@ -403,16 +434,18 @@ def _cmd_render(args) -> int:
                            "top": args.top, "overlay": args.overlay,
                            "out": args.out})
     if args.mode == "loops":
-        if isinstance(data, dict):
-            edges = loops_from_json(data["edges"])
-            hexagons = ([tuple(c) for c in data["hexagons"]]
-                        if "hexagons" in data else None)
-        else:
-            edges = loops_from_json(data)
-            hexagons = None
+        with _user_input("loops file"):
+            if isinstance(data, dict):
+                edges = loops_from_json(data["edges"])
+                hexagons = ([tuple(c) for c in data["hexagons"]]
+                            if "hexagons" in data else None)
+            else:
+                edges = loops_from_json(data)
+                hexagons = None
         svg = render_loops(edges, args.top, hexagons=hexagons)
     else:
-        system, spins = spins_from_json(data)
+        with _user_input("spins file"):
+            system, spins = spins_from_json(data)
         svg = render_spins(system, spins, overlay=args.overlay)
     _emit(svg, args.out)
     return 0
@@ -495,7 +528,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HexloopError, ValueError, KeyError, OSError) as exc:
+    except (HexloopError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

@@ -35,13 +35,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentParity, OutOfRange
 from .lattice import (
     HexEdge,
     HexVertex,
     TriVertex,
+    config_degrees,
+    edge_components,
     edge_hexagons,
     hexagon_corners,
     hexagon_edges,
@@ -65,6 +67,10 @@ class Params:
     hp: float = 0.0
 
     def __post_init__(self):
+        for name in ("n", "x", "h", "hp"):
+            if not math.isfinite(getattr(self, name)):
+                raise OutOfRange(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if not (self.n > 0):
             raise OutOfRange(f"loop weight n must be positive, got {self.n}")
         if not (self.x > 0):
@@ -81,14 +87,6 @@ class Params:
 # loop configurations
 # ---------------------------------------------------------------------------
 
-def config_degrees(edges: Iterable[HexEdge]) -> dict[HexVertex, int]:
-    deg: dict[HexVertex, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
 def is_even_config(edges: Iterable[HexEdge],
                    defects: Iterable[HexVertex] = ()) -> bool:
     """True if every vertex has degree 0 or 2, except the defects which must
@@ -100,37 +98,12 @@ def is_even_config(edges: Iterable[HexEdge],
     return all(c == 2 for v, c in deg.items() if v not in dset)
 
 
-def loop_components(edges: Iterable[HexEdge]) -> tuple[frozenset[HexEdge], ...]:
-    """Connected components of an edge set, as frozensets of edges."""
-    es = list(edges)
-    parent: dict[HexVertex, HexVertex] = {}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for u, v in es:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[HexVertex, list[HexEdge]] = {}
-    for e in es:
-        groups.setdefault(find(e[0]), []).append(e)
-    return tuple(frozenset(g) for g in groups.values())
-
-
 def loop_count(edges: Iterable[HexEdge],
                defects: Iterable[HexVertex] = ()) -> int:
     """Number of loops: components that contain no defect vertex."""
     dset = set(defects)
     count = 0
-    for comp in loop_components(edges):
+    for comp in edge_components(edges):
         if not any(u in dset for e in comp for u in e):
             count += 1
     return count
@@ -307,11 +280,17 @@ class SpinCounts:
         return self.twice_rp / 2.0
 
 
-def spin_counts(system: SpinSystem, spins) -> SpinCounts:
-    """Cluster, wall, magnetization and triangle counts of an assignment."""
-    full = system.full_spins(spins)
-    m = len(full)
+def cluster_find(system: SpinSystem,
+                 full: Sequence[int]) -> Callable[[int], int]:
+    """Same-sign clusters of a context assignment, as a union-find.
 
+    ``full`` is aligned with ``system.context``.  Adjacent equal spins are
+    joined, and so are exterior-touching hexagons of the sea's sign, through
+    an extra node at index ``len(full)`` that stands for the sea.  Returns
+    the find function: two indices share a cluster when it maps them to the
+    same root.
+    """
+    m = len(full)
     parent = list(range(m + 1))  # last slot is the sea
     sea_node = m
 
@@ -334,7 +313,13 @@ def spin_counts(system: SpinSystem, spins) -> SpinCounts:
     for i in system._exterior_touching:
         if full[i] == system.sea:
             union(i, sea_node)
+    return find
 
+
+def spin_counts(system: SpinSystem, spins) -> SpinCounts:
+    """Cluster, wall, magnetization and triangle counts of an assignment."""
+    full = system.full_spins(spins)
+    find = cluster_find(system, full)
     k = len({find(i) for i in system._counted}) - 1
 
     e = 0

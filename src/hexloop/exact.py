@@ -1,12 +1,15 @@
 """Exact weighted sums over loop configurations, and derived observables.
 
 Two independent engines compute the weighted sum over all configurations on
-an edge set with a prescribed defect set: a depth-first enumeration with
-degree pruning (:func:`brute_force_Z`) and a left-to-right sweep over link
-states (:func:`sweep_Z`).  Both reduce an instance to an integer table
-``{(edge count, loop count): multiplicity}`` that is independent of the
-weights, so one combinatorial pass serves a whole parameter grid; tables are
-evaluated by log-sum-exp into a :class:`WeightSum`.
+an edge set with a prescribed defect set.  Both reduce an instance to an
+integer table ``{(edge count, loop count): multiplicity}`` that is
+independent of the weights, so one combinatorial pass serves a whole
+parameter grid; tables are evaluated by log-sum-exp into a
+:class:`WeightSum`.  The left-to-right sweep over link states
+(:func:`sweep_Z`) is the product engine: every walk weight, path sum and
+observable below goes through it.  The depth-first enumeration with degree
+pruning (:func:`even_subgraphs`) is the oracle behind ``brute_force_*`` and
+``hexloop enumerate --engine brute``, which tests compare the sweep against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -24,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .configs import (
     Params,
@@ -36,7 +39,6 @@ from .configs import (
 )
 from .errors import (
     BoundaryVertex,
-    NotAPath,
     OutOfRange,
     Overflow,
     PathNotInDomain,
@@ -47,12 +49,11 @@ from .lattice import (
     Domain,
     HexEdge,
     HexVertex,
-    _edge_components,
     direction_class,
     edge,
+    edge_components,
     hex_position,
     hex_xy,
-    path_edges,
     remove_paths,
     turn_sign,
 )
@@ -61,6 +62,9 @@ MAX_BRUTE_EDGES = 26
 MAX_SWEEP_WIDTH = 16
 MAX_FIELD_EDGES = 40
 MAX_SPIN_SITES = 16
+#: entries kept by each table cache; one ``hexloop verify --suite all`` pass
+#: plus the triangle suite at side 6 creates 230 keys, which must all stay
+TABLE_CACHE_SIZE = 1024
 
 #: table of a configuration sum: (number of edges, number of loops) -> count
 Table = dict[tuple[int, int], int]
@@ -177,11 +181,27 @@ def catalan(k: int) -> int:
 # region plumbing
 # ---------------------------------------------------------------------------
 
+def _region(region):
+    """The Domain held by a wrapper such as a TriangleDomain; any other
+    region (a Domain, an edge set, a hexagon set) as it is."""
+    return getattr(region, "domain", region)
+
+
 def _edges_of(region) -> tuple[HexEdge, ...]:
     """Edge tuple of a Domain, a wrapper holding one, or a raw edge set."""
-    region = getattr(region, "domain", region)
-    got = getattr(region, "edges", region)
-    return tuple(sorted({edge(u, v) for u, v in got}))
+    region = _region(region)
+    if isinstance(region, Domain):
+        return region.edges
+    return tuple(sorted({edge(u, v) for u, v in region}))
+
+
+def _free_hexagons(region) -> list:
+    """Free set of a region: a Domain's strictly interior hexagons, or the
+    hexagons given."""
+    inner = _region(region)
+    if isinstance(inner, Domain):
+        return sorted(inner.interior_hexagons)
+    return sorted({tuple(h) for h in inner})
 
 
 def _as_walks(gamma) -> list[tuple[HexVertex, ...]]:
@@ -195,47 +215,23 @@ def _as_walks(gamma) -> list[tuple[HexVertex, ...]]:
     return [tuple(tuple(v) for v in w) for w in walks]
 
 
-def _remove_from_edges(edges: Iterable[HexEdge],
-                       walks: Sequence[Sequence[HexVertex]],
-                       ) -> tuple[tuple[HexEdge, ...], ...]:
-    """Set-difference walk removal on a bare edge set.
-
-    Unlike :func:`hexloop.lattice.remove_path` this does not require the
-    walk's edges to be present: carving a walk out of a region that already
-    lost the walk's first edge (as happens when a longer walk is peeled off
-    one piece at a time) removes whatever is still there.  Endpoint edges are
-    removed within the current set.
-    """
-    pool = set(edges)
-    incident: dict[HexVertex, list[HexEdge]] = {}
-    for e in pool:
-        incident.setdefault(e[0], []).append(e)
-        incident.setdefault(e[1], []).append(e)
-    removed: set[HexEdge] = set()
-    met: set[HexVertex] = set()
-    for walk in walks:
-        if met & set(walk):
-            raise NotAPath("walks in a union must be vertex-disjoint")
-        met.update(walk)
-        if len(walk) < 2:
-            continue
-        removed.update(path_edges(walk))
-        for end in (walk[0], walk[-1]):
-            removed.update(incident.get(end, ()))
-    return _edge_components(pool - removed)
-
-
 # ---------------------------------------------------------------------------
 # brute-force engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _brute_table(edges: tuple[HexEdge, ...],
-                 defects: frozenset[HexVertex]) -> Table:
+def even_subgraphs(edges: tuple[HexEdge, ...],
+                   defects: frozenset[HexVertex] = frozenset(),
+                   ) -> Iterator[list[HexEdge]]:
+    """Every edge subset in which the defects have degree one and all other
+    vertices degree zero or two, by depth-first search with degree pruning.
+
+    Yields one list that the search keeps mutating: copy it to keep it.
+    Nothing is yielded when a defect is not a vertex of the edge set.
+    """
     verts = sorted({u for e in edges for u in e})
     vid = {v: i for i, v in enumerate(verts)}
     if any(d not in vid for d in defects):
-        return {}
+        return
     nv = len(verts)
     total = [0] * nv
     for u, v in edges:
@@ -247,12 +243,10 @@ def _brute_table(edges: tuple[HexEdge, ...],
     deg = [0] * nv
     seen = [0] * nv
     chosen: list[HexEdge] = []
-    table: Table = {}
 
-    def rec(k: int) -> None:
+    def rec(k: int):
         if k == len(edges):
-            key = (len(chosen), loop_count(chosen, defects))
-            table[key] = table.get(key, 0) + 1
+            yield chosen
             return
         u, v = edges[k]
         iu, iv = vid[u], vid[v]
@@ -271,7 +265,7 @@ def _brute_table(edges: tuple[HexEdge, ...],
                     d = deg[i]
                     ok = ok and (d == 1 if want_one[i] else d % 2 == 0)
             if ok:
-                rec(k + 1)
+                yield from rec(k + 1)
             seen[iu] -= 1
             seen[iv] -= 1
             if take:
@@ -279,7 +273,16 @@ def _brute_table(edges: tuple[HexEdge, ...],
                 deg[iv] -= 1
                 chosen.pop()
 
-    rec(0)
+    yield from rec(0)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _brute_table(edges: tuple[HexEdge, ...],
+                 defects: frozenset[HexVertex]) -> Table:
+    table: Table = {}
+    for chosen in even_subgraphs(edges, defects):
+        key = (len(chosen), loop_count(chosen, defects))
+        table[key] = table.get(key, 0) + 1
     return table
 
 
@@ -352,9 +355,14 @@ def _terminate(pairing: dict[int, int], end) -> None:
         pairing[far] = _DEFECT_END
 
 
-@lru_cache(maxsize=None)
-def _sweep_table(edges: tuple[HexEdge, ...],
-                 defects: frozenset[HexVertex]) -> Table:
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
+                 max_width: int) -> Table:
+    # the width is checked here, so only on a cache miss
+    width = sweep_width(edges)
+    if width > max_width:
+        raise WidthExceeded(f"sweep frontier width {width} exceeds the cap "
+                            f"of {max_width}")
     verts = sorted({u for e in edges for u in e}, key=hex_xy)
     order = {v: i for i, v in enumerate(verts)}
     if any(d not in order for d in defects):
@@ -406,11 +414,8 @@ def sweep_table(edges: Iterable[HexEdge],
                 *, max_width: int = MAX_SWEEP_WIDTH) -> Table:
     """Configuration table by dynamic programming over link states."""
     es = tuple(sorted({edge(u, v) for u, v in edges}))
-    width = sweep_width(es)
-    if width > max_width:
-        raise WidthExceeded(f"sweep frontier width {width} exceeds the cap "
-                            f"of {max_width}")
-    return dict(_sweep_table(es, frozenset(tuple(d) for d in defects)))
+    return dict(_sweep_table(es, frozenset(tuple(d) for d in defects),
+                             max_width))
 
 
 # ---------------------------------------------------------------------------
@@ -443,33 +448,17 @@ def sweep_Z(region, defects: Iterable[HexVertex],
         params)
 
 
-def _table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
-           engine: str) -> Table:
-    if engine == "sweep":
-        width = sweep_width(edges)
-        if width > MAX_SWEEP_WIDTH:
-            raise WidthExceeded(f"sweep frontier width {width} exceeds "
-                                f"{MAX_SWEEP_WIDTH}")
-        return _sweep_table(edges, defects)
-    if engine == "brute":
-        if len(edges) > MAX_BRUTE_EDGES:
-            raise TooLarge(f"{len(edges)} edges exceed the brute-force cap")
-        return _brute_table(edges, defects)
-    raise OutOfRange(f"unknown engine {engine!r}")
-
-
 def _log_Z(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
-           params: Params, engine: str) -> float:
-    ws = evaluate_table(_table(edges, defects, engine), params)
-    return ws.log_magnitude
+           params: Params) -> float:
+    table = _sweep_table(edges, defects, MAX_SWEEP_WIDTH)
+    return evaluate_table(table, params).log_magnitude
 
 
 # ---------------------------------------------------------------------------
 # relative weights of walks
 # ---------------------------------------------------------------------------
 
-def relative_weight(region, gamma, params: Params, *,
-                    engine: str = "sweep") -> float:
+def relative_weight(region, gamma, params: Params) -> float:
     """Relative weight of a self-avoiding walk (or disjoint union of walks).
 
     This is ``x`` to the walk length times the ratio of configuration sums
@@ -481,14 +470,12 @@ def relative_weight(region, gamma, params: Params, *,
     concatenated walk agree).
     """
     walks = _as_walks(gamma)
+    region = _region(region)
     edges = _edges_of(region)
-    if isinstance(region, Domain):
-        comps = remove_paths(region, walks)
-    else:
-        comps = _remove_from_edges(edges, walks)
+    comps = remove_paths(region, walks)
     length = sum(len(w) - 1 for w in walks if len(w) >= 2)
-    log_rest = sum(_log_Z(c, frozenset(), params, engine) for c in comps)
-    log_full = _log_Z(edges, frozenset(), params, engine)
+    log_rest = sum(_log_Z(c, frozenset(), params) for c in comps)
+    log_full = _log_Z(edges, frozenset(), params)
     return math.exp(length * math.log(params.x) + log_rest - log_full)
 
 
@@ -532,8 +519,7 @@ def _walk_enumeration(domain: Domain, a: HexVertex,
     yield from rec(a)
 
 
-def path_sum(domain: Domain, a: HexVertex, b, params: Params, *,
-             engine: str = "sweep") -> PathSum:
+def path_sum(domain: Domain, a: HexVertex, b, params: Params) -> PathSum:
     """Sum of relative weights of walks from ``a`` to ``b``, both ways.
 
     ``b`` may be a single vertex or a collection of target vertices (e.g. one
@@ -553,20 +539,20 @@ def path_sum(domain: Domain, a: HexVertex, b, params: Params, *,
         if domain.degree(t) == 0:
             raise OutOfRange(f"{t} is not a vertex of the domain")
 
-    edges = _edges_of(domain)
-    log_full = _log_Z(edges, frozenset(), params, engine)
+    edges = domain.edges
+    log_full = _log_Z(edges, frozenset(), params)
     from_defects = 0.0
     for t in sorted(targets):
         if t == a:
             continue
-        lz = _log_Z(edges, frozenset((a, t)), params, engine)
+        lz = _log_Z(edges, frozenset((a, t)), params)
         if lz != float("-inf"):
             from_defects += math.exp(lz - log_full)
 
     from_walks = 0.0
     count = 0
     for walk in _walk_enumeration(domain, a, targets):
-        from_walks += relative_weight(domain, walk, params, engine=engine)
+        from_walks += relative_weight(domain, walk, params)
         count += 1
     return PathSum(from_defects, from_walks, count)
 
@@ -584,7 +570,7 @@ def _midpoint(e: HexEdge) -> complex:
 def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
                       sigma: float | None = None, *,
                       max_edges: int = MAX_FIELD_EDGES,
-                      engine: str = "sweep") -> dict[HexEdge, complex]:
+                      ) -> dict[HexEdge, complex]:
     """The complex observable at every edge midpoint of the domain.
 
     The value at a midpoint ``z`` sums, over all self-avoiding midpoint
@@ -612,7 +598,7 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
     u0 = z0[1] if z0[0] == a else z0[0]
 
     log_x = math.log(params.x)
-    log_full = _log_Z(_edges_of(domain), frozenset(), params, engine)
+    log_full = _log_Z(domain.edges, frozenset(), params)
     all_edges = domain.edges
     terms: dict[HexEdge, list[tuple[float, complex]]] = {z0: [(0.0, 1.0 + 0j)]}
     on_walk = {u0}
@@ -630,8 +616,8 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
             # end the walk at the midpoint of e
             used.add(e)
             remainder = [ed for ed in all_edges if ed not in used]
-            log_rest = sum(_log_Z(c, frozenset(), params, engine)
-                           for c in _edge_components(remainder))
+            log_rest = sum(_log_Z(tuple(sorted(c)), frozenset(), params)
+                           for c in edge_components(remainder))
             log_w = depth * log_x + log_rest - log_full
             phase = cmath.exp(-1j * sigma * wound * math.pi / 3.0)
             terms.setdefault(e, []).append((log_w, phase))
@@ -651,22 +637,20 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
 
 def parafermion(domain: Domain, z0: HexEdge, z: HexEdge, params: Params,
                 sigma: float | None = None, *,
-                max_edges: int = MAX_FIELD_EDGES,
-                engine: str = "sweep") -> complex:
+                max_edges: int = MAX_FIELD_EDGES) -> complex:
     """The observable at one midpoint; see :func:`parafermion_field`."""
     z = edge(*z)
     if z not in domain.edge_index:
         raise PathNotInDomain(f"{z} is not an edge of the domain")
     field = parafermion_field(domain, z0, params, sigma,
-                              max_edges=max_edges, engine=engine)
+                              max_edges=max_edges)
     return field.get(z, 0j)
 
 
 def vertex_relation_residual(domain: Domain, z0: HexEdge, v: HexVertex,
                              params: Params, sigma: float | None = None, *,
                              field: Mapping[HexEdge, complex] | None = None,
-                             max_edges: int = MAX_FIELD_EDGES,
-                             engine: str = "sweep") -> complex:
+                             max_edges: int = MAX_FIELD_EDGES) -> complex:
     """Residual of the three-term midpoint relation around an interior vertex.
 
     Returns ``sum over the three edges e at v of (mid(e) - v) F(e)``, which
@@ -679,7 +663,7 @@ def vertex_relation_residual(domain: Domain, z0: HexEdge, v: HexVertex,
         raise BoundaryVertex(f"{v} is not an interior vertex")
     if field is None:
         field = parafermion_field(domain, z0, params, sigma,
-                                  max_edges=max_edges, engine=engine)
+                                  max_edges=max_edges)
     pv = complex(*hex_position(v))
     res = 0j
     for e in domain.vertex_edges[v]:
@@ -694,11 +678,7 @@ def vertex_relation_residual(domain: Domain, z0: HexEdge, v: HexVertex,
 def _spin_system(region, tau) -> SpinSystem:
     if isinstance(region, SpinSystem):
         return region
-    inner = getattr(region, "domain", region)
-    if isinstance(inner, Domain):
-        free = sorted(inner.interior_hexagons)
-    else:
-        free = sorted({tuple(h) for h in region})
+    free = _free_hexagons(region)
     if isinstance(tau, Mapping):
         return SpinSystem(free, {tuple(h): s for h, s in tau.items()})
     return SpinSystem(free, int(tau), sea=int(tau))

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from importlib.resources import files
 
+from .errors import OutOfRange
 from .exact import x_critical
 from .lattice import Domain, domain_from_hexagons
 
@@ -26,7 +27,11 @@ def resolve_x(value, n: float) -> float:
     """
     if value == "auto":
         return x_critical(n)
-    return float(value)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"edge weight must be a number or 'auto', "
+                         f"got {value!r}") from None
 
 
 @dataclass(frozen=True)

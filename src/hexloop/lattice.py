@@ -203,6 +203,21 @@ def hexagon_ball(radius: int, center: TriVertex = (0, 0)) -> frozenset[TriVertex
     return frozenset(out)
 
 
+def hexagon_components(hexagons: Iterable[TriVertex]) -> list[frozenset[TriVertex]]:
+    """Connected components of a hexagon set under edge adjacency."""
+    left = set(hexagons)
+    out = []
+    while left:
+        comp = {left.pop()}
+        frontier = set(comp)
+        while frontier:
+            frontier = {g for h in frontier for g in tri_neighbors(h)} & left
+            left -= frontier
+            comp |= frontier
+        out.append(frozenset(comp))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # directions, turns, windings
 # ---------------------------------------------------------------------------
@@ -227,11 +242,6 @@ def direction_class(u: HexVertex, v: HexVertex) -> int:
         return _DIRECTION_BY_DELTA[(xv - xu, yv - yu)]
     except KeyError:
         raise OutOfRange(f"{u} -> {v} is not a lattice step") from None
-
-
-def direction_angle(j: int) -> float:
-    """Angle in radians of direction class ``j``."""
-    return math.pi / 6.0 + (j % 6) * math.pi / 3.0
 
 
 def turn_sign(j_in: int, j_out: int) -> int:
@@ -641,64 +651,73 @@ def triangle_domain(side: int) -> TriangleDomain:
 # removing paths from a domain
 # ---------------------------------------------------------------------------
 
-def _edge_components(edges: Iterable[HexEdge]) -> tuple[tuple[HexEdge, ...], ...]:
-    """Connected components of an edge set, each sorted, sorted overall."""
-    pool = sorted(set(edges))
-    incident: dict[HexVertex, list[int]] = {}
-    for i, (u, v) in enumerate(pool):
-        incident.setdefault(u, []).append(i)
-        incident.setdefault(v, []).append(i)
-    seen = [False] * len(pool)
-    comps = []
-    for i in range(len(pool)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        stack = [i]
-        comp = []
-        while stack:
-            j = stack.pop()
-            comp.append(pool[j])
-            for v in pool[j]:
-                for k in incident[v]:
-                    if not seen[k]:
-                        seen[k] = True
-                        stack.append(k)
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
+def config_degrees(edges: Iterable[HexEdge]) -> dict[HexVertex, int]:
+    """Degree of every vertex of an edge set."""
+    deg: dict[HexVertex, int] = {}
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    return deg
 
 
-def remove_path(domain: Domain,
-                path: Sequence[HexVertex]) -> tuple[tuple[HexEdge, ...], ...]:
-    """Remove a self-avoiding walk from a domain's edge set.
+def edge_components(edges: Iterable[HexEdge]) -> tuple[frozenset[HexEdge], ...]:
+    """Connected components of an edge set, as frozensets of edges.
 
-    Removes the walk's edges together with every remaining domain edge at the
-    two endpoint vertices (at most two each; a boundary endpoint has none).
+    Components come in the order of their first edge in ``edges``.
+    """
+    es = list(edges)
+    parent: dict[HexVertex, HexVertex] = {}
+
+    def find(a):
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    for u, v in es:
+        parent.setdefault(u, u)
+        parent.setdefault(v, v)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups: dict[HexVertex, list[HexEdge]] = {}
+    for e in es:
+        groups.setdefault(find(e[0]), []).append(e)
+    return tuple(frozenset(g) for g in groups.values())
+
+
+def remove_paths(region: Domain | Iterable[HexEdge],
+                 paths: Sequence[Sequence[HexVertex]],
+                 ) -> tuple[tuple[HexEdge, ...], ...]:
+    """Remove a union of vertex-disjoint self-avoiding walks from an edge set.
+
+    Removes each walk's edges together with every remaining edge at its two
+    endpoint vertices (at most two each; a boundary endpoint has none).
     Edges elsewhere stay, including edges at inner walk vertices that end up
     with a dangling endpoint; such edges can never be occupied by an even
-    configuration, so they do not change any weighted sum.
+    configuration, so they do not change any weighted sum.  A walk with
+    fewer than two vertices removes nothing.
 
-    Returns the remaining edges as connected components.  A walk with fewer
-    than two vertices removes nothing.
+    ``region`` is a :class:`Domain`, whose edges must contain every walk
+    edge, or a raw edge set, from which the removal is set-theoretic: a walk
+    may overhang edges that are already missing, as happens when a longer
+    walk is peeled off one piece at a time.
+
+    Returns the remaining edges as connected components, each sorted,
+    sorted overall.
     """
-    verts = [tuple(v) for v in path]
-    if len(verts) < 2:
-        return _edge_components(domain.edges)
-    walk = path_edges(verts)
-    for e in walk:
-        if e not in domain.edge_index:
-            raise PathNotInDomain(f"edge {e} is not in the domain")
-    removed = set(walk)
-    removed.update(domain.vertex_edges.get(verts[0], ()))
-    removed.update(domain.vertex_edges.get(verts[-1], ()))
-    return _edge_components(e for e in domain.edges if e not in removed)
-
-
-def remove_paths(domain: Domain,
-                 paths: Sequence[Sequence[HexVertex]]
-                 ) -> tuple[tuple[HexEdge, ...], ...]:
-    """Remove a union of vertex-disjoint walks, as in :func:`remove_path`."""
-    removed = set()
+    if isinstance(region, Domain):
+        pool = region.edges
+        incident = region.vertex_edges
+    else:
+        pool = sorted({edge(u, v) for u, v in region})
+        incident = {}
+        for e in pool:
+            incident.setdefault(e[0], []).append(e)
+            incident.setdefault(e[1], []).append(e)
+    removed: set[HexEdge] = set()
     used: set[HexVertex] = set()
     for path in paths:
         verts = [tuple(v) for v in path]
@@ -708,13 +727,15 @@ def remove_paths(domain: Domain,
         if len(verts) < 2:
             continue
         walk = path_edges(verts)
-        for e in walk:
-            if e not in domain.edge_index:
-                raise PathNotInDomain(f"edge {e} is not in the domain")
+        if isinstance(region, Domain):
+            for e in walk:
+                if e not in region.edge_index:
+                    raise PathNotInDomain(f"edge {e} is not in the domain")
         removed.update(walk)
-        removed.update(domain.vertex_edges.get(verts[0], ()))
-        removed.update(domain.vertex_edges.get(verts[-1], ()))
-    return _edge_components(e for e in domain.edges if e not in removed)
+        removed.update(incident.get(verts[0], ()))
+        removed.update(incident.get(verts[-1], ()))
+    comps = edge_components(e for e in pool if e not in removed)
+    return tuple(sorted(tuple(sorted(c)) for c in comps))
 
 
 def try_domain_from_edges(edges: Iterable[HexEdge]) -> Domain | None:
@@ -722,17 +743,14 @@ def try_domain_from_edges(edges: Iterable[HexEdge]) -> Domain | None:
 
     An edge set is a domain exactly when taking its degree-3 vertices as the
     interior reproduces it: every edge touches the interior and the interior
-    admits a bounding polygon.  Components left over by :func:`remove_path`
+    admits a bounding polygon.  Components left over by :func:`remove_paths`
     with both walk endpoints on the boundary are domains; stray pieces such
     as a single dangling edge are not, and yield None.
     """
     es = set(edges)
     if not es:
         return None
-    deg: dict[HexVertex, int] = {}
-    for u, v in es:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
+    deg = config_degrees(es)
     interior = {v for v, d in deg.items() if d == 3}
     if not interior:
         return None

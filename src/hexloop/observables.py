@@ -19,9 +19,9 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
-from .configs import SpinSystem, is_even_config, loop_components
+from .configs import SpinSystem, border_edges, edge_components, is_even_config
 from .errors import (
     DomainTooSmall,
     InconsistentParity,
@@ -36,7 +36,6 @@ from .lattice import (
     edge,
     edge_hexagons,
     hexagon_ball,
-    hexagon_edges,
     rhombus_hexagons,
     tri_distance,
     tri_neighbors,
@@ -128,25 +127,10 @@ def loop_stats(omega: Iterable[HexEdge]) -> LoopStats:
     if not is_even_config(edges):
         raise InconsistentParity(
             "loop statistics need a defect-free configuration")
-    loops = sorted(loop_components(edges), key=lambda c: (-len(c), min(c)))
-    sizes = []
-    diameters = []
-    surrounds = []
-    for loop in loops:
-        rows = _vertical_rows(loop)
-        inside = set()
-        for s, rs in rows.items():
-            m = len(rs)
-            for r in range(rs[0], rs[-1] + 1):
-                if (m - bisect_left(rs, r)) % 2 == 1:
-                    inside.add((r, s))
-        sizes.append(len(loop))
-        diameters.append(tri_diameter(inside))
-        origin_rs = rows.get(0)
-        if origin_rs:
-            surrounds.append((len(origin_rs) - bisect_left(origin_rs, 0)) % 2 == 1)
-        else:
-            surrounds.append(False)
+    loops = sorted(edge_components(edges), key=lambda c: (-len(c), min(c)))
+    sizes = [len(loop) for loop in loops]
+    diameters = [tri_diameter(enclosed_hexagons(loop)) for loop in loops]
+    surrounds = [loop_surrounds(loop) for loop in loops]
     best = max((d for d, s in zip(diameters, surrounds) if s), default=0)
     return LoopStats(tuple(sizes), tuple(diameters), tuple(surrounds), best)
 
@@ -163,10 +147,7 @@ def _support_edges(support) -> frozenset[HexEdge]:
     if not items:
         return frozenset()
     if isinstance(items[0][0], int):
-        out: set[HexEdge] = set()
-        for h in items:
-            out.update(hexagon_edges(h))
-        return frozenset(out)
+        return frozenset(border_edges(tuple(h) for h in items))
     return frozenset(edge(u, v) for u, v in items)
 
 
@@ -191,7 +172,7 @@ def annulus_loop_event(omega: Iterable[HexEdge], k: int,
     if not is_even_config(edges):
         raise InconsistentParity(
             "the surrounding-loop event needs a defect-free configuration")
-    for loop in loop_components(edges):
+    for loop in edge_components(edges):
         if loop <= annulus and loop_surrounds(loop):
             return True
     return False
@@ -211,7 +192,7 @@ def _check_coverage(sigma: Mapping[TriVertex, int],
 
 
 def _sign_crossing(sigma: Mapping[TriVertex, int],
-                   cells: frozenset[TriVertex],
+                   cells: Container[TriVertex],
                    sources: Iterable[TriVertex],
                    targets: frozenset[TriVertex], sign: int) -> bool:
     """Whether ``sign`` cells connect sources to targets inside ``cells``."""
@@ -334,19 +315,7 @@ def two_point_event(sigma: Mapping[TriVertex, int], v) -> bool:
         raise OutOfDomain("the origin hexagon has no spin")
     if target not in sigma:
         raise OutOfDomain(f"hexagon {target} has no spin")
-    if sigma[ORIGIN] != 1:
-        return False
-    seen = {ORIGIN}
-    queue = deque(seen)
-    while queue:
-        h = queue.popleft()
-        if h == target:
-            return True
-        for g in tri_neighbors(h):
-            if g not in seen and sigma.get(g) == 1:
-                seen.add(g)
-                queue.append(g)
-    return False
+    return _sign_crossing(sigma, sigma, (ORIGIN,), frozenset([target]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +375,8 @@ class EventSpec:
 
 def _require_scale(obj: Mapping, kind: str) -> int:
     k = obj.get("k")
-    if k is None:
-        raise OutOfRange(f"event {kind!r} needs a scale k")
+    if k is None or int(k) < 1:
+        raise OutOfRange(f"event {kind!r} needs a scale k >= 1")
     return int(k)
 
 
@@ -432,8 +401,6 @@ def event_from_json(obj: Mapping) -> EventSpec:
             suggested_free=hexagon_ball(2 * k + 1))
     if kind == "plus_circuit":
         k = _require_scale(obj, kind)
-        if k < 1:
-            raise OutOfRange("circuit scale must be at least 1")
         outer = hexagon_ball(2 * k)
         return EventSpec(
             kind=kind, side="spins", params=(("k", k),),
@@ -453,8 +420,6 @@ def event_from_json(obj: Mapping) -> EventSpec:
         k = _require_scale(obj, kind)
         sign = int(obj.get("sign", 1))
         vertical = bool(obj.get("vertical", True))
-        if k < 1:
-            raise OutOfRange("box scale must be at least 1")
         if sign not in (-1, 1):
             raise OutOfRange("sign must be -1 or +1")
         box = rhombus_hexagons(k)

@@ -12,7 +12,7 @@ identical inputs give byte-identical documents.
 
 from typing import Iterable, Mapping
 
-from .configs import SpinSystem, loop_components, spins_to_loops
+from .configs import SpinSystem, edge_components, loops_from_json, spins_to_loops
 from .lattice import (
     HexEdge,
     TriVertex,
@@ -42,14 +42,6 @@ def _fmt(value: float) -> str:
 def _point(v) -> tuple[float, float]:
     x, y = hex_position(v)
     return (x * SCALE, -y * SCALE)
-
-
-def _normalize(edges: Iterable[HexEdge]) -> frozenset[HexEdge]:
-    out = set()
-    for u, v in edges:
-        a, b = tuple(u), tuple(v)
-        out.add((a, b) if a < b else (b, a))
-    return frozenset(out)
 
 
 def _component_path(component: frozenset[HexEdge]) -> str:
@@ -94,7 +86,7 @@ def _component_path(component: frozenset[HexEdge]) -> str:
 
 def _loop_paths(edges: frozenset[HexEdge]) -> list[str]:
     """Path data for every component, in canonical order."""
-    components = sorted(loop_components(edges), key=min)
+    components = sorted(edge_components(edges), key=min)
     return [_component_path(comp) for comp in components]
 
 
@@ -132,7 +124,7 @@ def render_loops(omega: Iterable[HexEdge], highlight_top: int = 5, *,
     the outlined backdrop; by default it is the faces touched by the
     configuration, or a small ball when the configuration is empty.
     """
-    edges = _normalize(omega)
+    edges = loops_from_json(omega)  # canonical edges from any vertex pairs
     if hexagons is not None:
         faces = frozenset(tuple(h) for h in hexagons)
     elif edges:
@@ -140,7 +132,7 @@ def render_loops(omega: Iterable[HexEdge], highlight_top: int = 5, *,
     else:
         faces = hexagon_ball(2)
 
-    components = sorted(loop_components(edges), key=min)
+    components = sorted(edge_components(edges), key=min)
     by_length = sorted(components, key=lambda comp: (-len(comp), min(comp)))
     cap = max(0, min(int(highlight_top), len(HIGHLIGHT_PALETTE)))
     highlighted = by_length[:cap]

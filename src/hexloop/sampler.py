@@ -27,6 +27,7 @@ from .configs import (
     Params,
     SpinCounts,
     SpinSystem,
+    cluster_find,
     spin_counts,
     spins_to_loops,
 )
@@ -66,20 +67,13 @@ class ChainState:
 
         ctx = system.context
         idx = {h: i for i, h in enumerate(ctx)}
-        self._ctx = ctx
-        self._idx = idx
         self._free_ctx = tuple(idx[h] for h in system.free)
 
         if isinstance(init, Mapping):
             start = {h: (1 if init[h] > 0 else -1) for h in system.free}
         else:
             start = {h: (1 if init > 0 else -1) for h in system.free}
-        self._full = [0] * len(ctx)
-        for i, h in enumerate(ctx):
-            if h in system.free_index:
-                self._full[i] = start[h]
-            else:
-                self._full[i] = system.fixed[h]
+        self._full = system.full_spins(start)
 
         # six neighbors of each free site in rotational order (all of them
         # lie in the context by construction of the system)
@@ -153,32 +147,10 @@ class ChainState:
 
     def components(self) -> dict:
         """Cluster labels over the context, sea-linked clusters unified."""
-        n = len(self._ctx)
-        parent = list(range(n + 1))
-        sea_node = n
-
-        def find(a):
-            root = a
-            while parent[root] != root:
-                root = parent[root]
-            while parent[a] != root:
-                parent[a], a = root, parent[a]
-            return root
-
-        full = self._full
-        for i in range(n):
-            for j in self._adj[i]:
-                if j > i and full[i] == full[j]:
-                    ra, rb = find(i), find(j)
-                    if ra != rb:
-                        parent[ra] = rb
-            if self._exterior[i] and full[i] == self._sea:
-                ra, rb = find(i), find(sea_node)
-                if ra != rb:
-                    parent[ra] = rb
+        find = cluster_find(self.system, self._full)
         labels = {}
         names: dict[int, int] = {}
-        for i, h in enumerate(self._ctx):
+        for i, h in enumerate(self.system.context):
             root = find(i)
             labels[h] = names.setdefault(root, len(names))
         return labels
@@ -284,8 +256,10 @@ class ChainState:
                     return done
         return len({find(x) for x in range(a)})
 
-    def _site_delta(self, iu: int, budget=None):
-        """Exact (dk, de, dr, dtw) for flipping the iu-th free spin."""
+    def _heat_bath(self, iu: int, budget=None):
+        """Exact (dk, de, dr, dtw) for flipping the iu-th free spin, then
+        its current sign and the heat-bath probability of setting it to +1.
+        """
         if budget is None:
             budget = self._budget
         full = self._full
@@ -319,9 +293,21 @@ class ChainState:
             flipped = self.free_signs()
             flipped[iu] = -s
             c = spin_counts(self.system, flipped)
-            return (c.k - self._k, c.e - self._e,
-                    c.r - self._r, c.twice_rp - self._tw)
-        return dk, de, dr, dtw
+            dk, de, dr, dtw = (c.k - self._k, c.e - self._e,
+                               c.r - self._r, c.twice_rp - self._tw)
+
+        p = self.params
+        dlog = (dk * self._ln_n + de * self._ln_x
+                + p.h * dr + p.hp * dtw * 0.5)
+        # dlog is log W(flipped) - log W(current); gap is log W- - log W+
+        gap = dlog if s == 1 else -dlog
+        if gap > 700.0:
+            p_plus = 0.0
+        elif gap < -700.0:
+            p_plus = 1.0
+        else:
+            p_plus = 1.0 / (1.0 + math.exp(gap))
+        return dk, de, dr, dtw, s, p_plus
 
     def _dk(self, iu: int, cu: int, s: int, nbs, sgn, budget):
         """Cluster-count change q - t, or None when the search budget ran
@@ -401,28 +387,11 @@ class ChainState:
 
     def _update(self, iu: int, u01: float) -> bool:
         """One heat-bath update of the iu-th free spin; True if it flipped."""
-        full = self._full
-        cu = self._free_ctx[iu]
-        s = full[cu]
-        dk, de, dr, dtw = self._site_delta(iu)
-        p = self.params
-        dlog = (dk * self._ln_n + de * self._ln_x
-                + p.h * dr + p.hp * dtw * 0.5)
-        # dlog is log W(flipped) - log W(current); express the plus weight
-        if s == 1:
-            gap = dlog  # log W- minus log W+
-        else:
-            gap = -dlog
-        if gap > 700.0:
-            p_plus = 0.0
-        elif gap < -700.0:
-            p_plus = 1.0
-        else:
-            p_plus = 1.0 / (1.0 + math.exp(gap))
+        dk, de, dr, dtw, s, p_plus = self._heat_bath(iu)
         new = 1 if u01 < p_plus else -1
         if new == s:
             return False
-        full[cu] = new
+        self._full[self._free_ctx[iu]] = new
         self._k += dk
         self._e += de
         self._r += dr
@@ -434,18 +403,7 @@ class ChainState:
 
     def plus_probability(self, u) -> float:
         """The heat-bath probability of setting the spin at ``u`` to +1."""
-        iu = self.system.free_index[tuple(u)]
-        s = self._full[self._free_ctx[iu]]
-        dk, de, dr, dtw = self._site_delta(iu)
-        p = self.params
-        dlog = (dk * self._ln_n + de * self._ln_x
-                + p.h * dr + p.hp * dtw * 0.5)
-        gap = dlog if s == 1 else -dlog
-        if gap > 700.0:
-            return 0.0
-        if gap < -700.0:
-            return 1.0
-        return 1.0 / (1.0 + math.exp(gap))
+        return self._heat_bath(self.system.free_index[tuple(u)])[5]
 
     def sweep(self) -> int:
         """One pass over all free sites in fixed order; returns flip count."""
@@ -468,7 +426,7 @@ def delta_counts(state: ChainState, u, *, budget=None) -> SpinCounts:
     iu = state.system.free_index.get(tuple(u))
     if iu is None:
         raise OutOfRange(f"{u} is not a free hexagon of this chain")
-    dk, de, dr, dtw = state._site_delta(iu, budget=budget)
+    dk, de, dr, dtw, _, _ = state._heat_bath(iu, budget=budget)
     return SpinCounts(k=dk, e=de, r=dr, twice_rp=dtw)
 
 

@@ -16,10 +16,10 @@ from hexloop.configs import (
     SpinSystem,
     border_edges,
     config_degrees,
+    edge_components,
     is_even_config,
     log_loop_weight,
     log_spin_weight,
-    loop_components,
     loop_count,
     loops_from_json,
     loops_to_json,
@@ -42,6 +42,15 @@ def test_params_validation():
     assert p.h == 0.0 and p.hp == 0.0
 
 
+@pytest.mark.parametrize("field", ["n", "x", "h", "hp"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite(field, value):
+    good = {"n": 1.5, "x": 0.5, "h": 0.1, "hp": -0.1}
+    Params(**good)
+    with pytest.raises(OutOfRange):
+        Params(**{**good, field: value})
+
+
 def test_monotone_region():
     assert Params(n=1.0, x=0.8).in_monotone_region          # n x^2 = 0.64
     assert not Params(n=1.0, x=1.2).in_monotone_region      # n x^2 = 1.44
@@ -55,7 +64,7 @@ def test_even_config_and_loop_count():
     face = hexagon_edges((0, 0))
     assert is_even_config(face)
     assert loop_count(face) == 1
-    assert len(loop_components(face)) == 1
+    assert len(edge_components(face)) == 1
 
     two_faces = hexagon_edges((0, 0)) + hexagon_edges((3, 3))
     assert is_even_config(two_faces)

@@ -40,6 +40,7 @@ from hexloop.exact import (
     vertex_relation_residual,
     x_critical,
 )
+from hexloop.fixtures import defect_sets, load_domains
 from hexloop.lattice import (
     domain_from_hexagons,
     hex_neighbors,
@@ -180,6 +181,18 @@ def test_sweep_matches_brute_tables():
                     assert zs.is_zero
                 else:
                     assert abs(zs.value - zb.value) <= 1e-10 * abs(zb.value)
+
+
+def test_fixture_tables_count_the_cycle_space():
+    # boundary defects have degree one, so every even defect set admits
+    # exactly 2^(E - V + 1) configurations on a connected domain
+    for fixture in load_domains():
+        dom = fixture.build()
+        verts = {u for e in dom.edges for u in e}
+        rank = len(dom.edges) - len(verts) + 1
+        for picks in defect_sets(dom).values():
+            for pick in picks:
+                assert sum(sweep_table(dom.edges, pick).values()) == 2**rank
 
 
 def test_empty_edge_set():

@@ -9,10 +9,13 @@ small triangles.
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hexloop.errors import (
     DisconnectedInterior,
     EmptyInterior,
+    HexloopError,
     NotAPath,
     NotSelfAvoiding,
     OddSide,
@@ -34,6 +37,7 @@ from hexloop.lattice import (
     hex_position,
     hex_xy,
     hexagon_ball,
+    hexagon_components,
     hexagon_corners,
     hexagon_edges,
     is_path,
@@ -41,7 +45,6 @@ from hexloop.lattice import (
     mirror_vertex,
     path_edges,
     path_winding,
-    remove_path,
     remove_paths,
     swap_tri,
     swap_vertex,
@@ -322,7 +325,7 @@ def test_remove_path_on_one_hexagon_domain():
     w = [next(u for u in hex_neighbors(c)
               if u not in v) for c in v]
 
-    comps = remove_path(dom, [w[0], v[0], v[1], w[1]])
+    comps = remove_paths(dom, [[w[0], v[0], v[1], w[1]]])
     assert len(comps) == 1
     rest = comps[0]
     assert len(rest) == 9
@@ -343,20 +346,21 @@ def test_remove_path_identities_and_errors():
     v = hexagon_corners((0, 0))
     w1 = next(u for u in hex_neighbors(v[0]) if u not in v)
 
-    assert remove_path(dom, []) == (dom.edges,)
+    assert remove_paths(dom, [[]]) == (dom.edges,)
     assert remove_paths(dom, []) == (dom.edges,)
+    # a raw edge set gives the same pieces as the domain it came from
     assert remove_paths(dom, [[w1, v[0], v[1]]]) == \
-        remove_path(dom, [w1, v[0], v[1]])
+        remove_paths(list(dom.edges), [[w1, v[0], v[1]]])
 
     # An endpoint strictly inside leaves a dangling piece that is no domain.
-    comps = remove_path(dom, [w1, v[0]])
+    comps = remove_paths(dom, [[w1, v[0]]])
     assert len(comps) == 1 and len(comps[0]) == 9
     assert try_domain_from_edges(comps[0]) is None
 
     with pytest.raises(PathNotInDomain):
-        remove_path(dom, [(1, 0, UP), (0, 0, DOWN)])
+        remove_paths(dom, [[(1, 0, UP), (0, 0, DOWN)]])
     with pytest.raises(NotAPath):
-        remove_path(dom, [v[0], v[1], v[0]])
+        remove_paths(dom, [[v[0], v[1], v[0]]])
     with pytest.raises(NotAPath):
         remove_paths(dom, [[w1, v[0]], [v[0], v[5]]])
 
@@ -364,7 +368,7 @@ def test_remove_path_identities_and_errors():
 def test_remove_path_splits_triangle_into_two_domains():
     dom = triangle_domain(4).domain
     cut = [(1, -1, DOWN), (1, 0, UP), (0, 0, DOWN), (0, 1, UP), (-1, 1, DOWN)]
-    comps = remove_path(dom, cut)
+    comps = remove_paths(dom, [cut])
     assert len(comps) == 2
     assert sorted(len(c) for c in comps) == [3, 11]
     subs = [try_domain_from_edges(c) for c in comps]
@@ -395,3 +399,78 @@ def test_domain_json_round_trip():
         {"kind": "ball", "radius": 1}) == domain_from_hexagons(hexagon_ball(1))
     with pytest.raises(OutOfRange):
         domain_from_json({"kind": "mystery"})
+
+
+# ---------------------------------------------------------------------------
+# property tests on random domains inside the radius-2 ball
+# ---------------------------------------------------------------------------
+
+BALL2 = sorted(hexagon_ball(2))
+
+
+def _reachability_classes(cells):
+    """Components by transitive closure of the distance-one relation."""
+    reach = {a: {b for b in cells if tri_distance(a, b) <= 1} for a in cells}
+    changed = True
+    while changed:
+        changed = False
+        for a in cells:
+            grown = set().union(*(reach[b] for b in reach[a]))
+            if grown != reach[a]:
+                reach[a] = grown
+                changed = True
+    return {frozenset(r) for r in reach.values()}
+
+
+@st.composite
+def ball2_domains(draw):
+    """A connected hexagon set grown inside the ball, and its domain."""
+    cells = {draw(st.sampled_from(BALL2))}
+    for _ in range(draw(st.integers(0, 12))):
+        grow = sorted({g for h in cells for g in tri_neighbors(h)
+                       if g in hexagon_ball(2)} - cells)
+        if not grow:
+            break
+        cells.add(draw(st.sampled_from(grow)))
+    try:
+        dom = domain_from_hexagons(cells)
+    except HexloopError:
+        assume(False)
+    return frozenset(cells), dom
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hexagon_components_match_reachability(data):
+    cells, _ = data.draw(ball2_domains())
+    kept = frozenset(data.draw(st.sets(st.sampled_from(sorted(cells)))))
+    for sub in (cells, kept):
+        got = hexagon_components(sub)
+        assert len(got) == len(set(got))
+        assert set(got) == _reachability_classes(sub)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_carver_agrees_on_domain_and_raw_edges(data):
+    _, dom = data.draw(ball2_domains())
+    walks = []
+    used = set()
+    for _ in range(data.draw(st.integers(1, 2))):
+        start = sorted({u for e in dom.edges for u in e} - used)
+        walk = [data.draw(st.sampled_from(start))]
+        for _ in range(data.draw(st.integers(0, 10))):
+            steps = sorted(w for w in hex_neighbors(walk[-1])
+                           if edge(walk[-1], w) in dom.edge_index
+                           and w not in walk and w not in used)
+            if not steps:
+                break
+            walk.append(data.draw(st.sampled_from(steps)))
+        walks.append(walk)
+        used.update(walk)
+    comps = remove_paths(dom, walks)
+    assert comps == remove_paths(list(dom.edges), walks)
+    kept = {e for c in comps for e in c}
+    for walk in walks:
+        if len(walk) >= 2:
+            assert not kept & set(path_edges(walk))
