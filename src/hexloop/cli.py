@@ -41,7 +41,6 @@ from .exact import (
     MAX_SWEEP_WIDTH,
     brute_force_Z,
     sweep_Z,
-    sweep_width,
 )
 from .fixtures import (
     defect_sets,
@@ -151,10 +150,8 @@ def _cmd_enumerate(args) -> int:
         raise OutOfRange("defect enumeration is loop-side; field terms "
                          "belong to sample")
     params = Params(args.n, x)
-    engine = args.engine
-    if engine == "auto":
-        engine = ("sweep" if sweep_width(domain.edges) <= MAX_SWEEP_WIDTH
-                  else "brute")
+    # the sweep checks its own width cap; brute is the oracle, on request
+    engine = "brute" if args.engine == "brute" else "sweep"
     _log_config("enumerate", {"domain": name, "A": [list(v) for v in defects],
                               "n": args.n, "x": x, "h": args.h, "hp": args.hp,
                               "engine": engine, "out": args.out})

@@ -1,15 +1,19 @@
 """Exact weighted sums over loop configurations, and derived observables.
 
 Two independent engines compute the weighted sum over all configurations on
-an edge set with a prescribed defect set.  Both reduce an instance to an
-integer table ``{(edge count, loop count): multiplicity}`` that is
-independent of the weights, so one combinatorial pass serves a whole
-parameter grid; tables are evaluated by log-sum-exp into a
-:class:`WeightSum`.  The left-to-right sweep over link states
-(:func:`sweep_Z`) is the product engine: every walk weight, path sum and
-observable below goes through it.  The depth-first enumeration with degree
-pruning (:func:`even_subgraphs`) is the oracle behind ``brute_force_*`` and
-``hexloop enumerate --engine brute``, which tests compare the sweep against.
+an edge set with a prescribed defect set.  Both reduce an instance to a
+table ``{(edge count, loop count): multiplicity}`` that is independent of
+the weights, so one combinatorial pass serves a whole parameter grid;
+tables are evaluated by log-sum-exp into a :class:`WeightSum`.  The
+left-to-right sweep over link states (:func:`sweep_Z`) is the product
+engine: every walk weight, path sum and observable below goes through it.
+It carries, for each link state of the frontier, the polynomial in edge
+and loop counts of the partial configurations reaching that state, packed
+into one exact Python int with a fixed-width field per (edges, loops)
+term, so a state transition is one shift and one addition.  The
+depth-first enumeration with degree pruning (:func:`even_subgraphs`) is
+the oracle behind ``brute_force_*`` and ``hexloop enumerate --engine
+brute``, which tests compare the sweep against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -377,10 +381,21 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
             fresh[order[v]].append(i)
             arriving[order[u]].append(i)
 
-    states: dict[tuple, Table] = {(): {(0, 0): 1}}
+    # Kronecker packing: the count of partial configurations with m edges
+    # and l closed loops sits in the nbytes-wide field at slot
+    # m * stride + l of the state's int.  Loops are vertex-disjoint and have
+    # at least 6 vertices, so l < stride.  Two partial configurations in one
+    # state differ by an even subgraph of the processed vertices, so a field
+    # never exceeds 2^(cycle rank) < 2^(8 * nbytes) and cannot carry.
+    stride = len(verts) // 6 + 1
+    rank = len(edges) - len(verts) + len(edge_components(edges))
+    nbytes = rank // 8 + 1
+    field_bits = 8 * nbytes
+
+    states: dict[tuple, int] = {(): 1}
     for vi, v in enumerate(verts):
         want_one = v in defects
-        nxt: dict[tuple, Table] = {}
+        nxt: dict[tuple, int] = {}
         for key, poly in states.items():
             base = dict(key)
             present = [e for e in arriving[vi] if e in base]
@@ -401,12 +416,23 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                     elif degree == 1:
                         _terminate(pairing, ends[0])
                     key2 = tuple(sorted(pairing.items()))
-                    bucket = nxt.setdefault(key2, {})
-                    for (m, l), c in poly.items():
-                        mk = (m + r, l + closed)
-                        bucket[mk] = bucket.get(mk, 0) + c
+                    shift = (r * stride + closed) * field_bits
+                    nxt[key2] = nxt.get(key2, 0) + (poly << shift)
         states = nxt
-    return states.get((), {})
+    return _unpack(states.get((), 0), stride, nbytes)
+
+
+def _unpack(packed: int, stride: int, nbytes: int) -> Table:
+    """The table held by a packed polynomial of :func:`_sweep_table`."""
+    slots = -(-packed.bit_length() // (8 * nbytes))
+    raw = packed.to_bytes(slots * nbytes, "little")
+    table: Table = {}
+    for slot in range(slots):
+        count = int.from_bytes(raw[slot * nbytes:(slot + 1) * nbytes],
+                               "little")
+        if count:
+            table[divmod(slot, stride)] = count
+    return table
 
 
 def sweep_table(edges: Iterable[HexEdge],

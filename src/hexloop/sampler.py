@@ -403,7 +403,10 @@ class ChainState:
 
     def plus_probability(self, u) -> float:
         """The heat-bath probability of setting the spin at ``u`` to +1."""
-        return self._heat_bath(self.system.free_index[tuple(u)])[5]
+        iu = self.system.free_index.get(tuple(u))
+        if iu is None:
+            raise OutOfRange(f"{u} is not a free hexagon of this chain")
+        return self._heat_bath(iu)[5]
 
     def sweep(self) -> int:
         """One pass over all free sites in fixed order; returns flip count."""

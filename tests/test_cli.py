@@ -7,6 +7,7 @@ import pytest
 
 from hexloop import cli
 from hexloop.configs import SpinSystem, loops_to_json, spins_to_json
+from hexloop.exact import MAX_SWEEP_WIDTH
 from hexloop.fixtures import defect_sets, load_default_grid, load_domains
 from hexloop.lattice import hexagon_ball, hexagon_edges
 
@@ -32,6 +33,16 @@ def test_enumerate_engines_agree_on_a_fixture(capsys):
     assert records["brute"]["engine"] == "brute"
     assert records["sweep"]["log_Z"] == pytest.approx(
         records["brute"]["log_Z"], rel=1e-12)
+
+
+def test_enumerate_auto_names_the_width_cap(capsys):
+    code, _, err = run(capsys, "enumerate", "--domain", '{"ball": 8}',
+                       "--n", "1.5")
+    assert code == 2
+    resolved, failure = map(json.loads, err.splitlines())
+    assert resolved["resolved"]["engine"] == "sweep"
+    assert failure["error"] == "WidthExceeded"
+    assert f"cap of {MAX_SWEEP_WIDTH}" in failure["message"]
 
 
 def test_seeded_sample_repeats(capsys, tmp_path):

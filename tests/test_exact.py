@@ -6,9 +6,13 @@ domain, whose three edges make every sum a one-liner.
 """
 
 import cmath
+import json
 import math
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexloop.configs import Params, SpinSystem, border_edges, loop_count
 from hexloop.errors import (
@@ -43,14 +47,22 @@ from hexloop.exact import (
 from hexloop.fixtures import defect_sets, load_domains
 from hexloop.lattice import (
     domain_from_hexagons,
+    edge_components,
     hex_neighbors,
     hex_xy,
+    hexagon_ball,
     hexagon_corners,
     hexagon_edges,
+    rectangle_hexagons,
     remove_paths,
     rhombus_hexagons,
     triangle_domain,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+BALL2 = sorted(hexagon_ball(2))
+BALL2_EDGES = domain_from_hexagons(BALL2).edges
+BALL2_VERTS = sorted({u for e in BALL2_EDGES for u in e})
 
 
 def flower():
@@ -193,6 +205,47 @@ def test_fixture_tables_count_the_cycle_space():
         for picks in defect_sets(dom).values():
             for pick in picks:
                 assert sum(sweep_table(dom.edges, pick).values()) == 2**rank
+
+
+@st.composite
+def ball2_edge_subsets(draw):
+    """At most 26 edges of the ball r=2 domain: the borders of up to four of
+    its hexagons, which need not touch, less some edges, plus loose edges."""
+    cells = draw(st.lists(st.sampled_from(BALL2), max_size=4, unique=True))
+    borders = sorted({e for h in cells for e in hexagon_edges(h)})
+    kept = set(borders)
+    if borders:
+        kept -= draw(st.sets(st.sampled_from(borders)))
+    loose = draw(st.sets(st.sampled_from(BALL2_EDGES),
+                         max_size=26 - len(kept)))
+    return tuple(sorted(kept | loose))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sweep_matches_brute_on_random_subsets(data):
+    edges = data.draw(ball2_edge_subsets())
+    verts = {u for e in edges for u in e}
+    # defects on the subset, or anywhere in the ball (then often off it)
+    defects = data.draw(st.lists(
+        st.one_of(st.sampled_from(sorted(verts) or BALL2_VERTS),
+                  st.sampled_from(BALL2_VERTS)), max_size=4, unique=True))
+    table = sweep_table(edges, defects)
+    assert table == brute_force_table(edges, defects)
+    if len(defects) % 2 or not verts.issuperset(defects):
+        assert table == {}
+    if not defects:
+        rank = len(edges) - len(verts) + len(edge_components(edges))
+        assert sum(table.values()) == 2**rank
+
+
+def test_sweep_is_exact_past_int64():
+    # a strip of 70 hexagons: width 3, cycle rank 70, counts above 2^63
+    dom = domain_from_hexagons(rectangle_hexagons(70, 1))
+    table = sweep_table(dom.edges)
+    assert sum(table.values()) == 2**70
+    golden = json.loads((GOLDEN / "rectangle_70x1_table.json").read_text())
+    assert table == {(m, l): c for m, l, c in golden}
 
 
 def test_empty_edge_set():

@@ -191,6 +191,12 @@ def test_flip_probability_vanishes_at_small_x():
     assert state.plus_probability((0, 0)) < 1e-10
 
 
+def test_plus_probability_rejects_non_free_hexagon():
+    state = ChainState(SpinSystem(BALL1, fixed=1), PARAMS)
+    with pytest.raises(OutOfRange, match="not a free hexagon"):
+        state.plus_probability((9, 9))
+
+
 def test_heat_bath_step_updates_in_place():
     system = SpinSystem(BALL1, fixed=1)
     state = ChainState(system, Params(n=1.4, x=0.6), seed=5, debug=True)
