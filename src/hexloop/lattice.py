@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -190,8 +190,11 @@ def tri_distance(a: TriVertex, b: TriVertex) -> int:
     return (abs(dr) + abs(ds) + abs(dr + ds)) // 2
 
 
+@lru_cache(maxsize=128)
 def hexagon_ball(radius: int, center: TriVertex = (0, 0)) -> frozenset[TriVertex]:
-    """All hexagons within triangular-lattice distance ``radius`` of center."""
+    """All hexagons within triangular-lattice distance ``radius`` of center.
+
+    Cached: event predicates ask for the same balls on every sample."""
     if radius < 0:
         raise OutOfRange("radius must be nonnegative")
     r0, s0 = center

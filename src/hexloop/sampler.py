@@ -2,11 +2,17 @@
 
 A heat-bath chain over the free hexagons of a :class:`SpinSystem`, with the
 cluster, wall, magnetization and triangle counts maintained incrementally.
-The cluster-count delta of a single flip equals q - t, where q is the number
-of connected groups the flipped site's old-sign neighbors fall into once the
-site is removed, and t is the same count for its new-sign neighbors; both
-are usually read off the neighbor ring directly and otherwise resolved by a
-bounded breadth-first search with an exact full-recount fallback.
+Everything a single flip changes locally is a function of seven signs, the
+site's and its six neighbors' in rotational order, so one 128-entry table
+(``_LOCAL``) holds the wall, magnetization and triangle deltas and the
+same-sign arcs of the neighbor ring for each sign pattern.  The
+cluster-count delta equals q - t, where q is the number of connected groups
+the site's old-sign arcs fall into once the site is removed, and t is the
+same count for its new-sign arcs.  A single arc is one group, so when each
+sign has at most one arc the whole update, heat-bath probability included,
+is a lookup in a per-chain copy of the table; otherwise the arcs are
+resolved by a bounded breadth-first search with an exact full-recount
+fallback.
 
 Randomness comes from a counter-based generator (Philox) keyed by a 64-bit
 seed and a stream index, with one uniform block drawn per sweep and a fixed
@@ -46,13 +52,60 @@ from .observables import EventSpec, event_from_json, loop_surrounds
 _CYCLE = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
+def _ring_arcs(sgn, sign) -> tuple[tuple[int, ...], ...]:
+    """Maximal runs of ``sign`` around the ring, as position tuples; a run
+    through position 5 into position 0 is one arc, listed first."""
+    arcs = []
+    current: list[int] = []
+    for i in range(6):
+        if sgn[i] == sign:
+            current.append(i)
+        elif current:
+            arcs.append(current)
+            current = []
+    if current:
+        if arcs and sgn[0] == sign:
+            arcs[0] = current + arcs[0]
+        else:
+            arcs.append(current)
+    return tuple(map(tuple, arcs))
+
+
+def _local_entry(key: int):
+    """(s, de, dr, dtw, old-sign arcs, new-sign arcs) for flipping a site
+    whose sign is bit 6 of ``key`` and whose i-th ring neighbor's is bit i
+    (a set bit is +1)."""
+    s = 1 if key >> 6 & 1 else -1
+    sgn = [1 if key >> i & 1 else -1 for i in range(6)]
+    de = 2 * sgn.count(s) - 6
+    dr = -2 * s
+    dtw = 0
+    for i in range(6):
+        # the triangle of the site and its ring neighbors i and i + 1
+        t = s + sgn[i] + sgn[i - 5]
+        tp = t - 2 * s
+        if tp == 3:
+            dtw += 1
+        elif tp == -3:
+            dtw -= 1
+        if t == 3:
+            dtw -= 1
+        elif t == -3:
+            dtw += 1
+    return s, de, dr, dtw, _ring_arcs(sgn, s), _ring_arcs(sgn, -s)
+
+
+_LOCAL = tuple(_local_entry(key) for key in range(128))
+
+
 class ChainState:
     """Mutable state of one chain: spins, cached counts, and the generator.
 
     The cached counts always equal ``spin_counts`` of the current spins;
     with ``debug=True`` that is asserted after every accepted flip.  Frame
     spins are immutable; ``init`` sets the starting free spins (a sign or a
-    mapping from hexagon to sign).
+    mapping from hexagon to sign).  The parameters are fixed at
+    construction, when the per-chain update table is built from them.
     """
 
     def __init__(self, system: SpinSystem, params: Params, seed: int = 0,
@@ -83,26 +136,6 @@ class ChainState:
             nb6.append(tuple(idx[(r + dr, s + ds)] for dr, ds in _CYCLE))
         self._nb6 = tuple(nb6)
 
-        # context sites at distance two from each free site, with a bitmask
-        # of the neighbor-ring positions they touch: two same-sign arcs are
-        # certainly one group when such a site of their sign touches both
-        ring2 = []
-        for h in system.free:
-            r, s = h
-            ring = {(r + dr, s + ds) for dr, ds in _CYCLE}
-            touch: dict[int, int] = {}
-            for pos, (dr, ds) in enumerate(_CYCLE):
-                nr, ns = r + dr, s + ds
-                for dr2, ds2 in _CYCLE:
-                    w = (nr + dr2, ns + ds2)
-                    if w == h or w in ring:
-                        continue
-                    j = idx.get(w)
-                    if j is not None:
-                        touch[j] = touch.get(j, 0) | (1 << pos)
-            ring2.append(tuple(touch.items()))
-        self._ring2 = tuple(ring2)
-
         # context adjacency and sea attachment, for connectivity searches
         adj = []
         exterior = []
@@ -124,6 +157,18 @@ class ChainState:
         self._budget = 4 * len(system.free)
         self._ln_n = math.log(params.n)
         self._ln_x = math.log(params.x)
+
+        # the whole update for every ring pattern with at most one arc of
+        # each sign, where dk is the difference of the arc counts; a ring
+        # of both signs has as many arcs of one as of the other
+        fast = []
+        for s, de, dr, dtw, old, new in _LOCAL:
+            if len(old) > 1:
+                fast.append(None)
+                continue
+            dk = len(old) - len(new)
+            fast.append((dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s)))
+        self._fast = tuple(fast)
 
         c = spin_counts(system, self.free_signs())
         self._k, self._e, self._r, self._tw = c.k, c.e, c.r, c.twice_rp
@@ -256,134 +301,55 @@ class ChainState:
                     return done
         return len({find(x) for x in range(a)})
 
-    def _heat_bath(self, iu: int, budget=None):
-        """Exact (dk, de, dr, dtw) for flipping the iu-th free spin, then
-        its current sign and the heat-bath probability of setting it to +1.
-        """
-        if budget is None:
-            budget = self._budget
-        full = self._full
-        cu = self._free_ctx[iu]
-        s = full[cu]
-        nbs = self._nb6[iu]
-        sgn = [full[j] for j in nbs]
-
-        same = 0
-        for v in sgn:
-            if v == s:
-                same += 1
-        de = 2 * same - 6
-        dr = -2 * s
-
-        dtw = 0
-        for i in range(6):
-            t = s + sgn[i] + sgn[i - 5]
-            tp = t - 2 * s
-            if tp == 3:
-                dtw += 1
-            elif tp == -3:
-                dtw -= 1
-            if t == 3:
-                dtw -= 1
-            elif t == -3:
-                dtw += 1
-
-        dk = self._dk(iu, cu, s, nbs, sgn, budget)
-        if dk is None:
-            flipped = self.free_signs()
-            flipped[iu] = -s
-            c = spin_counts(self.system, flipped)
-            dk, de, dr, dtw = (c.k - self._k, c.e - self._e,
-                               c.r - self._r, c.twice_rp - self._tw)
-
+    def _p_plus(self, dk: int, de: int, dr: int, dtw: int, s: int) -> float:
+        """Heat-bath probability of +1 at a site of sign s whose flip
+        changes the counts by (dk, de, dr, dtw)."""
         p = self.params
         dlog = (dk * self._ln_n + de * self._ln_x
                 + p.h * dr + p.hp * dtw * 0.5)
         # dlog is log W(flipped) - log W(current); gap is log W- - log W+
         gap = dlog if s == 1 else -dlog
         if gap > 700.0:
-            p_plus = 0.0
-        elif gap < -700.0:
-            p_plus = 1.0
-        else:
-            p_plus = 1.0 / (1.0 + math.exp(gap))
-        return dk, de, dr, dtw, s, p_plus
+            return 0.0
+        if gap < -700.0:
+            return 1.0
+        return 1.0 / (1.0 + math.exp(gap))
 
-    def _dk(self, iu: int, cu: int, s: int, nbs, sgn, budget):
-        """Cluster-count change q - t, or None when the search budget ran
-        out and a full recount is needed."""
-        q = self._ring_components(iu, cu, s, nbs, sgn, budget)
-        if q is None:
-            return None
-        t = self._ring_components(iu, cu, -s, nbs, sgn, budget)
-        if t is None:
-            return None
-        return (q - 1) + (1 - t)
+    def _heat_bath(self, iu: int, budget=None):
+        """Exact (dk, de, dr, dtw) for flipping the iu-th free spin, then
+        its current sign and the heat-bath probability of setting it to +1.
 
-    def _ring_components(self, iu, cu, sign, nbs, sgn, budget):
-        """Connected groups formed by the sign's arcs of the neighbor ring,
-        in the sign subgraph without the center site."""
-        arcs = []
-        current = None
-        for i in range(6):
-            if sgn[i] == sign:
-                if current is None:
-                    current = [1 << i, [nbs[i]]]
-                else:
-                    current[0] |= 1 << i
-                    current[1].append(nbs[i])
-            else:
-                if current is not None:
-                    arcs.append(current)
-                    current = None
-        if current is not None:
-            if arcs and sgn[0] == sign and sgn[5] == sign:
-                arcs[0][0] |= current[0]
-                arcs[0][1] = current[1] + arcs[0][1]
-            else:
-                arcs.append(current)
-        a = len(arcs)
-        if a <= 1:
-            return a
-
-        # cheap certificate before searching: arcs touched by a common
-        # same-sign site at distance two, or jointly reaching the sea,
-        # are surely one group
-        group = list(range(a))
-
-        def root(i):
-            while group[i] != i:
-                group[i] = group[group[i]]
-                i = group[i]
-            return i
-
+        The seven signs of the site and its ring form a 7-bit key.  Keys
+        with at most one arc of each sign are answered whole by ``_fast``.
+        Otherwise both signs have two or more arcs in ``_LOCAL``, and
+        ``_arc_groups`` counts the groups each sign's arcs form without the
+        site; a search that exceeds the budget (default four times the
+        number of free sites) falls back to a full recount.
+        """
         full = self._full
-        for j, m in self._ring2[iu]:
-            if full[j] != sign:
-                continue
-            anchor = -1
-            for ai in range(a):
-                if arcs[ai][0] & m:
-                    if anchor < 0:
-                        anchor = ai
-                    else:
-                        ra, rb = root(anchor), root(ai)
-                        if ra != rb:
-                            group[rb] = ra
-        if sign == self._sea:
-            exterior = self._exterior
-            anchor = -1
-            for ai in range(a):
-                if any(exterior[site] for site in arcs[ai][1]):
-                    if anchor < 0:
-                        anchor = ai
-                    else:
-                        ra, rb = root(anchor), root(ai)
-                        if ra != rb:
-                            group[rb] = ra
-        if len({root(ai) for ai in range(a)}) == 1:
-            return 1
-        return self._arc_groups([sites for _, sites in arcs], sign, cu, budget)
+        cu = self._free_ctx[iu]
+        nbs = self._nb6[iu]
+        n0, n1, n2, n3, n4, n5 = nbs
+        key = (64 * full[cu] + 32 * full[n5] + 16 * full[n4] + 8 * full[n3]
+               + 4 * full[n2] + 2 * full[n1] + full[n0] + 127) >> 1
+        hit = self._fast[key]
+        if hit is not None:
+            return hit
+
+        if budget is None:
+            budget = self._budget
+        s, de, dr, dtw, old, new = _LOCAL[key]
+        q = self._arc_groups([[nbs[i] for i in arc] for arc in old],
+                             s, cu, budget)
+        t = None if q is None else self._arc_groups(
+            [[nbs[i] for i in arc] for arc in new], -s, cu, budget)
+        if t is None:
+            flipped = self.free_signs()
+            flipped[iu] = -s
+            dk = spin_counts(self.system, flipped).k - self._k
+        else:
+            dk = q - t
+        return dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s)
 
     def _update(self, iu: int, u01: float) -> bool:
         """One heat-bath update of the iu-th free spin; True if it flipped."""
@@ -410,7 +376,7 @@ class ChainState:
 
     def sweep(self) -> int:
         """One pass over all free sites in fixed order; returns flip count."""
-        us = self.rng.random(len(self._free_ctx))
+        us = self.rng.random(len(self._free_ctx)).tolist()
         flips = 0
         for i in range(len(self._free_ctx)):
             if self._update(i, us[i]):

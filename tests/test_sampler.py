@@ -1,11 +1,16 @@
 """Tests for the heat-bath chain: single-flip deltas, transition
 probabilities, reproducibility, and agreement with exact enumeration."""
 
+import itertools
+import json
 import math
+import pathlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexloop.configs import (
     Params,
@@ -28,11 +33,13 @@ from hexloop.sampler import (
     run_chain,
 )
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 PARAMS = Params(n=1.4, x=0.5, h=0.3, hp=-0.2)
 
 BALL1 = sorted(hexagon_ball(1))
 RECT12 = sorted((r, s) for r in range(3) for s in range(4))
 RING12 = sorted(hexagon_ball(2) - hexagon_ball(1))
+BALL3 = sorted(hexagon_ball(3))
 
 
 def random_system(shape, rng):
@@ -49,6 +56,18 @@ def random_state(system, rng, params=PARAMS):
 
 def negated(c: SpinCounts) -> SpinCounts:
     return SpinCounts(k=-c.k, e=-c.e, r=-c.r, twice_rp=-c.twice_rp)
+
+
+def recount_delta(state: ChainState, u) -> SpinCounts:
+    """Count changes of flipping ``u``, from two full recounts."""
+    system = state.system
+    before = spin_counts(system, state.free_signs())
+    flipped = state.free_signs()
+    flipped[system.free_index[u]] *= -1
+    after = spin_counts(system, flipped)
+    return SpinCounts(k=after.k - before.k, e=after.e - before.e,
+                      r=after.r - before.r,
+                      twice_rp=after.twice_rp - before.twice_rp)
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +128,57 @@ def test_delta_matches_full_recount():
         system = random_system(shape, rng)
         state = random_state(system, rng)
         u = rng.choice(system.free)
-        before = spin_counts(system, state.free_signs())
-        flipped = state.free_signs()
-        flipped[system.free_index[u]] *= -1
-        after = spin_counts(system, flipped)
-        want = SpinCounts(k=after.k - before.k, e=after.e - before.e,
-                          r=after.r - before.r,
-                          twice_rp=after.twice_rp - before.twice_rp)
+        want = recount_delta(state, u)
         assert delta_counts(state, u) == want
         if trial % 5 == 0:
             # zero search budget forces the recount fallback
             assert delta_counts(state, u, budget=0) == want
+
+
+def test_every_ring_pattern_of_a_single_site():
+    # one free site with its ring frozen: all 2^7 sign patterns of the site
+    # and its ring, under either sea sign
+    params = Params(n=1.6, x=0.55, h=0.3, hp=-0.4)
+    ring = tri_neighbors((0, 0))
+    multi_arc = 0
+    for sea in (-1, 1):
+        for center, *ring_signs in itertools.product((-1, 1), repeat=7):
+            system = SpinSystem([(0, 0)], dict(zip(ring, ring_signs)), sea=sea)
+            state = ChainState(system, params, init=center)
+            want = recount_delta(state, (0, 0))
+            assert delta_counts(state, (0, 0)) == want
+            assert delta_counts(state, (0, 0), budget=0) == want
+            weights = [log_spin_weight(params, spin_counts(system, [v]))
+                       for v in (1, -1)]
+            p_plus = 1.0 / (1.0 + math.exp(weights[1] - weights[0]))
+            assert state.plus_probability((0, 0)) == pytest.approx(
+                p_plus, rel=1e-12, abs=1e-15)
+            runs = sum(1 for i in range(6)
+                       if ring_signs[i] == center != ring_signs[i - 1])
+            multi_arc += runs > 1
+    assert multi_arc == 2 * 2 * 32  # ring patterns with two or three arcs
+
+
+@st.composite
+def ball3_systems(draw):
+    """A chain on a random, possibly disconnected, subset of the ball r=3,
+    with random frozen ring spins, sea and starting spins."""
+    shape = draw(st.lists(st.sampled_from(BALL3), min_size=1, unique=True))
+    ring = sorted({g for h in shape for g in tri_neighbors(h)} - set(shape))
+    signs = st.sampled_from((-1, 1))
+    fixed = dict(zip(ring, draw(st.lists(signs, min_size=len(ring),
+                                         max_size=len(ring)))))
+    system = SpinSystem(shape, fixed, sea=draw(signs))
+    init = draw(st.lists(signs, min_size=len(system.free),
+                         max_size=len(system.free)))
+    return ChainState(system, PARAMS, init=dict(zip(system.free, init)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(state=ball3_systems(), budget=st.sampled_from((None, 0, 1, 3)))
+def test_delta_matches_recount_on_random_subsets(state, budget):
+    for u in state.system.free:
+        assert delta_counts(state, u, budget=budget) == recount_delta(state, u)
 
 
 def test_delta_is_involution():
@@ -310,6 +369,28 @@ def test_run_chain_is_deterministic():
     assert a == b
     c = run_chain(BALL1, +1, Params(n=1.4, x=0.55), **kw, stream=1)
     assert c != a
+
+
+def test_seeded_chain_matches_golden():
+    # written by the chain before its update became a table lookup: a
+    # speedup may not change a seeded chain's output
+    golden = json.loads((GOLDEN / "chain_r6.json").read_text())
+    system = SpinSystem(hexagon_ball(6), +1, sea=+1)
+    events = [{"type": "plus_circuit", "k": 2},
+              {"type": "annulus_loop", "k": 2}]
+    for n in (1.0, 1.5, 2.0):
+        want = golden[repr(n)]
+        params = Params(n=n, x=x_critical(n))
+        ests = run_chain(system, +1, params, sweeps=300, seed=7,
+                         events=events)
+        assert [[e.mean, e.tau_int] for e in ests] == want["estimates"]
+        state = ChainState(system, params, seed=7)
+        for _ in range(300 + 30):  # run_chain's default burn-in is a tenth
+            state.sweep()
+        c = state.counts
+        assert [c.k, c.e, c.r, c.twice_rp] == want["counts"]
+        assert "".join("+" if v > 0 else "-"
+                       for v in state.free_signs()) == want["signs"]
 
 
 def test_run_chain_matches_exact_enumeration():
