@@ -26,11 +26,12 @@ from typing import Callable, Iterable, Mapping
 from .configs import (
     Params,
     SpinSystem,
+    assignment_counts,
+    assignment_index,
     border_edges,
     edge_components,
     log_spin_weight,
     loop_count,
-    spin_counts,
     spins_to_loops,
 )
 from .errors import DomainNotSymmetric, EventNotIncreasing, OutOfRange, TooLarge
@@ -134,10 +135,11 @@ def check_fkg_lattice(region, tau, params: Params, *,
     if m > max_sites:
         raise TooLarge(f"{m} free hexagons exceed the pair-scan cap "
                        f"of {max_sites}")
+    counts = assignment_counts(system, max_sites)
     logw = []
     for bits in range(1 << m):
         signs = [1 if bits >> i & 1 else -1 for i in range(m)]
-        logw.append(log_spin_weight(params, spin_counts(system, signs)))
+        logw.append(log_spin_weight(params, counts[assignment_index(signs)]))
 
     worst = math.inf
     at = None
@@ -328,19 +330,20 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
     inner_fixed.update(shell_signs)
     inner = SpinSystem(sub, inner_fixed, sea=outer.sea)
 
+    outer_counts = assignment_counts(outer, max_sites)
     pos = {h: i for i, h in enumerate(outer.free)}
     cond = []
     direct = []
-    for sub_signs in product((-1, 1), repeat=len(inner.free)):
+    for sub_signs, counts in zip(product((-1, 1), repeat=len(inner.free)),
+                                 assignment_counts(inner, max_sites)):
         signs = [0] * m
         for h, s in shell_signs.items():
             signs[pos[h]] = s
         for h, s in zip(inner.free, sub_signs):
             signs[pos[h]] = s
-        cond.append(math.exp(log_spin_weight(params,
-                                             spin_counts(outer, signs))))
-        direct.append(math.exp(log_spin_weight(params,
-                                               spin_counts(inner, sub_signs))))
+        cond.append(math.exp(log_spin_weight(
+            params, outer_counts[assignment_index(signs)])))
+        direct.append(math.exp(log_spin_weight(params, counts)))
     zc, zd = sum(cond), sum(direct)
     markov_gap = max(abs(c / zc - d / zd) for c, d in zip(cond, direct))
 
@@ -348,13 +351,13 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
                          {h: -s for h, s in outer.fixed.items()},
                          sea=-outer.sea)
     neg = Params(n=params.n, x=params.x, h=-params.h, hp=-params.hp)
+    flipped_counts = assignment_counts(flipped, max_sites)
     w_out = []
     w_flip = []
-    for signs in product((-1, 1), repeat=m):
-        w_out.append(math.exp(log_spin_weight(params,
-                                              spin_counts(outer, signs))))
-        w_flip.append(math.exp(log_spin_weight(neg, spin_counts(
-            flipped, [-s for s in signs]))))
+    for signs, counts in zip(product((-1, 1), repeat=m), outer_counts):
+        w_out.append(math.exp(log_spin_weight(params, counts)))
+        w_flip.append(math.exp(log_spin_weight(neg, flipped_counts[
+            assignment_index([-s for s in signs])])))
     zo, zf = sum(w_out), sum(w_flip)
     flip_gap = max(abs(a / zo - b / zf) for a, b in zip(w_out, w_flip))
 
@@ -398,8 +401,9 @@ def check_bijection(region, tau, params: Params, *,
                        f"of {MAX_BIJECTION_EDGES}")
 
     spin_side: dict = {}
-    for signs in product((-1, 1), repeat=m):
-        w = math.exp(log_spin_weight(params, spin_counts(system, signs)))
+    for signs, counts in zip(product((-1, 1), repeat=m),
+                             assignment_counts(system, max_sites)):
+        w = math.exp(log_spin_weight(params, counts))
         walls = spins_to_loops(system, signs)
         spin_side[walls] = spin_side.get(walls, 0.0) + w
     z_spin = sum(spin_side.values())

@@ -24,6 +24,19 @@ where, writing Q for the free hexagons together with their neighbours,
   all-minus triangles touching a free hexagon (triangles of hexagons
   correspond one-to-one to lattice vertices).
 
+Counts change locally under a single flip.  Everything a flip changes is a
+function of seven signs, the site's and its six neighbours' in rotational
+order (``_CYCLE``), so one 128-entry table (``_LOCAL``) holds the wall,
+magnetization and triangle deltas and the same-sign arcs of the neighbour
+ring for each sign pattern.  The cluster-count delta is the number of arcs
+of the old sign minus that of the new sign when each sign has at most one
+arc; otherwise a bounded breadth-first search (``_arc_groups``) counts the
+groups the arcs form without the site, and :func:`spin_counts` recounts
+when the search exceeds its budget.  The heat-bath chain
+(``sampler.ChainState``) updates its counts this way, and
+:func:`assignment_counts` walks all 2^m assignments of a system in
+Gray-code order, one flip per step, and keeps the result on the system.
+
 Spins and loops are two views of the same model: the domain walls of a spin
 assignment form an even edge set on the edges bordering the free hexagons,
 and with a constant fixed boundary the correspondence is one to one
@@ -33,11 +46,12 @@ and with a constant fixed boundary the correspondence is one to one
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InconsistentParity, OutOfRange
+from .errors import InconsistentParity, OutOfRange, TooLarge
 from .lattice import (
     HexEdge,
     HexVertex,
@@ -122,6 +136,11 @@ def border_edges(hexagons: Iterable[TriVertex]) -> tuple[HexEdge, ...]:
     hs = set(hexagons)
     out = {e for h in hs for e in hexagon_edges(h)}
     return tuple(sorted(out))
+
+
+# neighbor offsets in rotational order: consecutive offsets are themselves
+# adjacent, so same-sign runs around a site are connected sets
+_CYCLE = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
 def _check_spin(value) -> int:
@@ -237,12 +256,53 @@ class SpinSystem:
                     out.append(tuple(sorted(idx[t] for t in tri)))
         return tuple(sorted(set(out)))
 
+    # -- single-flip structure -------------------------------------------------
+
+    @cached_property
+    def _free_ctx(self) -> tuple[int, ...]:
+        """Context index of each free hexagon."""
+        return tuple(self._index[h] for h in self.free)
+
+    @cached_property
+    def _nb6(self) -> tuple[tuple[int, ...], ...]:
+        """Context indices of each free hexagon's six neighbours in
+        ``_CYCLE`` order (all of them lie in the context by construction)."""
+        idx = self._index
+        return tuple(tuple(idx[(r + dr, s + ds)] for dr, ds in _CYCLE)
+                     for r, s in self.free)
+
+    @cached_property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        """Context neighbours of each context hexagon, in ``_CYCLE`` order."""
+        idx = self._index
+        return tuple(tuple(idx[g] for g in ((r + dr, s + ds)
+                                            for dr, ds in _CYCLE) if g in idx)
+                     for r, s in self.context)
+
+    @cached_property
+    def _exterior(self) -> tuple[bool, ...]:
+        """Whether each context hexagon touches the exterior."""
+        touching = set(self._exterior_touching)
+        return tuple(i in touching for i in range(len(self.context)))
+
+    @cached_property
+    def _budget(self) -> int:
+        """Default step budget of a cluster search: four per free hexagon."""
+        return 4 * len(self.free)
+
+    @cached_property
+    def _assignment_counts(self) -> tuple[SpinCounts, ...]:
+        return _gray_counts(self, self._budget)
+
     # -- assignments ----------------------------------------------------------
 
     def full_spins(self, spins) -> list[int]:
         """Spins for the whole context, from free spins given as a mapping or
         a sequence aligned with ``self.free``."""
         if isinstance(spins, Mapping):
+            missing = [h for h in self.free if h not in spins]
+            if missing:
+                raise OutOfRange(f"no spin given for free hexagon {missing[0]}")
             values = [_check_spin(spins[h]) for h in self.free]
         else:
             values = [_check_spin(v) for v in spins]
@@ -339,6 +399,239 @@ def spin_counts(system: SpinSystem, spins) -> SpinCounts:
             twice_rp -= 1
 
     return SpinCounts(k=k, e=e, r=r, twice_rp=twice_rp)
+
+
+# ---------------------------------------------------------------------------
+# single-flip count changes
+# ---------------------------------------------------------------------------
+
+def _ring_arcs(sgn, sign) -> tuple[tuple[int, ...], ...]:
+    """Maximal runs of ``sign`` around the ring, as position tuples; a run
+    through position 5 into position 0 is one arc, listed first."""
+    arcs = []
+    current: list[int] = []
+    for i in range(6):
+        if sgn[i] == sign:
+            current.append(i)
+        elif current:
+            arcs.append(current)
+            current = []
+    if current:
+        if arcs and sgn[0] == sign:
+            arcs[0] = current + arcs[0]
+        else:
+            arcs.append(current)
+    return tuple(map(tuple, arcs))
+
+
+def _local_entry(key: int):
+    """(s, de, dr, dtw, old-sign arcs, new-sign arcs) for flipping a site
+    whose sign is bit 6 of ``key`` and whose i-th ring neighbor's is bit i
+    (a set bit is +1)."""
+    s = 1 if key >> 6 & 1 else -1
+    sgn = [1 if key >> i & 1 else -1 for i in range(6)]
+    de = 2 * sgn.count(s) - 6
+    dr = -2 * s
+    dtw = 0
+    for i in range(6):
+        # the triangle of the site and its ring neighbors i and i + 1
+        t = s + sgn[i] + sgn[i - 5]
+        tp = t - 2 * s
+        if tp == 3:
+            dtw += 1
+        elif tp == -3:
+            dtw -= 1
+        if t == 3:
+            dtw -= 1
+        elif t == -3:
+            dtw += 1
+    return s, de, dr, dtw, _ring_arcs(sgn, s), _ring_arcs(sgn, -s)
+
+
+_LOCAL = tuple(_local_entry(key) for key in range(128))
+
+
+def _arc_groups(system: SpinSystem, full, seeds, sign: int, skip: int,
+                budget: int):
+    """Number of connected groups the seed arcs form in the sign's
+    subgraph of the context, with one site removed.
+
+    ``full`` holds the context spins.  Seeds are disjoint site lists; the
+    virtual sea links exterior sites of the sea's sign.  Searches breadth
+    first from all seeds in rotation, so a merge is noticed where regions
+    meet and a split as soon as the smallest region is exhausted: an
+    exhausted region is maximal, hence final, except that a live search may
+    still join it through the sea.  Returns None when the budget runs out.
+    """
+    a = len(seeds)
+    parent = list(range(a + 1))
+    sea_slot = a
+
+    def find(i):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    owner: dict[int, int] = {}
+    fronts = []
+    adj = system._adj
+    exterior = system._exterior
+    sea_linked = sign == system.sea
+    for ai, seed in enumerate(seeds):
+        fronts.append(deque(seed))
+        for site in seed:
+            owner[site] = ai
+            if sea_linked and exterior[site]:
+                ra, rb = find(ai), find(sea_slot)
+                if ra != rb:
+                    parent[ra] = rb
+    live = list(range(a))
+
+    def settled():
+        """The final count, or None while merges are still possible."""
+        roots = {find(x) for x in range(a)}
+        if len(roots) == 1:
+            return 1
+        live_roots = {find(x) for x in live}
+        if not live_roots:
+            return len(roots)
+        if len(live_roots) == 1:
+            if not sea_linked:
+                return len(roots)
+            sr = find(sea_slot)
+            if sr not in roots or sr in live_roots:
+                return len(roots)
+        return None
+
+    done = settled()
+    if done is not None:
+        return done
+
+    spent = 0
+    p = 0
+    while live:
+        ai = live[p]
+        front = fronts[ai]
+        site = front.popleft()
+        spent += 1
+        if spent > budget:
+            return None
+        changed = False
+        for w in adj[site]:
+            if w == skip or full[w] != sign:
+                continue
+            prev = owner.get(w)
+            if prev is None:
+                owner[w] = ai
+                front.append(w)
+                if sea_linked and exterior[w]:
+                    ra, rb = find(ai), find(sea_slot)
+                    if ra != rb:
+                        parent[ra] = rb
+                        changed = True
+            elif prev != ai:
+                ra, rb = find(prev), find(ai)
+                if ra != rb:
+                    parent[ra] = rb
+                    changed = True
+        if front:
+            p += 1
+        else:
+            live.pop(p)
+            changed = True
+        if p >= len(live):
+            p = 0
+        if changed:
+            done = settled()
+            if done is not None:
+                return done
+    return len({find(x) for x in range(a)})
+
+
+def _multi_arc_dk(system: SpinSystem, full, iu: int, entry, budget: int):
+    """Cluster-count change of flipping the iu-th free spin, for a ``_LOCAL``
+    entry whose ring has two or more arcs of each sign: q - t, where q and t
+    are the groups the old-sign and the new-sign arcs form without the site.
+    None when a search exceeds the budget."""
+    s, old, new = entry[0], entry[4], entry[5]
+    cu = system._free_ctx[iu]
+    nbs = system._nb6[iu]
+    q = _arc_groups(system, full, [[nbs[i] for i in arc] for arc in old],
+                    s, cu, budget)
+    if q is None:
+        return None
+    t = _arc_groups(system, full, [[nbs[i] for i in arc] for arc in new],
+                    -s, cu, budget)
+    return None if t is None else q - t
+
+
+def _gray_counts(system: SpinSystem, budget: int) -> tuple[SpinCounts, ...]:
+    """Counts of every assignment in ``product((-1, 1), repeat=m)`` order.
+
+    Walks the assignments in Gray-code order from all minus.  Step t flips
+    the spin of Gray bit j, the lowest set bit of t; bit j of a product
+    index is the sign of free hexagon m - 1 - j.  Each step takes its count
+    changes from ``_LOCAL``, from the arc search with the given budget, or
+    from a recount when the search runs out.
+    """
+    m = len(system.free)
+    signs = [-1] * m
+    full = system.full_spins(signs)
+    start = spin_counts(system, signs)
+    k, e, r, tw = start.k, start.e, start.r, start.twice_rp
+    out = [start] * (1 << m)
+    free_ctx = system._free_ctx
+    nb6 = system._nb6
+    for step in range(1, 1 << m):
+        iu = m - (step & -step).bit_length()
+        cu = free_ctx[iu]
+        n0, n1, n2, n3, n4, n5 = nb6[iu]
+        key = (64 * full[cu] + 32 * full[n5] + 16 * full[n4] + 8 * full[n3]
+               + 4 * full[n2] + 2 * full[n1] + full[n0] + 127) >> 1
+        s, de, dr, dtw, old, new = entry = _LOCAL[key]
+        signs[iu] = -s
+        if len(old) < 2:
+            dk = len(old) - len(new)
+        else:
+            dk = _multi_arc_dk(system, full, iu, entry, budget)
+            if dk is None:
+                dk = spin_counts(system, signs).k - k
+        full[cu] = -s
+        k += dk
+        e += de
+        r += dr
+        tw += dtw
+        out[step ^ (step >> 1)] = SpinCounts(k=k, e=e, r=r, twice_rp=tw)
+    return tuple(out)
+
+
+def assignment_index(signs) -> int:
+    """Position of a free-spin assignment, given as a sign sequence aligned
+    with ``system.free``, in :func:`assignment_counts`."""
+    index = 0
+    for s in signs:
+        index = 2 * index + (s == 1)
+    return index
+
+
+def assignment_counts(system: SpinSystem,
+                      max_sites: int) -> tuple[SpinCounts, ...]:
+    """Counts of all 2^m free-spin assignments of the system, aligned with
+    ``itertools.product((-1, 1), repeat=m)`` over ``system.free`` (see
+    :func:`assignment_index`).
+
+    Raises :class:`TooLarge` when m exceeds ``max_sites``, before any
+    enumeration.  The Gray-code walk runs once per system and its result is
+    kept on the instance, so every later call reads the same tuple.
+    """
+    m = len(system.free)
+    if m > max_sites:
+        raise TooLarge(f"{m} free hexagons exceed the enumeration cap "
+                       f"of {max_sites}")
+    return system._assignment_counts
 
 
 def log_spin_weight(params: Params, counts: SpinCounts) -> float:

@@ -20,7 +20,10 @@ walk's edge weight times the ratio of the sums with and without the walk
 carved out), the two-route defect-pair sum of :func:`path_sum`, the complex
 edge-midpoint observable of :func:`parafermion_field` with its local
 three-term relation, and exact event probabilities for the spin form of the
-model.
+model.  The spin sums read the counts of all 2^m assignments from
+``configs.assignment_counts``, which walks them once per :class:`SpinSystem`
+in Gray-code order with the chain's single-flip count changes and keeps
+them on the system, so an event sum and its total share one enumeration.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .configs import (
     Params,
     SpinSystem,
+    assignment_counts,
     loop_count,
     log_spin_weight,
-    spin_counts,
     spins_to_loops,
 )
 from .errors import (
@@ -726,7 +729,8 @@ def spin_partition(system: SpinSystem, params: Params,
         raise TooLarge(f"{m} free hexagons exceed the enumeration cap "
                        f"of {max_sites}")
     terms = []
-    for signs in product((-1, 1), repeat=m):
+    for signs, counts in zip(product((-1, 1), repeat=m),
+                             assignment_counts(system, max_sites)):
         if event is not None:
             if side == "spins":
                 keep = event(dict(zip(system.free, signs)))
@@ -734,7 +738,6 @@ def spin_partition(system: SpinSystem, params: Params,
                 keep = event(spins_to_loops(system, signs))
             if not keep:
                 continue
-        counts = spin_counts(system, signs)
         terms.append((log_spin_weight(params, counts), 1.0 + 0j))
     return WeightSum.sum_terms(terms)
 

@@ -2,17 +2,11 @@
 
 A heat-bath chain over the free hexagons of a :class:`SpinSystem`, with the
 cluster, wall, magnetization and triangle counts maintained incrementally.
-Everything a single flip changes locally is a function of seven signs, the
-site's and its six neighbors' in rotational order, so one 128-entry table
-(``_LOCAL``) holds the wall, magnetization and triangle deltas and the
-same-sign arcs of the neighbor ring for each sign pattern.  The
-cluster-count delta equals q - t, where q is the number of connected groups
-the site's old-sign arcs fall into once the site is removed, and t is the
-same count for its new-sign arcs.  A single arc is one group, so when each
-sign has at most one arc the whole update, heat-bath probability included,
-is a lookup in a per-chain copy of the table; otherwise the arcs are
-resolved by a bounded breadth-first search with an exact full-recount
-fallback.
+The single-flip count changes come from ``configs``: the 128-entry ring
+table ``_LOCAL`` and, for rings with two or more arcs of each sign, the
+bounded search ``_multi_arc_dk`` with an exact full-recount fallback.  When
+each sign has at most one arc, the whole update, heat-bath probability
+included, is a lookup in a per-chain copy of the table.
 
 Randomness comes from a counter-based generator (Philox) keyed by a 64-bit
 seed and a stream index, with one uniform block drawn per sweep and a fixed
@@ -23,16 +17,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .configs import (
+    _LOCAL,
     Params,
     SpinCounts,
     SpinSystem,
+    _multi_arc_dk,
     cluster_find,
     spin_counts,
     spins_to_loops,
@@ -47,56 +42,6 @@ from .lattice import (
 )
 from .observables import EventSpec, event_from_json, loop_surrounds
 
-# neighbor offsets in rotational order: consecutive offsets are themselves
-# adjacent, so same-sign runs around a site are connected sets
-_CYCLE = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-
-def _ring_arcs(sgn, sign) -> tuple[tuple[int, ...], ...]:
-    """Maximal runs of ``sign`` around the ring, as position tuples; a run
-    through position 5 into position 0 is one arc, listed first."""
-    arcs = []
-    current: list[int] = []
-    for i in range(6):
-        if sgn[i] == sign:
-            current.append(i)
-        elif current:
-            arcs.append(current)
-            current = []
-    if current:
-        if arcs and sgn[0] == sign:
-            arcs[0] = current + arcs[0]
-        else:
-            arcs.append(current)
-    return tuple(map(tuple, arcs))
-
-
-def _local_entry(key: int):
-    """(s, de, dr, dtw, old-sign arcs, new-sign arcs) for flipping a site
-    whose sign is bit 6 of ``key`` and whose i-th ring neighbor's is bit i
-    (a set bit is +1)."""
-    s = 1 if key >> 6 & 1 else -1
-    sgn = [1 if key >> i & 1 else -1 for i in range(6)]
-    de = 2 * sgn.count(s) - 6
-    dr = -2 * s
-    dtw = 0
-    for i in range(6):
-        # the triangle of the site and its ring neighbors i and i + 1
-        t = s + sgn[i] + sgn[i - 5]
-        tp = t - 2 * s
-        if tp == 3:
-            dtw += 1
-        elif tp == -3:
-            dtw -= 1
-        if t == 3:
-            dtw -= 1
-        elif t == -3:
-            dtw += 1
-    return s, de, dr, dtw, _ring_arcs(sgn, s), _ring_arcs(sgn, -s)
-
-
-_LOCAL = tuple(_local_entry(key) for key in range(128))
-
 
 class ChainState:
     """Mutable state of one chain: spins, cached counts, and the generator.
@@ -104,7 +49,8 @@ class ChainState:
     The cached counts always equal ``spin_counts`` of the current spins;
     with ``debug=True`` that is asserted after every accepted flip.  Frame
     spins are immutable; ``init`` sets the starting free spins (a sign or a
-    mapping from hexagon to sign).  The parameters are fixed at
+    mapping from every free hexagon to a sign; anything else raises
+    :class:`OutOfRange`).  The parameters are fixed at
     construction, when the per-chain update table is built from them.
     """
 
@@ -118,43 +64,11 @@ class ChainState:
                         stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self.rng = np.random.Generator(np.random.Philox(key=key))
 
-        ctx = system.context
-        idx = {h: i for i, h in enumerate(ctx)}
-        self._free_ctx = tuple(idx[h] for h in system.free)
-
-        if isinstance(init, Mapping):
-            start = {h: (1 if init[h] > 0 else -1) for h in system.free}
-        else:
-            start = {h: (1 if init > 0 else -1) for h in system.free}
-        self._full = system.full_spins(start)
-
-        # six neighbors of each free site in rotational order (all of them
-        # lie in the context by construction of the system)
-        nb6 = []
-        for h in system.free:
-            r, s = h
-            nb6.append(tuple(idx[(r + dr, s + ds)] for dr, ds in _CYCLE))
-        self._nb6 = tuple(nb6)
-
-        # context adjacency and sea attachment, for connectivity searches
-        adj = []
-        exterior = []
-        for h in ctx:
-            r, s = h
-            row = []
-            outside = False
-            for dr, ds in _CYCLE:
-                j = idx.get((r + dr, s + ds))
-                if j is None:
-                    outside = True
-                else:
-                    row.append(j)
-            adj.append(tuple(row))
-            exterior.append(outside)
-        self._adj = tuple(adj)
-        self._exterior = tuple(exterior)
-        self._sea = system.sea
-        self._budget = 4 * len(system.free)
+        self._free_ctx = system._free_ctx
+        self._full = system.full_spins(
+            init if isinstance(init, Mapping) else [init] * len(system.free))
+        self._nb6 = system._nb6
+        self._budget = system._budget
         self._ln_n = math.log(params.n)
         self._ln_x = math.log(params.x)
 
@@ -202,105 +116,6 @@ class ChainState:
 
     # -- single-site updates ----------------------------------------------------
 
-    def _arc_groups(self, seeds, sign: int, skip: int, budget: int):
-        """Number of connected groups the seed arcs form in the sign's
-        subgraph of the context, with one site removed.
-
-        Seeds are disjoint site lists; the virtual sea links exterior
-        sites of the sea's sign.  Searches breadth first from all seeds in
-        rotation, so a merge is noticed where regions meet and a split as
-        soon as the smallest region is exhausted: an exhausted region is
-        maximal, hence final, except that a live search may still join it
-        through the sea.  Returns None when the budget runs out.
-        """
-        a = len(seeds)
-        parent = list(range(a + 1))
-        sea_slot = a
-
-        def find(i):
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
-        owner: dict[int, int] = {}
-        fronts = []
-        full = self._full
-        adj = self._adj
-        exterior = self._exterior
-        sea_linked = sign == self._sea
-        for ai, seed in enumerate(seeds):
-            fronts.append(deque(seed))
-            for site in seed:
-                owner[site] = ai
-                if sea_linked and exterior[site]:
-                    ra, rb = find(ai), find(sea_slot)
-                    if ra != rb:
-                        parent[ra] = rb
-        live = list(range(a))
-
-        def settled():
-            """The final count, or None while merges are still possible."""
-            roots = {find(x) for x in range(a)}
-            if len(roots) == 1:
-                return 1
-            live_roots = {find(x) for x in live}
-            if not live_roots:
-                return len(roots)
-            if len(live_roots) == 1:
-                if not sea_linked:
-                    return len(roots)
-                sr = find(sea_slot)
-                if sr not in roots or sr in live_roots:
-                    return len(roots)
-            return None
-
-        done = settled()
-        if done is not None:
-            return done
-
-        spent = 0
-        p = 0
-        while live:
-            ai = live[p]
-            front = fronts[ai]
-            site = front.popleft()
-            spent += 1
-            if spent > budget:
-                return None
-            changed = False
-            for w in adj[site]:
-                if w == skip or full[w] != sign:
-                    continue
-                prev = owner.get(w)
-                if prev is None:
-                    owner[w] = ai
-                    front.append(w)
-                    if sea_linked and exterior[w]:
-                        ra, rb = find(ai), find(sea_slot)
-                        if ra != rb:
-                            parent[ra] = rb
-                            changed = True
-                elif prev != ai:
-                    ra, rb = find(prev), find(ai)
-                    if ra != rb:
-                        parent[ra] = rb
-                        changed = True
-            if front:
-                p += 1
-            else:
-                live.pop(p)
-                changed = True
-            if p >= len(live):
-                p = 0
-            if changed:
-                done = settled()
-                if done is not None:
-                    return done
-        return len({find(x) for x in range(a)})
-
     def _p_plus(self, dk: int, de: int, dr: int, dtw: int, s: int) -> float:
         """Heat-bath probability of +1 at a site of sign s whose flip
         changes the counts by (dk, de, dr, dtw)."""
@@ -322,14 +137,13 @@ class ChainState:
         The seven signs of the site and its ring form a 7-bit key.  Keys
         with at most one arc of each sign are answered whole by ``_fast``.
         Otherwise both signs have two or more arcs in ``_LOCAL``, and
-        ``_arc_groups`` counts the groups each sign's arcs form without the
-        site; a search that exceeds the budget (default four times the
-        number of free sites) falls back to a full recount.
+        ``configs._multi_arc_dk`` counts the groups each sign's arcs form
+        without the site; a search that exceeds the budget (default four
+        times the number of free sites) falls back to a full recount.
         """
         full = self._full
         cu = self._free_ctx[iu]
-        nbs = self._nb6[iu]
-        n0, n1, n2, n3, n4, n5 = nbs
+        n0, n1, n2, n3, n4, n5 = self._nb6[iu]
         key = (64 * full[cu] + 32 * full[n5] + 16 * full[n4] + 8 * full[n3]
                + 4 * full[n2] + 2 * full[n1] + full[n0] + 127) >> 1
         hit = self._fast[key]
@@ -338,17 +152,13 @@ class ChainState:
 
         if budget is None:
             budget = self._budget
-        s, de, dr, dtw, old, new = _LOCAL[key]
-        q = self._arc_groups([[nbs[i] for i in arc] for arc in old],
-                             s, cu, budget)
-        t = None if q is None else self._arc_groups(
-            [[nbs[i] for i in arc] for arc in new], -s, cu, budget)
-        if t is None:
+        entry = _LOCAL[key]
+        s, de, dr, dtw = entry[:4]
+        dk = _multi_arc_dk(self.system, full, iu, entry, budget)
+        if dk is None:
             flipped = self.free_signs()
             flipped[iu] = -s
             dk = spin_counts(self.system, flipped).k - self._k
-        else:
-            dk = q - t
         return dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s)
 
     def _update(self, iu: int, u01: float) -> bool:

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from hexloop import checks, configs, exact
 from hexloop.checks import (
     ALGEBRAIC_TOL,
     CheckReport,
@@ -27,19 +28,20 @@ from hexloop.checks import (
     check_symmetric_domain,
     check_triangle_lower_bound,
 )
-from hexloop.configs import Params, SpinSystem
+from hexloop.configs import Params, SpinSystem, log_spin_weight, spin_counts
 from hexloop.errors import (
     DomainNotSymmetric,
     EventNotIncreasing,
     OutOfRange,
     TooLarge,
 )
-from hexloop.exact import exact_event_probability, x_critical
+from hexloop.exact import exact_event_probability, spin_partition, x_critical
 from hexloop.lattice import (
     domain_from_hexagons,
     hex_neighbors,
     hexagon_ball,
     hexagon_corners,
+    rhombus_hexagons,
     tri_neighbors,
     triangle_domain,
 )
@@ -93,6 +95,26 @@ class TestFkgLattice:
         assert not report.in_region
         wpp, wmm, wpm, wmp = report.details["witness"]["weights"]
         assert wpp * wmm < wpm * wmp
+
+    def test_witness_names_its_assignments(self):
+        # an asymmetric region and frame, so that a witness with its sites
+        # or its surrounding spins mislabelled would carry other weights
+        region = [(0, 0), (1, 0), (0, 1), (2, -1), (-1, 0)]
+        frame = {(1, 1): 1, (3, -1): 1, (-1, 1): -1}
+        params = Params(1.0, 1.2, h=0.1)
+        report = check_fkg_lattice(region, frame, params)
+        assert not report.holds
+        witness = report.details["witness"]
+        system = SpinSystem(region, frame)
+        weights = []
+        for su, sv in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+            sigma = {**witness["sigma"], witness["u"]: su, witness["v"]: sv}
+            weights.append(math.exp(log_spin_weight(
+                params, spin_counts(system, sigma))))
+        assert witness["weights"] == pytest.approx(tuple(weights), rel=1e-12)
+        wpp, wmm, wpm, wmp = weights
+        assert math.log(wpp * wmm / (wpm * wmp)) == pytest.approx(
+            report.details["worst_log_gap"], abs=1e-12)
 
     def test_site_cap(self):
         with pytest.raises(TooLarge):
@@ -456,6 +478,67 @@ class TestSymmetricDomain:
             check_symmetric_domain(BALL1, ([(5, 5)], ARC_B), 1.0, 0.5)
         with pytest.raises(OutOfRange):
             check_symmetric_domain(BALL1, (ARC_A,), 1.0, 0.5)
+
+
+class TestEnumerationCapsAndReuse:
+    """Each check reads one enumeration of its system, and none starts one
+    above its cap."""
+
+    RHOMBUS5 = sorted(rhombus_hexagons(5))  # 36 free hexagons
+    PARAMS = Params(n=1.5, x=0.5)
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Systems passed to the Gray-code walk and to every binding of
+        the enumerator."""
+        calls = {"walks": [], "reads": []}
+        walk = configs._gray_counts
+
+        def spy_walk(system, budget):
+            calls["walks"].append(system)
+            return walk(system, budget)
+
+        monkeypatch.setattr(configs, "_gray_counts", spy_walk)
+        for module in (exact, checks):
+            def spy_read(system, max_sites, read=module.assignment_counts):
+                calls["reads"].append(system)
+                return read(system, max_sites)
+
+            monkeypatch.setattr(module, "assignment_counts", spy_read)
+        return calls
+
+    def test_caps_raise_before_enumerating(self, spy):
+        big = self.RHOMBUS5
+        a, b = big[0], big[1]
+        calls = [
+            lambda: spin_partition(SpinSystem(big, -1, sea=-1), self.PARAMS),
+            lambda: exact_event_probability(big, -1, self.PARAMS,
+                                            lambda s: True),
+            lambda: check_fkg_lattice(big, -1, self.PARAMS),
+            lambda: check_cbc(big, -1, 1, self.PARAMS,
+                              {"a_plus": lambda s: s[a] == 1}),
+            lambda: check_several_faces(big, -1, [a], [b], self.PARAMS),
+            lambda: check_domain_markov_and_duality(big, [a], -1,
+                                                    self.PARAMS),
+            lambda: check_bijection(big, -1, self.PARAMS),
+        ]
+        for call in calls:
+            with pytest.raises(TooLarge):
+                call()
+        assert spy == {"walks": [], "reads": []}
+
+    def test_several_faces_enumerates_once(self, spy):
+        check_several_faces(BALL1, -1, [(0, 0)], [(1, 0)], self.PARAMS)
+        system, = set(spy["walks"])
+        # four joint events, each a total and an event sum
+        assert len(spy["walks"]) == 1
+        assert spy["reads"] == [system] * 8
+
+    def test_event_probability_enumerates_once(self, spy):
+        exact_event_probability(BALL1, 1, self.PARAMS,
+                                lambda s: s[(0, 0)] == 1)
+        assert len(spy["walks"]) == 1
+        assert spy["reads"] == spy["walks"] * 2
 
 
 class TestReports:

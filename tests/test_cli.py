@@ -138,3 +138,14 @@ def test_internal_errors_propagate(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_catalan_bound", broken)
     with pytest.raises(KeyError):
         cli.main(["verify", "--suite", "catalan"])
+
+
+@pytest.mark.parametrize("suite", ["fkg", "cbc", "markov", "bijection",
+                                   "symmetric"])
+def test_verify_spin_suites_match_golden(capsys, suite):
+    # written by the per-assignment spin_counts loops that the Gray-code
+    # enumerator replaced; every float must come out bit for bit the same
+    golden = json.loads((GOLDEN / "verify_spin_suites.json").read_text())
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert out == golden[suite]

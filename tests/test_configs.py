@@ -9,11 +9,16 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexloop.configs import (
     Params,
     SpinCounts,
     SpinSystem,
+    _gray_counts,
+    assignment_counts,
+    assignment_index,
     border_edges,
     config_degrees,
     edge_components,
@@ -29,8 +34,17 @@ from hexloop.configs import (
     spins_to_json,
     spins_to_loops,
 )
-from hexloop.errors import InconsistentParity, OutOfRange
-from hexloop.lattice import UP, DOWN, edge, hexagon_ball, hexagon_edges
+from hexloop.errors import InconsistentParity, OutOfRange, TooLarge
+from hexloop.lattice import (
+    UP,
+    DOWN,
+    edge,
+    hexagon_ball,
+    hexagon_edges,
+    tri_neighbors,
+)
+
+BALL2 = sorted(hexagon_ball(2))
 
 
 def test_params_validation():
@@ -202,3 +216,55 @@ def test_spins_json_round_trip():
     assert back_sys.sea == sys_.sea
     assert back_spins == spins
     assert spins_to_json(back_sys, back_spins) == blob
+
+
+# ---------------------------------------------------------------------------
+# counts of all assignments
+# ---------------------------------------------------------------------------
+
+@st.composite
+def ball2_systems(draw):
+    """A system on a random, possibly disconnected, subset of the ball r=2
+    with at most ten free hexagons, a random frozen ring and a random sea."""
+    shape = draw(st.lists(st.sampled_from(BALL2), min_size=1, max_size=10,
+                          unique=True))
+    ring = sorted({g for h in shape for g in tri_neighbors(h)} - set(shape))
+    signs = st.sampled_from((-1, 1))
+    fixed = dict(zip(ring, draw(st.lists(signs, min_size=len(ring),
+                                         max_size=len(ring)))))
+    return SpinSystem(shape, fixed, sea=draw(signs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=ball2_systems(), budget=st.sampled_from((None, 0, 1, 3)))
+def test_assignment_counts_match_spin_counts(system, budget):
+    # budget None is the default search; 0 sends every multi-arc flip to
+    # the recount fallback
+    want = [spin_counts(system, signs) for signs in
+            itertools.product((-1, 1), repeat=len(system.free))]
+    if budget is None:
+        got = assignment_counts(system, len(system.free))
+    else:
+        got = _gray_counts(system, budget)
+    assert list(got) == want
+
+
+def test_assignment_index_follows_product_order():
+    for m in (1, 2, 5):
+        signs = list(itertools.product((-1, 1), repeat=m))
+        assert [assignment_index(s) for s in signs] == list(range(2 ** m))
+
+
+def test_assignment_counts_are_kept_on_the_system():
+    system = SpinSystem(hexagon_ball(1), {(2, 0): 1, (0, 2): 1}, sea=-1)
+    first = assignment_counts(system, 7)
+    assert len(first) == 2 ** 7
+    assert assignment_counts(system, 16) is first
+    with pytest.raises(TooLarge, match="cap of 6"):
+        assignment_counts(system, 6)
+
+
+def test_full_spins_names_a_missing_hexagon():
+    system = SpinSystem([(0, 0), (1, 0)], fixed=-1)
+    with pytest.raises(OutOfRange, match=r"\(1, 0\)"):
+        system.full_spins({(0, 0): 1})

@@ -250,6 +250,16 @@ def test_flip_probability_vanishes_at_small_x():
     assert state.plus_probability((0, 0)) < 1e-10
 
 
+def test_init_is_validated():
+    system = SpinSystem([(0, 0), (1, 0)], fixed=-1, sea=-1)
+    with pytest.raises(OutOfRange, match="got 0"):
+        ChainState(system, PARAMS, init=0)
+    with pytest.raises(OutOfRange, match="got 2"):
+        ChainState(system, PARAMS, init={(0, 0): 1, (1, 0): 2})
+    with pytest.raises(OutOfRange, match=r"\(1, 0\)"):
+        ChainState(system, PARAMS, init={(0, 0): 1})
+
+
 def test_plus_probability_rejects_non_free_hexagon():
     state = ChainState(SpinSystem(BALL1, fixed=1), PARAMS)
     with pytest.raises(OutOfRange, match="not a free hexagon"):
