@@ -8,8 +8,8 @@ connected component containing no defect.
 A *spin configuration* assigns ``+1`` or ``-1`` to every hexagon.  A
 :class:`SpinSystem` fixes the scene: a set of *free* hexagons, a *context*
 superset whose remaining spins are frozen, and a uniform *sea* sign filling
-the rest of the plane (the exterior beyond the context is assumed
-connected).  The weight of an assignment is::
+the rest of the plane, holes of the context included.  The weight of an
+assignment is::
 
     n^k * x^e * exp(h * r + hp * rp)
 
@@ -24,18 +24,23 @@ where, writing Q for the free hexagons together with their neighbours,
   all-minus triangles touching a free hexagon (triangles of hexagons
   correspond one-to-one to lattice vertices).
 
-Counts change locally under a single flip.  Everything a flip changes is a
-function of seven signs, the site's and its six neighbours' in rotational
-order (``_CYCLE``), so one 128-entry table (``_LOCAL``) holds the wall,
-magnetization and triangle deltas and the same-sign arcs of the neighbour
-ring for each sign pattern.  The cluster-count delta is the number of arcs
-of the old sign minus that of the new sign when each sign has at most one
-arc; otherwise a bounded breadth-first search (``_arc_groups``) counts the
-groups the arcs form without the site, and :func:`spin_counts` recounts
-when the search exceeds its budget.  The heat-bath chain
-(``sampler.ChainState``) updates its counts this way, and
-:func:`assignment_counts` walks all 2^m assignments of a system in
-Gray-code order, one flip per step, and keeps the result on the system.
+Counts change locally under a single flip.  The wall, magnetization and
+triangle deltas are functions of seven signs, the site's and its six
+neighbours' in rotational order (``_CYCLE``), so one 128-entry table
+(``_LOCAL``) holds them for each sign pattern.  So does the cluster-count
+delta when each sign has at most one arc of the neighbour ring: the number
+of arcs of the old sign minus that of the new sign.  Otherwise, with a >= 2
+arcs of each sign, the walls leaving the site pair its 2a sign changes
+outside it, and the pairing fixes how many groups the arcs of each sign
+form.  :func:`_multi_arc_dk` finds it by walking along the walls, the
+perimeter walk of Ziff, Cummings and Stell, on the context and its sea
+frame (the hexagons beyond it that touch it); a walk always ends.  The
+count rests on planarity, which a context with a hole breaks (the hole
+joins the sea, see :func:`cluster_find`), so there :func:`spin_counts`
+recounts.  The heat-bath chain (``sampler.ChainState``) updates its counts
+this way, and :func:`assignment_counts` walks all 2^m assignments of a
+system in Gray-code order, one flip per step, and keeps the result on the
+system.
 
 Spins and loops are two views of the same model: the domain walls of a spin
 assignment form an even edge set on the edges bordering the free hexagons,
@@ -46,7 +51,6 @@ and with a constant fixed boundary the correspondence is one to one
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -59,6 +63,7 @@ from .lattice import (
     config_degrees,
     edge_components,
     edge_hexagons,
+    hexagon_components,
     hexagon_corners,
     hexagon_edges,
     shared_edge,
@@ -161,9 +166,10 @@ class SpinSystem:
         neighbours of ``free`` (minus ``free`` itself); hexagons of the
         neighbourhood not listed default to the sea sign.
     sea:
-        Sign of every hexagon beyond the context (default ``+1``).  The
-        exterior of the context must be connected; the constructors used in
-        this package only build such systems.
+        Sign of every hexagon beyond the context (default ``+1``).  A hole,
+        that is, hexagons beyond the context that the context encloses,
+        counts as sea too, and its hexagons join the outer sea: same-sign
+        context hexagons that touch a hole are in the sea's cluster.
     """
 
     def __init__(self, free: Iterable[TriVertex],
@@ -272,27 +278,50 @@ class SpinSystem:
                      for r, s in self.free)
 
     @cached_property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        """Context neighbours of each context hexagon, in ``_CYCLE`` order."""
-        idx = self._index
-        return tuple(tuple(idx[g] for g in ((r + dr, s + ds)
-                                            for dr, ds in _CYCLE) if g in idx)
-                     for r, s in self.context)
+    def _sea_frame(self) -> tuple[TriVertex, ...]:
+        """Hexagons beyond the context that touch it."""
+        ctx = set(self.context)
+        return tuple(sorted({g for h in ctx for g in tri_neighbors(h)} - ctx))
 
     @cached_property
-    def _exterior(self) -> tuple[bool, ...]:
-        """Whether each context hexagon touches the exterior."""
-        touching = set(self._exterior_touching)
-        return tuple(i in touching for i in range(len(self.context)))
+    def _sea_connected(self) -> bool:
+        """Whether the context has no hole: whether its Euler
+        characteristic, hexagons less adjacent pairs plus triangles of
+        hexagons, equals its number of components (that less its holes)."""
+        ctx = set(self.context)
+        triangles = sum(((r, s + 1) in ctx) + ((r + 1, s - 1) in ctx)
+                        for r, s in ctx if (r + 1, s) in ctx)
+        euler = len(ctx) - len(self._pairs) + triangles
+        return euler == len(hexagon_components(ctx))
 
     @cached_property
-    def _budget(self) -> int:
-        """Default step budget of a cluster search: four per free hexagon."""
-        return 4 * len(self.free)
+    def _walls(self):
+        """Step tables ``(ahead, keep, move)`` of the wall walk over the
+        context and its sea frame (:func:`_multi_arc_dk`), or None when the
+        context has a hole.
+
+        A strand state 6A + j stands for cell A and the wall between A and
+        its neighbour B in direction j, walked towards the vertex they
+        share with A's neighbour j + 1, the cell ahead.  When the cell
+        ahead has A's sign, the wall bends round B and the state becomes
+        (cell ahead, j - 1); otherwise it bends round A: (A, j + 1).
+        Entries that leave the sea frame are -1; no walk reads them, since
+        every wall has a context hexagon on one side.
+        """
+        if not self._sea_connected:
+            return None
+        cells = self.context + self._sea_frame
+        idx = {h: i for i, h in enumerate(cells)}
+        ahead = [idx.get((r + dr, s + ds), -1) for r, s in cells
+                 for dr, ds in _CYCLE[1:] + _CYCLE[:1]]
+        keep = [f + 1 if f % 6 < 5 else f - 5 for f in range(len(ahead))]
+        move = [6 * c + (f - 1) % 6 if c >= 0 else -1
+                for f, c in enumerate(ahead)]
+        return ahead, keep, move
 
     @cached_property
     def _assignment_counts(self) -> tuple[SpinCounts, ...]:
-        return _gray_counts(self, self._budget)
+        return _gray_counts(self)
 
     # -- assignments ----------------------------------------------------------
 
@@ -316,6 +345,11 @@ class SpinSystem:
             else:
                 full[i] = self.fixed[h]
         return full
+
+    def framed_spins(self, spins) -> list[int]:
+        """:meth:`full_spins` followed by the sea sign of every hexagon of
+        the sea frame, the sign array of the wall walk."""
+        return self.full_spins(spins) + [self.sea] * len(self._sea_frame)
 
     def __repr__(self) -> str:
         return (f"SpinSystem(|free|={len(self.free)}, "
@@ -344,11 +378,12 @@ def cluster_find(system: SpinSystem,
                  full: Sequence[int]) -> Callable[[int], int]:
     """Same-sign clusters of a context assignment, as a union-find.
 
-    ``full`` is aligned with ``system.context``.  Adjacent equal spins are
-    joined, and so are exterior-touching hexagons of the sea's sign, through
+    ``full`` is aligned with ``system.context`` and may run on into its
+    sea frame.  Adjacent equal spins are joined, and so are
+    exterior-touching hexagons of the sea's sign, holes included, through
     an extra node at index ``len(full)`` that stands for the sea.  Returns
-    the find function: two indices share a cluster when it maps them to the
-    same root.
+    the find function: two indices share a cluster when it maps them to
+    the same root.
     """
     m = len(full)
     parent = list(range(m + 1))  # last slot is the sea
@@ -405,29 +440,66 @@ def spin_counts(system: SpinSystem, spins) -> SpinCounts:
 # single-flip count changes
 # ---------------------------------------------------------------------------
 
-def _ring_arcs(sgn, sign) -> tuple[tuple[int, ...], ...]:
-    """Maximal runs of ``sign`` around the ring, as position tuples; a run
-    through position 5 into position 0 is one arc, listed first."""
-    arcs = []
-    current: list[int] = []
-    for i in range(6):
-        if sgn[i] == sign:
-            current.append(i)
-        elif current:
-            arcs.append(current)
-            current = []
-    if current:
-        if arcs and sgn[0] == sign:
-            arcs[0] = current + arcs[0]
-        else:
-            arcs.append(current)
-    return tuple(map(tuple, arcs))
+def _non_crossing(points):
+    """The non-crossing perfect matchings of points in cyclic order."""
+    if not points:
+        yield []
+        return
+    for k in range(1, len(points), 2):
+        for inner in _non_crossing(points[1:k]):
+            for outer in _non_crossing(points[k + 1:]):
+                yield [(points[0], points[k])] + inner + outer
+
+
+def _wall_plan(sgn, s: int, corners):
+    """Strand starts and verdicts of the wall walk for flipping a site of
+    sign s whose ring ``sgn`` changes sign at the 2a >= 4 ``corners``.
+
+    Corner i of the site is the vertex it shares with ring neighbours i
+    and i + 1.  The walls that leave the site at its corners pair them up
+    outside it without crossing.  Together with the pairs of corners
+    across each new-sign arc, a pairing forms L cycles, one per group of
+    new-sign arcs, so the old-sign arcs form q = a + 1 - L groups and the
+    flip changes the cluster count by q - L.
+
+    Returns (sa, starts, verdicts).  The walk follows the strands from the
+    first and third corners, which lie on distinct walls; each starts as
+    (ring position of its cell A, direction j) and keeps cells of sign
+    ``sa`` on its A side.  A strand x that comes back at corner c sets bit
+    6x + c of a mask, and ``verdicts`` maps each mask that leaves one
+    possible change to it, as both returns always do.
+    """
+    starts = corners[0], corners[2]
+    across = [(corners[i - 1], c) for i, c in enumerate(corners)
+              if sgn[c] != s]
+    arc = {u: w for pair in across for u, w in (pair, pair[::-1])}
+    changes: dict[int, set] = {}
+    for pairing in _non_crossing(corners):
+        chord = {u: w for pair in pairing for u, w in (pair, pair[::-1])}
+        cycles, seen = 0, set()
+        for u in corners:
+            cycles += u not in seen
+            while u not in seen:
+                seen.update((u, chord[u]))
+                u = arc[chord[u]]
+        dk = len(corners) // 2 + 1 - 2 * cycles
+        first, third = (1 << 6 * x + chord[c] for x, c in enumerate(starts))
+        for mask in (first, third, first | third):
+            changes.setdefault(mask, set()).add(dk)
+    verdicts = {mask: dks.pop() for mask, dks in changes.items()
+                if len(dks) == 1}
+    return (sgn[(corners[0] + 1) % 6],
+            tuple(((c + 1) % 6, (c - 1) % 6) for c in starts), verdicts)
 
 
 def _local_entry(key: int):
-    """(s, de, dr, dtw, old-sign arcs, new-sign arcs) for flipping a site
-    whose sign is bit 6 of ``key`` and whose i-th ring neighbor's is bit i
-    (a set bit is +1)."""
+    """(s, de, dr, dtw, dk, plan) for flipping a site whose sign is bit 6
+    of ``key`` and whose i-th ring neighbour's is bit i (a set bit is +1).
+
+    When each sign has at most one ring arc, dk is the number of old-sign
+    arcs minus that of new-sign arcs and ``plan`` is None.  Otherwise dk is
+    None and ``plan`` is the :func:`_wall_plan` of the ring.
+    """
     s = 1 if key >> 6 & 1 else -1
     sgn = [1 if key >> i & 1 else -1 for i in range(6)]
     de = 2 * sgn.count(s) - 6
@@ -445,160 +517,86 @@ def _local_entry(key: int):
             dtw -= 1
         elif t == -3:
             dtw += 1
-    return s, de, dr, dtw, _ring_arcs(sgn, s), _ring_arcs(sgn, -s)
+    corners = [i for i in range(6) if sgn[i] != sgn[i - 5]]
+    if len(corners) < 4:
+        return s, de, dr, dtw, 0 if corners else sgn[0] * s, None
+    return s, de, dr, dtw, None, _wall_plan(sgn, s, corners)
 
 
 _LOCAL = tuple(_local_entry(key) for key in range(128))
 
 
-def _arc_groups(system: SpinSystem, full, seeds, sign: int, skip: int,
-                budget: int):
-    """Number of connected groups the seed arcs form in the sign's
-    subgraph of the context, with one site removed.
+def _multi_arc_dk(plan, full, cu: int, nbs, walls) -> int:
+    """Cluster-count change of flipping the site at context index ``cu``,
+    whose ring (context indices ``nbs``) has two or more arcs of each sign.
 
-    ``full`` holds the context spins.  Seeds are disjoint site lists; the
-    virtual sea links exterior sites of the sea's sign.  Searches breadth
-    first from all seeds in rotation, so a merge is noticed where regions
-    meet and a split as soon as the smallest region is exhausted: an
-    exhausted region is maximal, hence final, except that a live search may
-    still join it through the sea.  Returns None when the budget runs out.
+    Walks the two wall strands of ``plan`` (see :func:`_wall_plan`) in
+    lockstep over the sign array ``full``, the context spins followed by
+    the sea frame, and the other strand alone if the first return leaves
+    the change open.  A strand at flat state 6A + j has cell A on its sign
+    side and the wall between A and its neighbour j; one sign comparison
+    with the cell ahead gives its next state (``SpinSystem._walls``).
+    Walls are closed in the plane without the site, so every strand comes
+    back: the cell ahead is the site, and the strand ends at the site's
+    corner between A and its neighbour j, corner j + 4.
     """
-    a = len(seeds)
-    parent = list(range(a + 1))
-    sea_slot = a
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    owner: dict[int, int] = {}
-    fronts = []
-    adj = system._adj
-    exterior = system._exterior
-    sea_linked = sign == system.sea
-    for ai, seed in enumerate(seeds):
-        fronts.append(deque(seed))
-        for site in seed:
-            owner[site] = ai
-            if sea_linked and exterior[site]:
-                ra, rb = find(ai), find(sea_slot)
-                if ra != rb:
-                    parent[ra] = rb
-    live = list(range(a))
-
-    def settled():
-        """The final count, or None while merges are still possible."""
-        roots = {find(x) for x in range(a)}
-        if len(roots) == 1:
-            return 1
-        live_roots = {find(x) for x in live}
-        if not live_roots:
-            return len(roots)
-        if len(live_roots) == 1:
-            if not sea_linked:
-                return len(roots)
-            sr = find(sea_slot)
-            if sr not in roots or sr in live_roots:
-                return len(roots)
-        return None
-
-    done = settled()
-    if done is not None:
-        return done
-
-    spent = 0
-    p = 0
-    while live:
-        ai = live[p]
-        front = fronts[ai]
-        site = front.popleft()
-        spent += 1
-        if spent > budget:
-            return None
-        changed = False
-        for w in adj[site]:
-            if w == skip or full[w] != sign:
-                continue
-            prev = owner.get(w)
-            if prev is None:
-                owner[w] = ai
-                front.append(w)
-                if sea_linked and exterior[w]:
-                    ra, rb = find(ai), find(sea_slot)
-                    if ra != rb:
-                        parent[ra] = rb
-                        changed = True
-            elif prev != ai:
-                ra, rb = find(prev), find(ai)
-                if ra != rb:
-                    parent[ra] = rb
-                    changed = True
-        if front:
-            p += 1
-        else:
-            live.pop(p)
-            changed = True
-        if p >= len(live):
-            p = 0
-        if changed:
-            done = settled()
-            if done is not None:
-                return done
-    return len({find(x) for x in range(a)})
+    sa, ((p, j), (p3, j3)), verdicts = plan
+    ahead, keep, move = walls
+    f = 6 * nbs[p] + j
+    g = 6 * nbs[p3] + j3
+    while True:
+        c = ahead[f]
+        if c == cu:
+            mask, rest, x = 1 << (f + 4) % 6, g, 6
+            break
+        f = move[f] if full[c] == sa else keep[f]
+        c = ahead[g]
+        if c == cu:
+            mask, rest, x = 1 << 6 + (g + 4) % 6, f, 0
+            break
+        g = move[g] if full[c] == sa else keep[g]
+    dk = verdicts.get(mask)
+    if dk is not None:
+        return dk
+    while True:
+        c = ahead[rest]
+        if c == cu:
+            return verdicts[mask | 1 << x + (rest + 4) % 6]
+        rest = move[rest] if full[c] == sa else keep[rest]
 
 
-def _multi_arc_dk(system: SpinSystem, full, iu: int, entry, budget: int):
-    """Cluster-count change of flipping the iu-th free spin, for a ``_LOCAL``
-    entry whose ring has two or more arcs of each sign: q - t, where q and t
-    are the groups the old-sign and the new-sign arcs form without the site.
-    None when a search exceeds the budget."""
-    s, old, new = entry[0], entry[4], entry[5]
-    cu = system._free_ctx[iu]
-    nbs = system._nb6[iu]
-    q = _arc_groups(system, full, [[nbs[i] for i in arc] for arc in old],
-                    s, cu, budget)
-    if q is None:
-        return None
-    t = _arc_groups(system, full, [[nbs[i] for i in arc] for arc in new],
-                    -s, cu, budget)
-    return None if t is None else q - t
-
-
-def _gray_counts(system: SpinSystem, budget: int) -> tuple[SpinCounts, ...]:
+def _gray_counts(system: SpinSystem) -> tuple[SpinCounts, ...]:
     """Counts of every assignment in ``product((-1, 1), repeat=m)`` order.
 
     Walks the assignments in Gray-code order from all minus.  Step t flips
     the spin of Gray bit j, the lowest set bit of t; bit j of a product
     index is the sign of free hexagon m - 1 - j.  Each step takes its count
-    changes from ``_LOCAL``, from the arc search with the given budget, or
-    from a recount when the search runs out.
+    changes from ``_LOCAL`` and, for a ring with two or more arcs of each
+    sign, its cluster-count change from the wall walk, or from a recount
+    when the context has a hole.
     """
     m = len(system.free)
     signs = [-1] * m
-    full = system.full_spins(signs)
+    full = system.framed_spins(signs)
     start = spin_counts(system, signs)
     k, e, r, tw = start.k, start.e, start.r, start.twice_rp
     out = [start] * (1 << m)
     free_ctx = system._free_ctx
     nb6 = system._nb6
+    walls = system._walls
     for step in range(1, 1 << m):
         iu = m - (step & -step).bit_length()
         cu = free_ctx[iu]
-        n0, n1, n2, n3, n4, n5 = nb6[iu]
+        n0, n1, n2, n3, n4, n5 = nbs = nb6[iu]
         key = (64 * full[cu] + 32 * full[n5] + 16 * full[n4] + 8 * full[n3]
                + 4 * full[n2] + 2 * full[n1] + full[n0] + 127) >> 1
-        s, de, dr, dtw, old, new = entry = _LOCAL[key]
+        s, de, dr, dtw, dk, plan = _LOCAL[key]
         signs[iu] = -s
-        if len(old) < 2:
-            dk = len(old) - len(new)
-        else:
-            dk = _multi_arc_dk(system, full, iu, entry, budget)
-            if dk is None:
+        if dk is None:
+            if walls is None:
                 dk = spin_counts(system, signs).k - k
+            else:
+                dk = _multi_arc_dk(plan, full, cu, nbs, walls)
         full[cu] = -s
         k += dk
         e += de

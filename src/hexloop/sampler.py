@@ -4,7 +4,9 @@ A heat-bath chain over the free hexagons of a :class:`SpinSystem`, with the
 cluster, wall, magnetization and triangle counts maintained incrementally.
 The single-flip count changes come from ``configs``: the 128-entry ring
 table ``_LOCAL`` and, for rings with two or more arcs of each sign, the
-bounded search ``_multi_arc_dk`` with an exact full-recount fallback.  When
+walk along the domain walls around the site, ``_multi_arc_dk``.  In a
+context with a hole, which the walk does not cover, those flips are
+recounted in full through this module's ``spin_counts`` binding.  When
 each sign has at most one arc, the whole update, heat-bath probability
 included, is a lookup in a per-chain copy of the table.
 
@@ -65,24 +67,19 @@ class ChainState:
         self.rng = np.random.Generator(np.random.Philox(key=key))
 
         self._free_ctx = system._free_ctx
-        self._full = system.full_spins(
+        self._full = system.framed_spins(
             init if isinstance(init, Mapping) else [init] * len(system.free))
         self._nb6 = system._nb6
-        self._budget = system._budget
+        self._walls = system._walls
         self._ln_n = math.log(params.n)
         self._ln_x = math.log(params.x)
 
         # the whole update for every ring pattern with at most one arc of
-        # each sign, where dk is the difference of the arc counts; a ring
-        # of both signs has as many arcs of one as of the other
-        fast = []
-        for s, de, dr, dtw, old, new in _LOCAL:
-            if len(old) > 1:
-                fast.append(None)
-                continue
-            dk = len(old) - len(new)
-            fast.append((dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s)))
-        self._fast = tuple(fast)
+        # each sign, where ``_LOCAL`` holds dk
+        self._fast = tuple(
+            None if dk is None
+            else (dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s))
+            for s, de, dr, dtw, dk, _ in _LOCAL)
 
         c = spin_counts(system, self.free_signs())
         self._k, self._e, self._r, self._tw = c.k, c.e, c.r, c.twice_rp
@@ -130,35 +127,33 @@ class ChainState:
             return 1.0
         return 1.0 / (1.0 + math.exp(gap))
 
-    def _heat_bath(self, iu: int, budget=None):
+    def _heat_bath(self, iu: int):
         """Exact (dk, de, dr, dtw) for flipping the iu-th free spin, then
         its current sign and the heat-bath probability of setting it to +1.
 
         The seven signs of the site and its ring form a 7-bit key.  Keys
         with at most one arc of each sign are answered whole by ``_fast``.
-        Otherwise both signs have two or more arcs in ``_LOCAL``, and
-        ``configs._multi_arc_dk`` counts the groups each sign's arcs form
-        without the site; a search that exceeds the budget (default four
-        times the number of free sites) falls back to a full recount.
+        Otherwise both signs have two or more arcs, and the cluster-count
+        change comes from ``configs._multi_arc_dk``, one walk along the
+        domain walls around the site; in a context with a hole, whose hole
+        joins the sea, it comes from a full recount instead.
         """
         full = self._full
         cu = self._free_ctx[iu]
-        n0, n1, n2, n3, n4, n5 = self._nb6[iu]
+        n0, n1, n2, n3, n4, n5 = nbs = self._nb6[iu]
         key = (64 * full[cu] + 32 * full[n5] + 16 * full[n4] + 8 * full[n3]
                + 4 * full[n2] + 2 * full[n1] + full[n0] + 127) >> 1
         hit = self._fast[key]
         if hit is not None:
             return hit
 
-        if budget is None:
-            budget = self._budget
-        entry = _LOCAL[key]
-        s, de, dr, dtw = entry[:4]
-        dk = _multi_arc_dk(self.system, full, iu, entry, budget)
-        if dk is None:
+        s, de, dr, dtw, _, plan = _LOCAL[key]
+        if self._walls is None:
             flipped = self.free_signs()
             flipped[iu] = -s
             dk = spin_counts(self.system, flipped).k - self._k
+        else:
+            dk = _multi_arc_dk(plan, full, cu, nbs, self._walls)
         return dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s)
 
     def _update(self, iu: int, u01: float) -> bool:
@@ -195,17 +190,17 @@ class ChainState:
         return flips
 
 
-def delta_counts(state: ChainState, u, *, budget=None) -> SpinCounts:
+def delta_counts(state: ChainState, u) -> SpinCounts:
     """Exact count changes for flipping the spin at ``u``.
 
-    The cluster-count part searches locally with the given budget (default
-    four times the number of free sites) and falls back to a full recount,
-    so the result is exact either way.
+    The cluster-count part comes from the ring table, from a walk along the
+    domain walls around ``u``, or, in a context with a hole, from a full
+    recount.
     """
     iu = state.system.free_index.get(tuple(u))
     if iu is None:
         raise OutOfRange(f"{u} is not a free hexagon of this chain")
-    dk, de, dr, dtw, _, _ = state._heat_bath(iu, budget=budget)
+    dk, de, dr, dtw, _, _ = state._heat_bath(iu)
     return SpinCounts(k=dk, e=de, r=dr, twice_rp=dtw)
 
 
@@ -402,6 +397,8 @@ def run_chain(region, tau, params: Params, sweeps: int, burn_in=None,
     system = _spin_system(region, tau)
     if burn_in is None:
         burn_in = sweeps // 10
+    elif burn_in < 0:
+        raise OutOfRange(f"burn-in must be at least 0 sweeps, got {burn_in}")
     if not params.in_monotone_region:
         warnings.warn(
             "parameters are outside the monotone region (n >= 1 and "

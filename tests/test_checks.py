@@ -494,9 +494,9 @@ class TestEnumerationCapsAndReuse:
         calls = {"walks": [], "reads": []}
         walk = configs._gray_counts
 
-        def spy_walk(system, budget):
+        def spy_walk(system):
             calls["walks"].append(system)
-            return walk(system, budget)
+            return walk(system)
 
         monkeypatch.setattr(configs, "_gray_counts", spy_walk)
         for module in (exact, checks):

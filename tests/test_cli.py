@@ -123,6 +123,8 @@ def test_scan_with_one_worker(capsys):
     ["sample", "--domain", '{"ball": 1}', "--n", "1.5", "--sweeps", "5",
      "--events", '{"type": "plus_circuit", "k": "one"}'],
     ["render", "--in", '{"fixed": []}', "--mode", "spins"],
+    ["sample", "--domain", '{"ball": 1}', "--n", "1.5", "--sweeps", "5",
+     "--burn", "-3", "--events", '{"type": "two_point", "v": [1, 0]}'],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)

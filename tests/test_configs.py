@@ -10,13 +10,11 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hexloop.configs import (
     Params,
     SpinCounts,
     SpinSystem,
-    _gray_counts,
     assignment_counts,
     assignment_index,
     border_edges,
@@ -43,6 +41,8 @@ from hexloop.lattice import (
     hexagon_edges,
     tri_neighbors,
 )
+
+from shapes import HOLE, holes, spin_systems, with_hole
 
 BALL2 = sorted(hexagon_ball(2))
 
@@ -222,31 +222,30 @@ def test_spins_json_round_trip():
 # counts of all assignments
 # ---------------------------------------------------------------------------
 
-@st.composite
-def ball2_systems(draw):
-    """A system on a random, possibly disconnected, subset of the ball r=2
-    with at most ten free hexagons, a random frozen ring and a random sea."""
-    shape = draw(st.lists(st.sampled_from(BALL2), min_size=1, max_size=10,
-                          unique=True))
-    ring = sorted({g for h in shape for g in tri_neighbors(h)} - set(shape))
-    signs = st.sampled_from((-1, 1))
-    fixed = dict(zip(ring, draw(st.lists(signs, min_size=len(ring),
-                                         max_size=len(ring)))))
-    return SpinSystem(shape, fixed, sea=draw(signs))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(system=ball2_systems(), budget=st.sampled_from((None, 0, 1, 3)))
-def test_assignment_counts_match_spin_counts(system, budget):
-    # budget None is the default search; 0 sends every multi-arc flip to
-    # the recount fallback
+@given(system=spin_systems(BALL2, max_size=10))
+def test_assignment_counts_match_spin_counts(system):
+    # a holed context recounts its multi-arc steps, and a simply connected
+    # one walks the walls
+    assert system._sea_connected == (not holes(system.context))
     want = [spin_counts(system, signs) for signs in
             itertools.product((-1, 1), repeat=len(system.free))]
-    if budget is None:
-        got = assignment_counts(system, len(system.free))
-    else:
-        got = _gray_counts(system, budget)
-    assert list(got) == want
+    assert list(assignment_counts(system, len(system.free))) == want
+
+
+def test_assignment_counts_recount_a_holed_context():
+    # one free site whose ring neighbour (1, 0) touches a hole: the hole
+    # joins it to the sea, which a walk along the walls cannot see, so its
+    # multi-arc flips are recounted
+    ring = tri_neighbors((0, 0))
+    for sea in (-1, 1):
+        for ring_signs in itertools.product((-1, 1), repeat=6):
+            frame = with_hole(dict(zip(ring, ring_signs)), sea)
+            system = SpinSystem([(0, 0)], frame, sea=sea)
+            assert holes(system.context) == {HOLE}
+            assert not system._sea_connected
+            want = [spin_counts(system, [v]) for v in (-1, 1)]
+            assert list(assignment_counts(system, 1)) == want
 
 
 def test_assignment_index_follows_product_order():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexloop import sampler
 from hexloop.configs import (
     Params,
     SpinCounts,
@@ -33,12 +34,13 @@ from hexloop.sampler import (
     run_chain,
 )
 
+from shapes import HOLE, RING12, holes, spin_systems, with_hole
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PARAMS = Params(n=1.4, x=0.5, h=0.3, hp=-0.2)
 
 BALL1 = sorted(hexagon_ball(1))
 RECT12 = sorted((r, s) for r in range(3) for s in range(4))
-RING12 = sorted(hexagon_ball(2) - hexagon_ball(1))
 BALL3 = sorted(hexagon_ball(3))
 
 
@@ -120,6 +122,29 @@ def test_delta_merges_across_the_sea():
     assert d.r == -2
 
 
+def ring_runs(state: ChainState, u) -> int:
+    """Number of arcs of the site's own sign around ``u``."""
+    system = state.system
+    center = state.sigma[u]
+    ring = [state.sigma.get(g, system.fixed.get(g, system.sea))
+            for g in (tuple(a + b for a, b in zip(u, d)) for d in
+                      ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))]
+    return sum(1 for i in range(6) if ring[i] == center != ring[i - 1])
+
+
+def counting_recounts(monkeypatch) -> list:
+    """Record every call of the sampler's ``spin_counts`` binding, through
+    which the chain recounts."""
+    calls = []
+
+    def spy(system, spins):
+        calls.append(system)
+        return spin_counts(system, spins)
+
+    monkeypatch.setattr(sampler, "spin_counts", spy)
+    return calls
+
+
 def test_delta_matches_full_recount():
     rng = random.Random(20260816)
     shapes = [BALL1, RECT12, RING12]
@@ -128,26 +153,59 @@ def test_delta_matches_full_recount():
         system = random_system(shape, rng)
         state = random_state(system, rng)
         u = rng.choice(system.free)
-        want = recount_delta(state, u)
-        assert delta_counts(state, u) == want
-        if trial % 5 == 0:
-            # zero search budget forces the recount fallback
-            assert delta_counts(state, u, budget=0) == want
+        assert delta_counts(state, u) == recount_delta(state, u)
 
 
-def test_every_ring_pattern_of_a_single_site():
+def test_only_holed_contexts_recount(monkeypatch):
+    # RING12's context encloses its centre, which joins the sea, so its
+    # multi-arc flips are recounted; on a ball the wall walk answers all of
+    # them, also at n = 2, where a fifth of the updates are multi-arc
+    recounts = counting_recounts(monkeypatch)
+    rng = random.Random(20260816)
+    multi_arc = 0
+    for _ in range(60):
+        system = random_system(RING12, rng)
+        assert not system._sea_connected
+        state = random_state(system, rng)
+        for u in system.free:
+            before = len(recounts)
+            assert delta_counts(state, u) == recount_delta(state, u)
+            assert len(recounts) - before == (ring_runs(state, u) > 1)
+            multi_arc += ring_runs(state, u) > 1
+    assert multi_arc > 0
+
+    system = SpinSystem(hexagon_ball(6), +1, sea=+1)
+    assert system._sea_connected
+    state = ChainState(system, Params(n=2.0, x=x_critical(2.0)), seed=3)
+    recounts.clear()
+    for _ in range(50):
+        state.sweep()
+    assert recounts == []
+    assert spin_counts(system, state.free_signs()) == state.counts
+
+
+def test_every_ring_pattern_of_a_single_site(monkeypatch):
     # one free site with its ring frozen: all 2^7 sign patterns of the site
-    # and its ring, under either sea sign
+    # and its ring, under either sea sign.  Each pattern is also set in a
+    # holed context, where the change is recounted.
     params = Params(n=1.6, x=0.55, h=0.3, hp=-0.4)
     ring = tri_neighbors((0, 0))
+    recounts = counting_recounts(monkeypatch)
     multi_arc = 0
     for sea in (-1, 1):
         for center, *ring_signs in itertools.product((-1, 1), repeat=7):
-            system = SpinSystem([(0, 0)], dict(zip(ring, ring_signs)), sea=sea)
+            frame = dict(zip(ring, ring_signs))
+            system = SpinSystem([(0, 0)], frame, sea=sea)
             state = ChainState(system, params, init=center)
             want = recount_delta(state, (0, 0))
             assert delta_counts(state, (0, 0)) == want
-            assert delta_counts(state, (0, 0), budget=0) == want
+            holed = SpinSystem([(0, 0)], with_hole(frame, sea), sea=sea)
+            assert holes(holed.context) == {HOLE}
+            holed_state = ChainState(holed, params, init=center)
+            before = len(recounts)
+            assert (delta_counts(holed_state, (0, 0))
+                    == recount_delta(holed_state, (0, 0)))
+            assert len(recounts) - before == (ring_runs(state, (0, 0)) > 1)
             weights = [log_spin_weight(params, spin_counts(system, [v]))
                        for v in (1, -1)]
             p_plus = 1.0 / (1.0 + math.exp(weights[1] - weights[0]))
@@ -160,25 +218,21 @@ def test_every_ring_pattern_of_a_single_site():
 
 
 @st.composite
-def ball3_systems(draw):
-    """A chain on a random, possibly disconnected, subset of the ball r=3,
-    with random frozen ring spins, sea and starting spins."""
-    shape = draw(st.lists(st.sampled_from(BALL3), min_size=1, unique=True))
-    ring = sorted({g for h in shape for g in tri_neighbors(h)} - set(shape))
-    signs = st.sampled_from((-1, 1))
-    fixed = dict(zip(ring, draw(st.lists(signs, min_size=len(ring),
-                                         max_size=len(ring)))))
-    system = SpinSystem(shape, fixed, sea=draw(signs))
-    init = draw(st.lists(signs, min_size=len(system.free),
+def ball3_states(draw):
+    """A chain on a simply connected or holed system over the ball r=3,
+    with random starting spins."""
+    system = draw(spin_systems(BALL3))
+    init = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(system.free),
                          max_size=len(system.free)))
     return ChainState(system, PARAMS, init=dict(zip(system.free, init)))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(state=ball3_systems(), budget=st.sampled_from((None, 0, 1, 3)))
-def test_delta_matches_recount_on_random_subsets(state, budget):
+@given(state=ball3_states())
+def test_delta_matches_recount_on_random_subsets(state):
+    assert state.system._sea_connected == (not holes(state.system.context))
     for u in state.system.free:
-        assert delta_counts(state, u, budget=budget) == recount_delta(state, u)
+        assert delta_counts(state, u) == recount_delta(state, u)
 
 
 def test_delta_is_involution():
@@ -280,6 +334,34 @@ def test_heat_bath_step_updates_in_place():
 # ---------------------------------------------------------------------------
 # chain state bookkeeping
 # ---------------------------------------------------------------------------
+
+@st.composite
+def monotone_scenes(draw):
+    """A system on a random subset of a ball of radius at most 4 with a
+    random mixed frame, and parameters with h = h' = 0, n in [1, 2] and
+    x in (0, x_c(n)]."""
+    ball = sorted(hexagon_ball(draw(st.integers(1, 4))))
+    system = draw(spin_systems(ball))
+    n = draw(st.floats(1.0, 2.0))
+    share = draw(st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False))
+    return system, Params(n=n, x=share * x_critical(n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scene=monotone_scenes(), seed=st.integers(0, 2 ** 64 - 1))
+def test_coupled_chains_stay_ordered(scene, seed):
+    # in the monotone region a heat-bath update with shared uniforms keeps
+    # order, so a chain from all plus stays above one from all minus
+    system, params = scene
+    assert params.in_monotone_region
+    top = ChainState(system, params, seed=seed, init=1)
+    bottom = ChainState(system, params, seed=seed, init=-1)
+    for _ in range(30):
+        top.sweep()
+        bottom.sweep()
+        assert all(a >= b for a, b in zip(top.free_signs(),
+                                          bottom.free_signs()))
+
 
 def test_cache_stays_coherent_over_sweeps():
     rng = random.Random(11)
@@ -503,3 +585,11 @@ def test_run_chain_wall_side_event():
 def test_run_chain_rejects_zero_sweeps():
     with pytest.raises(OutOfRange):
         run_chain(BALL1, +1, Params(n=1.4, x=0.5), sweeps=0, events=[])
+
+
+def test_run_chain_rejects_negative_burn_in():
+    with pytest.raises(OutOfRange, match="got -3"):
+        run_chain(BALL1, +1, Params(n=1.4, x=0.5), sweeps=5, burn_in=-3,
+                  events=[])
+    # zero is a valid burn-in
+    run_chain(BALL1, +1, Params(n=1.4, x=0.5), sweeps=5, burn_in=0, events=[])
