@@ -43,7 +43,6 @@ from .exact import (
     _log_Z,
     _region,
     _spin_system,
-    _walk_enumeration,
     catalan,
     even_subgraphs,
     exact_event_probability,
@@ -56,7 +55,6 @@ from .lattice import (
     Domain,
     hexagon_components,
     mirror_tri,
-    path_edges,
     tri_neighbors,
     triangle_domain,
 )
@@ -495,41 +493,6 @@ def check_domain_monotonicity(inner, outer, gamma,
                  "ratio": (w_out / w_in) if w_in > 0 else math.inf,
                  "endpoints_on_shared_boundary": at_boundary,
                  "factor_two": factor_two, "strengthened": strengthened})
-
-
-def check_cut_path_ratio(inner, outer, gamma, ends,
-                         params: Params) -> CheckReport:
-    """Measure the ratio behind the path-surgery bound: the weight of a walk
-    in the inner domain against the total weight, in the outer domain, of
-    walks between two boundary vertices that contain it as a subpath.
-
-    The bound's constant is not explicit, so only positivity of the measured
-    ratio is asserted; the value is reported for the record.
-    """
-    dom_in, dom_out = _nested_domains(inner, outer)
-    walks = _as_walks(gamma)
-    if len(walks) != 1:
-        raise OutOfRange("the cut-path check takes a single walk")
-    start, goal = (tuple(v) for v in ends)
-    for v in (start, goal):
-        if v not in set(dom_out.boundary):
-            raise OutOfRange(f"{v} is not a boundary vertex of the outer "
-                             f"domain")
-
-    w_in = relative_weight(dom_in, walks[0], params)
-    piece = set(path_edges(walks[0]))
-    total = 0.0
-    count = 0
-    for walk in _walk_enumeration(dom_out, start, frozenset([goal])):
-        if piece <= set(path_edges(walk)):
-            total += relative_weight(dom_out, walk, params)
-            count += 1
-    ratio = math.inf if total == 0.0 else w_in / total
-    return CheckReport(
-        name="cut_path_ratio", holds=w_in > 0.0 and ratio > 0.0,
-        in_region=_loop_region(params),
-        details={"w_inner": w_in, "superpath_sum": total,
-                 "n_superpaths": count, "ratio": ratio})
 
 
 def check_triangle_lower_bound(side: int, n: float) -> CheckReport:

@@ -284,6 +284,11 @@ class SpinSystem:
         return tuple(sorted({g for h in ctx for g in tri_neighbors(h)} - ctx))
 
     @cached_property
+    def _framed_index(self) -> dict[TriVertex, int]:
+        """Positions in :meth:`framed_spins` by hexagon."""
+        return {h: i for i, h in enumerate(self.context + self._sea_frame)}
+
+    @cached_property
     def _sea_connected(self) -> bool:
         """Whether the context has no hole: whether its Euler
         characteristic, hexagons less adjacent pairs plus triangles of
@@ -297,8 +302,7 @@ class SpinSystem:
     @cached_property
     def _walls(self):
         """Step tables ``(ahead, keep, move)`` of the wall walk over the
-        context and its sea frame (:func:`_multi_arc_dk`), or None when the
-        context has a hole.
+        context and its sea frame (:func:`_multi_arc_dk`).
 
         A strand state 6A + j stands for cell A and the wall between A and
         its neighbour B in direction j, walked towards the vertex they
@@ -306,13 +310,12 @@ class SpinSystem:
         ahead has A's sign, the wall bends round B and the state becomes
         (cell ahead, j - 1); otherwise it bends round A: (A, j + 1).
         Entries that leave the sea frame are -1; no walk reads them, since
-        every wall has a context hexagon on one side.
+        every wall has a context hexagon on one side.  Holes lie in the
+        frame, and only the cluster count of :func:`_multi_arc_dk` needs a
+        context without one.
         """
-        if not self._sea_connected:
-            return None
-        cells = self.context + self._sea_frame
-        idx = {h: i for i, h in enumerate(cells)}
-        ahead = [idx.get((r + dr, s + ds), -1) for r, s in cells
+        idx = self._framed_index
+        ahead = [idx.get((r + dr, s + ds), -1) for r, s in idx
                  for dr, ds in _CYCLE[1:] + _CYCLE[:1]]
         keep = [f + 1 if f % 6 < 5 else f - 5 for f in range(len(ahead))]
         move = [6 * c + (f - 1) % 6 if c >= 0 else -1
@@ -583,7 +586,7 @@ def _gray_counts(system: SpinSystem) -> tuple[SpinCounts, ...]:
     out = [start] * (1 << m)
     free_ctx = system._free_ctx
     nb6 = system._nb6
-    walls = system._walls
+    walls = system._walls if system._sea_connected else None
     for step in range(1, 1 << m):
         iu = m - (step & -step).bit_length()
         cu = free_ctx[iu]

@@ -15,6 +15,7 @@ number test for the simple cycles that make up an even configuration.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -330,7 +331,9 @@ class EventSpec:
     a mapping from free hexagons to signs, "loops" gets the set of domain
     wall edges.  The required fields give the support the predicate relies
     on, and ``suggested_free`` is a simply connected free set large enough
-    to estimate the event by sampling.
+    to estimate the event by sampling.  ``sampler.run_chain`` evaluates the
+    kinds ``annulus_loop`` and ``plus_circuit`` on its own sign array, by
+    kind and scale, and calls the predicate of every other spec.
     """
 
     kind: str
@@ -373,11 +376,20 @@ class EventSpec:
                         f"borders no free hexagon")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; OutOfRange unless it is an integral number."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfRange(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_scale(obj: Mapping, kind: str) -> int:
-    k = obj.get("k")
-    if k is None or int(k) < 1:
+    k = _integer(obj.get("k"), f"the scale k of event {kind!r}")
+    if k < 1:
         raise OutOfRange(f"event {kind!r} needs a scale k >= 1")
-    return int(k)
+    return k
 
 
 def event_from_json(obj: Mapping) -> EventSpec:
@@ -418,7 +430,7 @@ def event_from_json(obj: Mapping) -> EventSpec:
             required_hexagons=padded, suggested_free=padded)
     if kind == "trapeze":
         k = _require_scale(obj, kind)
-        sign = int(obj.get("sign", 1))
+        sign = _integer(obj.get("sign", 1), "the sign of event 'trapeze'")
         vertical = bool(obj.get("vertical", True))
         if sign not in (-1, 1):
             raise OutOfRange("sign must be -1 or +1")
@@ -432,7 +444,7 @@ def event_from_json(obj: Mapping) -> EventSpec:
         v = obj.get("v")
         if v is None or len(v) != 2:
             raise OutOfRange("event 'two_point' needs a hexagon v = [r, s]")
-        target = (int(v[0]), int(v[1]))
+        target = tuple(_integer(c, "a coordinate of v") for c in v)
         radius = max(tri_distance(ORIGIN, target), 1)
         return EventSpec(
             kind=kind, side="spins", params=(("v", target),),

@@ -5,14 +5,19 @@ cluster, wall, magnetization and triangle counts maintained incrementally.
 The single-flip count changes come from ``configs``: the 128-entry ring
 table ``_LOCAL`` and, for rings with two or more arcs of each sign, the
 walk along the domain walls around the site, ``_multi_arc_dk``.  In a
-context with a hole, which the walk does not cover, those flips are
-recounted in full through this module's ``spin_counts`` binding.  When
-each sign has at most one arc, the whole update, heat-bath probability
-included, is a lookup in a per-chain copy of the table.
+context with a hole, whose cluster count the walk does not give, those
+flips are recounted in full through this module's ``spin_counts``
+binding.  When each sign has at most one arc, the whole update, heat-bath
+probability included, is a lookup in a per-chain copy of the table.
 
 Randomness comes from a counter-based generator (Philox) keyed by a 64-bit
 seed and a stream index, with one uniform block drawn per sweep and a fixed
 scan order, so runs are reproducible bit for bit.
+
+``run_chain`` turns each event into a predicate over the chain's framed
+sign array before the first sweep: ``annulus_loop`` walks the walls from
+the ray walls of its annulus, ``plus_circuit`` floods its ring, and other
+events read the free signs or their walls.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .configs import (
+    _CYCLE,
     _LOCAL,
     Params,
     SpinCounts,
@@ -39,10 +45,11 @@ from .exact import _spin_system
 from .lattice import (
     ball_and_annulus,
     edge_hexagons,
-    hexagon_corners,
-    vertex_hexagons,
+    hexagon_ball,
+    tri_distance,
+    tri_neighbors,
 )
-from .observables import EventSpec, event_from_json, loop_surrounds
+from .observables import ORIGIN, EventSpec, event_from_json
 
 
 class ChainState:
@@ -70,7 +77,7 @@ class ChainState:
         self._full = system.framed_spins(
             init if isinstance(init, Mapping) else [init] * len(system.free))
         self._nb6 = system._nb6
-        self._walls = system._walls
+        self._walls = system._walls if system._sea_connected else None
         self._ln_n = math.log(params.n)
         self._ln_x = math.log(params.x)
 
@@ -279,105 +286,127 @@ def check_defect_free_walls(system: SpinSystem) -> None:
     free hexagon whose two other hexagons are frozen with opposite signs
     carries wall degree one whenever the free spin disagrees with either.
     """
-    fset = set(system.free)
-    fixed = system.fixed
-    sea = system.sea
-    seen = set()
-    for h in system.free:
-        for corner in hexagon_corners(h):
-            if corner in seen:
-                continue
-            seen.add(corner)
-            others = [g for g in vertex_hexagons(corner) if g not in fset]
-            if len(others) == 2:
-                if fixed.get(others[0], sea) != fixed.get(others[1], sea):
-                    raise InconsistentParity(
-                        f"frozen spins change sign at {corner}, a corner of "
-                        f"the free region; walls would end there, so loop "
-                        f"events are not defined for this boundary")
+    free = set(system._free_ctx)
+    for tri in system._triangles:
+        others = [system.context[i] for i in tri if i not in free]
+        if len(others) == 2 and (system.fixed[others[0]]
+                                 != system.fixed[others[1]]):
+            raise InconsistentParity(
+                f"frozen spins {others} of opposite signs meet at a corner "
+                f"of the free region; walls would end there, so loop "
+                f"events are not defined for this boundary")
 
 
 def annulus_signs_event(system: SpinSystem, k: int) -> Callable:
-    """Evaluator of the surrounding-annulus-loop event straight from the
-    free signs, touching only the annulus edges.
+    """Evaluator of the surrounding-annulus-loop event on the framed sign
+    array (:meth:`SpinSystem.framed_spins`), by walks along the walls.
 
-    Defect-free wall configurations have vertex degrees zero and two, so a
-    cycle component of the walls restricted to the annulus is a full wall
-    loop lying inside the annulus, and only such loops can witness the
-    event.  Walls appear only on edges bordering a free hexagon, matching
-    how assignments are turned into loops.
+    A loop that surrounds the origin crosses its rightward ray an odd
+    number of times, so a strand starts at each annulus wall on the ray,
+    between (r, 0) and (r + 1, 0), and steps with the tables of
+    :func:`configs._multi_arc_dk` until it leaves the annulus edges that
+    border a free hexagon (those of :func:`spins_to_loops`) or comes back,
+    which with an odd count of ray walls is the event.
     """
     check_defect_free_walls(system)
     _, annulus = ball_and_annulus(k)
-    fidx = system.free_index
-    fixed = system.fixed
-    sea = system.sea
-    probes = []
-    for e in sorted(annulus):
+    idx = system._framed_index
+    fset = set(system.free)
+    ahead, keep, move = system._walls
+    inside = bytearray(len(ahead))
+    ray = bytearray(len(ahead))
+    starts = []
+    for e in annulus:
         g1, g2 = edge_hexagons(e)
-        i1, i2 = fidx.get(g1), fidx.get(g2)
-        if i1 is None and i2 is None:
+        if g1 not in fset and g2 not in fset:
             continue
-        c1 = None if i1 is not None else fixed.get(g1, sea)
-        c2 = None if i2 is not None else fixed.get(g2, sea)
-        probes.append((e, i1, c1, i2, c2))
+        on_ray = g1[1] == g2[1] == 0 and min(g1[0], g2[0]) >= 0
+        for a, b in ((g1, g2), (g2, g1)):
+            f = 6 * idx[a] + _CYCLE.index((b[0] - a[0], b[1] - a[1]))
+            inside[f] = 1
+            ray[f] = on_ray
+            if on_ray and a < b:
+                starts.append((f, idx[a], idx[b]))
 
-    def event(signs) -> bool:
-        walls = []
-        deg: dict = {}
-        for e, i1, c1, i2, c2 in probes:
-            s1 = signs[i1] if i1 is not None else c1
-            s2 = signs[i2] if i2 is not None else c2
-            if s1 != s2:
-                walls.append(e)
-                u, v = e
-                deg.setdefault(u, []).append(v)
-                deg.setdefault(v, []).append(u)
-        seen = set()
-        for start in deg:
-            if start in seen or len(deg[start]) != 2:
+    def event(full) -> bool:
+        for f0, a, b in starts:
+            sa = full[a]
+            if full[b] == sa:
                 continue
-            comp, todo, cycle = {start}, [start], True
-            while todo:
-                u = todo.pop()
-                if len(deg[u]) != 2:
-                    cycle = False
-                for v in deg[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        todo.append(v)
-            seen |= comp
-            if cycle:
-                loop = [e for e in walls if e[0] in comp]
-                if loop_surrounds(loop):
-                    return True
+            f, odd = f0, 1
+            while True:
+                c = ahead[f]
+                f = move[f] if full[c] == sa else keep[f]
+                if f == f0:
+                    if odd:
+                        return True
+                    break
+                if not inside[f]:
+                    break
+                odd ^= ray[f]
         return False
 
     return event
 
 
-def _normalize_events(events, system: SpinSystem):
-    """Named/JSON/callable events -> (name, mode, predicate) triples.
-
-    The mode names what the predicate consumes each sweep: the spin
-    mapping, the wall edges, or the raw sign sequence.
+def _circuit_flood(system: SpinSystem, k: int) -> Callable:
+    """Evaluator of ``plus_circuit_event`` at scale k on the framed sign
+    array of a context that covers the radius-2k ball.  Its flood covers
+    the radius-k ball, so this one starts at every non-plus hexagon at
+    distance k + 1 and fails once it reaches distance 2k.
     """
+    ring = sorted(hexagon_ball(2 * k) - hexagon_ball(k))
+    pos = {h: i for i, h in enumerate(ring)}
+    cell = [system._framed_index[h] for h in ring]
+    nbrs = [[pos[g] for g in tri_neighbors(h) if g in pos] for h in ring]
+    entry = [i for i, h in enumerate(ring) if tri_distance(h, ORIGIN) == k + 1]
+    rim = [tri_distance(h, ORIGIN) == 2 * k for h in ring]
+
+    def event(full) -> bool:
+        seen = bytearray(len(ring))
+        todo = entry[:]
+        while todo:
+            i = todo.pop()
+            if seen[i] or full[cell[i]] > 0:
+                continue
+            if rim[i]:
+                return False
+            seen[i] = 1
+            todo += nbrs[i]
+        return True
+
+    return event
+
+
+def _compile_events(events, system: SpinSystem) -> list[Callable]:
+    """Named/JSON/callable events as predicates over the framed sign array.
+
+    ``annulus_loop`` and ``plus_circuit`` read the array directly; other
+    spin events and callables get the mapping from free hexagon to sign,
+    and other wall events the wall edges of :func:`spins_to_loops`.
+    """
+    free, free_ctx = system.free, system._free_ctx
+
+    def on_sigma(fn):
+        return lambda full: fn(dict(zip(free, [full[i] for i in free_ctx])))
+
     out = []
     for ev in events:
-        if isinstance(ev, EventSpec):
-            spec = ev
-        elif isinstance(ev, Mapping):
-            spec = event_from_json(ev)
-        else:
-            out.append((getattr(ev, "__name__", "event"), "spins", ev))
+        spec = event_from_json(ev) if isinstance(ev, Mapping) else ev
+        if not isinstance(spec, EventSpec):
+            out.append(on_sigma(spec))
             continue
         spec.validate_support(system)
+        k = dict(spec.params).get("k")
         if spec.kind == "annulus_loop":
-            k = dict(spec.params)["k"]
-            out.append((str(spec.to_json()), "signs",
-                        annulus_signs_event(system, k)))
+            out.append(annulus_signs_event(system, k))
+        elif spec.kind == "plus_circuit":
+            out.append(_circuit_flood(system, k))
+        elif spec.side == "spins":
+            out.append(on_sigma(spec))
         else:
-            out.append((str(spec.to_json()), spec.side, spec))
+            out.append(on_sigma(
+                lambda sigma, spec=spec: spec(spins_to_loops(system, sigma))))
     return out
 
 
@@ -390,7 +419,9 @@ def run_chain(region, tau, params: Params, sweeps: int, burn_in=None,
     hexagons (or a domain, or a ready system) plus the frozen surrounding
     spins.  Samples are taken once per sweep after ``burn_in`` sweeps
     (default a tenth of ``sweeps``); estimates come back in event order,
-    deterministically for a fixed seed and stream.
+    deterministically for a fixed seed and stream.  Each event is read off
+    the chain's framed sign array, named ones once their support is
+    validated (see ``_compile_events``).
     """
     if sweeps < 1:
         raise OutOfRange("need at least one sweep")
@@ -404,26 +435,15 @@ def run_chain(region, tau, params: Params, sweeps: int, burn_in=None,
             "parameters are outside the monotone region (n >= 1 and "
             "n*x^2 <= exp(-|h'|)); the chain is still valid but nothing "
             "is known about its mixing", stacklevel=2)
-    specs = _normalize_events(events, system)
+    preds = _compile_events(events, system)
     state = ChainState(system, params, seed=seed, stream=stream,
                        debug=debug, init=init)
-    need_spins = any(mode == "spins" for _, mode, _ in specs)
-    need_walls = any(mode == "loops" for _, mode, _ in specs)
-    series = np.zeros((len(specs), sweeps), dtype=np.uint8)
+    series = np.zeros((len(preds), sweeps), dtype=np.uint8)
     for _ in range(burn_in):
         state.sweep()
-    free = system.free
+    full = state._full  # updated in place by every sweep
     for t in range(sweeps):
         state.sweep()
-        signs = state.free_signs()
-        sigma = dict(zip(free, signs)) if need_spins else None
-        walls = spins_to_loops(system, signs) if need_walls else None
-        for j, (_, mode, fn) in enumerate(specs):
-            if mode == "spins":
-                val = fn(sigma)
-            elif mode == "loops":
-                val = fn(walls)
-            else:
-                val = fn(signs)
-            series[j, t] = 1 if val else 0
-    return [estimate_from_series(series[j]) for j in range(len(specs))]
+        for j, fn in enumerate(preds):
+            series[j, t] = 1 if fn(full) else 0
+    return [estimate_from_series(series[j]) for j in range(len(preds))]

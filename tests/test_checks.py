@@ -20,7 +20,6 @@ from hexloop.checks import (
     check_catalan_bound,
     check_cbc,
     check_contour_identity,
-    check_cut_path_ratio,
     check_domain_markov_and_duality,
     check_domain_monotonicity,
     check_fkg_lattice,
@@ -339,33 +338,6 @@ class TestDomainMonotonicity:
         gamma = (w[0], v[0], v[1], w[1])
         with pytest.raises(OutOfRange):
             check_domain_monotonicity(strip, dom, gamma, Params(1.0, 0.5))
-
-
-class TestCutPathRatio:
-    def test_interior_cut_is_positive(self):
-        dom, v, w = flower()
-        strip = domain_from_hexagons([(-1, 0), (0, 0), (1, 0)])
-        ends = ((-3, 0, 1), (2, -1, 0))
-        report = check_cut_path_ratio(dom, strip, (v[1], v[2], v[3]), ends,
-                                      Params(1.0, x_critical(1.0)))
-        assert report.holds
-        assert report.details["n_superpaths"] == 2
-        assert report.details["ratio"] == pytest.approx(
-            75.8390817885514, rel=1e-9)
-
-    def test_dead_end_cut_has_no_superpaths(self):
-        # The cut starts at a tip of the larger domain distinct from both
-        # ends, so no walk between the ends can contain it; the bound is
-        # then vacuous but the inner weight must still be positive.
-        dom, v, w = flower()
-        strip = domain_from_hexagons([(-1, 0), (0, 0), (1, 0)])
-        ends = ((-3, 0, 1), (2, -1, 0))
-        report = check_cut_path_ratio(dom, strip, (w[1], v[1], v[2]), ends,
-                                      Params(1.0, x_critical(1.0)))
-        assert report.holds
-        assert report.details["n_superpaths"] == 0
-        assert report.details["ratio"] == math.inf
-        assert report.details["w_inner"] > 0
 
 
 class TestTriangleLowerBound:

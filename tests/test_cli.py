@@ -125,6 +125,10 @@ def test_scan_with_one_worker(capsys):
     ["render", "--in", '{"fixed": []}', "--mode", "spins"],
     ["sample", "--domain", '{"ball": 1}', "--n", "1.5", "--sweeps", "5",
      "--burn", "-3", "--events", '{"type": "two_point", "v": [1, 0]}'],
+    ["sample", "--domain", '{"ball": 5}', "--n", "1.5", "--sweeps", "5",
+     "--events", '[{"type": "plus_circuit", "k": 2.7}]'],
+    ["sample", "--domain", '{"ball": 2}', "--n", "1.5", "--sweeps", "5",
+     "--events", '{"type": "two_point", "v": [1.9, 0]}'],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)

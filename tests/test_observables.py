@@ -417,6 +417,15 @@ def test_event_from_json_rejects_bad_specs():
         event_from_json({"type": "two_point", "v": [1]})
     with pytest.raises(OutOfRange):
         event_from_json({"type": "trapeze", "k": 2, "sign": 3})
+    # a scale or coordinate that is not a whole number is not truncated
+    with pytest.raises(OutOfRange):
+        event_from_json({"type": "plus_circuit", "k": 2.7})
+    with pytest.raises(OutOfRange):
+        event_from_json({"type": "two_point", "v": [1.9, 0]})
+    with pytest.raises(OutOfRange):
+        event_from_json({"type": "trapeze", "k": 2, "sign": -1.5})
+    assert event_from_json({"type": "plus_circuit", "k": 2.0}).params == (
+        ("k", 2),)
 
 
 def test_named_event_routes_through_exact_probability():

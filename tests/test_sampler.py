@@ -544,7 +544,7 @@ def test_annulus_signs_event_matches_wall_pipeline():
             else:
                 signs = [rng.choice((-1, 1)) for _ in system.free]
             want = annulus_loop_event(spins_to_loops(system, signs), k)
-            assert fast(signs) == want
+            assert fast(system.framed_spins(signs)) == want
             hits += want
         if len(shape) > 7:
             assert hits > 0  # the comparison saw both outcomes
@@ -570,6 +570,81 @@ def test_annulus_event_refuses_defective_boundary():
     with pytest.raises(InconsistentParity):
         run_chain(system, -1, Params(n=1.4, x=0.5), sweeps=10,
                   events=[{"type": "annulus_loop", "k": 1}])
+
+
+@st.composite
+def event_scenes(draw):
+    """A system, a scale k and free signs on which both compiled events are
+    defined: a ``spin_systems`` draw, simply connected or holed, with its
+    frozen spins set to one sign (so that no wall ends), or planted shells
+    on the free ball of radius 2k + 1, with or without the unit ball cut
+    out to leave a hole at the origin.  Each shell, the hexagons at one
+    distance from the origin, is all plus, all minus or random, and noise
+    flips a few signs, so that bands of either sign start and end inside
+    the annulus and beyond it."""
+    k = draw(st.sampled_from((1, 2)))
+    frozen = draw(st.sampled_from((-1, 1)))
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        drawn = draw(spin_systems(sorted(hexagon_ball(5))))
+        system = SpinSystem(drawn.free, dict.fromkeys(drawn.fixed, frozen),
+                            sea=drawn.sea)
+        return system, k, [rnd.choice((-1, 1)) for _ in system.free]
+    shape = hexagon_ball(2 * k + 1)
+    if draw(st.booleans()):
+        shape -= hexagon_ball(1)
+    system = SpinSystem(shape, frozen, sea=draw(st.sampled_from((-1, 1))))
+    shells = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=2 * k + 2,
+                           max_size=2 * k + 2))
+    noise = draw(st.sampled_from((0.0, 0.02, 0.1)))
+    signs = []
+    for h in system.free:
+        s = shells[(abs(h[0]) + abs(h[1]) + abs(h[0] + h[1])) // 2]
+        s = s or rnd.choice((-1, 1))
+        signs.append(-s if rnd.random() < noise else s)
+    return system, k, signs
+
+
+def test_compiled_events_match_reference_events():
+    """The chain's annulus walk and circuit flood, read off the framed sign
+    array, against the loop-side event on ``spins_to_loops`` and, where
+    the context and its frame cover the radius-2k ball, against
+    ``plus_circuit_event`` on their signs."""
+    from hexloop.configs import spins_to_loops
+    from hexloop.observables import annulus_loop_event, plus_circuit_event
+
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(scene=event_scenes())
+    def check(scene):
+        system, k, signs = scene
+        full = system.framed_spins(signs)
+        want = annulus_loop_event(spins_to_loops(system, signs), k)
+        assert sampler.annulus_signs_event(system, k)(full) == want
+        seen.add(("annulus_loop", want))
+        plane = dict(zip(system.context + system._sea_frame, full))
+        if hexagon_ball(2 * k) <= plane.keys():
+            want = plus_circuit_event(plane, k)
+            assert sampler._circuit_flood(system, k)(full) == want
+            seen.add(("plus_circuit", want))
+
+    check()
+    assert seen == {(kind, outcome) for kind in ("annulus_loop", "plus_circuit")
+                    for outcome in (False, True)}
+
+
+def test_user_wall_event_goes_through_spins_to_loops():
+    from hexloop.lattice import shared_edge
+    from hexloop.observables import EventSpec
+
+    wall = shared_edge((0, 0), (1, 0))
+    user = EventSpec(kind="origin_wall", side="loops", params=(),
+                     predicate=lambda walls: wall in walls,
+                     required_edges=frozenset([wall]))
+    a, b = run_chain(BALL3, -1, Params(n=1.4, x=0.5), sweeps=300, seed=5,
+                     events=[user, lambda sg: sg[(0, 0)] != sg[(1, 0)]])
+    assert a == b and 0.0 < a.mean < 1.0
 
 
 def test_run_chain_wall_side_event():
