@@ -128,10 +128,6 @@ def loop_count(edges: Iterable[HexEdge],
     return count
 
 
-def log_loop_weight(params: Params, n_edges: int, n_loops: int) -> float:
-    return n_edges * math.log(params.x) + n_loops * math.log(params.n)
-
-
 # ---------------------------------------------------------------------------
 # spin systems
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ left-to-right sweep over link states (:func:`sweep_Z`) is the product
 engine: every walk weight, path sum and observable below goes through it.
 It carries, for each link state of the frontier, the polynomial in edge
 and loop counts of the partial configurations reaching that state, packed
-into one exact Python int with a fixed-width field per (edges, loops)
-term, so a state transition is one shift and one addition.  The
-depth-first enumeration with degree pruning (:func:`even_subgraphs`) is
-the oracle behind ``brute_force_*`` and ``hexloop enumerate --engine
-brute``, which tests compare the sweep against.
+into one exact Python int with a fixed-width field per (edges // 2, loops)
+term from the state's own lowest term up (the edge parity is a function of
+the state), so a transition moves an offset and a merge is one shift and
+one addition.  The depth-first enumeration with degree pruning
+(:func:`even_subgraphs`) is the oracle behind ``brute_force_*`` and
+``hexloop enumerate --engine brute``, which tests compare the sweep against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -377,30 +378,29 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     arriving: list[list[int]] = [[] for _ in verts]
     fresh: list[list[int]] = [[] for _ in verts]
     for i, (u, v) in enumerate(edges):
-        if order[u] < order[v]:
-            fresh[order[u]].append(i)
-            arriving[order[v]].append(i)
-        else:
-            fresh[order[v]].append(i)
-            arriving[order[u]].append(i)
+        lo, hi = sorted((order[u], order[v]))
+        fresh[lo].append(i)
+        arriving[hi].append(i)
 
-    # Kronecker packing: the count of partial configurations with m edges
-    # and l closed loops sits in the nbytes-wide field at slot
-    # m * stride + l of the state's int.  Loops are vertex-disjoint and have
-    # at least 6 vertices, so l < stride.  Two partial configurations in one
-    # state differ by an even subgraph of the processed vertices, so a field
-    # never exceeds 2^(cycle rank) < 2^(8 * nbytes) and cannot carry.
+    # Kronecker packing: a state is (offset, int), and its count of partial
+    # configurations with m edges and l closed loops sits in the nbytes-wide
+    # field at slot (m // 2) * stride + l - offset of the int.  The lattice
+    # is bipartite, so one state's configurations, which differ by an even
+    # subgraph, share the parity of m, and the key carries it.  Transitions
+    # move the offset; a merge shifts the operand with the higher offset, so
+    # field 0 is never zero.  Loops are vertex-disjoint with >= 6 vertices,
+    # so l < stride, and a field never carries: it is at most 2^(cycle rank).
     stride = len(verts) // 6 + 1
     rank = len(edges) - len(verts) + len(edge_components(edges))
     nbytes = rank // 8 + 1
     field_bits = 8 * nbytes
 
-    states: dict[tuple, int] = {(): 1}
+    states: dict[tuple, tuple[int, int]] = {(0, ()): (0, 1)}
     for vi, v in enumerate(verts):
         want_one = v in defects
-        nxt: dict[tuple, int] = {}
-        for key, poly in states.items():
-            base = dict(key)
+        nxt: dict[tuple, tuple[int, int]] = {}
+        for (parity, links), (offset, poly) in states.items():
+            base = dict(links)
             present = [e for e in arriving[vi] if e in base]
             for r in range(len(fresh[vi]) + 1):
                 degree = len(present) + r
@@ -409,6 +409,7 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                         continue
                 elif degree % 2:
                     continue
+                rows, parity2 = divmod(parity + r, 2)
                 for taken in combinations(fresh[vi], r):
                     pairing = dict(base)
                     ends = ([(True, e) for e in present]
@@ -418,23 +419,31 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                         closed = _link(pairing, ends[0], ends[1])
                     elif degree == 1:
                         _terminate(pairing, ends[0])
-                    key2 = tuple(sorted(pairing.items()))
-                    shift = (r * stride + closed) * field_bits
-                    nxt[key2] = nxt.get(key2, 0) + (poly << shift)
+                    key2 = (parity2, tuple(sorted(pairing.items())))
+                    offset2 = offset + rows * stride + closed
+                    old = nxt.get(key2)
+                    if old is None:
+                        nxt[key2] = (offset2, poly)
+                    else:
+                        (low, a), (high, b) = sorted((old, (offset2, poly)))
+                        nxt[key2] = (low, a + (b << (high - low) * field_bits))
         states = nxt
-    return _unpack(states.get((), 0), stride, nbytes)
+    return _unpack(states, stride, nbytes)
 
 
-def _unpack(packed: int, stride: int, nbytes: int) -> Table:
-    """The table held by a packed polynomial of :func:`_sweep_table`."""
-    slots = -(-packed.bit_length() // (8 * nbytes))
-    raw = packed.to_bytes(slots * nbytes, "little")
+def _unpack(states: dict, stride: int, nbytes: int) -> Table:
+    """Table of the states left by :func:`_sweep_table`, at most the empty
+    one as every edge is closed: field i of its int counts slot offset + i,
+    and slot row * stride + l holds 2 * row + parity edges and l loops."""
     table: Table = {}
-    for slot in range(slots):
-        count = int.from_bytes(raw[slot * nbytes:(slot + 1) * nbytes],
-                               "little")
-        if count:
-            table[divmod(slot, stride)] = count
+    for (parity, _), (offset, packed) in states.items():
+        slots = -(-packed.bit_length() // (8 * nbytes))
+        raw = packed.to_bytes(slots * nbytes, "little")
+        for i in range(slots):
+            count = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
+            if count:
+                row, loops = divmod(offset + i, stride)
+                table[2 * row + parity, loops] = count
     return table
 
 

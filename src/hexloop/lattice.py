@@ -80,12 +80,6 @@ def tri_xy(h: TriVertex) -> tuple[int, int]:
     return (2 * r + s, 3 * s)
 
 
-def tri_position(h: TriVertex) -> tuple[float, float]:
-    """Real-plane position of a hexagon center."""
-    x, y = tri_xy(h)
-    return (x * SQRT3 / 2.0, y / 2.0)
-
-
 def vertex_from_xy(x: int, y: int) -> HexVertex:
     """Invert :func:`hex_xy`.  Raises OutOfRange for non-vertex coordinates."""
     rem = y % 3

@@ -21,7 +21,6 @@ from hexloop.configs import (
     config_degrees,
     edge_components,
     is_even_config,
-    log_loop_weight,
     log_spin_weight,
     loop_count,
     loops_from_json,
@@ -33,6 +32,7 @@ from hexloop.configs import (
     spins_to_loops,
 )
 from hexloop.errors import InconsistentParity, OutOfRange, TooLarge
+from hexloop.exact import evaluate_table
 from hexloop.lattice import (
     UP,
     DOWN,
@@ -98,7 +98,7 @@ def test_even_config_and_loop_count():
 
 def test_loop_weight():
     p = Params(n=2.0, x=0.5)
-    assert log_loop_weight(p, 6, 1) == pytest.approx(
+    assert evaluate_table({(6, 1): 1}, p).log_magnitude == pytest.approx(
         6 * math.log(0.5) + math.log(2.0), abs=1e-12)
 
 

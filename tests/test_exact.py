@@ -232,6 +232,8 @@ def test_sweep_matches_brute_on_random_subsets(data):
                   st.sampled_from(BALL2_VERTS)), max_size=4, unique=True))
     table = sweep_table(edges, defects)
     assert table == brute_force_table(edges, defects)
+    # the hexagonal lattice is bipartite: one parity of m per table
+    assert len({m % 2 for m, _ in table}) <= 1
     if len(defects) % 2 or not verts.issuperset(defects):
         assert table == {}
     if not defects:
@@ -246,6 +248,31 @@ def test_sweep_is_exact_past_int64():
     assert sum(table.values()) == 2**70
     golden = json.loads((GOLDEN / "rectangle_70x1_table.json").read_text())
     assert table == {(m, l): c for m, l, c in golden}
+
+
+def test_sweep_matches_ball3_golden():
+    # tables written before the per-state offset and half edge counts
+    dom = domain_from_hexagons(hexagon_ball(3))
+    golden = json.loads((GOLDEN / "ball3_tables.json").read_text())
+    free = sweep_table(dom.edges)
+    assert sum(free.values()) == 2**37
+    assert free == {(m, l): c for m, l, c in golden["free"]}
+    defects = [tuple(d) for d in golden["defects"]]
+    assert sweep_table(dom.edges, defects) == {
+        (m, l): c for m, l, c in golden["pair"]}
+
+
+def test_sweep_table_with_odd_lowest_edge_count():
+    # a defect pair at the far ends of a row of three hexagons: every
+    # configuration has 9 or more edges, an odd count, so the packed
+    # polynomial has a nonzero offset and odd parity
+    dom = domain_from_hexagons([(0, 0), (1, 0), (2, 0)])
+    assert len(dom.edges) == 26
+    ends = sorted(dom.boundary, key=hex_xy)
+    defects = [ends[0], ends[-1]]
+    table = sweep_table(dom.edges, defects)
+    assert min(table)[0] == 9
+    assert table == brute_force_table(dom.edges, defects)
 
 
 def test_empty_edge_set():

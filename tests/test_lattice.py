@@ -51,7 +51,7 @@ from hexloop.lattice import (
     try_domain_from_edges,
     tri_distance,
     tri_neighbors,
-    tri_position,
+    tri_xy,
     triangle_domain,
     turn_sign,
     vertex_from_xy,
@@ -92,7 +92,8 @@ def test_hexagon_corners_form_a_cycle_of_the_right_shape():
     for h in SAMPLE_HEXAGONS:
         cs = hexagon_corners(h)
         assert len(set(cs)) == 6
-        cx, cy = tri_position(h)
+        x, y = tri_xy(h)
+        cx, cy = x * math.sqrt(3) / 2, y / 2
         for i, c in enumerate(cs):
             nxt = cs[(i + 1) % 6]
             assert nxt in hex_neighbors(c)
