@@ -46,13 +46,14 @@ from .exact import (
     catalan,
     even_subgraphs,
     exact_event_probability,
-    parafermion_field,
     path_sum,
     relative_weight,
+    sigma_exponent,
     x_critical,
 )
 from .lattice import (
     Domain,
+    hex_xy,
     hexagon_components,
     mirror_tri,
     tri_neighbors,
@@ -497,8 +498,9 @@ def check_domain_monotonicity(inner, outer, gamma,
 
 def check_triangle_lower_bound(side: int, n: float) -> CheckReport:
     """At the critical edge weight, the sum of relative weights of walks
-    from the bottom-middle boundary vertex of a triangular domain to its
-    left side is at least the critical weight squared."""
+    from the bottom-middle boundary vertex a of a triangular domain to its
+    left side, ``sum_b Z^{a,b} / Z`` read off defect-pair tables by
+    :func:`path_sum`, is at least the critical weight squared."""
     tri = triangle_domain(side)
     x = x_critical(n)
     params = Params(n=n, x=x)
@@ -508,8 +510,7 @@ def check_triangle_lower_bound(side: int, n: float) -> CheckReport:
         name="triangle_lower_bound",
         holds=ps.value >= threshold * (1.0 - SERIES_TOL),
         in_region=1.0 <= n <= 2.0,
-        details={"value": ps.value, "from_walks": ps.from_walks,
-                 "n_walks": ps.n_walks, "threshold": threshold,
+        details={"value": ps.value, "threshold": threshold,
                  "side": side, "x": x})
 
 
@@ -520,30 +521,43 @@ def check_contour_identity(side: int, n: float, x: float) -> CheckReport:
     At the critical weight the phased sum vanishes to rounding; away from it
     the residual is macroscopic.  The unphased bottom sum must stay real and
     at least one (the start edge contributes exactly one).
+
+    All walks from the start a to a boundary vertex b share one winding W,
+    so the observable at the spoke of b is 1 for b = a and otherwise
+    ``x^-1 Z^{a,b} / Z exp(-i sigma W)``, from defect-pair tables
+    (:func:`path_sum`), with W = pi/3 on the left side, -pi/3 on the right
+    side, and +pi (-pi) on the bottom left (right) of a.
     """
     tri = triangle_domain(side)
-    dom = tri.domain
     params = Params(n=n, x=x)
-    field = parafermion_field(dom, tri.start_edge, params)
-    left = sum(field[dom.spokes[b]] for b in tri.left_boundary)
-    right = sum(field[dom.spokes[b]] for b in tri.right_boundary)
-    bottom = sum(field[dom.spokes[b]] for b in tri.bottom_boundary)
-    lhs = (cmath.exp(-2j * math.pi / 3) * left
-           + cmath.exp(2j * math.pi / 3) * right + bottom)
-    magnitude = sum(abs(field[dom.spokes[b]]) for b in
-                    tri.left_boundary + tri.right_boundary
-                    + tri.bottom_boundary)
+    a = tri.start_vertex
+    sigma = sigma_exponent(n)
+
+    def field(b, winding: float) -> complex:
+        if b == a:
+            return 1.0 + 0j
+        return (path_sum(tri.domain, a, b, params).value / x
+                * cmath.exp(-1j * sigma * winding))
+
+    left = [field(b, math.pi / 3) for b in tri.left_boundary]
+    right = [field(b, -math.pi / 3) for b in tri.right_boundary]
+    bottom = [field(b, math.pi if hex_xy(b)[0] < hex_xy(a)[0] else -math.pi)
+              for b in tri.bottom_boundary]
+    bottom_sum = sum(bottom)
+    lhs = (cmath.exp(-2j * math.pi / 3) * sum(left)
+           + cmath.exp(2j * math.pi / 3) * sum(right) + bottom_sum)
+    magnitude = sum(abs(f) for f in left + right + bottom)
     residual = abs(lhs)
     relative = residual / magnitude if magnitude > 0 else math.inf
     xc = x_critical(n)
     holds = (relative <= SERIES_TOL
-             and bottom.real >= 1.0 - SERIES_TOL
-             and abs(bottom.imag) <= SERIES_TOL)
+             and bottom_sum.real >= 1.0 - SERIES_TOL
+             and abs(bottom_sum.imag) <= SERIES_TOL)
     return CheckReport(
         name="contour_identity", holds=holds,
         in_region=abs(x - xc) <= ALGEBRAIC_TOL,
         details={"residual": residual, "relative_residual": relative,
-                 "magnitude": magnitude, "bottom_sum": bottom,
+                 "magnitude": magnitude, "bottom_sum": bottom_sum,
                  "side": side, "x_critical": xc})
 
 

@@ -223,6 +223,14 @@ class SpinSystem:
                      if self.context[i] in fset or self.context[j] in fset)
 
     @cached_property
+    def _wall_probes(self) -> tuple[tuple[HexEdge, int, int], ...]:
+        """``(edge, i, j)`` for each pair of :attr:`_free_pairs`: the edge
+        the two hexagons share is a wall when their spins differ."""
+        ctx = self.context
+        return tuple((shared_edge(ctx[i], ctx[j]), i, j)
+                     for i, j in self._free_pairs)
+
+    @cached_property
     def _exterior_touching(self) -> tuple[int, ...]:
         ctx = set(self.context)
         return tuple(self._index[h] for h in self.context
@@ -645,20 +653,8 @@ def log_spin_weight(params: Params, counts: SpinCounts) -> float:
 def spins_to_loops(system: SpinSystem, spins) -> frozenset[HexEdge]:
     """Domain walls of an assignment, on the edges bordering the free set."""
     full = system.full_spins(spins)
-    idx = system._index
-    fset = set(system.free)
-    walls = set()
-    for h in system.free:
-        sh = full[idx[h]]
-        for e in hexagon_edges(h):
-            a, b = edge_hexagons(e)
-            other = b if a == h else a
-            if other in fset and other < h:
-                continue  # counted from the other side
-            so = full[idx[other]] if other in idx else system.sea
-            if so != sh:
-                walls.add(e)
-    return frozenset(walls)
+    return frozenset(e for e, i, j in system._wall_probes
+                     if full[i] != full[j])
 
 
 def loops_to_spins(system: SpinSystem, walls: Iterable[HexEdge]) -> dict[TriVertex, int]:

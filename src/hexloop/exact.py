@@ -18,11 +18,12 @@ one addition.  The depth-first enumeration with degree pruning
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
-carved out), the two-route defect-pair sum of :func:`path_sum`, the complex
-edge-midpoint observable of :func:`parafermion_field` with its local
-three-term relation, and exact event probabilities for the spin form of the
-model.  The spin sums read the counts of all 2^m assignments from
-``configs.assignment_counts``, which walks them once per :class:`SpinSystem`
+carved out), the two-route defect-pair sum ``Z^{a,b} / Z`` (read off defect
+tables by :func:`path_sum`, added up walk by walk by the oracle
+:func:`walk_path_sum`), the complex edge-midpoint observable of
+:func:`parafermion_field` with its local three-term relation (an oracle too),
+and exact event probabilities for the spin form of the model.  The spin sums
+read the counts of all 2^m assignments from ``configs.assignment_counts``, which walks them once per :class:`SpinSystem`
 in Gray-code order with the chain's single-flip count changes and keeps
 them on the system, so an event sum and its total share one enumeration.
 """
@@ -519,20 +520,45 @@ def relative_weight(region, gamma, params: Params) -> float:
 
 @dataclass(frozen=True)
 class PathSum:
-    """Both evaluation routes of the defect-pair sum ``Z^{a,b} / Z``.
+    """A defect-pair sum ``Z^{a,b} / Z`` and the number of walks summed:
+    0 from defect tables (:func:`path_sum`), every walk from the walk
+    oracle (:func:`walk_path_sum`)."""
 
-    ``from_defects`` sums partition functions with defect pairs;
-    ``from_walks`` enumerates self-avoiding walks and adds their relative
-    weights.  The two are equal up to rounding.
-    """
-
-    from_defects: float
-    from_walks: float
+    value: float
     n_walks: int
 
-    @property
-    def value(self) -> float:
-        return self.from_defects
+
+def _targets(domain: Domain, a, b) -> tuple[HexVertex, frozenset]:
+    """The source and the target set of a path sum, both checked to be
+    vertices of the domain; ``b`` is one vertex or a collection."""
+    a = tuple(a)
+    if isinstance(b, tuple) and len(b) == 3 and isinstance(b[0], int):
+        targets = frozenset([b])
+    else:
+        targets = frozenset(tuple(v) for v in b)
+    if not targets:
+        raise OutOfRange("no target vertices")
+    for v in (a, *targets):
+        if domain.degree(v) == 0:
+            raise OutOfRange(f"{v} is not a vertex of the domain")
+    return a, targets
+
+
+def path_sum(domain: Domain, a: HexVertex, b, params: Params) -> PathSum:
+    """Sum of ``Z^{a,t} / Z`` over the targets t other than ``a``, from the
+    sweep engine's defect-pair tables.
+
+    ``b`` may be a single vertex or a collection of target vertices (e.g. one
+    side of a triangular domain).  By the loop expansion each term is the
+    sum of relative weights of the self-avoiding walks from ``a`` to t,
+    which :func:`walk_path_sum` adds up walk by walk.
+    """
+    a, targets = _targets(domain, a, b)
+    edges = domain.edges
+    log_full = _log_Z(edges, frozenset(), params)
+    return PathSum(sum(math.exp(_log_Z(edges, frozenset((a, t)), params)
+                                - log_full)
+                       for t in sorted(targets - {a})), 0)
 
 
 def _walk_enumeration(domain: Domain, a: HexVertex,
@@ -557,42 +583,14 @@ def _walk_enumeration(domain: Domain, a: HexVertex,
     yield from rec(a)
 
 
-def path_sum(domain: Domain, a: HexVertex, b, params: Params) -> PathSum:
-    """Sum of relative weights of walks from ``a`` to ``b``, both ways.
-
-    ``b`` may be a single vertex or a collection of target vertices (e.g. one
-    side of a triangular domain); the sum then runs over walks ending at any
-    of them.
-    """
-    a = tuple(a)
-    if domain.degree(a) == 0:
-        raise OutOfRange(f"{a} is not a vertex of the domain")
-    if isinstance(b, tuple) and len(b) == 3 and isinstance(b[0], int):
-        targets = frozenset([b])
-    else:
-        targets = frozenset(tuple(v) for v in b)
-    if not targets:
-        raise OutOfRange("no target vertices")
-    for t in targets:
-        if domain.degree(t) == 0:
-            raise OutOfRange(f"{t} is not a vertex of the domain")
-
-    edges = domain.edges
-    log_full = _log_Z(edges, frozenset(), params)
-    from_defects = 0.0
-    for t in sorted(targets):
-        if t == a:
-            continue
-        lz = _log_Z(edges, frozenset((a, t)), params)
-        if lz != float("-inf"):
-            from_defects += math.exp(lz - log_full)
-
-    from_walks = 0.0
-    count = 0
-    for walk in _walk_enumeration(domain, a, targets):
-        from_walks += relative_weight(domain, walk, params)
-        count += 1
-    return PathSum(from_defects, from_walks, count)
+def walk_path_sum(domain: Domain, a: HexVertex, b,
+                  params: Params) -> PathSum:
+    """The oracle of :func:`path_sum`: the relative weights of every
+    self-avoiding walk from ``a`` to a target, enumerated one by one."""
+    a, targets = _targets(domain, a, b)
+    weights = [relative_weight(domain, walk, params)
+               for walk in _walk_enumeration(domain, a, targets)]
+    return PathSum(sum(weights), len(weights))
 
 
 # ---------------------------------------------------------------------------

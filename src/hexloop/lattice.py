@@ -255,19 +255,6 @@ def turn_sign(j_in: int, j_out: int) -> int:
     raise OutOfRange(f"direction classes {j_in} -> {j_out} are not consecutive")
 
 
-def path_winding(vertices: Sequence[HexVertex]) -> int:
-    """Total winding of a walk, in units of 60 degrees (signed)."""
-    if len(vertices) < 3:
-        return 0
-    total = 0
-    prev = direction_class(vertices[0], vertices[1])
-    for i in range(1, len(vertices) - 1):
-        cur = direction_class(vertices[i], vertices[i + 1])
-        total += turn_sign(prev, cur)
-        prev = cur
-    return total
-
-
 def is_path(vertices: Sequence[HexVertex]) -> bool:
     """True if the sequence is a self-avoiding walk in the lattice."""
     if len(set(vertices)) != len(vertices):

@@ -61,6 +61,8 @@ class ChainState:
     mapping from every free hexagon to a sign; anything else raises
     :class:`OutOfRange`).  The parameters are fixed at
     construction, when the per-chain update table is built from them.
+    ``seed`` and ``stream`` key the Philox generator and must lie in
+    [0, 2^64); outside it they raise :class:`OutOfRange`.
     """
 
     def __init__(self, system: SpinSystem, params: Params, seed: int = 0,
@@ -69,8 +71,10 @@ class ChainState:
         self.params = params
         self.debug = debug
         self.sweep_count = 0
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                        stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        for name, value in (("seed", seed), ("stream", stream)):
+            if not 0 <= value < 1 << 64:
+                raise OutOfRange(f"{name} must lie in [0, 2^64), got {value}")
+        key = np.array([seed, stream], dtype=np.uint64)
         self.rng = np.random.Generator(np.random.Philox(key=key))
 
         self._free_ctx = system._free_ctx

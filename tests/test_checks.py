@@ -7,6 +7,7 @@ subgraph route for the spin-wall correspondence, a direct minus-connection
 search for the crossing complement).
 """
 
+import cmath
 import json
 import math
 
@@ -34,7 +35,13 @@ from hexloop.errors import (
     OutOfRange,
     TooLarge,
 )
-from hexloop.exact import exact_event_probability, spin_partition, x_critical
+from hexloop.exact import (
+    exact_event_probability,
+    parafermion_field,
+    spin_partition,
+    walk_path_sum,
+    x_critical,
+)
 from hexloop.lattice import (
     domain_from_hexagons,
     hex_neighbors,
@@ -355,9 +362,16 @@ class TestTriangleLowerBound:
     def test_side_four_exceeds_threshold(self):
         report = check_triangle_lower_bound(4, 1.5)
         assert report.holds
-        assert report.details["n_walks"] == 6
         assert report.details["value"] == pytest.approx(
             0.411625645059464, rel=1e-12)
+        # the walk oracle sums six walks to the same value
+        tri = triangle_domain(4)
+        walks = walk_path_sum(tri.domain, tri.start_vertex,
+                              tri.left_boundary,
+                              Params(n=1.5, x=x_critical(1.5)))
+        assert walks.n_walks == 6
+        assert walks.value == pytest.approx(report.details["value"],
+                                            rel=1e-12)
         assert report.details["threshold"] == pytest.approx(
             x_critical(1.5) ** 2, abs=1e-15)
         assert report.details["value"] > report.details["threshold"]
@@ -380,6 +394,28 @@ class TestContourIdentity:
         assert report.details["relative_residual"] == pytest.approx(
             0.11609322978631861, rel=1e-9)
         assert report.details["relative_residual"] > 1e-3
+
+    @pytest.mark.parametrize("n", [1.0, 1.5, 2.0])
+    def test_matches_walk_observable(self, n):
+        # the defect-table route against the walk oracle at side 4
+        tri = triangle_domain(4)
+        dom = tri.domain
+        for x in (x_critical(n), 0.45):
+            field = parafermion_field(dom, tri.start_edge, Params(n=n, x=x))
+            sides = [[field[dom.spokes[b]] for b in verts]
+                     for verts in (tri.left_boundary, tri.right_boundary,
+                                   tri.bottom_boundary)]
+            lhs = (cmath.exp(-2j * math.pi / 3) * sum(sides[0])
+                   + cmath.exp(2j * math.pi / 3) * sum(sides[1])
+                   + sum(sides[2]))
+            magnitude = sum(abs(f) for side in sides for f in side)
+            report = check_contour_identity(4, n, x)
+            assert report.details["relative_residual"] == pytest.approx(
+                abs(lhs) / magnitude, abs=1e-12)
+            assert report.details["magnitude"] == pytest.approx(
+                magnitude, rel=1e-12)
+            assert report.details["bottom_sum"] == pytest.approx(
+                sum(sides[2]), abs=1e-12)
 
 
 class TestSymmetricDomain:

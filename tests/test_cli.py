@@ -129,6 +129,8 @@ def test_scan_with_one_worker(capsys):
      "--events", '[{"type": "plus_circuit", "k": 2.7}]'],
     ["sample", "--domain", '{"ball": 2}', "--n", "1.5", "--sweeps", "5",
      "--events", '{"type": "two_point", "v": [1.9, 0]}'],
+    ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
+     "--seed", "-1", "--events", '{"type": "plus_circuit", "k": 1}'],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)

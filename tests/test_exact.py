@@ -11,13 +11,14 @@ import math
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexloop.configs import Params, SpinSystem, border_edges, loop_count
 from hexloop.errors import (
     BoundaryVertex,
     NotAPath,
+    NotSelfAvoiding,
     OutOfRange,
     Overflow,
     PathNotInDomain,
@@ -42,6 +43,7 @@ from hexloop.exact import (
     sweep_table,
     sweep_width,
     vertex_relation_residual,
+    walk_path_sum,
     x_critical,
 )
 from hexloop.fixtures import defect_sets, load_domains
@@ -56,6 +58,7 @@ from hexloop.lattice import (
     rectangle_hexagons,
     remove_paths,
     rhombus_hexagons,
+    tri_neighbors,
     triangle_domain,
 )
 
@@ -417,8 +420,11 @@ def test_path_sum_flower():
     ps = path_sum(dom, w[0], w[3], p)
     want = 2 * 0.6**5 / (1 + 1.4 * 0.6**6)
     assert ps.value == pytest.approx(want, rel=1e-12)
-    assert ps.n_walks == 2
-    assert abs(ps.from_defects - ps.from_walks) <= 1e-10 * ps.from_defects
+    assert ps.n_walks == 0
+    # the oracle sums the two walks round the hexagon one by one
+    walks = walk_path_sum(dom, w[0], w[3], p)
+    assert walks.n_walks == 2
+    assert abs(ps.value - walks.value) <= 1e-10 * ps.value
 
 
 def test_path_sum_triangle_sides():
@@ -427,13 +433,48 @@ def test_path_sum_triangle_sides():
         for n in (1.0, 1.5, 2.0):
             xc = x_critical(n)
             p = Params(n=n, x=xc)
-            ps = path_sum(tri.domain, tri.start_vertex, tri.left_boundary, p)
-            assert abs(ps.from_defects - ps.from_walks) <= \
-                1e-10 * ps.from_defects
-            assert ps.from_defects >= xc * xc * (1 - 1e-9)
+            value = path_sum(tri.domain, tri.start_vertex,
+                             tri.left_boundary, p).value
+            walks = walk_path_sum(tri.domain, tri.start_vertex,
+                                  tri.left_boundary, p).value
+            assert abs(value - walks) <= 1e-10 * value
+            assert value >= xc * xc * (1 - 1e-9)
             if side == 2:
                 # the smallest triangle attains the bound exactly
-                assert ps.from_defects == pytest.approx(xc * xc, rel=1e-12)
+                assert value == pytest.approx(xc * xc, rel=1e-12)
+
+
+@st.composite
+def small_domains(draw):
+    """A domain of one to five hexagons of the ball r=2, grown one
+    neighbour at a time, or nothing when its boundary pinches."""
+    cells = [draw(st.sampled_from(BALL2))]
+    for _ in range(draw(st.integers(0, 4))):
+        grow = sorted({g for h in cells for g in tri_neighbors(h)}
+                      & set(BALL2) - set(cells))
+        cells.append(draw(st.sampled_from(grow)))
+    try:
+        return domain_from_hexagons(cells)
+    except NotSelfAvoiding:
+        return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_path_sum_matches_walk_oracle(data):
+    dom = data.draw(small_domains())
+    assume(dom is not None)
+    verts = sorted({u for e in dom.edges for u in e})
+    a = data.draw(st.sampled_from(dom.boundary))
+    targets = data.draw(st.lists(st.sampled_from(verts), min_size=1,
+                                 max_size=4, unique=True))
+    n = data.draw(st.sampled_from((1.0, 1.5, 2.0)))
+    p = Params(n=n, x=data.draw(st.sampled_from((0.4, x_critical(n)))))
+    got = path_sum(dom, a, targets, p)
+    want = walk_path_sum(dom, a, targets, p)
+    assert got.n_walks == 0
+    assert abs(got.value - want.value) <= 1e-10 * want.value
+    assert (want.n_walks == 0) == (set(targets) <= {a})
 
 
 def test_path_sum_respects_defect_pair_bound():
@@ -455,10 +496,13 @@ def test_path_sum_respects_defect_pair_bound():
 def test_path_sum_arguments():
     dom, v, w = flower()
     p = Params(n=1.4, x=0.6)
-    with pytest.raises(OutOfRange):
-        path_sum(dom, (9, 9, 0), w[3], p)
-    with pytest.raises(OutOfRange):
-        path_sum(dom, w[0], (), p)
+    for route in (path_sum, walk_path_sum):
+        with pytest.raises(OutOfRange):
+            route(dom, (9, 9, 0), w[3], p)
+        with pytest.raises(OutOfRange):
+            route(dom, w[0], (9, 9, 0), p)
+        with pytest.raises(OutOfRange):
+            route(dom, w[0], (), p)
     # a target collection containing the source just drops it
     every = path_sum(dom, w[0], w, p)
     others = sum(path_sum(dom, w[0], b, p).value for b in w[1:])
@@ -568,7 +612,7 @@ def test_boundary_midpoint_windings():
         for b in verts:
             if b == a:
                 continue
-            total = path_sum(d, a, b, p).from_defects
+            total = path_sum(d, a, b, p).value
             want = total / p.x * cmath.exp(-1j * sig * expected_winding(side, b))
             assert field[d.spokes[b]] == pytest.approx(want, abs=1e-12)
 

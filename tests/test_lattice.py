@@ -44,7 +44,6 @@ from hexloop.lattice import (
     mirror_tri,
     mirror_vertex,
     path_edges,
-    path_winding,
     remove_paths,
     swap_tri,
     swap_vertex,
@@ -157,11 +156,17 @@ def test_direction_classes_and_turns():
 
 
 def test_winding_of_a_hexagon_is_six():
+    # the turns of a walk, as parafermion_field adds them, total six round
+    # a hexagon counterclockwise and -6 clockwise
+    def winding(walk):
+        steps = [direction_class(u, v) for u, v in zip(walk, walk[1:])]
+        return sum(turn_sign(i, j) for i, j in zip(steps, steps[1:]))
+
     cs = list(hexagon_corners((0, 0)))
     closed = cs + cs[:2]  # repeat two vertices to close all six turns
-    assert path_winding(closed) == 6
+    assert winding(closed) == 6
     closed.reverse()
-    assert path_winding(closed) == -6
+    assert winding(closed) == -6
 
 
 def test_path_helpers():

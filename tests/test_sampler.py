@@ -314,6 +314,18 @@ def test_init_is_validated():
         ChainState(system, PARAMS, init={(0, 0): 1})
 
 
+def test_seed_and_stream_must_fit_the_philox_key():
+    # no silent wrap: 2^64 would key the same chain as 0, and -1 as 2^64 - 1
+    system = SpinSystem(BALL1, fixed=1)
+    top = (1 << 64) - 1
+    ChainState(system, PARAMS, seed=top, stream=top)
+    for bad in (1 << 64, -1):
+        with pytest.raises(OutOfRange, match="seed"):
+            ChainState(system, PARAMS, seed=bad)
+        with pytest.raises(OutOfRange, match="stream"):
+            ChainState(system, PARAMS, stream=bad)
+
+
 def test_plus_probability_rejects_non_free_hexagon():
     state = ChainState(SpinSystem(BALL1, fixed=1), PARAMS)
     with pytest.raises(OutOfRange, match="not a free hexagon"):
