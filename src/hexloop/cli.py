@@ -51,7 +51,7 @@ from .fixtures import (
     resolve_x,
 )
 from .lattice import domain_from_hexagons, hexagon_ball, triangle_domain
-from .observables import event_from_json
+from .observables import _integer, event_from_json
 from .render import render_loops, render_spins
 from .sampler import run_chain
 
@@ -98,15 +98,15 @@ def _domain_from_spec(text: str):
         raise OutOfRange("a domain spec must be a JSON object")
     if "hexagons" in obj:
         with _user_input("domain spec"):
-            cells = [(int(r), int(s)) for r, s in obj["hexagons"]]
+            cells = [(_integer(r, "a hexagon coordinate"),
+                      _integer(s, "a hexagon coordinate"))
+                     for r, s in obj["hexagons"]]
         return obj.get("name", "hexagons"), domain_from_hexagons(cells)
     if "ball" in obj:
-        with _user_input("domain spec"):
-            k = int(obj["ball"])
+        k = _integer(obj["ball"], "the ball radius")
         return f"ball{k}", domain_from_hexagons(hexagon_ball(k))
     if "triangle" in obj:
-        with _user_input("domain spec"):
-            side = int(obj["triangle"])
+        side = _integer(obj["triangle"], "the triangle side")
         return f"triangle{side}", triangle_domain(side).domain
     if "fixture" in obj:
         for fixture in load_domains():
@@ -120,7 +120,9 @@ def _defects_from_flag(text: str) -> tuple:
     if not text.strip():
         return ()
     with _user_input("defect list"):
-        return tuple((int(r), int(s), int(c)) for r, s, c in json.loads(text))
+        return tuple(tuple(_integer(i, "a defect coordinate")
+                           for i in (r, s, c))
+                     for r, s, c in json.loads(text))
 
 
 def _log_config(command: str, resolved: dict) -> None:

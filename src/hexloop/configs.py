@@ -45,7 +45,12 @@ system.
 Spins and loops are two views of the same model: the domain walls of a spin
 assignment form an even edge set on the edges bordering the free hexagons,
 and with a constant fixed boundary the correspondence is one to one
-(:func:`spins_to_loops` / :func:`loops_to_spins`).
+(:func:`spins_to_loops`) and ``k`` is the number of loops the walls form.
+A context with a hole is the exception: the hole joins the sea, so a
+cluster that touches it is not counted apart from the sea's, and ``k`` can
+be less than the number of loops.  With the hexagons at distance 2 from the
+origin free and minus, and the frame and sea plus, the context has a hole
+at the origin; :func:`spin_counts` gives k = 1 while the walls form 2 loops.
 """
 
 from __future__ import annotations
@@ -55,14 +60,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InconsistentParity, OutOfRange, TooLarge
+from .errors import OutOfRange, TooLarge
 from .lattice import (
     HexEdge,
     HexVertex,
     TriVertex,
     config_degrees,
     edge_components,
-    edge_hexagons,
     hexagon_components,
     hexagon_corners,
     hexagon_edges,
@@ -655,60 +659,6 @@ def spins_to_loops(system: SpinSystem, spins) -> frozenset[HexEdge]:
     full = system.full_spins(spins)
     return frozenset(e for e, i, j in system._wall_probes
                      if full[i] != full[j])
-
-
-def loops_to_spins(system: SpinSystem, walls: Iterable[HexEdge]) -> dict[TriVertex, int]:
-    """Reconstruct free spins from their domain walls.
-
-    The wall set must be a subset of the edges bordering the free hexagons;
-    propagation starts from the fixed spins, and any contradiction (a wall
-    set that is not realizable with these boundary spins) raises
-    :class:`InconsistentParity`.
-    """
-    wset = set(walls)
-    allowed = set(border_edges(system.free))
-    if not wset <= allowed:
-        raise InconsistentParity(
-            "wall set uses edges that do not border the free hexagons")
-
-    fset = set(system.free)
-    sigma: dict[TriVertex, int] = dict(system.fixed)
-    stack = list(system.fixed)
-    assigned_free: dict[TriVertex, int] = {}
-
-    # breadth-first propagation over pairs touching a free hexagon
-    while stack:
-        h = stack.pop()
-        for g in tri_neighbors(h):
-            if not (h in fset or g in fset):
-                continue
-            if g not in fset and g not in sigma:
-                continue
-            sign = -1 if shared_edge(h, g) in wset else 1
-            want = sigma[h] * sign
-            if g in sigma:
-                if sigma[g] != want:
-                    raise InconsistentParity(
-                        f"walls are inconsistent at hexagon {g}")
-            else:
-                sigma[g] = want
-                if g in fset:
-                    assigned_free[g] = want
-                stack.append(g)
-
-    if len(assigned_free) != len(fset):
-        missing = fset - set(assigned_free)
-        raise InconsistentParity(f"walls leave hexagons unassigned: {missing}")
-
-    # every wall edge must actually be a wall of the reconstruction
-    for e in allowed:
-        a, b = edge_hexagons(e)
-        sa = sigma.get(a, system.sea)
-        sb = sigma.get(b, system.sea)
-        if (sa != sb) != (e in wset):
-            raise InconsistentParity(f"walls are inconsistent across {e}")
-
-    return {h: assigned_free[h] for h in system.free}
 
 
 # ---------------------------------------------------------------------------

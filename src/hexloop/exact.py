@@ -102,13 +102,6 @@ class WeightSum:
         return cls(float("-inf"), 0j)
 
     @classmethod
-    def from_value(cls, value: complex) -> "WeightSum":
-        if value == 0:
-            return cls.zero()
-        mag = abs(value)
-        return cls(math.log(mag), value / mag)
-
-    @classmethod
     def sum_terms(cls, terms: Iterable[tuple[float, complex]]) -> "WeightSum":
         """Log-sum-exp of ``(log magnitude, phase)`` terms, scaled by the
         largest magnitude so intermediate exponentials stay tame."""
@@ -137,24 +130,6 @@ class WeightSum:
             raise Overflow(f"magnitude exp({self.log_magnitude:.6g}) "
                            "does not fit in a double")
         return self.phase * math.exp(self.log_magnitude)
-
-    @property
-    def real(self) -> float:
-        return self.value.real
-
-    def __mul__(self, other: "WeightSum") -> "WeightSum":
-        if self.is_zero or other.is_zero:
-            return WeightSum.zero()
-        return WeightSum(self.log_magnitude + other.log_magnitude,
-                         self.phase * other.phase)
-
-    def __truediv__(self, other: "WeightSum") -> "WeightSum":
-        if other.is_zero:
-            raise ZeroDivisionError("division by a zero WeightSum")
-        if self.is_zero:
-            return WeightSum.zero()
-        return WeightSum(self.log_magnitude - other.log_magnitude,
-                         self.phase / other.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +646,6 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
             for z, ts in sorted(terms.items())}
 
 
-def parafermion(domain: Domain, z0: HexEdge, z: HexEdge, params: Params,
-                sigma: float | None = None, *,
-                max_edges: int = MAX_FIELD_EDGES) -> complex:
-    """The observable at one midpoint; see :func:`parafermion_field`."""
-    z = edge(*z)
-    if z not in domain.edge_index:
-        raise PathNotInDomain(f"{z} is not an edge of the domain")
-    field = parafermion_field(domain, z0, params, sigma,
-                              max_edges=max_edges)
-    return field.get(z, 0j)
-
-
 def vertex_relation_residual(domain: Domain, z0: HexEdge, v: HexVertex,
                              params: Params, sigma: float | None = None, *,
                              field: Mapping[HexEdge, complex] | None = None,
@@ -760,7 +723,9 @@ def exact_event_probability(region, tau, params: Params, event: Callable, *,
     :class:`SpinSystem`.  ``tau`` gives the frozen surrounding spins: a
     single sign or a mapping.  ``event`` is a predicate as in
     :func:`spin_partition`; probabilities of wall events equal the loop
-    measure's by the spin-loop correspondence.
+    measure's by the spin-loop correspondence, except on a context with a
+    hole, where the cluster count ``k`` is less than the number of loops
+    the walls form (see ``configs``).
 
     A named event that carries its own ``side`` and support requirements
     (see ``observables.event_from_json``) is validated against the system

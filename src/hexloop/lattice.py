@@ -21,9 +21,9 @@ the pairs ``{up(r, s), down(r, s - 1)}``.
 
 A :class:`Domain` is the region bounded by a self-avoiding polygon: its
 interior vertices, the edge set incident to them, the boundary vertices, and
-the hexagons it contains.  Constructors are provided for explicit polygons,
-explicit interior sets, unions of hexagons, triangles with marked sides, and
-concentric balls of hexagons.
+the hexagons whose corners are all interior.  Constructors are provided for
+explicit polygons, explicit interior sets, unions of hexagons, triangles with
+marked sides, and concentric balls of hexagons.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DisconnectedInterior,
     EmptyInterior,
-    HexloopError,
     NotAPath,
     NotSelfAvoiding,
     OddSide,
@@ -72,30 +71,6 @@ def hex_position(v: HexVertex) -> tuple[float, float]:
     """Real-plane position of a lattice vertex (unit edge length)."""
     x, y = hex_xy(v)
     return (x * SQRT3 / 2.0, y / 2.0)
-
-
-def tri_xy(h: TriVertex) -> tuple[int, int]:
-    """Integer doubled coordinates of a hexagon center."""
-    r, s = h
-    return (2 * r + s, 3 * s)
-
-
-def vertex_from_xy(x: int, y: int) -> HexVertex:
-    """Invert :func:`hex_xy`.  Raises OutOfRange for non-vertex coordinates."""
-    rem = y % 3
-    if rem == 1:
-        s = (y - 1) // 3
-        num = x - 1 - s
-        c = UP
-    elif rem == 2:
-        s = (y - 2) // 3
-        num = x - 2 - s
-        c = DOWN
-    else:
-        raise OutOfRange(f"({x}, {y}) is not a vertex of the lattice")
-    if num % 2 != 0:
-        raise OutOfRange(f"({x}, {y}) is not a vertex of the lattice")
-    return (num // 2, s, c)
 
 
 def hex_neighbors(v: HexVertex) -> tuple[HexVertex, HexVertex, HexVertex]:
@@ -275,30 +250,10 @@ def path_edges(vertices: Sequence[HexVertex]) -> tuple[HexEdge, ...]:
 # symmetries
 # ---------------------------------------------------------------------------
 
-def mirror_vertex(v: HexVertex, axis_x: int = 0) -> HexVertex:
-    """Reflect a vertex about the vertical line X = axis_x (doubled coords)."""
-    r, s, c = v
-    if c == UP:
-        return (axis_x - 1 - r - s, s, UP)
-    return (axis_x - 2 - r - s, s, DOWN)
-
-
 def mirror_tri(h: TriVertex, axis_x: int = 0) -> TriVertex:
     """Reflect a hexagon about the vertical line X = axis_x (doubled coords)."""
     r, s = h
     return (axis_x - r - s, s)
-
-
-def swap_vertex(v: HexVertex) -> HexVertex:
-    """Reflect a vertex through the r = s diagonal."""
-    r, s, c = v
-    return (s, r, c)
-
-
-def swap_tri(h: TriVertex) -> TriVertex:
-    """Reflect a hexagon through the r = s diagonal."""
-    r, s = h
-    return (s, r)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +279,6 @@ class Domain:
         polygon), sorted.
     interior_hexagons:
         Hexagons whose six corners are all interior.
-    enclosed_hexagons:
-        Hexagons whose six corners all lie in interior union polygon, i.e.
-        every hexagon inside the polygon.
     """
 
     polygon: tuple[HexVertex, ...]
@@ -334,7 +286,6 @@ class Domain:
     edges: tuple[HexEdge, ...]
     boundary: tuple[HexVertex, ...]
     interior_hexagons: frozenset[TriVertex]
-    enclosed_hexagons: frozenset[TriVertex]
 
     @cached_property
     def edge_index(self) -> dict[HexEdge, int]:
@@ -367,9 +318,6 @@ class Domain:
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple):
             return item in self.edge_index
         return item in self.interior
-
-    def to_json(self) -> dict:
-        return {"kind": "polygon", "polygon": [list(v) for v in self.polygon]}
 
     def __repr__(self) -> str:  # the dataclass default is unreadably large
         return (f"Domain(|interior|={len(self.interior)}, "
@@ -474,12 +422,9 @@ def build_domain(polygon: Sequence[HexVertex]) -> Domain:
             raise NotSelfAvoiding(
                 f"vertex {b} touches the interior but is not on the polygon")
 
-    closure = interior | pset
     candidates = {h for v in interior for h in vertex_hexagons(v)}
     interior_hex = frozenset(
         h for h in candidates if all(c in interior for c in hexagon_corners(h)))
-    enclosed_hex = frozenset(
-        h for h in candidates if all(c in closure for c in hexagon_corners(h)))
 
     return Domain(
         polygon=_canonical_cycle(poly),
@@ -487,7 +432,6 @@ def build_domain(polygon: Sequence[HexVertex]) -> Domain:
         edges=edges_t,
         boundary=tuple(boundary),
         interior_hexagons=interior_hex,
-        enclosed_hexagons=enclosed_hex,
     )
 
 
@@ -722,34 +666,6 @@ def remove_paths(region: Domain | Iterable[HexEdge],
     return tuple(sorted(tuple(sorted(c)) for c in comps))
 
 
-def try_domain_from_edges(edges: Iterable[HexEdge]) -> Domain | None:
-    """Reconstruct a Domain from a bare edge set, or None if there is none.
-
-    An edge set is a domain exactly when taking its degree-3 vertices as the
-    interior reproduces it: every edge touches the interior and the interior
-    admits a bounding polygon.  Components left over by :func:`remove_paths`
-    with both walk endpoints on the boundary are domains; stray pieces such
-    as a single dangling edge are not, and yield None.
-    """
-    es = set(edges)
-    if not es:
-        return None
-    deg = config_degrees(es)
-    interior = {v for v, d in deg.items() if d == 3}
-    if not interior:
-        return None
-    covered = {e for e in es if e[0] in interior or e[1] in interior}
-    if covered != es:
-        return None
-    try:
-        dom = domain_from_interior(interior)
-    except HexloopError:
-        return None
-    if set(dom.edges) != es:
-        return None
-    return dom
-
-
 # ---------------------------------------------------------------------------
 # standard hexagon families and the ball-with-annulus pair
 # ---------------------------------------------------------------------------
@@ -788,28 +704,3 @@ def ball_and_annulus(k: int) -> tuple[frozenset[TriVertex], frozenset[HexEdge]]:
             if w in ring_corners:
                 annulus.add((v, w) if v < w else (w, v))
     return ball, frozenset(annulus)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def domain_from_json(obj: dict) -> Domain:
-    """Build a domain from its JSON description.
-
-    Accepted kinds: ``polygon`` (list of [r, s, c]), ``interior`` (list of
-    [r, s, c]), ``hexagons`` (list of [r, s]), ``triangle`` (``side``),
-    ``ball`` (``radius``).
-    """
-    kind = obj.get("kind")
-    if kind == "polygon":
-        return build_domain([tuple(v) for v in obj["polygon"]])
-    if kind == "interior":
-        return domain_from_interior([tuple(v) for v in obj["interior"]])
-    if kind == "hexagons":
-        return domain_from_hexagons([tuple(h) for h in obj["hexagons"]])
-    if kind == "triangle":
-        return triangle_domain(int(obj["side"])).domain
-    if kind == "ball":
-        return domain_from_hexagons(hexagon_ball(int(obj["radius"])))
-    raise OutOfRange(f"unknown domain kind {kind!r}")

@@ -1,6 +1,6 @@
 """Geometric observables of loop and spin configurations.
 
-Loop-side statistics (sizes, diameters, circuits around the origin) and
+Loop-side events (loops that surround the origin inside an annulus) and
 spin-side connectivity events (circuits of pluses, box crossings, two-point
 connections).  A small JSON grammar names events so that the sampler, the
 exact enumerator and the command line share one vocabulary.
@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Container, Iterable, Mapping
 
 from .configs import SpinSystem, border_edges, edge_components, is_even_config
@@ -38,7 +36,6 @@ from .lattice import (
     edge_hexagons,
     hexagon_ball,
     rhombus_hexagons,
-    tri_distance,
     tri_neighbors,
 )
 
@@ -49,91 +46,20 @@ def _canonical_edges(omega: Iterable[HexEdge]) -> frozenset[HexEdge]:
     return frozenset(edge(u, v) for u, v in omega)
 
 
-def _vertical_rows(loop: Iterable[HexEdge]) -> dict[int, list[int]]:
-    """Columns of the vertical edges of a loop, keyed by hexagon row.
-
-    The vertical edge between the down vertex (r, s-1, 1) and the up vertex
-    (r, s, 0) is the only edge type that crosses the horizontal line through
-    the centers of row-s hexagons; it sits just right of column r.
-    """
-    rows: dict[int, list[int]] = {}
-    for u, v in loop:
-        if u[2] == 1 and v[2] == 0 and u[0] == v[0]:
-            rows.setdefault(v[1], []).append(u[0])
-    for rs in rows.values():
-        rs.sort()
-    return rows
-
-
 def loop_surrounds(loop: Iterable[HexEdge], h: TriVertex = ORIGIN) -> bool:
     """Whether a loop winds around the hexagon ``h``.
 
     Decided by the parity of crossings of the rightward ray from the
     hexagon's center, which the loop's edges can only meet transversally.
+    The vertical edge between the down vertex (r, s-1, 1) and the up vertex
+    (r, s, 0) is the only edge type that crosses the horizontal line
+    through the centers of row-s hexagons; it sits just right of column r.
     """
     a, b = h
-    rs = _vertical_rows(_canonical_edges(loop)).get(b)
-    if not rs:
-        return False
-    return (len(rs) - bisect_left(rs, a)) % 2 == 1
-
-
-def enclosed_hexagons(loop: Iterable[HexEdge]) -> frozenset[TriVertex]:
-    """The hexagons inside a loop (ray-parity test, row by row)."""
-    rows = _vertical_rows(_canonical_edges(loop))
-    inside = set()
-    for s, rs in rows.items():
-        m = len(rs)
-        for r in range(rs[0], rs[-1] + 1):
-            if (m - bisect_left(rs, r)) % 2 == 1:
-                inside.add((r, s))
-    return frozenset(inside)
-
-
-def tri_diameter(hexagons: Iterable[TriVertex]) -> int:
-    """Size of a hexagon set measured across: max pairwise distance plus one.
-
-    The empty set has diameter 0 and a single hexagon has diameter 1, so
-    nested loops always get strictly increasing diameters.
-    """
-    hs = sorted({tuple(h) for h in hexagons})
-    if not hs:
-        return 0
-    best = 0
-    for a, b in combinations(hs, 2):
-        d = tri_distance(a, b)
-        if d > best:
-            best = d
-    return best + 1
-
-
-@dataclass(frozen=True)
-class LoopStats:
-    """Per-loop statistics of a defect-free configuration.
-
-    The three tuples are aligned, with loops ordered by decreasing edge
-    count (ties broken by smallest edge).  ``R`` is the largest diameter
-    among the loops that surround the origin hexagon, 0 if there is none.
-    """
-
-    loop_sizes: tuple[int, ...]
-    diameters: tuple[int, ...]
-    surrounds_origin: tuple[bool, ...]
-    R: int
-
-
-def loop_stats(omega: Iterable[HexEdge]) -> LoopStats:
-    """Cycle decomposition of an even configuration with size statistics."""
-    edges = _canonical_edges(omega)
-    if not is_even_config(edges):
-        raise InconsistentParity(
-            "loop statistics need a defect-free configuration")
-    loops = sorted(edge_components(edges), key=lambda c: (-len(c), min(c)))
-    sizes = [len(loop) for loop in loops]
-    diameters = [tri_diameter(enclosed_hexagons(loop)) for loop in loops]
-    surrounds = [loop_surrounds(loop) for loop in loops]
-    best = max((d for d, s in zip(diameters, surrounds) if s), default=0)
-    return LoopStats(tuple(sizes), tuple(diameters), tuple(surrounds), best)
+    crossings = sum(1 for u, v in _canonical_edges(loop)
+                    if u[2] == 1 and v[2] == 0 and u[0] == v[0] >= a
+                    and v[1] == b)
+    return crossings % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +176,9 @@ def crossing_rectangle(k: int, rho: float = 1.0,
     -εk <= s <= (ρ+ε)k; ε = 0 gives the core box that crossings traverse."""
     if k < 1:
         raise OutOfRange("box scale must be at least 1")
+    if not (math.isfinite(rho) and math.isfinite(eps)):
+        raise OutOfRange(f"aspect ratio and padding must be finite, got "
+                         f"rho={rho}, eps={eps}")
     if rho <= 0:
         raise OutOfRange("aspect ratio must be positive")
     if eps < 0:
@@ -330,10 +259,9 @@ class EventSpec:
     ``side`` says which representation the predicate consumes: "spins" gets
     a mapping from free hexagons to signs, "loops" gets the set of domain
     wall edges.  The required fields give the support the predicate relies
-    on, and ``suggested_free`` is a simply connected free set large enough
-    to estimate the event by sampling.  ``sampler.run_chain`` evaluates the
-    kinds ``annulus_loop`` and ``plus_circuit`` on its own sign array, by
-    kind and scale, and calls the predicate of every other spec.
+    on.  ``sampler.run_chain`` evaluates the kinds ``annulus_loop`` and
+    ``plus_circuit`` on its own sign array, by kind and scale, and calls the
+    predicate of every other spec.
     """
 
     kind: str
@@ -344,14 +272,9 @@ class EventSpec:
         default=frozenset(), compare=False)
     required_edges: frozenset[HexEdge] = field(
         default=frozenset(), compare=False)
-    suggested_free: frozenset[TriVertex] = field(
-        default=frozenset(), compare=False)
 
     def __call__(self, config) -> bool:
         return self.predicate(config)
-
-    def to_json(self) -> dict:
-        return {"type": self.kind, **dict(self.params)}
 
     def validate_support(self, system: SpinSystem) -> None:
         """Raise unless the system's free set can express the event.
@@ -409,15 +332,14 @@ def event_from_json(obj: Mapping) -> EventSpec:
         return EventSpec(
             kind=kind, side="loops", params=(("k", k),),
             predicate=lambda walls: annulus_loop_event(walls, k),
-            required_edges=annulus,
-            suggested_free=hexagon_ball(2 * k + 1))
+            required_edges=annulus)
     if kind == "plus_circuit":
         k = _require_scale(obj, kind)
         outer = hexagon_ball(2 * k)
         return EventSpec(
             kind=kind, side="spins", params=(("k", k),),
             predicate=lambda sg: plus_circuit_event(sg, k),
-            required_hexagons=outer, suggested_free=outer)
+            required_hexagons=outer)
     if kind == "crossing":
         k = _require_scale(obj, kind)
         rho = float(obj.get("rho", 1.0))
@@ -427,7 +349,7 @@ def event_from_json(obj: Mapping) -> EventSpec:
             kind=kind, side="spins",
             params=(("k", k), ("rho", rho), ("eps", eps)),
             predicate=lambda sg: crossing_event(sg, (k, rho, eps)),
-            required_hexagons=padded, suggested_free=padded)
+            required_hexagons=padded)
     if kind == "trapeze":
         k = _require_scale(obj, kind)
         sign = _integer(obj.get("sign", 1), "the sign of event 'trapeze'")
@@ -439,16 +361,14 @@ def event_from_json(obj: Mapping) -> EventSpec:
             kind=kind, side="spins",
             params=(("k", k), ("sign", sign), ("vertical", vertical)),
             predicate=lambda sg: trapeze_crossing_event(sg, k, sign, vertical),
-            required_hexagons=box, suggested_free=box)
+            required_hexagons=box)
     if kind == "two_point":
         v = obj.get("v")
         if v is None or len(v) != 2:
             raise OutOfRange("event 'two_point' needs a hexagon v = [r, s]")
         target = tuple(_integer(c, "a coordinate of v") for c in v)
-        radius = max(tri_distance(ORIGIN, target), 1)
         return EventSpec(
             kind=kind, side="spins", params=(("v", target),),
             predicate=lambda sg: two_point_event(sg, target),
-            required_hexagons=frozenset((ORIGIN, target)),
-            suggested_free=hexagon_ball(radius))
+            required_hexagons=frozenset((ORIGIN, target)))
     raise OutOfRange(f"unknown event type {kind!r}")

@@ -36,7 +36,6 @@ from .configs import (
     SpinCounts,
     SpinSystem,
     _multi_arc_dk,
-    cluster_find,
     spin_counts,
     spins_to_loops,
 )
@@ -111,16 +110,6 @@ class ChainState:
     def counts(self) -> SpinCounts:
         """Cached statistics of the current spins."""
         return SpinCounts(k=self._k, e=self._e, r=self._r, twice_rp=self._tw)
-
-    def components(self) -> dict:
-        """Cluster labels over the context, sea-linked clusters unified."""
-        find = cluster_find(self.system, self._full)
-        labels = {}
-        names: dict[int, int] = {}
-        for i, h in enumerate(self.system.context):
-            root = find(i)
-            labels[h] = names.setdefault(root, len(names))
-        return labels
 
     # -- single-site updates ----------------------------------------------------
 
@@ -199,31 +188,6 @@ class ChainState:
                 flips += 1
         self.sweep_count += 1
         return flips
-
-
-def delta_counts(state: ChainState, u) -> SpinCounts:
-    """Exact count changes for flipping the spin at ``u``.
-
-    The cluster-count part comes from the ring table, from a walk along the
-    domain walls around ``u``, or, in a context with a hole, from a full
-    recount.
-    """
-    iu = state.system.free_index.get(tuple(u))
-    if iu is None:
-        raise OutOfRange(f"{u} is not a free hexagon of this chain")
-    dk, de, dr, dtw, _, _ = state._heat_bath(iu)
-    return SpinCounts(k=dk, e=de, r=dr, twice_rp=dtw)
-
-
-def heat_bath_step(state: ChainState, u, rng=None) -> ChainState:
-    """One heat-bath update at ``u``: sets the spin to +1 with probability
-    W+/(W+ + W-) of the two local weights, updating the cached counts."""
-    iu = state.system.free_index.get(tuple(u))
-    if iu is None:
-        raise OutOfRange(f"{u} is not a free hexagon of this chain")
-    gen = state.rng if rng is None else rng
-    state._update(iu, float(gen.random()))
-    return state
 
 
 # ---------------------------------------------------------------------------

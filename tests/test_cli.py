@@ -131,6 +131,15 @@ def test_scan_with_one_worker(capsys):
      "--events", '{"type": "two_point", "v": [1.9, 0]}'],
     ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
      "--seed", "-1", "--events", '{"type": "plus_circuit", "k": 1}'],
+    # an infinite or fractional size or coordinate is not an integer
+    ["enumerate", "--domain", '{"ball": 1e999}', "--n", "1.5"],
+    ["enumerate", "--domain", '{"triangle": 1e999}', "--n", "1.5"],
+    ["enumerate", "--domain", '{"hexagons": [[1e999, 0]]}', "--n", "1.5"],
+    ["enumerate", "--domain", "poly1_01", "--n", "1.5", "--A",
+     "[[1e999, 0, 0]]"],
+    ["enumerate", "--domain", '{"ball": 2.5}', "--n", "1.5"],
+    ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
+     "--events", '{"type": "crossing", "k": 1, "rho": 1e999}'],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)

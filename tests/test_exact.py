@@ -33,7 +33,6 @@ from hexloop.exact import (
     catalan,
     evaluate_table,
     exact_event_probability,
-    parafermion,
     parafermion_field,
     path_sum,
     relative_weight,
@@ -124,17 +123,13 @@ def test_catalan_numbers():
 # ---------------------------------------------------------------------------
 
 def test_weight_sum_arithmetic():
-    a = WeightSum.from_value(-3.0)
+    a = WeightSum.sum_terms([(math.log(2.0), -1.0 + 0j), (0.0, -1.0 + 0j)])
     assert a.value == pytest.approx(-3.0)
     assert a.phase == -1.0
-    b = WeightSum.from_value(2j)
-    assert (a * b).value == pytest.approx(-6j)
-    assert (a / b).value == pytest.approx(1.5j)
+    b = WeightSum.sum_terms([(math.log(2.0), 1j)])
+    assert b.value == pytest.approx(2j)
     z = WeightSum.zero()
     assert z.is_zero and z.value == 0j
-    assert (a * z).is_zero
-    with pytest.raises(ZeroDivisionError):
-        a / z
     # exact cancellation collapses to zero
     s = WeightSum.sum_terms([(0.0, 1.0 + 0j), (0.0, -1.0 + 0j)])
     assert s.is_zero
@@ -147,7 +142,7 @@ def test_weight_sum_arithmetic():
 def test_evaluate_table_is_a_polynomial():
     table = {(0, 0): 1, (6, 1): 1}
     for n, x in ((1.4, 0.6), (2.0, 0.25)):
-        got = evaluate_table(table, Params(n=n, x=x)).real
+        got = evaluate_table(table, Params(n=n, x=x)).value.real
         assert got == pytest.approx(1 + n * x**6, rel=1e-15)
     # counts may exceed double range, the log does not
     huge = evaluate_table({(1, 0): 10**400}, Params(n=1.0, x=1.0))
@@ -162,9 +157,9 @@ def test_brute_force_flower_oracles():
     dom, v, w = flower()
     for n, x in ((1.4, 0.6), (2.0, 2**-0.5)):
         p = Params(n=n, x=x)
-        assert brute_force_Z(dom, (), p).real == pytest.approx(
+        assert brute_force_Z(dom, (), p).value.real == pytest.approx(
             1 + n * x**6, rel=1e-12)
-        assert brute_force_Z(dom, (w[0], w[3]), p).real == pytest.approx(
+        assert brute_force_Z(dom, (w[0], w[3]), p).value.real == pytest.approx(
             2 * x**5, rel=1e-12)
     p = Params(n=1.4, x=0.6)
     assert brute_force_Z(dom, (w[0],), p).is_zero
@@ -282,7 +277,7 @@ def test_empty_edge_set():
     p = Params(n=1.4, x=0.6)
     assert sweep_table(()) == {(0, 0): 1}
     assert brute_force_table(()) == {(0, 0): 1}
-    assert sweep_Z((), (), p).real == 1.0
+    assert sweep_Z((), (), p).value.real == 1.0
     assert sweep_table((), defects=((0, 0, 0),)) == {}
 
 
@@ -305,7 +300,7 @@ def test_sweep_reaches_beyond_the_brute_cap():
     with pytest.raises(TooLarge):
         brute_force_Z(big, (), p)
     z = sweep_Z(big, (), p)
-    assert z.real >= 1.0  # the empty configuration alone contributes 1
+    assert z.value.real >= 1.0  # the empty configuration alone contributes 1
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +623,6 @@ def test_observable_arguments():
         parafermion_field(d, inner, p)
     with pytest.raises(TooLarge):
         parafermion_field(d, tri.start_edge, p, max_edges=5)
-    with pytest.raises(PathNotInDomain):
-        parafermion(d, tri.start_edge, ((9, 9, 0), (9, 9, 1)), p)
-    z = d.spokes[tri.left_boundary[0]]
-    field = parafermion_field(d, tri.start_edge, p)
-    assert parafermion(d, tri.start_edge, z, p) == field[z]
 
 
 def test_vertex_relation_rejects_boundary_vertices():
@@ -691,7 +681,7 @@ def test_wall_distribution_matches_loop_weights():
         p = Params(n=1.4, x=x_critical(1.4))
         edges = border_edges(dom.interior_hexagons)
         table = sweep_table(edges)
-        z = evaluate_table(table, p).real
+        z = evaluate_table(table, p).value.real
         # enumerate the even subgraphs via the spin side and check each
         seen = {}
 
@@ -714,7 +704,7 @@ def test_spin_partition_inputs():
     p = Params(n=1.4, x=0.6)
     sys = SpinSystem([(0, 0)], -1, sea=-1)
     direct = spin_partition(sys, p)
-    assert direct.real == pytest.approx(1 + 1.4 * 0.6**6, rel=1e-12)
+    assert direct.value.real == pytest.approx(1 + 1.4 * 0.6**6, rel=1e-12)
     via_region = exact_event_probability(sys, -1, p, lambda s: True)
     assert via_region == 1.0
     ring = {h: -1 for h in sorted(SpinSystem([(0, 0)], -1).fixed)}

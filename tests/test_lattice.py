@@ -27,10 +27,10 @@ from hexloop.lattice import (
     UP,
     ball_and_annulus,
     build_domain,
+    config_degrees,
     direction_class,
     domain_from_hexagons,
     domain_from_interior,
-    domain_from_json,
     edge,
     edge_hexagons,
     hex_neighbors,
@@ -42,18 +42,12 @@ from hexloop.lattice import (
     hexagon_edges,
     is_path,
     mirror_tri,
-    mirror_vertex,
     path_edges,
     remove_paths,
-    swap_tri,
-    swap_vertex,
-    try_domain_from_edges,
     tri_distance,
     tri_neighbors,
-    tri_xy,
     triangle_domain,
     turn_sign,
-    vertex_from_xy,
     vertex_hexagons,
 )
 
@@ -78,20 +72,11 @@ def test_neighbors_are_at_unit_distance():
             assert math.hypot(qx - px, qy - py) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_vertex_from_xy_round_trip():
-    for v in SAMPLE_VERTICES:
-        assert vertex_from_xy(*hex_xy(v)) == v
-    with pytest.raises(OutOfRange):
-        vertex_from_xy(0, 0)  # hexagon center, not a vertex
-    with pytest.raises(OutOfRange):
-        vertex_from_xy(2, 1)  # wrong X parity for this row
-
-
 def test_hexagon_corners_form_a_cycle_of_the_right_shape():
     for h in SAMPLE_HEXAGONS:
         cs = hexagon_corners(h)
         assert len(set(cs)) == 6
-        x, y = tri_xy(h)
+        x, y = 2 * h[0] + h[1], 3 * h[1]  # the face embedding
         cx, cy = x * math.sqrt(3) / 2, y / 2
         for i, c in enumerate(cs):
             nxt = cs[(i + 1) % 6]
@@ -178,19 +163,20 @@ def test_path_helpers():
 
 
 def test_mirror_and_swap_are_adjacency_preserving_involutions():
+    # the r <-> s swap of vertices and hexagons preserves adjacency and
+    # maps the corners of a hexagon to the corners of its image
     for v in SAMPLE_VERTICES:
-        assert mirror_vertex(mirror_vertex(v, 4), 4) == v
-        assert swap_vertex(swap_vertex(v)) == v
         for w in hex_neighbors(v):
-            assert mirror_vertex(w, 4) in hex_neighbors(mirror_vertex(v, 4))
-            assert swap_vertex(w) in hex_neighbors(swap_vertex(v))
-    # mirrored hexagons stay consistent with mirrored corners
+            assert (w[1], w[0], w[2]) in hex_neighbors((v[1], v[0], v[2]))
+    for h in SAMPLE_HEXAGONS:
+        assert {(c[1], c[0], c[2]) for c in hexagon_corners(h)} == set(
+            hexagon_corners((h[1], h[0])))
+    # mirror_tri reflects about X = 4: the corners of the image are the
+    # corners of h with X mapped to 8 - X
     for h in SAMPLE_HEXAGONS:
         assert mirror_tri(mirror_tri(h, 4), 4) == h
-        assert set(hexagon_corners(mirror_tri(h, 4))) == {
-            mirror_vertex(c, 4) for c in hexagon_corners(h)}
-        assert set(hexagon_corners(swap_tri(h))) == {
-            swap_vertex(c) for c in hexagon_corners(h)}
+        assert {hex_xy(c) for c in hexagon_corners(mirror_tri(h, 4))} == {
+            (8 - x, y) for x, y in map(hex_xy, hexagon_corners(h))}
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +190,6 @@ def test_one_hexagon_domain():
     assert len(dom.edges) == 12
     assert len(dom.boundary) == 6
     assert dom.interior_hexagons == frozenset({(0, 0)})
-    assert len(dom.enclosed_hexagons) == 7
     # six face edges + six spokes; every boundary vertex has one spoke
     face = set(hexagon_edges((0, 0)))
     assert face <= set(dom.edges)
@@ -254,7 +239,6 @@ def test_ball_one_domain():
     assert len(dom.edges) == 42
     assert len(dom.boundary) == 12
     assert dom.interior_hexagons == hexagon_ball(1)
-    assert dom.enclosed_hexagons == hexagon_ball(2)
     assert len(dom.polygon) == 30
 
 
@@ -266,7 +250,6 @@ def test_triangle_domain_side_two_is_the_tripod():
     assert len(dom.boundary) == 3
     assert len(dom.polygon) == 12
     assert dom.interior_hexagons == frozenset()
-    assert len(dom.enclosed_hexagons) == 3
     assert tri.start_vertex == (0, -1, DOWN)
     assert tri.bottom_boundary == ((0, -1, DOWN),)
     assert tri.left_boundary == ((-1, 0, DOWN),)
@@ -284,7 +267,6 @@ def test_triangle_domain_side_four():
     assert len(dom.boundary) == 9
     assert len(dom.polygon) == 24
     assert dom.interior_hexagons == frozenset({(1, 1)})
-    assert len(dom.enclosed_hexagons) == 10
     assert tri.start_vertex == (1, -1, DOWN)
     assert tri.start_edge == edge((1, -1, DOWN), (1, 0, UP))
     assert set(tri.bottom_boundary) | set(tri.left_boundary) | set(
@@ -341,10 +323,8 @@ def test_remove_path_on_one_hexagon_domain():
     # 9 edges on 10 vertices in one component: a tree, no cycle survives.
     assert len({u for e in rest for u in e}) == 10
 
-    sub = try_domain_from_edges(rest)
-    assert sub is not None
-    assert sub.interior == frozenset(v[2:6])
-    assert set(sub.edges) == set(rest)
+    # and exactly the domain of the four corners the walk left interior
+    assert set(domain_from_interior(v[2:6]).edges) == set(rest)
 
 
 def test_remove_path_identities_and_errors():
@@ -358,10 +338,14 @@ def test_remove_path_identities_and_errors():
     assert remove_paths(dom, [[w1, v[0], v[1]]]) == \
         remove_paths(list(dom.edges), [[w1, v[0], v[1]]])
 
-    # An endpoint strictly inside leaves a dangling piece that is no domain.
+    # An endpoint strictly inside leaves a dangling piece that is no domain:
+    # every domain edge touches an interior vertex, of degree three, but the
+    # spokes at v[1] and v[5], which keep two edges each, touch none.
     comps = remove_paths(dom, [[w1, v[0]]])
     assert len(comps) == 1 and len(comps[0]) == 9
-    assert try_domain_from_edges(comps[0]) is None
+    deg = config_degrees(comps[0])
+    stray = {e for e in comps[0] if 3 not in (deg[e[0]], deg[e[1]])}
+    assert {u for e in stray for u in e} - set(dom.boundary) == {v[1], v[5]}
 
     with pytest.raises(PathNotInDomain):
         remove_paths(dom, [[(1, 0, UP), (0, 0, DOWN)]])
@@ -377,34 +361,14 @@ def test_remove_path_splits_triangle_into_two_domains():
     comps = remove_paths(dom, [cut])
     assert len(comps) == 2
     assert sorted(len(c) for c in comps) == [3, 11]
-    subs = [try_domain_from_edges(c) for c in comps]
-    assert all(s is not None for s in subs)
-    interiors = {s.interior for s in subs}
-    assert frozenset({(0, 0, UP)}) in interiors
+    # the pieces are the domains of the interior on either side of the cut
+    left = {(0, 0, UP)}
+    right = dom.interior - set(cut) - left
+    assert set(comps) == {domain_from_interior(left).edges,
+                          domain_from_interior(right).edges}
     # Both endpoints sit on the boundary, so only the walk itself was cut.
     removed = set(dom.edges) - {e for c in comps for e in c}
     assert removed == set(path_edges(cut))
-
-
-def test_try_domain_from_edges_rejects_fragments():
-    dom = domain_from_hexagons([(0, 0)])
-    assert try_domain_from_edges([]) is None
-    assert try_domain_from_edges([dom.edges[0]]) is None
-    # A full valid domain round-trips.
-    back = try_domain_from_edges(dom.edges)
-    assert back is not None and back == dom
-
-
-def test_domain_json_round_trip():
-    dom = triangle_domain(4).domain
-    assert domain_from_json(dom.to_json()) == dom
-    assert domain_from_json({"kind": "triangle", "side": 4}) == dom
-    assert domain_from_json({"kind": "hexagons", "hexagons": [[0, 0]]}) == \
-        domain_from_hexagons([(0, 0)])
-    assert domain_from_json(
-        {"kind": "ball", "radius": 1}) == domain_from_hexagons(hexagon_ball(1))
-    with pytest.raises(OutOfRange):
-        domain_from_json({"kind": "mystery"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Tests for loop statistics and spin connectivity events."""
+"""Tests for loop surround tests, loop events and spin connectivity events."""
 
 import math
 import random
 
 import pytest
 
-from hexloop.configs import SpinSystem, loop_count, spins_to_loops
+from hexloop.configs import SpinSystem, is_even_config, loop_count, spins_to_loops
 from hexloop.errors import (
     DomainTooSmall,
     InconsistentParity,
@@ -16,26 +16,21 @@ from hexloop.errors import (
 from hexloop.exact import exact_event_probability, x_critical
 from hexloop.lattice import (
     ball_and_annulus,
+    edge_components,
     edge_hexagons,
     hexagon_ball,
     hexagon_edges,
     rhombus_hexagons,
-    swap_tri,
     tri_distance,
 )
 from hexloop.observables import (
-    EventSpec,
-    LoopStats,
     annulus_loop_event,
     crossing_event,
     crossing_rectangle,
-    enclosed_hexagons,
     event_from_json,
-    loop_stats,
     loop_surrounds,
     plus_circuit_event,
     trapeze_crossing_event,
-    tri_diameter,
     two_point_event,
 )
 
@@ -60,67 +55,62 @@ def ring_sigma(radius, plus_at, minus_value=-1):
 
 
 # ---------------------------------------------------------------------------
-# loop statistics
+# loop statistics: components, loop counts and surround tests
 # ---------------------------------------------------------------------------
 
+def surrounded(loop, radius=6):
+    """The hexagons of the radius-``radius`` ball that the loop winds around."""
+    return {h for h in hexagon_ball(radius) if loop_surrounds(loop, h)}
+
+
 def test_loop_stats_empty():
-    stats = loop_stats(frozenset())
-    assert stats == LoopStats((), (), (), 0)
+    assert edge_components(frozenset()) == ()
+    assert loop_count(frozenset()) == 0
+    assert not loop_surrounds(frozenset())
+    assert not annulus_loop_event(frozenset(), 1)
 
 
 def test_loop_stats_single_hexagon_at_origin():
-    stats = loop_stats(hexagon_edges((0, 0)))
-    assert stats.loop_sizes == (6,)
-    assert stats.diameters == (1,)
-    assert stats.surrounds_origin == (True,)
-    assert stats.R == 1
+    loop = hexagon_edges((0, 0))
+    assert [len(c) for c in edge_components(loop)] == [6]
+    assert loop_surrounds(loop)
+    assert surrounded(loop) == {(0, 0)}
 
 
 def test_loop_stats_far_hexagon_does_not_surround():
-    stats = loop_stats(hexagon_edges((3, 2)))
-    assert stats.loop_sizes == (6,)
-    assert stats.surrounds_origin == (False,)
-    assert stats.R == 0
+    loop = hexagon_edges((3, 2))
+    assert loop_count(loop) == 1
+    assert not loop_surrounds(loop)
 
 
 def test_loop_stats_nested_loops():
     # The boundary of the radius-2 ball: 19 hexagons, 42 adjacent pairs
-    # inside, so 19*6 - 2*42 = 30 boundary edges.  It encloses hexagons up
-    # to distance 4 apart, diameter 5 by the across-counting convention.
+    # inside, so 19*6 - 2*42 = 30 boundary edges.
     outer = perimeter(hexagon_ball(2))
     assert len(outer) == 30
     omega = outer | set(hexagon_edges((0, 0)))
-    stats = loop_stats(omega)
-    assert stats.loop_sizes == (30, 6)
-    assert stats.diameters == (5, 1)
-    assert stats.surrounds_origin == (True, True)
-    assert stats.R == 5
-    assert len(stats.loop_sizes) == loop_count(omega)
-    assert stats.R <= max(stats.diameters)
+    loops = sorted(edge_components(omega), key=len, reverse=True)
+    assert [len(c) for c in loops] == [30, 6]
+    assert loop_count(omega) == 2
+    assert all(loop_surrounds(c) for c in loops)
+    assert [len(surrounded(c)) for c in loops] == [19, 1]
 
 
 def test_loop_stats_rejects_defective_configuration():
     broken = [tuple(sorted(((0, 0, 0), (0, -1, 1))))]
+    assert not is_even_config(broken)
     with pytest.raises(InconsistentParity):
-        loop_stats(broken)
-
-
-def test_tri_diameter_convention():
-    assert tri_diameter([]) == 0
-    assert tri_diameter([(4, -2)]) == 1
-    assert tri_diameter([(0, 0), (1, 0)]) == 2
-    # ball(1): opposite ring hexagons are distance 2 apart
-    assert tri_diameter(hexagon_ball(1)) == 3
+        annulus_loop_event(broken, 1)
 
 
 def test_enclosed_hexagons_and_surrounds():
     loop = hexagon_edges((3, 2))
-    assert enclosed_hexagons(loop) == {(3, 2)}
+    assert surrounded(loop) == {(3, 2)}
     assert loop_surrounds(loop, (3, 2))
     assert not loop_surrounds(loop)
 
     boundary = perimeter(hexagon_ball(2))
-    assert enclosed_hexagons(boundary) == hexagon_ball(2)
+    assert surrounded(boundary) == hexagon_ball(2)
     assert loop_surrounds(boundary)
     assert loop_surrounds(boundary, (1, 0))
     assert not loop_surrounds(boundary, (3, 3))
@@ -128,12 +118,7 @@ def test_enclosed_hexagons_and_surrounds():
 
 def test_enclosed_hexagons_nonconvex_region():
     shape = {(0, 0), (1, 0), (2, 0), (2, 1)}
-    loop = perimeter(shape)
-    assert enclosed_hexagons(loop) == shape
-    # farthest pair (0,0) and (2,1): distance 3, so diameter 4
-    assert tri_diameter(shape) == 4
-    stats = loop_stats(loop)
-    assert stats.diameters == (4,)
+    assert surrounded(perimeter(shape)) == shape
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +250,16 @@ def test_crossing_rectangle_shapes():
         crossing_rectangle(2, 1.0, -0.1)
 
 
+def test_crossing_rectangle_rejects_non_finite_ratios():
+    # inf would overflow math.floor and nan would pass every comparison
+    for rho, eps in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
+                     (1.0, math.nan)):
+        with pytest.raises(OutOfRange, match="finite"):
+            crossing_rectangle(2, rho, eps)
+    with pytest.raises(OutOfRange, match="finite"):
+        event_from_json({"type": "crossing", "k": 2, "rho": float("inf")})
+
+
 def test_crossing_event_constant_and_rows():
     rect = (3, 1.0, 0.0)
     core = crossing_rectangle(3)
@@ -311,7 +306,7 @@ def test_trapeze_swap_symmetry():
     box = sorted(rhombus_hexagons(3))
     for _ in range(50):
         sigma = {h: rng.choice((-1, 1)) for h in box}
-        swapped = {swap_tri(h): s for h, s in sigma.items()}
+        swapped = {(s, r): v for (r, s), v in sigma.items()}
         for sign in (-1, 1):
             assert (trapeze_crossing_event(sigma, 3, sign, vertical=True)
                     == trapeze_crossing_event(swapped, 3, sign,
@@ -375,7 +370,7 @@ def test_two_point_arguments():
 def test_event_from_json_annulus():
     spec = event_from_json({"type": "annulus_loop", "k": 1})
     assert spec.side == "loops"
-    assert spec.to_json() == {"type": "annulus_loop", "k": 1}
+    assert (spec.kind, dict(spec.params)) == ("annulus_loop", {"k": 1})
     assert spec(perimeter(hexagon_ball(1)))
     assert not spec(frozenset())
     _, annulus = ball_and_annulus(1)
@@ -394,17 +389,14 @@ def test_event_from_json_spin_events():
         circuit.validate_support(SpinSystem(sorted(hexagon_ball(1))))
 
     crossing = event_from_json({"type": "crossing", "k": 2, "eps": 0.5})
-    assert crossing.to_json() == {"type": "crossing", "k": 2,
-                                  "rho": 1.0, "eps": 0.5}
+    assert dict(crossing.params) == {"k": 2, "rho": 1.0, "eps": 0.5}
     assert crossing.required_hexagons == crossing_rectangle(2, 1.0, 0.5)
 
     trapeze = event_from_json({"type": "trapeze", "k": 2})
-    assert trapeze.to_json() == {"type": "trapeze", "k": 2,
-                                 "sign": 1, "vertical": True}
+    assert dict(trapeze.params) == {"k": 2, "sign": 1, "vertical": True}
 
     pair = event_from_json({"type": "two_point", "v": [2, 1]})
     assert pair.required_hexagons == {(0, 0), (2, 1)}
-    assert pair.suggested_free == hexagon_ball(3)
     assert pair({(0, 0): 1, (2, 1): 1, (1, 0): 1, (1, 1): 1})
 
 
@@ -485,5 +477,5 @@ def test_exact_annulus_probability_is_too_large_to_enumerate():
     from hexloop.configs import Params
     spec = event_from_json({"type": "annulus_loop", "k": 1})
     with pytest.raises(TooLarge):
-        exact_event_probability(sorted(spec.suggested_free), 1,
+        exact_event_probability(sorted(hexagon_ball(3)), 1,
                                 Params(n=1.0, x=0.5), spec)

@@ -17,6 +17,7 @@ from hexloop.configs import (
     Params,
     SpinCounts,
     SpinSystem,
+    cluster_find,
     log_spin_weight,
     spin_counts,
 )
@@ -27,9 +28,7 @@ from hexloop.observables import event_from_json
 from hexloop.sampler import (
     ChainState,
     Estimate,
-    delta_counts,
     estimate_from_series,
-    heat_bath_step,
     integrated_autocorrelation,
     run_chain,
 )
@@ -60,6 +59,14 @@ def negated(c: SpinCounts) -> SpinCounts:
     return SpinCounts(k=-c.k, e=-c.e, r=-c.r, twice_rp=-c.twice_rp)
 
 
+def heat_bath_delta(state: ChainState, u) -> SpinCounts:
+    """Count changes of flipping ``u``, as the chain's heat-bath update
+    finds them: the ring table, the wall walk or, in a holed context, a
+    recount."""
+    dk, de, dr, dtw, _, _ = state._heat_bath(state.system.free_index[u])
+    return SpinCounts(k=dk, e=de, r=dr, twice_rp=dtw)
+
+
 def recount_delta(state: ChainState, u) -> SpinCounts:
     """Count changes of flipping ``u``, from two full recounts."""
     system = state.system
@@ -79,7 +86,7 @@ def recount_delta(state: ChainState, u) -> SpinCounts:
 def test_delta_all_minus_interior_flip():
     system = SpinSystem(hexagon_ball(2), fixed=-1, sea=-1)
     state = ChainState(system, PARAMS, init=-1)
-    d = delta_counts(state, (0, 0))
+    d = heat_bath_delta(state, (0, 0))
     assert d.k == 1
     assert d.e == 6
     assert d.r == 2
@@ -89,7 +96,7 @@ def test_delta_all_minus_interior_flip():
 def test_delta_all_plus_interior_flip():
     system = SpinSystem(hexagon_ball(2), fixed=1, sea=1)
     state = ChainState(system, PARAMS, init=1)
-    d = delta_counts(state, (0, 0))
+    d = heat_bath_delta(state, (0, 0))
     assert d.k == 1
     assert d.e == 6
     assert d.r == -2
@@ -102,10 +109,10 @@ def test_delta_splits_a_cluster():
     free = [(-1, 0), (0, 0), (1, 0)]
     system = SpinSystem(free, fixed=-1, sea=-1)
     state = ChainState(system, PARAMS, init=1)
-    d = delta_counts(state, (0, 0))
+    d = heat_bath_delta(state, (0, 0))
     assert d.k == 1
     back = ChainState(system, PARAMS, init={(-1, 0): 1, (0, 0): -1, (1, 0): 1})
-    assert delta_counts(back, (0, 0)).k == -1
+    assert heat_bath_delta(back, (0, 0)).k == -1
 
 
 def test_delta_merges_across_the_sea():
@@ -117,7 +124,7 @@ def test_delta_merges_across_the_sea():
     init[(2, 0)] = 1
     init[(-2, 0)] = 1
     state = ChainState(system, PARAMS, init=init)
-    d = delta_counts(state, (2, 0))
+    d = heat_bath_delta(state, (2, 0))
     assert d.k == -1
     assert d.r == -2
 
@@ -153,7 +160,7 @@ def test_delta_matches_full_recount():
         system = random_system(shape, rng)
         state = random_state(system, rng)
         u = rng.choice(system.free)
-        assert delta_counts(state, u) == recount_delta(state, u)
+        assert heat_bath_delta(state, u) == recount_delta(state, u)
 
 
 def test_only_holed_contexts_recount(monkeypatch):
@@ -169,7 +176,7 @@ def test_only_holed_contexts_recount(monkeypatch):
         state = random_state(system, rng)
         for u in system.free:
             before = len(recounts)
-            assert delta_counts(state, u) == recount_delta(state, u)
+            assert heat_bath_delta(state, u) == recount_delta(state, u)
             assert len(recounts) - before == (ring_runs(state, u) > 1)
             multi_arc += ring_runs(state, u) > 1
     assert multi_arc > 0
@@ -198,12 +205,12 @@ def test_every_ring_pattern_of_a_single_site(monkeypatch):
             system = SpinSystem([(0, 0)], frame, sea=sea)
             state = ChainState(system, params, init=center)
             want = recount_delta(state, (0, 0))
-            assert delta_counts(state, (0, 0)) == want
+            assert heat_bath_delta(state, (0, 0)) == want
             holed = SpinSystem([(0, 0)], with_hole(frame, sea), sea=sea)
             assert holes(holed.context) == {HOLE}
             holed_state = ChainState(holed, params, init=center)
             before = len(recounts)
-            assert (delta_counts(holed_state, (0, 0))
+            assert (heat_bath_delta(holed_state, (0, 0))
                     == recount_delta(holed_state, (0, 0)))
             assert len(recounts) - before == (ring_runs(state, (0, 0)) > 1)
             weights = [log_spin_weight(params, spin_counts(system, [v]))
@@ -232,7 +239,7 @@ def ball3_states(draw):
 def test_delta_matches_recount_on_random_subsets(state):
     assert state.system._sea_connected == (not holes(state.system.context))
     for u in state.system.free:
-        assert delta_counts(state, u) == recount_delta(state, u)
+        assert heat_bath_delta(state, u) == recount_delta(state, u)
 
 
 def test_delta_is_involution():
@@ -241,20 +248,11 @@ def test_delta_is_involution():
         system = random_system(RECT12 if trial % 2 else BALL1, rng)
         state = random_state(system, rng)
         u = rng.choice(system.free)
-        d = delta_counts(state, u)
+        d = heat_bath_delta(state, u)
         flipped = dict(state.sigma)
         flipped[u] *= -1
         back = ChainState(system, PARAMS, init=flipped)
-        assert delta_counts(back, u) == negated(d)
-
-
-def test_delta_rejects_non_free_hexagon():
-    system = SpinSystem(BALL1, fixed=1)
-    state = ChainState(system, PARAMS)
-    with pytest.raises(OutOfRange):
-        delta_counts(state, (5, 5))
-    with pytest.raises(OutOfRange):
-        delta_counts(state, (2, 0))  # frozen ring site
+        assert heat_bath_delta(back, u) == negated(d)
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +324,25 @@ def test_seed_and_stream_must_fit_the_philox_key():
             ChainState(system, PARAMS, stream=bad)
 
 
+def test_heat_bath_step_updates_in_place():
+    # one update per site with fresh uniforms; debug recounts after every
+    # accepted flip, and the counts must follow the spins
+    system = SpinSystem(BALL1, fixed=1)
+    state = ChainState(system, Params(n=1.4, x=0.6), seed=5, debug=True,
+                       init=-1)
+    flips = [state._update(iu, u)
+             for iu, u in enumerate(state.rng.random(len(system.free)))]
+    assert any(flips)
+    assert state.sigma == {h: 1 if flipped else -1
+                           for h, flipped in zip(system.free, flips)}
+    assert spin_counts(system, state.free_signs()) == state.counts
+
+
 def test_plus_probability_rejects_non_free_hexagon():
     state = ChainState(SpinSystem(BALL1, fixed=1), PARAMS)
-    with pytest.raises(OutOfRange, match="not a free hexagon"):
-        state.plus_probability((9, 9))
-
-
-def test_heat_bath_step_updates_in_place():
-    system = SpinSystem(BALL1, fixed=1)
-    state = ChainState(system, Params(n=1.4, x=0.6), seed=5, debug=True)
-    for u in system.free:
-        out = heat_bath_step(state, u)
-        assert out is state
-    assert spin_counts(system, state.free_signs()) == state.counts
-    with pytest.raises(OutOfRange):
-        heat_bath_step(state, (9, 9))
+    for u in ((9, 9), (2, 0)):  # off the context, and a frozen ring site
+        with pytest.raises(OutOfRange, match="not a free hexagon"):
+            state.plus_probability(u)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +401,8 @@ def test_components_match_brute_reachability():
     for _ in range(20):
         system = random_system(RING12, rng)
         state = random_state(system, rng)
-        labels = state.components()
-        assert set(labels) == set(system.context)
+        find = cluster_find(system, system.full_spins(state.free_signs()))
+        labels = {h: find(i) for i, h in enumerate(system.context)}
         # brute partition: same-sign adjacency plus hops through the sea
         full = dict(zip(system.context,
                         system.full_spins(state.free_signs())))
