@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .configs import (
     Params,
@@ -532,12 +532,20 @@ def check_contour_identity(side: int, n: float, x: float) -> CheckReport:
     params = Params(n=n, x=x)
     a = tri.start_vertex
     sigma = sigma_exponent(n)
+    # the triangle is symmetric about the vertical through a, and a
+    # boundary vertex and its mirror image give equal defect-pair tables
+    at = {hex_xy(v): v for v in tri.domain.boundary}
+    xa = hex_xy(a)[0]
+    pair_sums: dict = {}
 
     def field(b, winding: float) -> complex:
         if b == a:
             return 1.0 + 0j
-        return (path_sum(tri.domain, a, b, params).value / x
-                * cmath.exp(-1j * sigma * winding))
+        xb, yb = hex_xy(b)
+        b = min(b, at[2 * xa - xb, yb])
+        if b not in pair_sums:
+            pair_sums[b] = path_sum(tri.domain, a, b, params).value
+        return pair_sums[b] / x * cmath.exp(-1j * sigma * winding)
 
     left = [field(b, math.pi / 3) for b in tri.left_boundary]
     right = [field(b, -math.pi / 3) for b in tri.right_boundary]

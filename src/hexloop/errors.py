@@ -53,10 +53,6 @@ class OutOfRange(HexloopError):
     """A numeric parameter lies outside its admissible range."""
 
 
-class BoundaryVertex(HexloopError):
-    """An operation that requires interior vertices was given a boundary one."""
-
-
 class DomainTooSmall(HexloopError):
     """The requested observable needs a larger domain than the one supplied."""
 

@@ -5,27 +5,31 @@ an edge set with a prescribed defect set.  Both reduce an instance to a
 table ``{(edge count, loop count): multiplicity}`` that is independent of
 the weights, so one combinatorial pass serves a whole parameter grid;
 tables are evaluated by log-sum-exp into a :class:`WeightSum`.  The
-left-to-right sweep over link states (:func:`sweep_Z`) is the product
-engine: every walk weight, path sum and observable below goes through it.
-It carries, for each link state of the frontier, the polynomial in edge
-and loop counts of the partial configurations reaching that state, packed
-into one exact Python int with a fixed-width field per (edges // 2, loops)
-term from the state's own lowest term up (the edge parity is a function of
-the state), so a transition moves an offset and a merge is one shift and
-one addition.  The depth-first enumeration with degree pruning
+left-to-right sweep (:func:`sweep_Z`) is the product engine: every walk
+weight, path sum and observable below goes through it.  A state is the edge
+parity and a code for each edge crossing the cut, in order of midpoint
+height: empty, one end of a strand with both ends on the cut (the ends nest
+like brackets), or a strand to a defect.  A vertex's moves depend only on
+the codes of its arriving edges, which are adjacent, on its number of fresh
+edges and on whether it is a defect, so they come from a table built once.
+Each state carries the polynomial in edge and loop counts of the partial
+configurations reaching it, packed into one exact Python int with a
+fixed-width field per (edges // 2, loops) term from the state's own lowest
+term up, so a transition moves an offset and a merge is one shift and one
+addition.  The depth-first enumeration with degree pruning
 (:func:`even_subgraphs`) is the oracle behind ``brute_force_*`` and
 ``hexloop enumerate --engine brute``, which tests compare the sweep against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
-carved out), the two-route defect-pair sum ``Z^{a,b} / Z`` (read off defect
-tables by :func:`path_sum`, added up walk by walk by the oracle
-:func:`walk_path_sum`), the complex edge-midpoint observable of
-:func:`parafermion_field` with its local three-term relation (an oracle too),
-and exact event probabilities for the spin form of the model.  The spin sums
-read the counts of all 2^m assignments from ``configs.assignment_counts``, which walks them once per :class:`SpinSystem`
-in Gray-code order with the chain's single-flip count changes and keeps
-them on the system, so an event sum and its total share one enumeration.
+carved out), the defect-pair sum ``Z^{a,b} / Z`` read off defect tables by
+:func:`path_sum`, the complex edge-midpoint observable of
+:func:`parafermion_field`, and exact event probabilities for the spin form
+of the model.  The spin sums read the counts of all 2^m assignments from
+``configs.assignment_counts``, which walks them once per
+:class:`SpinSystem` in Gray-code order with the chain's single-flip count
+changes and keeps them on the system, so an event sum and its total share
+one enumeration.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -47,7 +52,6 @@ from .configs import (
     spins_to_loops,
 )
 from .errors import (
-    BoundaryVertex,
     OutOfRange,
     Overflow,
     PathNotInDomain,
@@ -61,7 +65,6 @@ from .lattice import (
     direction_class,
     edge,
     edge_components,
-    hex_position,
     hex_xy,
     remove_paths,
     turn_sign,
@@ -77,8 +80,6 @@ TABLE_CACHE_SIZE = 1024
 
 #: table of a configuration sum: (number of edges, number of loops) -> count
 Table = dict[tuple[int, int], int]
-
-_DEFECT_END = -1
 
 
 # ---------------------------------------------------------------------------
@@ -302,41 +303,106 @@ def sweep_width(edges: Iterable[HexEdge]) -> int:
     return best
 
 
-def _link(pairing: dict[int, int], end0, end1) -> int:
-    """Join two strand ends at a degree-2 vertex; return 1 on a closed loop.
+#: codes of a frontier slot: no edge, the lower and the upper end of a
+#: strand with both ends on the frontier, and a strand to a defect
+_EMPTY, _OPEN, _CLOSE, _STRAND = range(4)
+#: direction in which a bracket's partner lies
+_STEP = {_OPEN: 1, _CLOSE: -1}
 
-    An end is ``(arriving, edge id)``: an arriving edge consumes its open
-    slot and exposes the far end of its strand, a fresh edge opens a slot.
+
+def _moves(block: tuple[int, ...], fresh: int, defect: bool) -> list:
+    """Every way a vertex continues the strands of its arriving slots.
+
+    ``block`` holds the codes of the arriving slots, whose place ``fresh``
+    forward edges take.  A move is ``(fresh codes, edges taken, recode,
+    loops closed)``; a recode ``(slot, step, code)`` gives the bracket
+    partner of arriving slot ``slot``, which lies in direction ``step``,
+    the code ``code``.
     """
-    arr0, e0 = end0
-    arr1, e1 = end1
-    if arr0 and arr1 and pairing[e0] == e1:
-        del pairing[e0]
-        del pairing[e1]
-        return 1
-    far0 = pairing.pop(e0) if arr0 else e0
-    far1 = pairing.pop(e1) if arr1 else e1
-    if far0 == _DEFECT_END and far1 == _DEFECT_END:
-        pass  # a strand now runs defect to defect
-    elif far0 == _DEFECT_END:
-        pairing[far1] = _DEFECT_END
-    elif far1 == _DEFECT_END:
-        pairing[far0] = _DEFECT_END
-    else:
-        pairing[far0] = far1
-        pairing[far1] = far0
-    return 0
+    present = [(p, c) for p, c in enumerate(block) if c]
+    empty = (_EMPTY,) * fresh
+    if len(present) > 2 - defect:
+        return []
+    if len(present) == 1 - defect:  # a fresh edge carries a strand on, or
+        code = present[0][1] if present else _STRAND  # starts one here
+        return [(empty[:i] + (code,) + empty[i + 1:], 1, None, 0)
+                for i in range(fresh)]
+    if not present:  # no edge, or a new innermost pair of brackets
+        return [(empty, 0, None, 0)] + [
+            (empty[:i] + (_OPEN,) + empty[i + 1:j] + (_CLOSE,)
+             + empty[j + 1:], 2, None, 0)
+            for i, j in combinations(range(fresh), 2)]
+    (p, c), (q, d) = present[0], present[-1]
+    if defect:  # the strand ends at the defect
+        return [(empty, 0, None if c == _STRAND else (p, _STEP[c], _STRAND),
+                 0)]
+    # two strands join: their far ends become one strand's, and only an
+    # end that now pairs the other way, or reaches a defect, is recoded
+    join = {(_OPEN, _OPEN): (q, 1, _OPEN), (_CLOSE, _CLOSE): (p, -1, _CLOSE),
+            (_STRAND, _OPEN): (q, 1, _STRAND),
+            (_STRAND, _CLOSE): (q, -1, _STRAND),
+            (_OPEN, _STRAND): (p, 1, _STRAND),
+            (_CLOSE, _STRAND): (p, -1, _STRAND)}
+    return [(empty, 0, join.get((c, d)), int((c, d) == (_OPEN, _CLOSE)))]
 
 
-def _terminate(pairing: dict[int, int], end) -> None:
-    """Stop a strand at a defect vertex of degree one."""
-    arr, e = end
-    if not arr:
-        pairing[e] = _DEFECT_END
-        return
-    far = pairing.pop(e)
-    if far != _DEFECT_END:
-        pairing[far] = _DEFECT_END
+@lru_cache(maxsize=None)
+def _move_table(kind: tuple[int, int, bool]) -> dict:
+    """The moves of a vertex of kind (arriving slots, fresh edges, defect),
+    by arriving codes; a lattice vertex has at most three edges."""
+    k, fresh, defect = kind
+    return {b: _moves(b, fresh, defect) for b in product(range(4), repeat=k)}
+
+
+def _partner(codes: tuple[int, ...], i: int, step: int) -> int:
+    """Slot of the other end of the strand whose bracket is at slot ``i``."""
+    depth = 0
+    while True:
+        c = codes[i]
+        if c == _OPEN:
+            depth += step
+        elif c == _CLOSE:
+            depth -= step
+        if depth == 0:
+            return i
+        i += step
+
+
+def _frontier_plan(edges: tuple[HexEdge, ...], verts: list[HexVertex],
+                   defects: frozenset[HexVertex]) -> list[tuple]:
+    """Per vertex in sweep order, ``(lo, hi, fresh, kind)``: its arriving
+    edges hold frontier slots ``lo:hi``, its ``fresh`` forward edges take
+    their place, and ``kind`` keys its moves in :func:`_move_table`.
+
+    Slots are in order of edge midpoint height in doubled coordinates, then
+    midpoint abscissa.  Strands on the processed side of the cut cannot
+    cross, so a vertex's arriving edges are adjacent in that order (checked
+    here) and the brackets of a state nest.
+    """
+    order = {v: i for i, v in enumerate(verts)}
+    arriving: list[list[HexEdge]] = [[] for _ in verts]
+    fresh: list[list[HexEdge]] = [[] for _ in verts]
+    for e in edges:
+        lo, hi = sorted((order[e[0]], order[e[1]]))
+        fresh[lo].append(e)
+        arriving[hi].append(e)
+
+    def height(e: HexEdge) -> tuple[int, int]:
+        (xu, yu), (xv, yv) = hex_xy(e[0]), hex_xy(e[1])
+        return (yu + yv, xu + xv)
+
+    frontier: list[HexEdge] = []
+    plan = []
+    for v, came, new in zip(verts, arriving, fresh):
+        new.sort(key=height)
+        slots = sorted(frontier.index(e) for e in came)
+        lo = (slots[0] if slots
+              else bisect_left(frontier, height(new[0]), key=height))
+        hi = lo + len(slots)
+        assert slots == list(range(lo, hi)), f"{v}: arriving slots apart"
+        frontier[lo:hi] = new
+        plan.append((lo, hi, len(new), (hi - lo, len(new), v in defects)))
+    return plan
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -348,15 +414,9 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
         raise WidthExceeded(f"sweep frontier width {width} exceeds the cap "
                             f"of {max_width}")
     verts = sorted({u for e in edges for u in e}, key=hex_xy)
-    order = {v: i for i, v in enumerate(verts)}
-    if any(d not in order for d in defects):
+    if not defects <= set(verts):
         return {}
-    arriving: list[list[int]] = [[] for _ in verts]
-    fresh: list[list[int]] = [[] for _ in verts]
-    for i, (u, v) in enumerate(edges):
-        lo, hi = sorted((order[u], order[v]))
-        fresh[lo].append(i)
-        arriving[hi].append(i)
+    plan = _frontier_plan(edges, verts, defects)
 
     # Kronecker packing: a state is (offset, int), and its count of partial
     # configurations with m edges and l closed loops sits in the nbytes-wide
@@ -370,39 +430,36 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     rank = len(edges) - len(verts) + len(edge_components(edges))
     nbytes = rank // 8 + 1
     field_bits = 8 * nbytes
+    # the moves of each vertex kind, with a move's edges taken and loops
+    # closed turned into its new parity and offset step by the old parity
+    compiled = {kind: {block: [(new, recode, [
+        ((parity + taken) % 2, (parity + taken) // 2 * stride + closed)
+        for parity in (0, 1)]) for new, taken, recode, closed in moves]
+        for block, moves in _move_table(kind).items()}
+        for kind in {kind for *_, kind in plan}}
 
     states: dict[tuple, tuple[int, int]] = {(0, ()): (0, 1)}
-    for vi, v in enumerate(verts):
-        want_one = v in defects
+    for lo, hi, fresh, kind in plan:
+        moves, shift = compiled[kind], fresh - (hi - lo)
         nxt: dict[tuple, tuple[int, int]] = {}
-        for (parity, links), (offset, poly) in states.items():
-            base = dict(links)
-            present = [e for e in arriving[vi] if e in base]
-            for r in range(len(fresh[vi]) + 1):
-                degree = len(present) + r
-                if want_one:
-                    if degree != 1:
-                        continue
-                elif degree % 2:
-                    continue
-                rows, parity2 = divmod(parity + r, 2)
-                for taken in combinations(fresh[vi], r):
-                    pairing = dict(base)
-                    ends = ([(True, e) for e in present]
-                            + [(False, e) for e in taken])
-                    closed = 0
-                    if degree == 2:
-                        closed = _link(pairing, ends[0], ends[1])
-                    elif degree == 1:
-                        _terminate(pairing, ends[0])
-                    key2 = (parity2, tuple(sorted(pairing.items())))
-                    offset2 = offset + rows * stride + closed
-                    old = nxt.get(key2)
-                    if old is None:
-                        nxt[key2] = (offset2, poly)
-                    else:
-                        (low, a), (high, b) = sorted((old, (offset2, poly)))
-                        nxt[key2] = (low, a + (b << (high - low) * field_bits))
+        get = nxt.get
+        for (parity, codes), (offset, poly) in states.items():
+            head, tail = codes[:lo], codes[hi:]
+            for block, recode, advance in moves[codes[lo:hi]]:
+                new = head + block + tail
+                if recode is not None:
+                    slot, step, code = recode
+                    j = _partner(codes, lo + slot, step)
+                    j += shift if j >= hi else 0
+                    new = new[:j] + (code,) + new[j + 1:]
+                parity2, delta = advance[parity]
+                key, state = (parity2, new), (offset + delta, poly)
+                old = get(key)
+                if old is not None:
+                    (low, a), (high, b) = ((old, state) if old[0] <= state[0]
+                                           else (state, old))
+                    state = (low, a + (b << (high - low) * field_bits))
+                nxt[key] = state
         states = nxt
     return _unpack(states, stride, nbytes)
 
@@ -426,7 +483,7 @@ def _unpack(states: dict, stride: int, nbytes: int) -> Table:
 def sweep_table(edges: Iterable[HexEdge],
                 defects: Iterable[HexVertex] = (),
                 *, max_width: int = MAX_SWEEP_WIDTH) -> Table:
-    """Configuration table by dynamic programming over link states."""
+    """Configuration table by dynamic programming over frontier states."""
     es = tuple(sorted({edge(u, v) for u, v in edges}))
     return dict(_sweep_table(es, frozenset(tuple(d) for d in defects),
                              max_width))
@@ -497,7 +554,7 @@ def relative_weight(region, gamma, params: Params) -> float:
 class PathSum:
     """A defect-pair sum ``Z^{a,b} / Z`` and the number of walks summed:
     0 from defect tables (:func:`path_sum`), every walk from the walk
-    oracle (:func:`walk_path_sum`)."""
+    oracle of the tests."""
 
     value: float
     n_walks: int
@@ -526,7 +583,7 @@ def path_sum(domain: Domain, a: HexVertex, b, params: Params) -> PathSum:
     ``b`` may be a single vertex or a collection of target vertices (e.g. one
     side of a triangular domain).  By the loop expansion each term is the
     sum of relative weights of the self-avoiding walks from ``a`` to t,
-    which :func:`walk_path_sum` adds up walk by walk.
+    which the tests' walk oracle adds up walk by walk.
     """
     a, targets = _targets(domain, a, b)
     edges = domain.edges
@@ -536,47 +593,9 @@ def path_sum(domain: Domain, a: HexVertex, b, params: Params) -> PathSum:
                        for t in sorted(targets - {a})), 0)
 
 
-def _walk_enumeration(domain: Domain, a: HexVertex,
-                      targets: frozenset[HexVertex]):
-    """Yield every self-avoiding walk in the domain from ``a`` to a target."""
-    walk = [a]
-    on_walk = {a}
-
-    def rec(v: HexVertex):
-        for e in domain.vertex_edges.get(v, ()):
-            w = e[1] if e[0] == v else e[0]
-            if w in on_walk:
-                continue
-            walk.append(w)
-            on_walk.add(w)
-            if w in targets:
-                yield tuple(walk)
-            yield from rec(w)
-            on_walk.discard(w)
-            walk.pop()
-
-    yield from rec(a)
-
-
-def walk_path_sum(domain: Domain, a: HexVertex, b,
-                  params: Params) -> PathSum:
-    """The oracle of :func:`path_sum`: the relative weights of every
-    self-avoiding walk from ``a`` to a target, enumerated one by one."""
-    a, targets = _targets(domain, a, b)
-    weights = [relative_weight(domain, walk, params)
-               for walk in _walk_enumeration(domain, a, targets)]
-    return PathSum(sum(weights), len(weights))
-
-
 # ---------------------------------------------------------------------------
 # the edge-midpoint observable
 # ---------------------------------------------------------------------------
-
-def _midpoint(e: HexEdge) -> complex:
-    pu = hex_position(e[0])
-    pv = hex_position(e[1])
-    return complex((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
-
 
 def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
                       sigma: float | None = None, *,
@@ -644,30 +663,6 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
     rec(u0, direction_class(a, u0), 0)
     return {z: WeightSum.sum_terms(ts).value
             for z, ts in sorted(terms.items())}
-
-
-def vertex_relation_residual(domain: Domain, z0: HexEdge, v: HexVertex,
-                             params: Params, sigma: float | None = None, *,
-                             field: Mapping[HexEdge, complex] | None = None,
-                             max_edges: int = MAX_FIELD_EDGES) -> complex:
-    """Residual of the three-term midpoint relation around an interior vertex.
-
-    Returns ``sum over the three edges e at v of (mid(e) - v) F(e)``, which
-    vanishes exactly at the critical edge weight.  A precomputed ``field``
-    (from :func:`parafermion_field` with the same start) avoids re-running
-    the walk enumeration for every vertex.
-    """
-    v = tuple(v)
-    if v not in domain.interior:
-        raise BoundaryVertex(f"{v} is not an interior vertex")
-    if field is None:
-        field = parafermion_field(domain, z0, params, sigma,
-                                  max_edges=max_edges)
-    pv = complex(*hex_position(v))
-    res = 0j
-    for e in domain.vertex_edges[v]:
-        res += (_midpoint(e) - pv) * field.get(e, 0j)
-    return res
 
 
 # ---------------------------------------------------------------------------

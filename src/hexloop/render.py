@@ -10,7 +10,7 @@ Both entry points are pure functions from configuration to SVG 1.1 text:
 identical inputs give byte-identical documents.
 """
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .configs import SpinSystem, edge_components, loops_from_json, spins_to_loops
 from .lattice import (

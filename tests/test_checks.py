@@ -39,18 +39,20 @@ from hexloop.exact import (
     exact_event_probability,
     parafermion_field,
     spin_partition,
-    walk_path_sum,
+    sweep_table,
     x_critical,
 )
 from hexloop.lattice import (
     domain_from_hexagons,
     hex_neighbors,
+    hex_xy,
     hexagon_ball,
     hexagon_corners,
     rhombus_hexagons,
     tri_neighbors,
     triangle_domain,
 )
+from oracles import walk_path_sum
 
 
 def flower():
@@ -394,6 +396,30 @@ class TestContourIdentity:
         assert report.details["relative_residual"] == pytest.approx(
             0.11609322978631861, rel=1e-9)
         assert report.details["relative_residual"] > 1e-3
+
+    def test_mirrored_boundary_vertices_give_equal_tables(self, monkeypatch):
+        # the triangle is symmetric about the vertical through its start
+        # vertex, so the contour sum reads one table per mirror pair
+        tri = triangle_domain(6)
+        a = tri.start_vertex
+        xa = hex_xy(a)[0]
+        at = {hex_xy(v): v for v in tri.domain.boundary}
+        pairs = {frozenset((b, at[2 * xa - hex_xy(b)[0], hex_xy(b)[1]]))
+                 for b in tri.domain.boundary if b != a}
+        assert len(pairs) == 7 and all(len(p) == 2 for p in pairs)
+        for b, c in map(sorted, pairs):
+            assert (sweep_table(tri.domain.edges, [a, b])
+                    == sweep_table(tri.domain.edges, [a, c]))
+        targets = []
+        path_sum = checks.path_sum
+
+        def counted(domain, a, b, params):
+            targets.append(b)
+            return path_sum(domain, a, b, params)
+
+        monkeypatch.setattr(checks, "path_sum", counted)
+        assert check_contour_identity(6, 1.5, x_critical(1.5)).holds
+        assert sorted(targets) == sorted(min(p) for p in pairs)
 
     @pytest.mark.parametrize("n", [1.0, 1.5, 2.0])
     def test_matches_walk_observable(self, n):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from hexloop.configs import Params, SpinSystem, border_edges, loop_count
 from hexloop.errors import (
-    BoundaryVertex,
     NotAPath,
     NotSelfAvoiding,
     OutOfRange,
@@ -26,7 +25,6 @@ from hexloop.errors import (
     WidthExceeded,
 )
 from hexloop.exact import (
-    PathSum,
     WeightSum,
     brute_force_Z,
     brute_force_table,
@@ -41,8 +39,6 @@ from hexloop.exact import (
     sweep_Z,
     sweep_table,
     sweep_width,
-    vertex_relation_residual,
-    walk_path_sum,
     x_critical,
 )
 from hexloop.fixtures import defect_sets, load_domains
@@ -60,6 +56,7 @@ from hexloop.lattice import (
     tri_neighbors,
     triangle_domain,
 )
+from oracles import vertex_relation_residual, walk_path_sum
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 BALL2 = sorted(hexagon_ball(2))
@@ -237,6 +234,53 @@ def test_sweep_matches_brute_on_random_subsets(data):
     if not defects:
         rank = len(edges) - len(verts) + len(edge_components(edges))
         assert sum(table.values()) == 2**rank
+    # the same scene moved by a lattice offset, negative ones included: the
+    # frontier order by midpoint height sees other coordinates
+    dr, ds = data.draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+
+    def move(v):
+        return (v[0] + dr, v[1] + ds, v[2])
+
+    assert sweep_table([(move(u), move(v)) for u, v in edges],
+                       [move(d) for d in defects]) == table
+
+
+BALL3_EDGES = domain_from_hexagons(hexagon_ball(3)).edges
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(size=st.integers(27, len(BALL3_EDGES)),
+       shuffled=st.permutations(BALL3_EDGES))
+def test_sweep_counts_the_cycle_space_past_the_brute_cap(size, shuffled):
+    # subsets of ball r=3 too large for the brute oracle: with no defects,
+    # a table counts every even subgraph, 2^(E - V + C) of them, and has
+    # one edge parity
+    edges = shuffled[:size]
+    table = sweep_table(edges)
+    verts = {u for e in edges for u in e}
+    rank = len(edges) - len(verts) + len(edge_components(edges))
+    assert sum(table.values()) == 2**rank
+    assert {m % 2 for m, _ in table} == {0}
+
+
+@pytest.mark.parametrize("name", ["box8x8_table.json",
+                                  "triangle10_pair_table.json",
+                                  "ball3_subset_table.json"])
+def test_sweep_matches_goldens_past_the_brute_cap(name):
+    # tables written by the dict-of-pairings engine before the bracket
+    # frontier replaced it: the 8x8 axial box, triangle side 10 with a
+    # defect pair, and 120 edges of ball r=3 with four defects, two of
+    # them interior
+    golden = json.loads((GOLDEN / name).read_text())
+    if "edges" in golden:
+        edges = [tuple(tuple(v) for v in e) for e in golden["edges"]]
+    elif name.startswith("box"):
+        edges = domain_from_hexagons(rectangle_hexagons(8, 8)).edges
+    else:
+        edges = triangle_domain(10).domain.edges
+    defects = [tuple(d) for d in golden.get("defects", ())]
+    assert sweep_table(edges, defects) == {
+        (m, l): c for m, l, c in golden["table"]}
 
 
 def test_sweep_is_exact_past_int64():
@@ -628,7 +672,7 @@ def test_observable_arguments():
 def test_vertex_relation_rejects_boundary_vertices():
     tri = triangle_domain(4)
     p = Params(n=1.5, x=0.5)
-    with pytest.raises(BoundaryVertex):
+    with pytest.raises(OutOfRange):
         vertex_relation_residual(tri.domain, tri.start_edge,
                                  tri.domain.boundary[0], p)
 

@@ -4,7 +4,9 @@ Every public top-level name of ``src/hexloop/*.py`` must be read by another
 source module, by its own module outside its definition, or by the
 benchmark under ``bench/``.  The few names that only tests read are test
 oracles or writers of files the command line reads, and are listed in
-``TEST_ONLY`` with the reason each one stays.
+``TEST_ONLY`` with the reason each one stays.  Every name that a source or
+test module imports must be read in that module, or listed in its
+``__all__``.
 """
 
 import ast
@@ -12,13 +14,10 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hexloop").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 TEST_ONLY = {
-    "walk_path_sum": "oracle: the walk-by-walk defect-pair sum that "
-                     "path_sum's defect tables are compared against",
-    "vertex_relation_residual": "oracle: the three-term relation of "
-                                "parafermion_field at an interior vertex",
     "loops_to_json": "writes the loops files that `hexloop render` reads",
     "spins_to_json": "writes the spins files that `hexloop render` reads",
 }
@@ -85,3 +84,34 @@ def test_test_only_names_exist_and_need_the_list():
     # a name that gained a user, or is gone, leaves the list
     unused = {name.split(".")[1] for name in unused_public_names()}
     assert unused == set(TEST_ONLY)
+
+
+def unused_imports(tree):
+    """Names bound by an import of the module that no line reads and that
+    ``__all__`` does not list."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+def test_every_import_is_read():
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path in SOURCES + TESTS
+              for line, name in unused_imports(ast.parse(path.read_text()))]
+    assert unused == [], f"imported names that no line reads: {unused}"
+
