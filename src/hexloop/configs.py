@@ -15,9 +15,10 @@ assignment is::
 
 where, writing Q for the free hexagons together with their neighbours,
 
-- ``k + 1``  is the number of monochromatic clusters meeting Q (the sea
-  merges same-sign context hexagons that touch the exterior; a cluster made
-  of the sea alone does not count),
+- ``k + 1``  is the number of monochromatic clusters meeting Q (the outer
+  sea merges same-sign context hexagons that touch it, and so does each
+  hole of the context, apart from the others; a cluster made of sea alone
+  does not count),
 - ``e``      is the number of unequal adjacent pairs touching a free hexagon,
 - ``r``      is the sum of the free spins,
 - ``rp``     is half the difference between the numbers of all-plus and
@@ -35,9 +36,9 @@ outside it, and the pairing fixes how many groups the arcs of each sign
 form.  :func:`_multi_arc_dk` finds it by walking along the walls, the
 perimeter walk of Ziff, Cummings and Stell, on the context and its sea
 frame (the hexagons beyond it that touch it); a walk always ends.  The
-count rests on planarity, which a context with a hole breaks (the hole
-joins the sea, see :func:`cluster_find`), so there :func:`spin_counts`
-recounts.  The heat-bath chain (``sampler.ChainState``) updates its counts
+count rests on planarity, which holds on every context, since each hole is
+a cluster node of its own (:func:`cluster_find`).  The heat-bath chain
+(``sampler.ChainState``) updates its counts
 this way, and :func:`assignment_counts` walks all 2^m assignments of a
 system in Gray-code order, one flip per step, and keeps the result on the
 system.
@@ -45,12 +46,11 @@ system.
 Spins and loops are two views of the same model: the domain walls of a spin
 assignment form an even edge set on the edges bordering the free hexagons,
 and with a constant fixed boundary the correspondence is one to one
-(:func:`spins_to_loops`) and ``k`` is the number of loops the walls form.
-A context with a hole is the exception: the hole joins the sea, so a
-cluster that touches it is not counted apart from the sea's, and ``k`` can
-be less than the number of loops.  With the hexagons at distance 2 from the
+(:func:`spins_to_loops`) and ``k`` is the number of loops the walls form,
+on a context with holes too.  With the hexagons at distance 2 from the
 origin free and minus, and the frame and sea plus, the context has a hole
-at the origin; :func:`spin_counts` gives k = 1 while the walls form 2 loops.
+at the origin, and :func:`spin_counts` gives k = 2: the plus hexagons
+inside the ring form a cluster with the hole, apart from the outer sea's.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ class SpinSystem:
     sea:
         Sign of every hexagon beyond the context (default ``+1``).  A hole,
         that is, hexagons beyond the context that the context encloses,
-        counts as sea too, and its hexagons join the outer sea: same-sign
-        context hexagons that touch a hole are in the sea's cluster.
+        has the sea sign too but is a cluster of its own: same-sign context
+        hexagons that touch it share its cluster, not the outer sea's.
     """
 
     def __init__(self, free: Iterable[TriVertex],
@@ -235,10 +235,22 @@ class SpinSystem:
                      for i, j in self._free_pairs)
 
     @cached_property
-    def _exterior_touching(self) -> tuple[int, ...]:
+    def _exterior_touching(self) -> tuple[tuple[int, int], ...]:
+        """``(i, part)`` for each context index i and each part of the
+        plane beyond the context that its hexagon touches: part 0 is the
+        outer sea, and each hole has its own number from 1."""
         ctx = set(self.context)
-        return tuple(self._index[h] for h in self.context
-                     if any(g not in ctx for g in tri_neighbors(h)))
+        rs, ss = zip(*ctx)
+        r0, s0 = min(rs) - 1, min(ss) - 1
+        # beyond the context inside its bounding box and a margin, where
+        # the corner (r0, s0) reaches the outer sea
+        beyond = {(r, s) for r in range(r0, max(rs) + 2)
+                  for s in range(s0, max(ss) + 2)} - ctx
+        parts = sorted(hexagon_components(beyond),
+                       key=lambda comp: (r0, s0) not in comp)
+        part = {g: p for p, comp in enumerate(parts) for g in comp}
+        return tuple(sorted({(self._index[h], part[g]) for h in self.context
+                             for g in tri_neighbors(h) if g not in ctx}))
 
     @cached_property
     def _counted(self) -> tuple[int, ...]:
@@ -297,17 +309,6 @@ class SpinSystem:
         return {h: i for i, h in enumerate(self.context + self._sea_frame)}
 
     @cached_property
-    def _sea_connected(self) -> bool:
-        """Whether the context has no hole: whether its Euler
-        characteristic, hexagons less adjacent pairs plus triangles of
-        hexagons, equals its number of components (that less its holes)."""
-        ctx = set(self.context)
-        triangles = sum(((r, s + 1) in ctx) + ((r + 1, s - 1) in ctx)
-                        for r, s in ctx if (r + 1, s) in ctx)
-        euler = len(ctx) - len(self._pairs) + triangles
-        return euler == len(hexagon_components(ctx))
-
-    @cached_property
     def _walls(self):
         """Step tables ``(ahead, keep, move)`` of the wall walk over the
         context and its sea frame (:func:`_multi_arc_dk`).
@@ -318,9 +319,8 @@ class SpinSystem:
         ahead has A's sign, the wall bends round B and the state becomes
         (cell ahead, j - 1); otherwise it bends round A: (A, j + 1).
         Entries that leave the sea frame are -1; no walk reads them, since
-        every wall has a context hexagon on one side.  Holes lie in the
-        frame, and only the cluster count of :func:`_multi_arc_dk` needs a
-        context without one.
+        every wall has a context hexagon on one side.  The frame takes in
+        the hexagons of holes that touch the context.
         """
         idx = self._framed_index
         ahead = [idx.get((r + dr, s + ds), -1) for r, s in idx
@@ -390,15 +390,15 @@ def cluster_find(system: SpinSystem,
     """Same-sign clusters of a context assignment, as a union-find.
 
     ``full`` is aligned with ``system.context`` and may run on into its
-    sea frame.  Adjacent equal spins are joined, and so are
-    exterior-touching hexagons of the sea's sign, holes included, through
-    an extra node at index ``len(full)`` that stands for the sea.  Returns
-    the find function: two indices share a cluster when it maps them to
-    the same root.
+    sea frame.  Adjacent equal spins are joined, and so are hexagons of
+    the sea's sign with the part of the plane beyond the context that they
+    touch: the outer sea, a node at index ``len(full)``, or a hole, one
+    node each after it.  Returns the find function: two indices share a
+    cluster when it maps them to the same root.
     """
     m = len(full)
-    parent = list(range(m + 1))  # last slot is the sea
-    sea_node = m
+    touching = system._exterior_touching
+    parent = list(range(m + 1 + max(p for _, p in touching)))
 
     def find(a):
         root = a
@@ -416,9 +416,9 @@ def cluster_find(system: SpinSystem,
     for i, j in system._pairs:
         if full[i] == full[j]:
             union(i, j)
-    for i in system._exterior_touching:
+    for i, p in touching:
         if full[i] == system.sea:
-            union(i, sea_node)
+            union(i, m + p)
     return find
 
 
@@ -583,18 +583,16 @@ def _gray_counts(system: SpinSystem) -> tuple[SpinCounts, ...]:
     the spin of Gray bit j, the lowest set bit of t; bit j of a product
     index is the sign of free hexagon m - 1 - j.  Each step takes its count
     changes from ``_LOCAL`` and, for a ring with two or more arcs of each
-    sign, its cluster-count change from the wall walk, or from a recount
-    when the context has a hole.
+    sign, its cluster-count change from the wall walk.
     """
     m = len(system.free)
-    signs = [-1] * m
-    full = system.framed_spins(signs)
-    start = spin_counts(system, signs)
+    full = system.framed_spins([-1] * m)
+    start = spin_counts(system, [-1] * m)
     k, e, r, tw = start.k, start.e, start.r, start.twice_rp
     out = [start] * (1 << m)
     free_ctx = system._free_ctx
     nb6 = system._nb6
-    walls = system._walls if system._sea_connected else None
+    walls = system._walls
     for step in range(1, 1 << m):
         iu = m - (step & -step).bit_length()
         cu = free_ctx[iu]
@@ -602,12 +600,8 @@ def _gray_counts(system: SpinSystem) -> tuple[SpinCounts, ...]:
         key = (64 * full[cu] + 32 * full[n5] + 16 * full[n4] + 8 * full[n3]
                + 4 * full[n2] + 2 * full[n1] + full[n0] + 127) >> 1
         s, de, dr, dtw, dk, plan = _LOCAL[key]
-        signs[iu] = -s
         if dk is None:
-            if walls is None:
-                dk = spin_counts(system, signs).k - k
-            else:
-                dk = _multi_arc_dk(plan, full, cu, nbs, walls)
+            dk = _multi_arc_dk(plan, full, cu, nbs, walls)
         full[cu] = -s
         k += dk
         e += de

@@ -6,12 +6,13 @@ table ``{(edge count, loop count): multiplicity}`` that is independent of
 the weights, so one combinatorial pass serves a whole parameter grid;
 tables are evaluated by log-sum-exp into a :class:`WeightSum`.  The
 left-to-right sweep (:func:`sweep_Z`) is the product engine: every walk
-weight, path sum and observable below goes through it.  A state is the edge
-parity and a code for each edge crossing the cut, in order of midpoint
-height: empty, one end of a strand with both ends on the cut (the ends nest
-like brackets), or a strand to a defect.  A vertex's moves depend only on
-the codes of its arriving edges, which are adjacent, on its number of fresh
-edges and on whether it is a defect, so they come from a table built once.
+weight, path sum and observable below goes through it.  A state is one int:
+the edge parity in bit 0, then two bits per edge crossing the cut, in order
+of midpoint height, for its code: empty, one end of a strand with both ends
+on the cut (the ends nest like brackets), or a strand to a defect.  A
+vertex's moves depend only on the codes of its arriving edges, which are
+adjacent, on its number of fresh edges and on whether it is a defect, so
+they come from a table built once and indexed by the arriving bits.
 Each state carries the polynomial in edge and loop counts of the partial
 configurations reaching it, packed into one exact Python int with a
 fixed-width field per (edges // 2, loops) term from the state's own lowest
@@ -347,18 +348,23 @@ def _moves(block: tuple[int, ...], fresh: int, defect: bool) -> list:
 
 
 @lru_cache(maxsize=None)
-def _move_table(kind: tuple[int, int, bool]) -> dict:
+def _move_table(kind: tuple[int, int, bool]) -> list:
     """The moves of a vertex of kind (arriving slots, fresh edges, defect),
-    by arriving codes; a lattice vertex has at most three edges."""
+    by arriving codes packed two bits per slot, slot 0 lowest, with each
+    move's fresh codes packed the same way; a lattice vertex has at most
+    three edges."""
     k, fresh, defect = kind
-    return {b: _moves(b, fresh, defect) for b in product(range(4), repeat=k)}
+    return [[(sum(c << 2 * i for i, c in enumerate(new)), *move)
+             for new, *move in _moves(block[::-1], fresh, defect)]
+            for block in product(range(4), repeat=k)]
 
 
-def _partner(codes: tuple[int, ...], i: int, step: int) -> int:
-    """Slot of the other end of the strand whose bracket is at slot ``i``."""
+def _partner(codes: int, i: int, step: int) -> int:
+    """Slot of the other end of the strand whose bracket is at slot ``i`` of
+    the codes packed two bits per slot."""
     depth = 0
     while True:
-        c = codes[i]
+        c = codes >> 2 * i & 3
         if c == _OPEN:
             depth += step
         elif c == _CLOSE:
@@ -418,7 +424,7 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
         return {}
     plan = _frontier_plan(edges, verts, defects)
 
-    # Kronecker packing: a state is (offset, int), and its count of partial
+    # Kronecker packing: a state holds (offset, int), and its count of partial
     # configurations with m edges and l closed loops sits in the nbytes-wide
     # field at slot (m // 2) * stride + l - offset of the int.  The lattice
     # is bipartite, so one state's configurations, which differ by an even
@@ -430,36 +436,39 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     rank = len(edges) - len(verts) + len(edge_components(edges))
     nbytes = rank // 8 + 1
     field_bits = 8 * nbytes
-    # the moves of each vertex kind, with a move's edges taken and loops
-    # closed turned into its new parity and offset step by the old parity
-    compiled = {kind: {block: [(new, recode, [
-        ((parity + taken) % 2, (parity + taken) // 2 * stride + closed)
-        for parity in (0, 1)]) for new, taken, recode, closed in moves]
-        for block, moves in _move_table(kind).items()}
-        for kind in {kind for *_, kind in plan}}
+    # the moves of each vertex kind by old parity, with a move's edges
+    # taken and loops closed turned into its parity flip and offset step
+    compiled = {kind: [[[(new, taken % 2, recode,
+                          (parity + taken) // 2 * stride + closed)
+                         for new, taken, recode, closed in moves]
+                        for moves in _move_table(kind)] for parity in (0, 1)]
+                for kind in {kind for *_, kind in plan}}
 
-    states: dict[tuple, tuple[int, int]] = {(0, ()): (0, 1)}
+    # a key: the edge parity in bit 0, slot i's code in bits 2i + 1 and 2i + 2
+    states: dict[int, tuple[int, int]] = {0: (0, 1)}
     for lo, hi, fresh, kind in plan:
         moves, shift = compiled[kind], fresh - (hi - lo)
-        nxt: dict[tuple, tuple[int, int]] = {}
+        at_lo, at_hi, at_tail = 2 * lo + 1, 2 * hi + 1, 2 * (lo + fresh) + 1
+        head_mask, block_mask = (1 << at_lo) - 1, (1 << 2 * (hi - lo)) - 1
+        nxt: dict[int, tuple[int, int]] = {}
         get = nxt.get
-        for (parity, codes), (offset, poly) in states.items():
-            head, tail = codes[:lo], codes[hi:]
-            for block, recode, advance in moves[codes[lo:hi]]:
-                new = head + block + tail
+        for key, (offset, poly) in states.items():
+            rest = key & head_mask | key >> at_hi << at_tail
+            for block, flip, recode, delta in (
+                    moves[key & 1][key >> at_lo & block_mask]):
+                new = rest ^ flip | block << at_lo
                 if recode is not None:
                     slot, step, code = recode
-                    j = _partner(codes, lo + slot, step)
-                    j += shift if j >= hi else 0
-                    new = new[:j] + (code,) + new[j + 1:]
-                parity2, delta = advance[parity]
-                key, state = (parity2, new), (offset + delta, poly)
-                old = get(key)
+                    j = _partner(key >> 1, lo + slot, step)
+                    at = 2 * (j + shift if j >= hi else j) + 1
+                    new = new & ~(3 << at) | code << at
+                state = (offset + delta, poly)
+                old = get(new)
                 if old is not None:
                     (low, a), (high, b) = ((old, state) if old[0] <= state[0]
                                            else (state, old))
                     state = (low, a + (b << (high - low) * field_bits))
-                nxt[key] = state
+                nxt[new] = state
         states = nxt
     return _unpack(states, stride, nbytes)
 
@@ -469,7 +478,7 @@ def _unpack(states: dict, stride: int, nbytes: int) -> Table:
     one as every edge is closed: field i of its int counts slot offset + i,
     and slot row * stride + l holds 2 * row + parity edges and l loops."""
     table: Table = {}
-    for (parity, _), (offset, packed) in states.items():
+    for parity, (offset, packed) in states.items():
         slots = -(-packed.bit_length() // (8 * nbytes))
         raw = packed.to_bytes(slots * nbytes, "little")
         for i in range(slots):
@@ -718,9 +727,8 @@ def exact_event_probability(region, tau, params: Params, event: Callable, *,
     :class:`SpinSystem`.  ``tau`` gives the frozen surrounding spins: a
     single sign or a mapping.  ``event`` is a predicate as in
     :func:`spin_partition`; probabilities of wall events equal the loop
-    measure's by the spin-loop correspondence, except on a context with a
-    hole, where the cluster count ``k`` is less than the number of loops
-    the walls form (see ``configs``).
+    measure's by the spin-loop correspondence, on a context with holes too,
+    where each hole is a cluster of its own (see ``configs``).
 
     A named event that carries its own ``side`` and support requirements
     (see ``observables.event_from_json``) is validated against the system

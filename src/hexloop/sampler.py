@@ -4,11 +4,12 @@ A heat-bath chain over the free hexagons of a :class:`SpinSystem`, with the
 cluster, wall, magnetization and triangle counts maintained incrementally.
 The single-flip count changes come from ``configs``: the 128-entry ring
 table ``_LOCAL`` and, for rings with two or more arcs of each sign, the
-walk along the domain walls around the site, ``_multi_arc_dk``.  In a
-context with a hole, whose cluster count the walk does not give, those
-flips are recounted in full through this module's ``spin_counts``
-binding.  When each sign has at most one arc, the whole update, heat-bath
-probability included, is a lookup in a per-chain copy of the table.
+walk along the domain walls around the site, ``_multi_arc_dk``, on every
+context, holed or not, since each hole is a cluster node of its own.  A
+full count (this module's ``spin_counts`` binding) runs only when a chain
+starts and, with ``debug``, after every flip.  When each sign has at most
+one arc, the whole update, heat-bath probability included, is a lookup in
+a per-chain copy of the table.
 
 Randomness comes from a counter-based generator (Philox) keyed by a 64-bit
 seed and a stream index, with one uniform block drawn per sweep and a fixed
@@ -80,7 +81,7 @@ class ChainState:
         self._full = system.framed_spins(
             init if isinstance(init, Mapping) else [init] * len(system.free))
         self._nb6 = system._nb6
-        self._walls = system._walls if system._sea_connected else None
+        self._walls = system._walls
         self._ln_n = math.log(params.n)
         self._ln_x = math.log(params.x)
 
@@ -135,8 +136,7 @@ class ChainState:
         with at most one arc of each sign are answered whole by ``_fast``.
         Otherwise both signs have two or more arcs, and the cluster-count
         change comes from ``configs._multi_arc_dk``, one walk along the
-        domain walls around the site; in a context with a hole, whose hole
-        joins the sea, it comes from a full recount instead.
+        domain walls around the site.
         """
         full = self._full
         cu = self._free_ctx[iu]
@@ -148,12 +148,7 @@ class ChainState:
             return hit
 
         s, de, dr, dtw, _, plan = _LOCAL[key]
-        if self._walls is None:
-            flipped = self.free_signs()
-            flipped[iu] = -s
-            dk = spin_counts(self.system, flipped).k - self._k
-        else:
-            dk = _multi_arc_dk(plan, full, cu, nbs, self._walls)
+        dk = _multi_arc_dk(plan, full, cu, nbs, self._walls)
         return dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s)
 
     def _update(self, iu: int, u01: float) -> bool:

@@ -1,25 +1,29 @@
-"""Test oracles for the exact layer: the defect-pair sum added up walk by
-walk, and the three-term relation of the edge-midpoint observable."""
+"""Test oracles for the exact layer: the defect-pair sum and the defect-pair
+table added up walk by walk, and the three-term relation of the
+edge-midpoint observable."""
 
 from hexloop.configs import Params
 from hexloop.errors import OutOfRange
 from hexloop.exact import (
     MAX_FIELD_EDGES,
     PathSum,
+    Table,
     _targets,
     parafermion_field,
     relative_weight,
+    sweep_table,
 )
-from hexloop.lattice import Domain, HexEdge, HexVertex, hex_position
+from hexloop.lattice import Domain, HexEdge, HexVertex, edge, hex_position
 
 
-def walks_to(domain: Domain, a: HexVertex, targets: frozenset[HexVertex]):
-    """Yield every self-avoiding walk in the domain from ``a`` to a target."""
+def walks_to(vertex_edges, a: HexVertex, targets: frozenset[HexVertex]):
+    """Yield every self-avoiding walk from ``a`` to a target along the edges
+    that ``vertex_edges`` lists at each vertex."""
     walk = [a]
     on_walk = {a}
 
     def rec(v: HexVertex):
-        for e in domain.vertex_edges.get(v, ()):
+        for e in vertex_edges.get(v, ()):
             w = e[1] if e[0] == v else e[0]
             if w in on_walk:
                 continue
@@ -40,8 +44,27 @@ def walk_path_sum(domain: Domain, a: HexVertex, b,
     self-avoiding walk from ``a`` to a target, enumerated one by one."""
     a, targets = _targets(domain, a, b)
     weights = [relative_weight(domain, walk, params)
-               for walk in walks_to(domain, a, targets)]
+               for walk in walks_to(domain.vertex_edges, a, targets)]
     return PathSum(sum(weights), len(weights))
+
+
+def walk_pair_table(edges, a: HexVertex, b: HexVertex) -> Table:
+    """The oracle of ``sweep_table(edges, [a, b])``: over the self-avoiding
+    walks from ``a`` to ``b``, the defect-free table of the edges that touch
+    no vertex of the walk, shifted by the walk's edge count."""
+    edges = {edge(u, v) for u, v in edges}
+    vertex_edges: dict[HexVertex, list[HexEdge]] = {}
+    for e in sorted(edges):
+        for u in e:
+            vertex_edges.setdefault(u, []).append(e)
+    table: Table = {}
+    for walk in walks_to(vertex_edges, a, frozenset([b])):
+        on_walk = set(walk)
+        rest = [e for e in edges if on_walk.isdisjoint(e)]
+        for (m, loops), count in sweep_table(rest).items():
+            key = (m + len(walk) - 1, loops)
+            table[key] = table.get(key, 0) + count
+    return table
 
 
 def _midpoint(e: HexEdge) -> complex:

@@ -13,9 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexloop.configs import (
+    _LOCAL,
     Params,
     SpinCounts,
     SpinSystem,
+    _multi_arc_dk,
     assignment_counts,
     assignment_index,
     border_edges,
@@ -45,6 +47,7 @@ from hexloop.lattice import (
 from shapes import HOLE, RING12, holes, spin_systems, with_hole
 
 BALL2 = sorted(hexagon_ball(2))
+BALL3 = sorted(hexagon_ball(3))
 
 
 def test_params_validation():
@@ -210,16 +213,43 @@ def test_cluster_count_is_the_wall_loop_count(scene):
         spins_to_loops(system, spins))
 
 
-def test_holed_context_counts_fewer_clusters_than_wall_loops():
-    # the stated exception: the walls on either side of an all-minus ring
-    # form two loops, but the plus frame inside it touches the hole at the
-    # origin, which joins the sea, so the count sees one minus cluster and
-    # one plus cluster where the plane has two plus clusters
+def test_holed_context_counts_as_many_clusters_as_wall_loops():
+    # the walls on either side of an all-minus ring form two loops; the
+    # plus frame inside it touches the hole at the origin, which is a
+    # cluster node of its own, so the count sees the minus ring and two
+    # plus clusters, as the plane has them
     system = SpinSystem(RING12, 1, sea=1)
     spins = [-1] * len(system.free)
     assert holes(system.context) == {(0, 0)}
-    assert spin_counts(system, spins).k == 1
+    assert spin_counts(system, spins).k == 2
     assert loop_count(spins_to_loops(system, spins)) == 2
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(system=spin_systems(BALL3, max_size=24), data=st.data())
+def test_clusters_are_wall_loops_and_walks_are_recounts(system, data):
+    # holed or not: with the frame and sea of one sign, k is the number of
+    # loops the walls form, and on the drawn frame the wall walk of every
+    # flip whose ring has two or more arcs of each sign gives the change
+    # of a full count
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)),
+                               min_size=len(system.free),
+                               max_size=len(system.free)))
+    constant = SpinSystem(system.free, dict.fromkeys(system.fixed, system.sea),
+                          sea=system.sea)
+    assert constant.context == system.context
+    assert spin_counts(constant, signs).k == loop_count(
+        spins_to_loops(constant, signs))
+    full = system.framed_spins(signs)
+    k = spin_counts(system, signs).k
+    for iu, (cu, nbs) in enumerate(zip(system._free_ctx, system._nb6)):
+        key = sum((full[c] > 0) << i for i, c in enumerate(nbs + (cu,)))
+        s, _, _, _, dk, plan = _LOCAL[key]
+        if dk is None:
+            flipped = list(signs)
+            flipped[iu] = -s
+            assert (_multi_arc_dk(plan, full, cu, nbs, system._walls)
+                    == spin_counts(system, flipped).k - k)
 
 
 def test_loops_json_round_trip():
@@ -246,25 +276,23 @@ def test_spins_json_round_trip():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(system=spin_systems(BALL2, max_size=10))
 def test_assignment_counts_match_spin_counts(system):
-    # a holed context recounts its multi-arc steps, and a simply connected
-    # one walks the walls
-    assert system._sea_connected == (not holes(system.context))
+    # the Gray walk takes every multi-arc step from the wall walk, in a
+    # holed context too
     want = [spin_counts(system, signs) for signs in
             itertools.product((-1, 1), repeat=len(system.free))]
     assert list(assignment_counts(system, len(system.free))) == want
 
 
 def test_assignment_counts_recount_a_holed_context():
-    # one free site whose ring neighbour (1, 0) touches a hole: the hole
-    # joins it to the sea, which a walk along the walls cannot see, so its
-    # multi-arc flips are recounted
+    # one free site whose ring neighbour (1, 0) touches a hole, a cluster
+    # node of its own: the Gray walk, whose multi-arc flips walk the walls,
+    # gives the counts of a full recount
     ring = tri_neighbors((0, 0))
     for sea in (-1, 1):
         for ring_signs in itertools.product((-1, 1), repeat=6):
             frame = with_hole(dict(zip(ring, ring_signs)), sea)
             system = SpinSystem([(0, 0)], frame, sea=sea)
             assert holes(system.context) == {HOLE}
-            assert not system._sea_connected
             want = [spin_counts(system, [v]) for v in (-1, 1)]
             assert list(assignment_counts(system, 1)) == want
 

@@ -9,9 +9,10 @@ import cmath
 import json
 import math
 import pathlib
+import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexloop.configs import Params, SpinSystem, border_edges, loop_count
@@ -25,7 +26,12 @@ from hexloop.errors import (
     WidthExceeded,
 )
 from hexloop.exact import (
+    _CLOSE,
+    _OPEN,
+    _STRAND,
+    MAX_SWEEP_WIDTH,
     WeightSum,
+    _partner,
     brute_force_Z,
     brute_force_table,
     catalan,
@@ -56,7 +62,7 @@ from hexloop.lattice import (
     tri_neighbors,
     triangle_domain,
 )
-from oracles import vertex_relation_residual, walk_path_sum
+from oracles import vertex_relation_residual, walk_pair_table, walk_path_sum
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 BALL2 = sorted(hexagon_ball(2))
@@ -261,6 +267,48 @@ def test_sweep_counts_the_cycle_space_past_the_brute_cap(size, shuffled):
     rank = len(edges) - len(verts) + len(edge_components(edges))
     assert sum(table.values()) == 2**rank
     assert {m % 2 for m, _ in table} == {0}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pair_tables_past_the_brute_cap_match_the_walk_oracle(seed):
+    # the largest component of a random subset of 80 to 120 edges of ball
+    # r=3, with a defect pair: the strand from a to b meets brackets, whose
+    # far ends the join moves recode, on scenes too large for the brute
+    # oracle.  The subset comes from a seeded generator, since the first
+    # edges of a near-sorted permutation form a dense patch whose walks
+    # are too many to enumerate
+    rng = random.Random(seed)
+    subset = rng.sample(BALL3_EDGES, rng.randint(80, 120))
+    edges = max(edge_components(subset), key=len)
+    a, b = rng.sample(sorted({u for e in edges for u in e}), 2)
+    assert sweep_table(edges, [a, b]) == walk_pair_table(edges, a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(codes=st.lists(st.integers(0, 3), min_size=1,
+                      max_size=MAX_SWEEP_WIDTH))
+@example(codes=[_OPEN] + [0] * 14 + [_CLOSE])
+@example(codes=[_OPEN, _OPEN, _OPEN, 0, _CLOSE, _OPEN, _CLOSE, _CLOSE,
+                _STRAND, _OPEN, 0, _OPEN, _STRAND, _CLOSE, _CLOSE, _CLOSE])
+def test_partner_scan_matches_a_stack(codes):
+    # codes packed two bits per slot, slot 0 lowest; an unmatched bracket
+    # becomes a strand, which leaves nested pairs with strands and empties
+    # among them
+    codes, stack, pairs = list(codes), [], []
+    for i, c in enumerate(codes):
+        if c == _OPEN:
+            stack.append(i)
+        elif c == _CLOSE and stack:
+            pairs.append((stack.pop(), i))
+        elif c == _CLOSE:
+            codes[i] = _STRAND
+    for i in stack:
+        codes[i] = _STRAND
+    packed = sum(c << 2 * i for i, c in enumerate(codes))
+    for i, j in pairs:
+        assert _partner(packed, i, 1) == j
+        assert _partner(packed, j, -1) == i
 
 
 @pytest.mark.parametrize("name", ["box8x8_table.json",

@@ -61,8 +61,7 @@ def negated(c: SpinCounts) -> SpinCounts:
 
 def heat_bath_delta(state: ChainState, u) -> SpinCounts:
     """Count changes of flipping ``u``, as the chain's heat-bath update
-    finds them: the ring table, the wall walk or, in a holed context, a
-    recount."""
+    finds them: the ring table or the wall walk."""
     dk, de, dr, dtw, _, _ = state._heat_bath(state.system.free_index[u])
     return SpinCounts(k=dk, e=de, r=dr, twice_rp=dtw)
 
@@ -163,26 +162,25 @@ def test_delta_matches_full_recount():
         assert heat_bath_delta(state, u) == recount_delta(state, u)
 
 
-def test_only_holed_contexts_recount(monkeypatch):
-    # RING12's context encloses its centre, which joins the sea, so its
-    # multi-arc flips are recounted; on a ball the wall walk answers all of
-    # them, also at n = 2, where a fifth of the updates are multi-arc
+def test_no_context_recounts(monkeypatch):
+    # RING12's context encloses its centre, a cluster node of its own, so
+    # the wall walk answers its multi-arc flips as it does on a ball, also
+    # at n = 2, where a fifth of the updates are multi-arc
     recounts = counting_recounts(monkeypatch)
     rng = random.Random(20260816)
     multi_arc = 0
     for _ in range(60):
         system = random_system(RING12, rng)
-        assert not system._sea_connected
+        assert holes(system.context)
         state = random_state(system, rng)
+        recounts.clear()
         for u in system.free:
-            before = len(recounts)
             assert heat_bath_delta(state, u) == recount_delta(state, u)
-            assert len(recounts) - before == (ring_runs(state, u) > 1)
             multi_arc += ring_runs(state, u) > 1
+        assert recounts == []
     assert multi_arc > 0
 
     system = SpinSystem(hexagon_ball(6), +1, sea=+1)
-    assert system._sea_connected
     state = ChainState(system, Params(n=2.0, x=x_critical(2.0)), seed=3)
     recounts.clear()
     for _ in range(50):
@@ -194,7 +192,7 @@ def test_only_holed_contexts_recount(monkeypatch):
 def test_every_ring_pattern_of_a_single_site(monkeypatch):
     # one free site with its ring frozen: all 2^7 sign patterns of the site
     # and its ring, under either sea sign.  Each pattern is also set in a
-    # holed context, where the change is recounted.
+    # holed context, where the wall walk gives the change too.
     params = Params(n=1.6, x=0.55, h=0.3, hp=-0.4)
     ring = tri_neighbors((0, 0))
     recounts = counting_recounts(monkeypatch)
@@ -212,7 +210,7 @@ def test_every_ring_pattern_of_a_single_site(monkeypatch):
             before = len(recounts)
             assert (heat_bath_delta(holed_state, (0, 0))
                     == recount_delta(holed_state, (0, 0)))
-            assert len(recounts) - before == (ring_runs(state, (0, 0)) > 1)
+            assert len(recounts) == before
             weights = [log_spin_weight(params, spin_counts(system, [v]))
                        for v in (1, -1)]
             p_plus = 1.0 / (1.0 + math.exp(weights[1] - weights[0]))
@@ -237,7 +235,6 @@ def ball3_states(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(state=ball3_states())
 def test_delta_matches_recount_on_random_subsets(state):
-    assert state.system._sea_connected == (not holes(state.system.context))
     for u in state.system.free:
         assert heat_bath_delta(state, u) == recount_delta(state, u)
 
