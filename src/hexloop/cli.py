@@ -192,12 +192,13 @@ def _event_name(spec: dict) -> str:
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
 
 
-def _estimates_csv(rows: list[tuple]) -> str:
+def _estimates_csv(header: list, rows) -> str:
+    """CSV of estimates, each row its leading columns and then the estimate."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["event", "mean", "stderr", "n_samples", "tau_int"])
-    for name, est in rows:
-        writer.writerow([name, repr(est.mean), repr(est.stderr),
+    writer.writerow(header + ["mean", "stderr", "n_samples", "tau_int"])
+    for *lead, est in rows:
+        writer.writerow([*lead, repr(est.mean), repr(est.stderr),
                          est.n_samples, repr(est.tau_int)])
     return out.getvalue()
 
@@ -216,16 +217,14 @@ def _cmd_sample(args) -> int:
     estimates = run_chain(domain, tau, params, args.sweeps, args.burn,
                           seed=args.seed, events=events, stream=args.stream)
     rows = [(_event_name(spec), est) for spec, est in zip(events, estimates)]
-    _emit(_estimates_csv(rows), args.out)
+    _emit(_estimates_csv(["event"], rows), args.out)
     return 0
 
 
 def _scan_cell(payload: tuple):
     (hexagons, tau, n, x, h, hp, sweeps, burn, seed, stream, event) = payload
-    params = Params(n, x, h, hp)
-    est = run_chain(hexagons, tau, params, sweeps, burn, seed=seed,
-                    events=[event], stream=stream)[0]
-    return est
+    return run_chain(hexagons, tau, Params(n, x, h, hp), sweeps, burn,
+                     seed=seed, events=[event], stream=stream)[0]
 
 
 def _cmd_scan(args) -> int:
@@ -240,6 +239,8 @@ def _cmd_scan(args) -> int:
     if workers is None:
         with _user_input("HEXLOOP_WORKERS"):
             workers = int(os.environ.get("HEXLOOP_WORKERS", "1"))
+    if workers < 1:
+        raise OutOfRange(f"need at least one worker, got {workers}")
     cells = [(x, h) for x in xs for h in hs]
     _log_config("scan", {"domain": name, "tau": args.tau, "n": args.n,
                          "xs": xs, "hs": hs, "hp": args.hp,
@@ -249,20 +250,15 @@ def _cmd_scan(args) -> int:
     payloads = [(hexagons, tau, args.n, x, h, args.hp, args.sweeps,
                  args.burn, args.seed, idx, event)
                 for idx, (x, h) in enumerate(cells)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(cells))
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_scan_cell, payloads))
     else:
         results = [_scan_cell(p) for p in payloads]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "x", "h", "event", "mean", "stderr",
-                     "n_samples", "tau_int"])
-    for (x, h), est in zip(cells, results):
-        writer.writerow([repr(args.n), repr(x), repr(h), _event_name(event),
-                         repr(est.mean), repr(est.stderr), est.n_samples,
-                         repr(est.tau_int)])
-    _emit(out.getvalue(), args.out)
+    rows = [(repr(args.n), repr(x), repr(h), _event_name(event), est)
+            for (x, h), est in zip(cells, results)]
+    _emit(_estimates_csv(["n", "x", "h", "event"], rows), args.out)
     return 0
 
 
@@ -434,13 +430,10 @@ def _cmd_render(args) -> int:
                            "out": args.out})
     if args.mode == "loops":
         with _user_input("loops file"):
-            if isinstance(data, dict):
-                edges = loops_from_json(data["edges"])
-                hexagons = ([tuple(c) for c in data["hexagons"]]
-                            if "hexagons" in data else None)
-            else:
-                edges = loops_from_json(data)
-                hexagons = None
+            data = data if isinstance(data, dict) else {"edges": data}
+            edges = loops_from_json(data["edges"])
+            hexagons = ([tuple(c) for c in data["hexagons"]]
+                        if "hexagons" in data else None)
         svg = render_loops(edges, args.top, hexagons=hexagons)
     else:
         with _user_input("spins file"):

@@ -84,24 +84,13 @@ def _component_path(component: frozenset[HexEdge]) -> str:
     return " ".join(parts)
 
 
-def _loop_paths(edges: frozenset[HexEdge]) -> list[str]:
-    """Path data for every component, in canonical order."""
-    components = sorted(edge_components(edges), key=min)
-    return [_component_path(comp) for comp in components]
-
-
 def _hexagon_points(h: TriVertex) -> str:
-    corners = hexagon_corners(h)
     return " ".join(f"{_fmt(x)},{_fmt(y)}"
-                    for x, y in (_point(c) for c in corners))
+                    for x, y in map(_point, hexagon_corners(h)))
 
 
 def _document(body: list[str], points: Iterable[tuple[float, float]]) -> str:
-    xs = []
-    ys = []
-    for x, y in points:
-        xs.append(x)
-        ys.append(y)
+    xs, ys = zip(*points)
     x0, y0 = min(xs) - MARGIN, min(ys) - MARGIN
     width, height = max(xs) + MARGIN - x0, max(ys) + MARGIN - y0
     lines = [
@@ -182,7 +171,8 @@ def render_spins(system: SpinSystem, spins, *, overlay: bool = False) -> str:
             body.append(f'<g fill="none" stroke="{LOOP_STROKE}" '
                         'stroke-width="2" stroke-linecap="round" '
                         'stroke-linejoin="round">')
-            body.extend(f'<path d="{d}"/>' for d in _loop_paths(walls))
+            body.extend(f'<path d="{_component_path(comp)}"/>'
+                        for comp in sorted(edge_components(walls), key=min))
             body.append('</g>')
 
     points = [_point(c) for h in system.context for c in hexagon_corners(h)]

@@ -7,9 +7,11 @@ table ``_LOCAL`` and, for rings with two or more arcs of each sign, the
 walk along the domain walls around the site, ``_multi_arc_dk``, on every
 context, holed or not, since each hole is a cluster node of its own.  A
 full count (this module's ``spin_counts`` binding) runs only when a chain
-starts and, with ``debug``, after every flip.  When each sign has at most
-one arc, the whole update, heat-bath probability included, is a lookup in
-a per-chain copy of the table.
+starts and, with ``debug``, after every flip.  Each free site's 7-bit ring
+key (its sign and its six neighbours') is kept per site, and every flip
+toggles the keys of the site and its free ring neighbours.  When each sign
+has at most one arc, the whole update, heat-bath probability included, is
+a lookup of that key in a per-chain copy of the table.
 
 Randomness comes from a counter-based generator (Philox) keyed by a 64-bit
 seed and a stream index, with one uniform block drawn per sweep and a fixed
@@ -56,7 +58,8 @@ class ChainState:
     """Mutable state of one chain: spins, cached counts, and the generator.
 
     The cached counts always equal ``spin_counts`` of the current spins;
-    with ``debug=True`` that is asserted after every accepted flip.  Frame
+    with ``debug=True`` that is asserted after every accepted flip.  The
+    ring key of every free site is kept too, toggled by each flip.  Frame
     spins are immutable; ``init`` sets the starting free spins (a sign or a
     mapping from every free hexagon to a sign; anything else raises
     :class:`OutOfRange`).  The parameters are fixed at
@@ -82,6 +85,18 @@ class ChainState:
             init if isinstance(init, Mapping) else [init] * len(system.free))
         self._nb6 = system._nb6
         self._walls = system._walls
+        # each free site's 7-bit ring key (bit i: ring neighbour i is +1,
+        # bit 6: the site is), and the (site, bit) pairs that its flip
+        # toggles; the site is neighbour i + 3 of its neighbour i
+        ctx, full = self._free_ctx, self._full
+        pos = {cu: iu for iu, cu in enumerate(ctx)}
+        self._keys = [(64 * full[cu] + 32 * full[n5] + 16 * full[n4]
+                       + 8 * full[n3] + 4 * full[n2] + 2 * full[n1]
+                       + full[n0] + 127) >> 1
+                      for cu, (n0, n1, n2, n3, n4, n5) in zip(ctx, self._nb6)]
+        self._watch = [((iu, 64), *((pos[c], 1 << (i + 3) % 6)
+                                    for i, c in enumerate(nbs) if c in pos))
+                       for iu, nbs in enumerate(self._nb6)]
         self._ln_n = math.log(params.n)
         self._ln_x = math.log(params.x)
 
@@ -132,40 +147,21 @@ class ChainState:
         """Exact (dk, de, dr, dtw) for flipping the iu-th free spin, then
         its current sign and the heat-bath probability of setting it to +1.
 
-        The seven signs of the site and its ring form a 7-bit key.  Keys
+        The site's kept 7-bit ring key (``_keys``) indexes the tables: keys
         with at most one arc of each sign are answered whole by ``_fast``.
         Otherwise both signs have two or more arcs, and the cluster-count
         change comes from ``configs._multi_arc_dk``, one walk along the
         domain walls around the site.
         """
-        full = self._full
-        cu = self._free_ctx[iu]
-        n0, n1, n2, n3, n4, n5 = nbs = self._nb6[iu]
-        key = (64 * full[cu] + 32 * full[n5] + 16 * full[n4] + 8 * full[n3]
-               + 4 * full[n2] + 2 * full[n1] + full[n0] + 127) >> 1
+        key = self._keys[iu]
         hit = self._fast[key]
         if hit is not None:
             return hit
 
         s, de, dr, dtw, _, plan = _LOCAL[key]
-        dk = _multi_arc_dk(plan, full, cu, nbs, self._walls)
+        dk = _multi_arc_dk(plan, self._full, self._free_ctx[iu],
+                           self._nb6[iu], self._walls)
         return dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s)
-
-    def _update(self, iu: int, u01: float) -> bool:
-        """One heat-bath update of the iu-th free spin; True if it flipped."""
-        dk, de, dr, dtw, s, p_plus = self._heat_bath(iu)
-        new = 1 if u01 < p_plus else -1
-        if new == s:
-            return False
-        self._full[self._free_ctx[iu]] = new
-        self._k += dk
-        self._e += de
-        self._r += dr
-        self._tw += dtw
-        if self.debug:
-            fresh = spin_counts(self.system, self.free_signs())
-            assert self.counts == fresh, (self.counts, fresh)
-        return True
 
     def plus_probability(self, u) -> float:
         """The heat-bath probability of setting the spin at ``u`` to +1."""
@@ -175,12 +171,32 @@ class ChainState:
         return self._heat_bath(iu)[5]
 
     def sweep(self) -> int:
-        """One pass over all free sites in fixed order; returns flip count."""
-        us = self.rng.random(len(self._free_ctx)).tolist()
+        """One pass over all free sites in fixed order; returns flip count.
+
+        A site's update is ``_fast[key]`` (``_heat_bath`` for multi-arc
+        keys); a flip toggles the kept keys of the site and its free ring.
+        """
+        full, ctx, fast = self._full, self._free_ctx, self._fast
+        keys, watch, heat_bath = self._keys, self._watch, self._heat_bath
+        k, e, r, tw = self._k, self._e, self._r, self._tw
         flips = 0
-        for i in range(len(self._free_ctx)):
-            if self._update(i, us[i]):
-                flips += 1
+        for iu, u in enumerate(self.rng.random(len(ctx)).tolist()):
+            dk, de, dr, dtw, s, p_plus = fast[keys[iu]] or heat_bath(iu)
+            if (u < p_plus) == (s == 1):
+                continue
+            full[ctx[iu]] = -s
+            for j, bit in watch[iu]:
+                keys[j] ^= bit
+            k += dk
+            e += de
+            r += dr
+            tw += dtw
+            flips += 1
+            if self.debug:
+                kept = SpinCounts(k=k, e=e, r=r, twice_rp=tw)
+                fresh = spin_counts(self.system, self.free_signs())
+                assert kept == fresh, (kept, fresh)
+        self._k, self._e, self._r, self._tw = k, e, r, tw
         self.sweep_count += 1
         return flips
 

@@ -110,6 +110,35 @@ def test_scan_with_one_worker(capsys):
     assert all(row.split(",")[0] == "1.5" for row in rows[1:])
 
 
+def test_scan_pool_is_capped_at_the_cell_count(capsys, monkeypatch):
+    # a stand-in pool that spawns nothing and records its size
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    argv = ["scan", "--domain", '{"ball": 3}', "--n", "1.5", "--xs",
+            "auto,0.5", "--event", '{"type": "plus_circuit", "k": 1}',
+            "--sweeps", "5"]
+    code, out, _ = run(capsys, *argv, "--workers", "64")
+    assert code == 0 and sizes == [2] and len(out.splitlines()) == 1 + 2
+    monkeypatch.setenv("HEXLOOP_WORKERS", "0")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and sizes == [2]
+    assert json.loads(err.splitlines()[-1])["error"] == "OutOfRange"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "catalan", "--params", '{"loop_params": [{'],
     ["verify", "--suite", "triangle", "--params",
@@ -140,6 +169,9 @@ def test_scan_with_one_worker(capsys):
     ["enumerate", "--domain", '{"ball": 2.5}', "--n", "1.5"],
     ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
      "--events", '{"type": "crossing", "k": 1, "rho": 1e999}'],
+    ["scan", "--domain", '{"ball": 3}', "--n", "1.5", "--xs", "auto",
+     "--event", '{"type": "plus_circuit", "k": 1}', "--sweeps", "5",
+     "--workers", "-2"],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)

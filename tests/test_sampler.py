@@ -322,17 +322,21 @@ def test_seed_and_stream_must_fit_the_philox_key():
 
 
 def test_heat_bath_step_updates_in_place():
-    # one update per site with fresh uniforms; debug recounts after every
-    # accepted flip, and the counts must follow the spins
+    # one sweep with debug, which recounts after every accepted flip; each
+    # site's new sign follows its uniform, drawn by a second generator with
+    # the same seed, and the heat-bath probability at the signs so far
     system = SpinSystem(BALL1, fixed=1)
-    state = ChainState(system, Params(n=1.4, x=0.6), seed=5, debug=True,
-                       init=-1)
-    flips = [state._update(iu, u)
-             for iu, u in enumerate(state.rng.random(len(system.free)))]
-    assert any(flips)
-    assert state.sigma == {h: 1 if flipped else -1
-                           for h, flipped in zip(system.free, flips)}
-    assert spin_counts(system, state.free_signs()) == state.counts
+    params = Params(n=1.4, x=0.6)
+    state = ChainState(system, params, seed=5, debug=True, init=-1)
+    us = ChainState(system, params, seed=5).rng.random(len(system.free))
+    flips = state.sweep()
+    signs = state.free_signs()
+    assert 0 < flips == signs.count(1)
+    for iu, (h, u) in enumerate(zip(system.free, us)):
+        sofar = ChainState(system, params, init=dict(zip(
+            system.free, signs[:iu] + [-1] * (len(signs) - iu))))
+        assert signs[iu] == (1 if u < sofar.plus_probability(h) else -1)
+    assert spin_counts(system, signs) == state.counts
 
 
 def test_plus_probability_rejects_non_free_hexagon():
@@ -372,6 +376,39 @@ def test_coupled_chains_stay_ordered(scene, seed):
         bottom.sweep()
         assert all(a >= b for a, b in zip(top.free_signs(),
                                           bottom.free_signs()))
+
+
+def ring_key(state: ChainState, iu: int) -> int:
+    """The 7-bit ring key of the iu-th free site, from the sign array: bit
+    i for ring neighbour i, bit 6 for the site, set where the sign is +1."""
+    full = state._full
+    cu = state._free_ctx[iu]
+    n0, n1, n2, n3, n4, n5 = state._nb6[iu]
+    return (64 * full[cu] + 32 * full[n5] + 16 * full[n4] + 8 * full[n3]
+            + 4 * full[n2] + 2 * full[n1] + full[n0] + 127) >> 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scene=monotone_scenes(), seed=st.integers(0, 2 ** 64 - 1),
+       data=st.data())
+def test_kept_keys_follow_every_flip(scene, seed, data):
+    # the sweep reads each site's ring key from a list that every flip
+    # updates; after each sweep the list must match keys recomputed from
+    # the signs, and the flip count and counts the signs that changed
+    system, params = scene
+    m = len(system.free)
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=m,
+                               max_size=m))
+    state = ChainState(system, params, seed=seed,
+                       init=dict(zip(system.free, signs)))
+    for _ in range(8):
+        assert state._keys == [ring_key(state, iu) for iu in range(m)]
+        before = state.free_signs()
+        flips = state.sweep()
+        after = state.free_signs()
+        assert flips == sum(a != b for a, b in zip(before, after))
+        assert state.counts == spin_counts(system, after)
+    assert state._keys == [ring_key(state, iu) for iu in range(m)]
 
 
 def test_cache_stays_coherent_over_sweeps():
@@ -494,6 +531,28 @@ def test_seeded_chain_matches_golden():
         assert [c.k, c.e, c.r, c.twice_rp] == want["counts"]
         assert "".join("+" if v > 0 else "-"
                        for v in state.free_signs()) == want["signs"]
+
+
+def test_sample_scene_matches_golden():
+    # the fixed sample scene (ball r = 10, tau = plus, n = 1.5, x_c, 1000 +
+    # 100 sweeps, seed 1), written by the chain before the sweep kept its
+    # ring keys: a speedup may not change a seeded chain's output
+    golden = json.loads((GOLDEN / "chain_r10.json").read_text())
+    system = SpinSystem(sorted(hexagon_ball(10)), +1, sea=+1)
+    params = Params(n=1.5, x=x_critical(1.5))
+    events = [{"type": "annulus_loop", "k": 4},
+              {"type": "plus_circuit", "k": 4}]
+    ests = run_chain(system, +1, params, sweeps=1000, burn_in=100, seed=1,
+                     events=events)
+    assert ([[e.mean, e.stderr, e.tau_int] for e in ests]
+            == golden["estimates"])
+    state = ChainState(system, params, seed=1)
+    for _ in range(1000 + 100):
+        state.sweep()
+    c = state.counts
+    assert [c.k, c.e, c.r, c.twice_rp] == golden["counts"]
+    assert "".join("+" if v > 0 else "-"
+                   for v in state.free_signs()) == golden["signs"]
 
 
 def test_run_chain_matches_exact_enumeration():
