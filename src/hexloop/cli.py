@@ -234,6 +234,8 @@ def _cmd_scan(args) -> int:
     xs = [resolve_x(tok, args.n) for tok in args.xs.split(",") if tok]
     with _user_input("--hs"):
         hs = [float(tok) for tok in args.hs.split(",") if tok]
+    if not xs or not hs:
+        raise OutOfRange("--xs and --hs must each list at least one value")
     event = _checked_event(_read_structured(args.event))
     workers = args.workers
     if workers is None:

@@ -2,16 +2,16 @@
 
 A heat-bath chain over the free hexagons of a :class:`SpinSystem`, with the
 cluster, wall, magnetization and triangle counts maintained incrementally.
-The single-flip count changes come from ``configs``: the 128-entry ring
-table ``_LOCAL`` and, for rings with two or more arcs of each sign, the
-walk along the domain walls around the site, ``_multi_arc_dk``, on every
-context, holed or not, since each hole is a cluster node of its own.  A
-full count (this module's ``spin_counts`` binding) runs only when a chain
-starts and, with ``debug``, after every flip.  Each free site's 7-bit ring
-key (its sign and its six neighbours') is kept per site, and every flip
-toggles the keys of the site and its free ring neighbours.  When each sign
-has at most one arc, the whole update, heat-bath probability included, is
-a lookup of that key in a per-chain copy of the table.
+Each free site's 7-bit ring key (its sign and its six neighbours') is kept
+and toggled by every flip.  A per-chain table gives each key the interval
+of uniforms that flip the site, its count changes (``configs._LOCAL``) and
+its heat-bath probabilities.  A uniform outside the interval keeps the
+sign.  Inside it, a ring with two or more arcs of each sign takes its
+cluster count change from ``_multi_arc_dk``, a walk along the domain walls
+around the site (holed or not: each hole is a cluster node of its own),
+and compares the uniform with that change's probability.  A full count
+(this module's ``spin_counts`` binding) runs only when a chain starts and,
+with ``debug``, after every flip.
 
 Randomness comes from a counter-based generator (Philox) keyed by a 64-bit
 seed and a stream index, with one uniform block drawn per sweep and a fixed
@@ -97,15 +97,27 @@ class ChainState:
         self._watch = [((iu, 64), *((pos[c], 1 << (i + 3) % 6)
                                     for i, c in enumerate(nbs) if c in pos))
                        for iu, nbs in enumerate(self._nb6)]
-        self._ln_n = math.log(params.n)
-        self._ln_x = math.log(params.x)
+        # per ring key: the interval [lo, hi) of uniforms that flip the site
+        # under some change its wall plan can return, its count changes,
+        # sign and plan, and the heat-bath probability of +1 per change dk
+        ln_n, ln_x = math.log(params.n), math.log(params.x)
+        h, hp = params.h, params.hp
 
-        # the whole update for every ring pattern with at most one arc of
-        # each sign, where ``_LOCAL`` holds dk
-        self._fast = tuple(
-            None if dk is None
-            else (dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s))
-            for s, de, dr, dtw, dk, _ in _LOCAL)
+        def p_plus(dk, de, dr, dtw, s):
+            dlog = dk * ln_n + de * ln_x + h * dr + hp * dtw * 0.5
+            # dlog is log W(flipped) - log W(current); gap is log W- - log W+
+            gap = dlog if s == 1 else -dlog
+            if gap > 700.0:
+                return 0.0
+            return 1.0 / (1.0 + math.exp(gap))
+
+        self._table = []
+        for s, de, dr, dtw, dk, plan in _LOCAL:
+            ps = {c: p_plus(c, de, dr, dtw, s)
+                  for c in ([dk] if plan is None else plan[2].values())}
+            lo, hi = ((min(ps.values()), 2.0) if s == 1
+                      else (-1.0, max(ps.values())))
+            self._table.append((lo, hi, dk, de, dr, dtw, s, plan, ps))
 
         c = spin_counts(system, self.free_signs())
         self._k, self._e, self._r, self._tw = c.k, c.e, c.r, c.twice_rp
@@ -129,39 +141,15 @@ class ChainState:
 
     # -- single-site updates ----------------------------------------------------
 
-    def _p_plus(self, dk: int, de: int, dr: int, dtw: int, s: int) -> float:
-        """Heat-bath probability of +1 at a site of sign s whose flip
-        changes the counts by (dk, de, dr, dtw)."""
-        p = self.params
-        dlog = (dk * self._ln_n + de * self._ln_x
-                + p.h * dr + p.hp * dtw * 0.5)
-        # dlog is log W(flipped) - log W(current); gap is log W- - log W+
-        gap = dlog if s == 1 else -dlog
-        if gap > 700.0:
-            return 0.0
-        if gap < -700.0:
-            return 1.0
-        return 1.0 / (1.0 + math.exp(gap))
-
     def _heat_bath(self, iu: int):
-        """Exact (dk, de, dr, dtw) for flipping the iu-th free spin, then
-        its current sign and the heat-bath probability of setting it to +1.
-
-        The site's kept 7-bit ring key (``_keys``) indexes the tables: keys
-        with at most one arc of each sign are answered whole by ``_fast``.
-        Otherwise both signs have two or more arcs, and the cluster-count
-        change comes from ``configs._multi_arc_dk``, one walk along the
-        domain walls around the site.
-        """
-        key = self._keys[iu]
-        hit = self._fast[key]
-        if hit is not None:
-            return hit
-
-        s, de, dr, dtw, _, plan = _LOCAL[key]
-        dk = _multi_arc_dk(plan, self._full, self._free_ctx[iu],
-                           self._nb6[iu], self._walls)
-        return dk, de, dr, dtw, s, self._p_plus(dk, de, dr, dtw, s)
+        """Exact (dk, de, dr, dtw) for flipping the iu-th free spin, its
+        sign and its heat-bath probability of +1: the ``_table`` entry of
+        its kept key, with dk from ``_multi_arc_dk`` for a multi-arc key."""
+        _, _, dk, de, dr, dtw, s, plan, ps = self._table[self._keys[iu]]
+        if plan is not None:
+            dk = _multi_arc_dk(plan, self._full, self._free_ctx[iu],
+                               self._nb6[iu], self._walls)
+        return dk, de, dr, dtw, s, ps[dk]
 
     def plus_probability(self, u) -> float:
         """The heat-bath probability of setting the spin at ``u`` to +1."""
@@ -173,17 +161,25 @@ class ChainState:
     def sweep(self) -> int:
         """One pass over all free sites in fixed order; returns flip count.
 
-        A site's update is ``_fast[key]`` (``_heat_bath`` for multi-arc
-        keys); a flip toggles the kept keys of the site and its free ring.
+        A uniform outside its key's flip interval keeps the sign whatever
+        the wall walk would return, so a multi-arc key walks only inside it,
+        then compares the uniform with the probability of the change found.
+        A flip toggles the kept keys of the site and its free ring.
         """
-        full, ctx, fast = self._full, self._free_ctx, self._fast
-        keys, watch, heat_bath = self._keys, self._watch, self._heat_bath
+        full, ctx, nb6 = self._full, self._free_ctx, self._nb6
+        table, keys, watch = self._table, self._keys, self._watch
+        walls = self._walls
         k, e, r, tw = self._k, self._e, self._r, self._tw
         flips = 0
         for iu, u in enumerate(self.rng.random(len(ctx)).tolist()):
-            dk, de, dr, dtw, s, p_plus = fast[keys[iu]] or heat_bath(iu)
-            if (u < p_plus) == (s == 1):
+            entry = table[keys[iu]]
+            if not entry[0] <= u < entry[1]:
                 continue
+            _, _, dk, de, dr, dtw, s, plan, ps = entry
+            if plan is not None:
+                dk = _multi_arc_dk(plan, full, ctx[iu], nb6[iu], walls)
+                if (u < ps[dk]) == (s == 1):
+                    continue
             full[ctx[iu]] = -s
             for j, bit in watch[iu]:
                 keys[j] ^= bit

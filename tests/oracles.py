@@ -1,8 +1,17 @@
 """Test oracles for the exact layer: the defect-pair sum and the defect-pair
 table added up walk by walk, and the three-term relation of the
-edge-midpoint observable."""
+edge-midpoint observable; and for the chain, a heat-bath sweep that walks
+the walls at every multi-arc site."""
 
-from hexloop.configs import Params
+import math
+
+from hexloop.configs import (
+    _LOCAL,
+    Params,
+    SpinCounts,
+    SpinSystem,
+    _multi_arc_dk,
+)
 from hexloop.errors import OutOfRange
 from hexloop.exact import (
     MAX_FIELD_EDGES,
@@ -95,3 +104,56 @@ def vertex_relation_residual(domain: Domain, z0: HexEdge, v: HexVertex,
     for e in domain.vertex_edges[v]:
         res += (_midpoint(e) - pv) * field.get(e, 0j)
     return res
+
+
+def heat_bath_plus(params: Params, dk: int, de: int, dr: int, dtw: int,
+                   s: int) -> float:
+    """The heat-bath probability of +1 at a site of sign s whose flip
+    changes the counts by (dk, de, dr, dtw), in the chain's float
+    expression, so that it equals the chain's probability bit for bit."""
+    dlog = (dk * math.log(params.n) + de * math.log(params.x)
+            + params.h * dr + params.hp * dtw * 0.5)
+    gap = dlog if s == 1 else -dlog
+    if gap > 700.0:
+        return 0.0
+    if gap < -700.0:
+        return 1.0
+    return 1.0 / (1.0 + math.exp(gap))
+
+
+def ring_entry(full, cu: int, nbs) -> tuple:
+    """The ``configs._LOCAL`` entry (s, de, dr, dtw, dk, plan) of the site
+    at context index ``cu`` with ring ``nbs`` on the framed sign array."""
+    return _LOCAL[64 * (full[cu] == 1)
+                  + sum(1 << i for i, c in enumerate(nbs) if full[c] == 1)]
+
+
+def change_probabilities(params: Params, full, cu: int,
+                         nbs) -> tuple[int, list[float]]:
+    """The sign s of the site at context index ``cu`` with ring ``nbs`` on
+    the framed sign array, and its heat-bath probability of +1 under each
+    cluster-count change that its ring pattern allows: the ring table's dk,
+    or each change that its wall plan can return."""
+    s, de, dr, dtw, dk, plan = ring_entry(full, cu, nbs)
+    dks = [dk] if plan is None else sorted(set(plan[2].values()))
+    return s, [heat_bath_plus(params, c, de, dr, dtw, s) for c in dks]
+
+
+def reference_sweep(system: SpinSystem, params: Params, full,
+                    us) -> tuple[int, SpinCounts]:
+    """One heat-bath sweep over the free sites of ``system`` in order, on
+    the framed sign array ``full`` (changed in place) with uniforms ``us``.
+    Every site with two or more ring arcs of each sign walks the walls; a
+    site of sign s keeps it when ``(u < p) == (s == 1)``, p its probability
+    of +1.  Returns the flip count and the summed count changes."""
+    flips, total = 0, (0, 0, 0, 0)
+    for cu, nbs, u in zip(system._free_ctx, system._nb6, us):
+        s, de, dr, dtw, dk, plan = ring_entry(full, cu, nbs)
+        if plan is not None:
+            dk = _multi_arc_dk(plan, full, cu, nbs, system._walls)
+        if (u < heat_bath_plus(params, dk, de, dr, dtw, s)) == (s == 1):
+            continue
+        full[cu] = -s
+        flips += 1
+        total = tuple(a + b for a, b in zip(total, (dk, de, dr, dtw)))
+    return flips, SpinCounts(*total)

@@ -172,6 +172,12 @@ def test_scan_pool_is_capped_at_the_cell_count(capsys, monkeypatch):
     ["scan", "--domain", '{"ball": 3}', "--n", "1.5", "--xs", "auto",
      "--event", '{"type": "plus_circuit", "k": 1}', "--sweeps", "5",
      "--workers", "-2"],
+    # an empty grid of edge weights or of fields
+    ["scan", "--domain", '{"ball": 3}', "--n", "1.5", "--xs", ",",
+     "--event", '{"type": "plus_circuit", "k": 1}', "--sweeps", "5"],
+    ["scan", "--domain", '{"ball": 3}', "--n", "1.5", "--xs", "auto",
+     "--hs", ",", "--event", '{"type": "plus_circuit", "k": 1}',
+     "--sweeps", "5"],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -17,6 +17,7 @@ from hexloop.configs import (
     Params,
     SpinCounts,
     SpinSystem,
+    _multi_arc_dk,
     cluster_find,
     log_spin_weight,
     spin_counts,
@@ -33,6 +34,7 @@ from hexloop.sampler import (
     run_chain,
 )
 
+from oracles import change_probabilities, reference_sweep
 from shapes import HOLE, RING12, holes, spin_systems, with_hole
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -409,6 +411,79 @@ def test_kept_keys_follow_every_flip(scene, seed, data):
         assert flips == sum(a != b for a, b in zip(before, after))
         assert state.counts == spin_counts(system, after)
     assert state._keys == [ring_key(state, iu) for iu in range(m)]
+
+
+class SetUniforms:
+    """A stand-in for the chain's generator: ``random(m)`` returns the m
+    uniforms of the next sweep, set beforehand in ``us``."""
+
+    def __init__(self):
+        self.us = []
+
+    def random(self, m):
+        assert m == len(self.us)
+        return np.array(self.us)
+
+
+def tie_uniforms(state: ChainState, data) -> list[float]:
+    """A uniform per free site: the heat-bath probability of a change that
+    its ring allows at the start of the sweep, a float next to one, or a
+    random draw."""
+    us = []
+    for cu, nbs in zip(state._free_ctx, state._nb6):
+        _, ps = change_probabilities(state.params, state._full, cu, nbs)
+        near = [q for p in ps for q in (math.nextafter(p, -1.0), p,
+                                        math.nextafter(p, 2.0))
+                if 0.0 <= q < 1.0]
+        us.append(data.draw(st.sampled_from(near)
+                            | st.floats(0.0, 1.0, exclude_max=True)))
+    return us
+
+
+# n x^2 > exp(-|h'|), with both fields on
+OFF_SCENE = st.just((random_system(BALL3, random.Random(5)),
+                     Params(n=1.6, x=0.8, h=0.3, hp=-0.4)))
+
+
+@pytest.mark.parametrize("scenes", [monotone_scenes(), OFF_SCENE],
+                         ids=["monotone", "off-monotone"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sweep_walks_only_where_the_uniform_can_flip(scenes, data):
+    # uniforms on and next to the exact probabilities: the sweep, which
+    # walks the walls only for a uniform inside its key's flip interval,
+    # must match a sweep that walks at every multi-arc site
+    system, params = data.draw(scenes)
+    assert params.in_monotone_region == (scenes is not OFF_SCENE)
+    m = len(system.free)
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=m,
+                               max_size=m))
+    state = ChainState(system, params, init=dict(zip(system.free, signs)))
+    state.rng = SetUniforms()
+    pos = {cu: iu for iu, cu in enumerate(system._free_ctx)}
+
+    def spy(plan, full, cu, nbs, walls):
+        # some change that the ring allows must flip the site at this u
+        s, ps = change_probabilities(params, full, cu, nbs)
+        u = state.rng.us[pos[cu]]
+        assert any((u < p) != (s == 1) for p in ps)
+        return _multi_arc_dk(plan, full, cu, nbs, walls)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_multi_arc_dk", spy)
+        for _ in range(4):
+            us = state.rng.us = tie_uniforms(state, data)
+            full = list(state._full)
+            flips, delta = reference_sweep(system, params, full, us)
+            before = state.counts
+            assert state.sweep() == flips
+            assert state._full == full
+            assert state._keys == [ring_key(state, iu) for iu in range(m)]
+            assert state.counts == SpinCounts(
+                k=before.k + delta.k, e=before.e + delta.e,
+                r=before.r + delta.r,
+                twice_rp=before.twice_rp + delta.twice_rp)
+            assert state.counts == spin_counts(system, state.free_signs())
 
 
 def test_cache_stays_coherent_over_sweeps():
