@@ -39,8 +39,9 @@ from .errors import HexloopError, OutOfRange
 from .exact import (
     MAX_BRUTE_EDGES,
     MAX_SWEEP_WIDTH,
-    brute_force_Z,
-    sweep_Z,
+    brute_force_table,
+    evaluate_table,
+    sweep_table,
 )
 from .fixtures import (
     defect_sets,
@@ -151,20 +152,22 @@ def _cmd_enumerate(args) -> int:
     if args.h != 0.0 or args.hp != 0.0:
         raise OutOfRange("defect enumeration is loop-side; field terms "
                          "belong to sample")
+    for i, v in enumerate(defects):
+        if v in defects[:i]:
+            raise OutOfRange(f"defect {list(v)} is given twice")
+        if domain.degree(v) == 0:
+            raise OutOfRange(f"defect {list(v)} is not a vertex of the domain")
     params = Params(args.n, x)
     # the sweep checks its own width cap; brute is the oracle, on request
     engine = "brute" if args.engine == "brute" else "sweep"
-    _log_config("enumerate", {"domain": name, "A": [list(v) for v in defects],
-                              "n": args.n, "x": x, "h": args.h, "hp": args.hp,
-                              "engine": engine, "out": args.out})
+    resolved = {"domain": name, "A": [list(v) for v in defects],
+                "n": args.n, "x": x, "h": args.h, "hp": args.hp,
+                "engine": engine}
+    _log_config("enumerate", {**resolved, "out": args.out})
     t0 = time.perf_counter()
-    if engine == "sweep":
-        ws = sweep_Z(domain, defects, params)
-    else:
-        ws = brute_force_Z(domain, defects, params)
-    record = {"domain": name, "A": [list(v) for v in defects],
-              "n": args.n, "x": x, "h": args.h, "hp": args.hp,
-              "log_Z": ws.log_magnitude, "engine": engine,
+    build = sweep_table if engine == "sweep" else brute_force_table
+    ws = evaluate_table(build(domain.edges, defects), params)
+    record = {**resolved, "log_Z": ws.log_magnitude,
               "elapsed": round(time.perf_counter() - t0, 6)}
     _emit(json.dumps(record, sort_keys=True) + "\n", args.out)
     return 0

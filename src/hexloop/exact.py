@@ -5,7 +5,7 @@ an edge set with a prescribed defect set.  Both reduce an instance to a
 table ``{(edge count, loop count): multiplicity}`` that is independent of
 the weights, so one combinatorial pass serves a whole parameter grid;
 tables are evaluated by log-sum-exp into a :class:`WeightSum`.  The
-left-to-right sweep (:func:`sweep_Z`) is the product engine: every walk
+left-to-right sweep (:func:`sweep_table`) is the product engine: every walk
 weight, path sum and observable below goes through it.  A state is one int:
 the edge parity in bit 0, then two bits per edge crossing the cut, in order
 of midpoint height, for its code: empty, one end of a strand with both ends
@@ -18,7 +18,7 @@ configurations reaching it, packed into one exact Python int with a
 fixed-width field per (edges // 2, loops) term from the state's own lowest
 term up, so a transition moves an offset and a merge is one shift and one
 addition.  The depth-first enumeration with degree pruning
-(:func:`even_subgraphs`) is the oracle behind ``brute_force_*`` and
+(:func:`even_subgraphs`) is the oracle behind :func:`brute_force_table` and
 ``hexloop enumerate --engine brute``, which tests compare the sweep against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
@@ -118,6 +118,19 @@ class WeightSum:
             return cls.zero()
         mag = abs(acc)
         return cls(top + math.log(mag), acc / mag)
+
+    @classmethod
+    def sum_logs(cls, logs: list[float]) -> "WeightSum":
+        """Log-sum-exp of positive terms given by their logs, added in order
+        into one float scaled by the largest: bit for bit the real part of
+        what :meth:`sum_terms` adds for the same terms at phase 1."""
+        if not logs:
+            return cls.zero()
+        top, exp = max(logs), math.exp
+        acc = 0.0
+        for lg in logs:  # not sum(), which compensates from Python 3.12 on
+            acc += exp(lg - top)
+        return cls(top + math.log(acc))
 
     @property
     def is_zero(self) -> bool:
@@ -289,7 +302,7 @@ def brute_force_table(edges: Iterable[HexEdge],
 
 def sweep_width(edges: Iterable[HexEdge]) -> int:
     """Largest number of edges crossing the left-to-right sweep frontier."""
-    es = tuple(sorted({edge(u, v) for u, v in edges}))
+    es = {edge(u, v) for u, v in edges}
     verts = sorted({u for e in es for u in e}, key=hex_xy)
     order = {v: i for i, v in enumerate(verts)}
     open_at = [0] * (len(verts) + 1)
@@ -393,10 +406,9 @@ def _frontier_plan(edges: tuple[HexEdge, ...], verts: list[HexVertex],
         fresh[lo].append(e)
         arriving[hi].append(e)
 
-    def height(e: HexEdge) -> tuple[int, int]:
-        (xu, yu), (xv, yv) = hex_xy(e[0]), hex_xy(e[1])
-        return (yu + yv, xu + xv)
-
+    xy = {v: hex_xy(v) for v in verts}  # each edge's height, once
+    height = {(u, v): (xy[u][1] + xy[v][1], xy[u][0] + xy[v][0])
+              for u, v in edges}.__getitem__
     frontier: list[HexEdge] = []
     plan = []
     for v, came, new in zip(verts, arriving, fresh):
@@ -503,29 +515,11 @@ def sweep_table(edges: Iterable[HexEdge],
 # ---------------------------------------------------------------------------
 
 def evaluate_table(table: Table, params: Params) -> WeightSum:
-    """Evaluate a configuration table at given weights by log-sum-exp."""
-    log_x = math.log(params.x)
-    log_n = math.log(params.n)
-    return WeightSum.sum_terms(
-        (m * log_x + l * log_n + math.log(c), 1.0 + 0j)
-        for (m, l), c in sorted(table.items()))
-
-
-def brute_force_Z(region, defects: Iterable[HexVertex],
-                  params: Params, *, max_edges: int = MAX_BRUTE_EDGES,
-                  ) -> WeightSum:
-    """Weighted configuration sum with the given defect set, by brute force."""
-    return evaluate_table(
-        brute_force_table(_edges_of(region), defects, max_edges=max_edges),
-        params)
-
-
-def sweep_Z(region, defects: Iterable[HexVertex],
-            params: Params, *, max_width: int = MAX_SWEEP_WIDTH) -> WeightSum:
-    """Weighted configuration sum with the given defect set, by sweeping."""
-    return evaluate_table(
-        sweep_table(_edges_of(region), defects, max_width=max_width),
-        params)
+    """Evaluate a configuration table at given weights: one float pass over
+    the logs of its positive terms ``c x^m n^l`` in key order."""
+    log_x, log_n = math.log(params.x), math.log(params.n)
+    return WeightSum.sum_logs([m * log_x + l * log_n + math.log(c)
+                               for (m, l), c in sorted(table.items())])
 
 
 def _log_Z(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
@@ -712,8 +706,8 @@ def spin_partition(system: SpinSystem, params: Params,
                 keep = event(spins_to_loops(system, signs))
             if not keep:
                 continue
-        terms.append((log_spin_weight(params, counts), 1.0 + 0j))
-    return WeightSum.sum_terms(terms)
+        terms.append(log_spin_weight(params, counts))
+    return WeightSum.sum_logs(terms)
 
 
 def exact_event_probability(region, tau, params: Params, event: Callable, *,

@@ -589,30 +589,31 @@ def config_degrees(edges: Iterable[HexEdge]) -> dict[HexVertex, int]:
 
 
 def edge_components(edges: Iterable[HexEdge]) -> tuple[frozenset[HexEdge], ...]:
-    """Connected components of an edge set, as frozensets of edges.
-
-    Components come in the order of their first edge in ``edges``.
-    """
+    """Connected components of an edge set, as frozensets of edges, in the
+    order of their first edge in ``edges``.  Each vertex maps to the member
+    list of its component, and an edge joining two components moves the
+    shorter list into the longer (union by size), so no root is searched."""
     es = list(edges)
-    parent: dict[HexVertex, HexVertex] = {}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
+    members: dict[HexVertex, list[HexVertex]] = {}
     for u, v in es:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[HexVertex, list[HexEdge]] = {}
+        mu, mv = members.get(u), members.get(v)
+        if mu is None:
+            if mv is None:
+                mv = members[v] = [v]
+            mv.append(u)
+            members[u] = mv
+        elif mv is None:
+            mu.append(v)
+            members[v] = mu
+        elif mu is not mv:
+            if len(mu) < len(mv):
+                mu, mv = mv, mu
+            mu += mv
+            for w in mv:
+                members[w] = mu
+    groups: dict[int, list[HexEdge]] = {}
     for e in es:
-        groups.setdefault(find(e[0]), []).append(e)
+        groups.setdefault(id(members[e[0]]), []).append(e)
     return tuple(frozenset(g) for g in groups.values())
 
 

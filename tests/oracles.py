@@ -1,9 +1,11 @@
 """Test oracles for the exact layer: the defect-pair sum and the defect-pair
-table added up walk by walk, and the three-term relation of the
-edge-midpoint observable; and for the chain, a heat-bath sweep that walks
-the walls at every multi-arc site."""
+table added up walk by walk, table evaluation through complex log-sum-exp,
+and the three-term relation of the edge-midpoint observable; for the
+lattice, edge components by breadth-first search; and for the chain, a
+heat-bath sweep that walks the walls at every multi-arc site."""
 
 import math
+from collections import deque
 
 from hexloop.configs import (
     _LOCAL,
@@ -17,6 +19,7 @@ from hexloop.exact import (
     MAX_FIELD_EDGES,
     PathSum,
     Table,
+    WeightSum,
     _targets,
     parafermion_field,
     relative_weight,
@@ -74,6 +77,42 @@ def walk_pair_table(edges, a: HexVertex, b: HexVertex) -> Table:
             key = (m + len(walk) - 1, loops)
             table[key] = table.get(key, 0) + count
     return table
+
+
+def sum_terms_evaluate_table(table: Table, params: Params) -> WeightSum:
+    """The oracle of ``exact.evaluate_table``: every term in key order as a
+    ``(log, 1 + 0j)`` pair, added by :meth:`WeightSum.sum_terms`."""
+    log_x = math.log(params.x)
+    log_n = math.log(params.n)
+    return WeightSum.sum_terms(
+        (m * log_x + l * log_n + math.log(c), 1.0 + 0j)
+        for (m, l), c in sorted(table.items()))
+
+
+def bfs_edge_components(edges) -> tuple[frozenset[HexEdge], ...]:
+    """The oracle of ``lattice.edge_components``: from the first edge not yet
+    reached, in the given order, the edges reachable from it by
+    breadth-first search over shared endpoints."""
+    edges = list(edges)
+    at: dict[HexVertex, list[HexEdge]] = {}
+    for e in edges:
+        for u in e:
+            at.setdefault(u, []).append(e)
+    reached: set[HexEdge] = set()
+    comps = []
+    for first in edges:
+        if first in reached:
+            continue
+        comp = {first}
+        queue = deque(first)
+        while queue:
+            for e in at[queue.popleft()]:
+                if e not in comp:
+                    comp.add(e)
+                    queue.extend(e)
+        reached |= comp
+        comps.append(frozenset(comp))
+    return tuple(comps)
 
 
 def _midpoint(e: HexEdge) -> complex:

@@ -178,6 +178,11 @@ def test_scan_pool_is_capped_at_the_cell_count(capsys, monkeypatch):
     ["scan", "--domain", '{"ball": 3}', "--n", "1.5", "--xs", "auto",
      "--hs", ",", "--event", '{"type": "plus_circuit", "k": 1}',
      "--sweeps", "5"],
+    # a repeated defect, and defects off the domain
+    ["enumerate", "--domain", '{"ball": 1}', "--n", "1.5", "--A",
+     "[[0, 0, 0], [0, 0, 0]]"],
+    ["enumerate", "--domain", '{"ball": 1}', "--n", "1.5", "--A",
+     "[[50, 0, 0], [51, 0, 0]]"],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -201,6 +206,17 @@ def test_verify_spin_suites_match_golden(capsys, suite):
     # written by the per-assignment spin_counts loops that the Gray-code
     # enumerator replaced; every float must come out bit for bit the same
     golden = json.loads((GOLDEN / "verify_spin_suites.json").read_text())
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert out == golden[suite]
+
+
+@pytest.mark.parametrize("suite", ["catalan", "monotone", "triangle",
+                                   "contour"])
+def test_verify_table_suites_match_golden(capsys, suite):
+    # written before table evaluation became one float pass; every float
+    # must come out bit for bit the same
+    golden = json.loads((GOLDEN / "verify_table_suites.json").read_text())
     code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
     assert out == golden[suite]

@@ -32,6 +32,7 @@ from hexloop.lattice import (
     domain_from_hexagons,
     domain_from_interior,
     edge,
+    edge_components,
     edge_hexagons,
     hex_neighbors,
     hex_position,
@@ -50,6 +51,7 @@ from hexloop.lattice import (
     turn_sign,
     vertex_hexagons,
 )
+from oracles import bfs_edge_components
 
 SAMPLE_VERTICES = [(r, s, c) for r in range(-3, 4) for s in range(-3, 4)
                    for c in (UP, DOWN)]
@@ -418,6 +420,19 @@ def test_hexagon_components_match_reachability(data):
         got = hexagon_components(sub)
         assert len(got) == len(set(got))
         assert set(got) == _reachability_classes(sub)
+
+
+BALL3_EDGES = domain_from_hexagons(hexagon_ball(3)).edges
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shuffled=st.permutations(BALL3_EDGES),
+       size=st.integers(0, len(BALL3_EDGES)))
+def test_edge_components_match_breadth_first_search(shuffled, size):
+    # a random subset of ball r=3 in random order, often disconnected: the
+    # same components, each in the order of its first edge
+    edges = shuffled[:size]
+    assert edge_components(edges) == bfs_edge_components(edges)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
