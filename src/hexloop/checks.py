@@ -2,10 +2,13 @@
 
 Every function here checks one exact statement (a correlation inequality, a
 measure identity, or a weight bound) by exhaustive enumeration on a small
-instance and returns a :class:`CheckReport`.  Nothing is sampled: the
-statements are exact, so the verdicts are too, up to floating-point
-tolerances.  ``ALGEBRAIC_TOL`` covers identities between O(1) quantities;
-``SERIES_TOL`` covers quantities assembled from large weighted sums.
+instance and returns a :class:`CheckReport`.  The enumeration does not
+depend on the weights: a spin check takes a prebuilt :class:`SpinSystem`,
+which keeps what it enumerates (see ``exact``), and a triangle check a
+prebuilt ``TriangleDomain``, so a sweep of a parameter grid enumerates each
+instance once.  Nothing is sampled, so the verdicts are exact up to
+floating-point tolerances.  ``ALGEBRAIC_TOL`` covers identities between
+O(1) quantities; ``SERIES_TOL`` covers quantities from large weighted sums.
 
 Reports never raise on a false inequality; they record it.  Exceptions are
 reserved for malformed inputs: oversized instances, unordered boundary
@@ -43,6 +46,7 @@ from .exact import (
     _log_Z,
     _region,
     _spin_system,
+    _truth,
     catalan,
     even_subgraphs,
     exact_event_probability,
@@ -53,6 +57,7 @@ from .exact import (
 )
 from .lattice import (
     Domain,
+    TriangleDomain,
     hex_xy,
     hexagon_components,
     mirror_tri,
@@ -179,19 +184,15 @@ def check_fkg_lattice(region, tau, params: Params, *,
 
 def _verify_increasing(system: SpinSystem, event: Callable, name: str) -> None:
     """Raise unless the event is monotone under raising any single spin."""
-    sites = system.free
-    for signs in product((-1, 1), repeat=len(sites)):
-        if not event(dict(zip(sites, signs))):
-            continue
-        for i, s in enumerate(signs):
-            if s == 1:
-                continue
-            raised = dict(zip(sites, signs))
-            raised[sites[i]] = 1
-            if not event(raised):
+    truth = _truth(system, event, "spins")
+    m = len(system.free)
+    for index, holds in enumerate(truth):
+        for i in range(m):
+            bit = 1 << m - 1 - i
+            if holds and not index & bit and not truth[index | bit]:
                 raise EventNotIncreasing(
-                    f"event {name!r} is lost when the spin at {sites[i]} "
-                    f"is raised")
+                    f"event {name!r} is lost when the spin at "
+                    f"{system.free[i]} is raised")
 
 
 def check_cbc(region, tau_low, tau_high, params: Params, events, *,
@@ -199,26 +200,22 @@ def check_cbc(region, tau_low, tau_high, params: Params, events, *,
     """Compare boundary conditions: under a pointwise larger frame, every
     increasing event must be at least as likely.
 
-    ``events`` maps names to predicates on the free-spin assignment (or is a
-    bare iterable of predicates).  Each predicate is first verified to be
-    increasing by brute force.
+    ``events`` maps names to predicates on the free-spin assignment (or is
+    one predicate).  Each predicate is first verified to be increasing over
+    every assignment.  Either frame may be given as the prebuilt SpinSystem
+    of the region in it.
     """
     low = _spin_system(region, tau_low)
     high = _spin_system(region, tau_high)
     keys = set(low.fixed) | set(high.fixed)
-    ordered = low.sea <= high.sea and all(
+    ordered = low.free == high.free and low.sea <= high.sea and all(
         low.fixed.get(h, low.sea) <= high.fixed.get(h, high.sea)
         for h in keys)
     if not ordered:
-        raise OutOfRange("boundary conditions are not pointwise ordered")
+        raise OutOfRange("frames are not pointwise ordered on one region")
 
-    if isinstance(events, Mapping):
-        named = list(events.items())
-    elif callable(events):
-        named = [(getattr(events, "__name__", "event"), events)]
-    else:
-        named = [(getattr(fn, "__name__", f"event_{i}"), fn)
-                 for i, fn in enumerate(events)]
+    named = (list(events.items()) if isinstance(events, Mapping)
+             else [(getattr(events, "__name__", "event"), events)])
     if not named:
         raise OutOfRange("no events to compare")
 
@@ -254,15 +251,13 @@ def check_several_faces(region, tau, faces_a, faces_b, params: Params, *,
     if not fa <= free or not fb <= free:
         raise OutOfRange("both hexagon sets must consist of free hexagons")
 
-    def constant_on(faces, sign):
-        return lambda sigma: all(sigma[h] == sign for h in faces)
-
     def joint(sign_a, sign_b):
-        ev_a = constant_on(fa, sign_a)
-        ev_b = constant_on(fb, sign_b)
-        return exact_event_probability(
-            system, None, params, lambda sigma: ev_a(sigma) and ev_b(sigma),
-            max_sites=max_sites)
+        # one event per face sets and signs, whose truth the system keeps
+        event = system.kept(("faces", fa, fb, sign_a, sign_b), lambda: (
+            lambda sigma: all(sigma[h] == sign_a for h in fa)
+            and all(sigma[h] == sign_b for h in fb)))
+        return exact_event_probability(system, None, params, event,
+                                       max_sites=max_sites)
 
     p_pp = joint(1, 1)
     p_mm = joint(-1, -1)
@@ -315,48 +310,37 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
                              f"outside the sub-region; missing {missing}")
         shell_signs = {h: values[h] for h in shell}
         outer = _spin_system(
-            free, {h: s for h, s in values.items() if h not in free})
+            region, {h: s for h, s in values.items() if h not in free})
     else:
         shell_signs = {h: int(tau) for h in shell}
-        outer = _spin_system(free, tau)
+        outer = _spin_system(region, tau)
     m = len(outer.free)
     if m > max_sites:
         raise TooLarge(f"{m} free hexagons exceed the cap of {max_sites}")
 
     # the inner system keeps the whole known exterior as fixed context, so
     # that connections running through it are counted the same way
-    inner_fixed = dict(outer.fixed)
-    inner_fixed.update(shell_signs)
-    inner = SpinSystem(sub, inner_fixed, sea=outer.sea)
+    inner = outer.kept(("inner", frozenset(shell_signs.items())), lambda:
+                       SpinSystem(sub, {**outer.fixed, **shell_signs},
+                                  sea=outer.sea))
 
     outer_counts = assignment_counts(outer, max_sites)
-    pos = {h: i for i, h in enumerate(outer.free)}
-    cond = []
-    direct = []
+    cond, direct = [], []
     for sub_signs, counts in zip(product((-1, 1), repeat=len(inner.free)),
                                  assignment_counts(inner, max_sites)):
-        signs = [0] * m
-        for h, s in shell_signs.items():
-            signs[pos[h]] = s
-        for h, s in zip(inner.free, sub_signs):
-            signs[pos[h]] = s
-        cond.append(math.exp(log_spin_weight(
-            params, outer_counts[assignment_index(signs)])))
+        signs = {**shell_signs, **dict(zip(inner.free, sub_signs))}
+        at = assignment_index(signs[h] for h in outer.free)
+        cond.append(math.exp(log_spin_weight(params, outer_counts[at])))
         direct.append(math.exp(log_spin_weight(params, counts)))
     zc, zd = sum(cond), sum(direct)
     markov_gap = max(abs(c / zc - d / zd) for c, d in zip(cond, direct))
 
-    flipped = SpinSystem(outer.free,
-                         {h: -s for h, s in outer.fixed.items()},
-                         sea=-outer.sea)
+    flipped = outer.negated
     neg = Params(n=params.n, x=params.x, h=-params.h, hp=-params.hp)
-    flipped_counts = assignment_counts(flipped, max_sites)
-    w_out = []
-    w_flip = []
-    for signs, counts in zip(product((-1, 1), repeat=m), outer_counts):
-        w_out.append(math.exp(log_spin_weight(params, counts)))
-        w_flip.append(math.exp(log_spin_weight(neg, flipped_counts[
-            assignment_index([-s for s in signs])])))
+    # negating every spin reverses the product order of the assignments
+    w_out = [math.exp(log_spin_weight(params, c)) for c in outer_counts]
+    w_flip = [math.exp(log_spin_weight(neg, c))
+              for c in reversed(assignment_counts(flipped, max_sites))]
     zo, zf = sum(w_out), sum(w_flip)
     flip_gap = max(abs(a / zo - b / zf) for a, b in zip(w_out, w_flip))
 
@@ -400,18 +384,19 @@ def check_bijection(region, tau, params: Params, *,
                        f"of {MAX_BIJECTION_EDGES}")
 
     spin_side: dict = {}
-    for signs, counts in zip(product((-1, 1), repeat=m),
-                             assignment_counts(system, max_sites)):
+    wall_sets = system.kept("walls", lambda: [
+        spins_to_loops(system, signs) for signs in product((-1, 1), repeat=m)])
+    for walls, counts in zip(wall_sets, assignment_counts(system, max_sites)):
         w = math.exp(log_spin_weight(params, counts))
-        walls = spins_to_loops(system, signs)
         spin_side[walls] = spin_side.get(walls, 0.0) + w
     z_spin = sum(spin_side.values())
 
     log_x, log_n = math.log(params.x), math.log(params.n)
-    loop_side = {}
-    for chosen in even_subgraphs(edges):
-        cfg = frozenset(chosen)
-        loop_side[cfg] = math.exp(len(cfg) * log_x + loop_count(cfg) * log_n)
+    loop_configs = system.kept("loop side", lambda: [
+        (cfg, len(cfg), loop_count(cfg))
+        for cfg in map(frozenset, even_subgraphs(edges))])
+    loop_side = {cfg: math.exp(size * log_x + loops * log_n)
+                 for cfg, size, loops in loop_configs}
     z_loop = sum(loop_side.values())
 
     support_match = set(spin_side) == set(loop_side)
@@ -496,12 +481,13 @@ def check_domain_monotonicity(inner, outer, gamma,
                  "factor_two": factor_two, "strengthened": strengthened})
 
 
-def check_triangle_lower_bound(side: int, n: float) -> CheckReport:
+def check_triangle_lower_bound(side, n: float) -> CheckReport:
     """At the critical edge weight, the sum of relative weights of walks
     from the bottom-middle boundary vertex a of a triangular domain to its
     left side, ``sum_b Z^{a,b} / Z`` read off defect-pair tables by
-    :func:`path_sum`, is at least the critical weight squared."""
-    tri = triangle_domain(side)
+    :func:`path_sum`, is at least the critical weight squared.  ``side``
+    is the side length or the prebuilt TriangleDomain."""
+    tri = side if isinstance(side, TriangleDomain) else triangle_domain(side)
     x = x_critical(n)
     params = Params(n=n, x=x)
     ps = path_sum(tri.domain, tri.start_vertex, tri.left_boundary, params)
@@ -511,10 +497,10 @@ def check_triangle_lower_bound(side: int, n: float) -> CheckReport:
         holds=ps.value >= threshold * (1.0 - SERIES_TOL),
         in_region=1.0 <= n <= 2.0,
         details={"value": ps.value, "threshold": threshold,
-                 "side": side, "x": x})
+                 "side": tri.side, "x": x})
 
 
-def check_contour_identity(side: int, n: float, x: float) -> CheckReport:
+def check_contour_identity(side, n: float, x: float) -> CheckReport:
     """Sum the edge observable over the three sides of a triangular domain
     with cube-root-of-unity phases.
 
@@ -526,9 +512,10 @@ def check_contour_identity(side: int, n: float, x: float) -> CheckReport:
     so the observable at the spoke of b is 1 for b = a and otherwise
     ``x^-1 Z^{a,b} / Z exp(-i sigma W)``, from defect-pair tables
     (:func:`path_sum`), with W = pi/3 on the left side, -pi/3 on the right
-    side, and +pi (-pi) on the bottom left (right) of a.
+    side, and +pi (-pi) on the bottom left (right) of a.  ``side`` is as
+    in :func:`check_triangle_lower_bound`.
     """
-    tri = triangle_domain(side)
+    tri = side if isinstance(side, TriangleDomain) else triangle_domain(side)
     params = Params(n=n, x=x)
     a = tri.start_vertex
     sigma = sigma_exponent(n)
@@ -566,7 +553,7 @@ def check_contour_identity(side: int, n: float, x: float) -> CheckReport:
         in_region=abs(x - xc) <= ALGEBRAIC_TOL,
         details={"residual": residual, "relative_residual": relative,
                  "magnitude": magnitude, "bottom_sum": bottom_sum,
-                 "side": side, "x_critical": xc})
+                 "side": tri.side, "x_critical": xc})
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +569,10 @@ def check_symmetric_domain(region, plus_arcs, n: float, x: float, *,
     included, is frozen to minus.  The region must be symmetric under a
     vertical mirror that carries the minus part of the boundary ring into
     the plus arcs.  The probability that the two plus arcs are joined by a
-    path of pluses is then at least 1/(1+n).
+    path of pluses is then at least 1/(1+n).  ``region`` may be the
+    prebuilt SpinSystem of the region in that frame.
     """
-    free = frozenset(tuple(h) for h in region)
+    free = frozenset(_free_hexagons(region))
     if not free:
         raise OutOfRange("the region must be nonempty")
     try:
@@ -624,13 +612,16 @@ def check_symmetric_domain(region, plus_arcs, n: float, x: float, *,
 
     params = Params(n=n, x=x)
     arcs = {h: 1 for h in sa | sb}
-    system = SpinSystem(free, arcs, sea=-1)
+    system = (region if isinstance(region, SpinSystem)
+              else SpinSystem(free, arcs, sea=-1))
 
     def crossing(sigma) -> bool:
         signs = {**sigma, **arcs}
         return _sign_crossing(signs, signs, sa, sb, 1)
 
-    probability = exact_event_probability(system, None, params, crossing,
+    # one event per pair of arcs, whose truth the system keeps
+    event = system.kept(("crossing", sa, sb), lambda: crossing)
+    probability = exact_event_probability(system, None, params, event,
                                           max_sites=max_sites)
     bound = 1.0 / (1.0 + n)
     return CheckReport(

@@ -34,7 +34,7 @@ from .checks import (
     check_symmetric_domain,
     check_triangle_lower_bound,
 )
-from .configs import Params, loops_from_json, spins_from_json
+from .configs import Params, SpinSystem, loops_from_json, spins_from_json
 from .errors import HexloopError, OutOfRange
 from .exact import (
     MAX_BRUTE_EDGES,
@@ -56,9 +56,9 @@ from .observables import _integer, event_from_json
 from .render import render_loops, render_spins
 from .sampler import run_chain
 
-WEDGE = ((0, 0), (1, 0), (0, 1))
-SUITES = ("fkg", "cbc", "markov", "bijection", "catalan", "monotone",
-          "triangle", "contour", "symmetric", "all")
+#: the regions of the spin suites, each in a minus frame and sea
+REGIONS = {"hex1": ((0, 0),), "wedge": ((0, 0), (1, 0), (0, 1)),
+           "ball1": tuple(sorted(hexagon_ball(1)))}
 
 
 @contextmanager
@@ -287,85 +287,77 @@ def _loop_points(grid: dict) -> list:
                 for spec in grid["loop_params"]]
 
 
-def _suite_fkg(grid: dict) -> list:
-    regions = {"wedge": WEDGE, "ball1": tuple(sorted(hexagon_ball(1)))}
-    out = []
-    for label, params in _spin_points(grid):
-        for rname, cells in regions.items():
-            out.append((f"fkg/{rname}/{label}",
-                        check_fkg_lattice(cells, -1, params)))
-    return out
+def _triangle(built: dict, side):
+    """The triangular domain of a side, built once per ``verify`` run."""
+    if side not in built:
+        built[side] = triangle_domain(side)
+    return built[side]
 
 
-def _suite_cbc(grid: dict) -> list:
-    ball = tuple(sorted(hexagon_ball(1)))
+def _suite_fkg(grid: dict, built: dict) -> list:
+    return [(f"fkg/{r}/{label}", check_fkg_lattice(built[r], -1, params))
+            for label, params in _spin_points(grid)
+            for r in ("wedge", "ball1")]
+
+
+def _suite_cbc(grid: dict, built: dict) -> list:
+    low = built["ball1"]
+    high = low.negated
     events = {"origin_plus": lambda s: s[(0, 0)] == 1,
               "all_plus": lambda s: all(v == 1 for v in s.values())}
     out = []
     for label, params in _spin_points(grid):
         out.append((f"cbc/ball1/{label}",
-                    check_cbc(ball, -1, +1, params, events)))
+                    check_cbc(low.free, low, high, params, events)))
         out.append((f"faces/ball1/{label}",
-                    check_several_faces(ball, -1, frozenset([(0, 0)]),
+                    check_several_faces(low, -1, frozenset([(0, 0)]),
                                         frozenset([(1, 0)]), params)))
     return out
 
 
-def _suite_markov(grid: dict) -> list:
-    ball = tuple(sorted(hexagon_ball(1)))
-    out = []
-    for label, params in _spin_points(grid):
-        out.append((f"markov/ball1/{label}",
-                    check_domain_markov_and_duality(
-                        ball, [(0, 0), (1, 0)], -1, params)))
-    return out
+def _suite_markov(grid: dict, built: dict) -> list:
+    return [(f"markov/ball1/{label}", check_domain_markov_and_duality(
+                built["ball1"], [(0, 0), (1, 0)], -1, params))
+            for label, params in _spin_points(grid)]
 
 
-def _suite_bijection(grid: dict) -> list:
-    regions = {"hex1": ((0, 0),), "wedge": WEDGE,
-               "ball1": tuple(sorted(hexagon_ball(1)))}
-    out = []
-    for label, params in _loop_points(grid):
-        for rname, cells in regions.items():
-            out.append((f"bijection/{rname}/{label}",
-                        check_bijection(cells, -1, params)))
-    return out
+def _suite_bijection(grid: dict, built: dict) -> list:
+    return [(f"bijection/{r}/{label}", check_bijection(built[r], -1, params))
+            for label, params in _loop_points(grid) for r in REGIONS]
 
 
-def _suite_catalan(grid: dict) -> list:
+def _suite_catalan(grid: dict, built: dict) -> list:
     out = []
     for fixture in load_domains()[:12]:
         domain = fixture.build()
         picks = defect_sets(domain)
-        for label, params in _loop_points(grid):
-            for size in (0, 2, 4):
-                for j, pick in enumerate(picks[size]):
-                    out.append((
-                        f"catalan/{fixture.name}/A{size}.{j}/{label}",
-                        check_catalan_bound(domain, pick, params)))
+        out += [(f"catalan/{fixture.name}/A{size}.{j}/{label}",
+                 check_catalan_bound(domain, pick, params))
+                for label, params in _loop_points(grid)
+                for size in (0, 2, 4) for j, pick in enumerate(picks[size])]
     return out
 
 
-def _suite_monotone(grid: dict) -> list:
+def _suite_monotone(grid: dict, built: dict) -> list:
     out = []
     for pair in load_monotone_pairs():
         inner, outer = pair.build()
-        for label, params in _loop_points(grid):
-            out.append((f"monotone/{pair.name}/{label}",
-                        check_domain_monotonicity(inner, outer, pair.gamma,
-                                                  params)))
+        out += [(f"monotone/{pair.name}/{label}",
+                 check_domain_monotonicity(inner, outer, pair.gamma, params))
+                for label, params in _loop_points(grid)]
     return out
 
 
-def _suite_triangle(grid: dict) -> list:
+def _suite_triangle(grid: dict, built: dict) -> list:
     with _user_input("parameter grid"):
         spec = grid["triangle"]
         points = [(side, n) for side in spec["sides"] for n in spec["ns"]]
     return [(f"triangle/side{side}/n={n}",
-             check_triangle_lower_bound(side, n)) for side, n in points]
+             check_triangle_lower_bound(_triangle(built, side), n))
+            for side, n in points]
 
 
-def _suite_contour(grid: dict) -> list:
+def _suite_contour(grid: dict, built: dict) -> list:
     with _user_input("parameter grid"):
         spec = grid["contour"]
         points = [(side, n, "auto", resolve_x("auto", n))
@@ -373,19 +365,19 @@ def _suite_contour(grid: dict) -> list:
         points += [(off["side"], off["n"], off["x"], off["x"])
                    for off in spec.get("off_critical", ())]
     return [(f"contour/side{side}/n={n}/x={label}",
-             check_contour_identity(side, n, x))
+             check_contour_identity(_triangle(built, side), n, x))
             for side, n, label, x in points]
 
 
-def _suite_symmetric(grid: dict) -> list:
+def _suite_symmetric(grid: dict, built: dict) -> list:
     out = []
     for fixture in load_symmetric_fixtures():
-        for label, params in _loop_points(grid):
-            out.append((f"symmetric/{fixture.name}/{label}",
-                        check_symmetric_domain(
-                            fixture.region,
-                            (fixture.arc_a, fixture.arc_b),
-                            params.n, params.x)))
+        arcs = (fixture.arc_a, fixture.arc_b)
+        system = SpinSystem(fixture.region, {
+            h: 1 for h in fixture.arc_a + fixture.arc_b}, sea=-1)
+        out += [(f"symmetric/{fixture.name}/{label}",
+                 check_symmetric_domain(system, arcs, params.n, params.x))
+                for label, params in _loop_points(grid)]
     return out
 
 
@@ -400,6 +392,7 @@ _SUITE_RUNNERS = {
     "contour": _suite_contour,
     "symmetric": _suite_symmetric,
 }
+SUITES = (*_SUITE_RUNNERS, "all")
 
 
 def _cmd_verify(args) -> int:
@@ -408,9 +401,15 @@ def _cmd_verify(args) -> int:
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     _log_config("verify", {"suite": args.suite, "params": args.params,
                            "out": args.out})
+    # built once for this run only: each region's spin system, and each
+    # triangular domain by its side
+    built = {r: SpinSystem(cells, -1, sea=-1) for r, cells in REGIONS.items()}
     labeled = []
     for suite in names:
-        labeled.extend(_SUITE_RUNNERS[suite](grid))
+        reports = _SUITE_RUNNERS[suite](grid, built)
+        if not reports:
+            raise OutOfRange(f"the grid gives {suite} nothing to check")
+        labeled.extend(reports)
     failed = [label for label, rep in labeled if rep.failed_in_region]
     body = {
         "suite": args.suite,

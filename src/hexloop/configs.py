@@ -195,8 +195,21 @@ class SpinSystem:
             fixed_map.setdefault(h, self.sea)
         self.fixed: dict[TriVertex, int] = fixed_map
         self.context: tuple[TriVertex, ...] = tuple(sorted(fset | set(fixed_map)))
+        self._kept: dict = {}
+
+    def kept(self, key, build: Callable[[], object]):
+        """``build()``, run once per key and kept for every later call."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     # -- cached structure ---------------------------------------------------
+
+    @cached_property
+    def negated(self) -> SpinSystem:
+        """The system with every frozen spin and the sea negated."""
+        return SpinSystem(self.free, {h: -s for h, s in self.fixed.items()},
+                          sea=-self.sea)
 
     @cached_property
     def _index(self) -> dict[TriVertex, int]:
@@ -329,10 +342,6 @@ class SpinSystem:
         move = [6 * c + (f - 1) % 6 if c >= 0 else -1
                 for f, c in enumerate(ahead)]
         return ahead, keep, move
-
-    @cached_property
-    def _assignment_counts(self) -> tuple[SpinCounts, ...]:
-        return _gray_counts(self)
 
     # -- assignments ----------------------------------------------------------
 
@@ -634,7 +643,7 @@ def assignment_counts(system: SpinSystem,
     if m > max_sites:
         raise TooLarge(f"{m} free hexagons exceed the enumeration cap "
                        f"of {max_sites}")
-    return system._assignment_counts
+    return system.kept("counts", lambda: _gray_counts(system))
 
 
 def log_spin_weight(params: Params, counts: SpinCounts) -> float:

@@ -26,11 +26,11 @@ walk's edge weight times the ratio of the sums with and without the walk
 carved out), the defect-pair sum ``Z^{a,b} / Z`` read off defect tables by
 :func:`path_sum`, the complex edge-midpoint observable of
 :func:`parafermion_field`, and exact event probabilities for the spin form
-of the model.  The spin sums read the counts of all 2^m assignments from
-``configs.assignment_counts``, which walks them once per
-:class:`SpinSystem` in Gray-code order with the chain's single-flip count
-changes and keeps them on the system, so an event sum and its total share
-one enumeration.
+of the model.  The spin sums read what a :class:`SpinSystem` keeps, none of
+which depends on the weights: the counts of its 2^m assignments from
+``configs.assignment_counts`` (one Gray-code walk) and each event's truth
+at each assignment, by event and side.  So one enumeration per system
+serves an event sum, its total and every parameter point.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .configs import (
@@ -195,12 +195,12 @@ def _edges_of(region) -> tuple[HexEdge, ...]:
 
 
 def _free_hexagons(region) -> list:
-    """Free set of a region: a Domain's strictly interior hexagons, or the
-    hexagons given."""
+    """Free set of a region: a Domain's strictly interior hexagons, a
+    SpinSystem's free hexagons, or the hexagons given."""
     inner = _region(region)
     if isinstance(inner, Domain):
         return sorted(inner.interior_hexagons)
-    return sorted({tuple(h) for h in inner})
+    return sorted({tuple(h) for h in getattr(inner, "free", inner)})
 
 
 def _as_walks(gamma) -> list[tuple[HexVertex, ...]]:
@@ -673,8 +673,10 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
 # ---------------------------------------------------------------------------
 
 def _spin_system(region, tau) -> SpinSystem:
-    if isinstance(region, SpinSystem):
-        return region
+    """The system of a region in a frame, or a prebuilt one given as either."""
+    for given in (region, tau):
+        if isinstance(given, SpinSystem):
+            return given
     free = _free_hexagons(region)
     if isinstance(tau, Mapping):
         return SpinSystem(free, {tuple(h): s for h, s in tau.items()})
@@ -688,7 +690,7 @@ def spin_partition(system: SpinSystem, params: Params,
 
     With ``side="spins"`` the event predicate sees a mapping from free
     hexagon to sign; with ``side="loops"`` it sees the frozen set of domain
-    wall edges of the assignment.
+    wall edges of the assignment; the system keeps its truth (:func:`_truth`).
     """
     if side not in ("spins", "loops"):
         raise OutOfRange(f"unknown side {side!r}")
@@ -696,18 +698,20 @@ def spin_partition(system: SpinSystem, params: Params,
     if m > max_sites:
         raise TooLarge(f"{m} free hexagons exceed the enumeration cap "
                        f"of {max_sites}")
-    terms = []
-    for signs, counts in zip(product((-1, 1), repeat=m),
-                             assignment_counts(system, max_sites)):
-        if event is not None:
-            if side == "spins":
-                keep = event(dict(zip(system.free, signs)))
-            else:
-                keep = event(spins_to_loops(system, signs))
-            if not keep:
-                continue
-        terms.append(log_spin_weight(params, counts))
-    return WeightSum.sum_logs(terms)
+    counts = assignment_counts(system, max_sites)
+    if event is not None:
+        counts = compress(counts, _truth(system, event, side))
+    return WeightSum.sum_logs([log_spin_weight(params, c) for c in counts])
+
+
+def _truth(system: SpinSystem, event: Callable, side: str) -> bytes:
+    """Whether the event holds (1) or not (0) at each assignment, in
+    ``assignment_counts`` order, kept on the system by event and side."""
+    configs = (spins_to_loops(system, signs) if side == "loops"
+               else dict(zip(system.free, signs))
+               for signs in product((-1, 1), repeat=len(system.free)))
+    return system.kept((event, side),
+                       lambda: bytes(bool(event(c)) for c in configs))
 
 
 def exact_event_probability(region, tau, params: Params, event: Callable, *,

@@ -314,11 +314,6 @@ class Domain:
     def degree(self, v: HexVertex) -> int:
         return len(self.vertex_edges.get(v, ()))
 
-    def __contains__(self, item) -> bool:
-        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple):
-            return item in self.edge_index
-        return item in self.interior
-
     def __repr__(self) -> str:  # the dataclass default is unreadably large
         return (f"Domain(|interior|={len(self.interior)}, "
                 f"|edges|={len(self.edges)}, |boundary|={len(self.boundary)})")

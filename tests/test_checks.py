@@ -36,11 +36,17 @@ from hexloop.errors import (
     TooLarge,
 )
 from hexloop.exact import (
+    _truth,
     exact_event_probability,
     parafermion_field,
     spin_partition,
     sweep_table,
     x_critical,
+)
+from hexloop.fixtures import (
+    load_default_grid,
+    load_symmetric_fixtures,
+    resolve_x,
 )
 from hexloop.lattice import (
     domain_from_hexagons,
@@ -573,6 +579,91 @@ class TestEnumerationCapsAndReuse:
                                 lambda s: s[(0, 0)] == 1)
         assert len(spy["walks"]) == 1
         assert spy["reads"] == spy["walks"] * 2
+
+    def test_kept_truth_still_rejects_a_decreasing_event(self):
+        low = SpinSystem(BALL1, -1, sea=-1)
+        decreasing = lambda s: s[(0, 0)] == -1  # noqa: E731
+        exact_event_probability(low, None, self.PARAMS, decreasing)
+        kept = _truth(low, decreasing, "spins")
+        assert low.kept((decreasing, "spins"), tuple) is kept
+        for _ in range(2):
+            with pytest.raises(EventNotIncreasing):
+                check_cbc(BALL1, low, 1, self.PARAMS, {"minus": decreasing})
+
+    def test_truth_is_kept_per_side(self):
+        system = SpinSystem(BALL1, -1, sea=-1)
+        empty = lambda config: len(config) == 0  # noqa: E731
+        spins = _truth(system, empty, "spins")
+        walls = _truth(system, empty, "loops")
+        # a free-spin mapping is never empty; the walls are empty only
+        # when every free spin matches the minus frame
+        assert spins == bytes(2 ** 7)
+        assert walls == b"\1" + bytes(2 ** 7 - 1)
+        assert _truth(system, empty, "spins") is spins
+
+
+class TestPrebuiltInputs:
+    """A check gives the same report from a prebuilt system or triangle as
+    from the region and frame, or the side, it is built from."""
+
+    GRID = load_default_grid()
+    SPIN = [Params(p["n"], resolve_x(p["x"], p["n"]), p["h"], p["hp"])
+            for p in GRID["spin_params"]]
+    LOOP = [Params(p["n"], resolve_x(p["x"], p["n"]))
+            for p in GRID["loop_params"]]
+    EVENTS = {"origin_plus": lambda s: s[(0, 0)] == 1}
+
+    @staticmethod
+    def same(prebuilt, built_inside):
+        assert prebuilt.to_json() == built_inside.to_json()
+
+    def test_spin_checks(self):
+        low = SpinSystem(BALL1, -1, sea=-1)
+        high = low.negated
+        pair = [(0, 0)], [(1, 0)]
+        for params in self.SPIN:
+            self.same(check_fkg_lattice(low, -1, params),
+                      check_fkg_lattice(BALL1, -1, params))
+            self.same(check_cbc(BALL1, low, high, params, self.EVENTS),
+                      check_cbc(BALL1, -1, 1, params, self.EVENTS))
+            self.same(check_several_faces(low, -1, *pair, params),
+                      check_several_faces(BALL1, -1, *pair, params))
+            self.same(check_domain_markov_and_duality(low, pair[0] + pair[1],
+                                                      -1, params),
+                      check_domain_markov_and_duality(BALL1, pair[0] + pair[1],
+                                                      -1, params))
+        for params in self.LOOP:
+            self.same(check_bijection(low, -1, params),
+                      check_bijection(BALL1, -1, params))
+            for f in load_symmetric_fixtures():
+                plus = {h: 1 for h in f.arc_a + f.arc_b}
+                system = SpinSystem(f.region, plus, sea=-1)
+                arcs = (f.arc_a, f.arc_b)
+                self.same(check_symmetric_domain(system, arcs, params.n,
+                                                 params.x),
+                          check_symmetric_domain(f.region, arcs, params.n,
+                                                 params.x))
+        # the markov check reads the plus frame as the flipped system
+        assert high.fixed == SpinSystem(BALL1, 1).fixed and high.sea == 1
+
+    def test_cbc_frames_must_share_a_region(self):
+        low = SpinSystem(BALL1, -1, sea=-1)
+        with pytest.raises(OutOfRange):
+            check_cbc(BALL1, low, SpinSystem([(0, 0)], 1), self.SPIN[0],
+                      self.EVENTS)
+
+    def test_triangle_checks(self):
+        tri, con = self.GRID["triangle"], self.GRID["contour"]
+        for side in tri["sides"]:
+            for n in tri["ns"]:
+                self.same(check_triangle_lower_bound(triangle_domain(side), n),
+                          check_triangle_lower_bound(side, n))
+        points = [(side, n, x_critical(n)) for side in con["sides"]
+                  for n in con["ns"]]
+        points += [(p["side"], p["n"], p["x"]) for p in con["off_critical"]]
+        for side, n, x in points:
+            self.same(check_contour_identity(triangle_domain(side), n, x),
+                      check_contour_identity(side, n, x))
 
 
 class TestReports:

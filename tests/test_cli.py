@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from hexloop import cli
+from hexloop import cli, configs
 from hexloop.configs import SpinSystem, loops_to_json, spins_to_json
 from hexloop.exact import MAX_SWEEP_WIDTH
 from hexloop.fixtures import defect_sets, load_default_grid, load_domains
@@ -183,6 +183,13 @@ def test_scan_pool_is_capped_at_the_cell_count(capsys, monkeypatch):
      "[[0, 0, 0], [0, 0, 0]]"],
     ["enumerate", "--domain", '{"ball": 1}', "--n", "1.5", "--A",
      "[[50, 0, 0], [51, 0, 0]]"],
+    # a grid that gives a requested suite nothing to check
+    ["verify", "--suite", "fkg", "--params", '{"spin_params": []}'],
+    ["verify", "--suite", "catalan", "--params", '{"loop_params": []}'],
+    ["verify", "--suite", "triangle", "--params",
+     '{"triangle": {"sides": [], "ns": [1.5]}}'],
+    ["verify", "--suite", "contour", "--params",
+     '{"contour": {"sides": [2, 4], "ns": []}}'],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -220,3 +227,23 @@ def test_verify_table_suites_match_golden(capsys, suite):
     code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
     assert out == golden[suite]
+
+
+def test_verify_walks_each_system_once_per_run(capsys, monkeypatch):
+    # what a run builds lives for that run only: a second run in the same
+    # process walks the same 11 spin systems again, for the same output
+    walks = []
+    walk = configs._gray_counts
+
+    def counted(system):
+        walks.append(system)
+        return walk(system)
+
+    monkeypatch.setattr(configs, "_gray_counts", counted)
+    outs = []
+    for _ in range(2):
+        walks.clear()
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0 and len(walks) == 11
+        outs.append(out)
+    assert outs[0] == outs[1]
