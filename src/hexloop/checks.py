@@ -53,6 +53,7 @@ from .exact import (
     path_sum,
     relative_weight,
     sigma_exponent,
+    spin_partition,
     x_critical,
 )
 from .lattice import (
@@ -222,13 +223,16 @@ def check_cbc(region, tau_low, tau_high, params: Params, events, *,
     if len(low.free) > max_sites:
         raise TooLarge(f"{len(low.free)} free hexagons exceed the cap "
                        f"of {max_sites}")
+    total_low = spin_partition(low, params, max_sites=max_sites)
+    total_high = spin_partition(high, params, max_sites=max_sites)
     rows = []
     for name, fn in named:
         _verify_increasing(low, fn, name)
         p_low = exact_event_probability(low, None, params, fn,
-                                        max_sites=max_sites)
+                                        max_sites=max_sites, total=total_low)
         p_high = exact_event_probability(high, None, params, fn,
-                                         max_sites=max_sites)
+                                         max_sites=max_sites,
+                                         total=total_high)
         rows.append({"event": name, "low": p_low, "high": p_high,
                      "gap": p_high - p_low})
     holds = all(row["gap"] >= -ALGEBRAIC_TOL for row in rows)
@@ -251,13 +255,15 @@ def check_several_faces(region, tau, faces_a, faces_b, params: Params, *,
     if not fa <= free or not fb <= free:
         raise OutOfRange("both hexagon sets must consist of free hexagons")
 
+    total = spin_partition(system, params, max_sites=max_sites)
+
     def joint(sign_a, sign_b):
         # one event per face sets and signs, whose truth the system keeps
         event = system.kept(("faces", fa, fb, sign_a, sign_b), lambda: (
             lambda sigma: all(sigma[h] == sign_a for h in fa)
             and all(sigma[h] == sign_b for h in fb)))
         return exact_event_probability(system, None, params, event,
-                                       max_sites=max_sites)
+                                       max_sites=max_sites, total=total)
 
     p_pp = joint(1, 1)
     p_mm = joint(-1, -1)
@@ -391,7 +397,7 @@ def check_bijection(region, tau, params: Params, *,
         spin_side[walls] = spin_side.get(walls, 0.0) + w
     z_spin = sum(spin_side.values())
 
-    log_x, log_n = math.log(params.x), math.log(params.n)
+    log_x, log_n = params.log_x, params.log_n
     loop_configs = system.kept("loop side", lambda: [
         (cfg, len(cfg), loop_count(cfg))
         for cfg in map(frozenset, even_subgraphs(edges))])

@@ -99,6 +99,16 @@ class Params:
         if not (self.x > 0):
             raise OutOfRange(f"edge weight x must be positive, got {self.x}")
 
+    # the weights' logs, computed once per parameter point; cached_property
+    # stores them beside the fields, so equality and hash stay the fields'
+    @cached_property
+    def log_n(self) -> float:
+        return math.log(self.n)
+
+    @cached_property
+    def log_x(self) -> float:
+        return math.log(self.x)
+
     @property
     def in_monotone_region(self) -> bool:
         """True where the spin measure is monotone (FKG): n >= 1 and
@@ -647,8 +657,8 @@ def assignment_counts(system: SpinSystem,
 
 
 def log_spin_weight(params: Params, counts: SpinCounts) -> float:
-    return (counts.k * math.log(params.n)
-            + counts.e * math.log(params.x)
+    return (counts.k * params.log_n
+            + counts.e * params.log_x
             + params.h * counts.r
             + params.hp * (counts.twice_rp / 2.0))
 

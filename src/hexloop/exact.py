@@ -517,7 +517,7 @@ def sweep_table(edges: Iterable[HexEdge],
 def evaluate_table(table: Table, params: Params) -> WeightSum:
     """Evaluate a configuration table at given weights: one float pass over
     the logs of its positive terms ``c x^m n^l`` in key order."""
-    log_x, log_n = math.log(params.x), math.log(params.n)
+    log_x, log_n = params.log_x, params.log_n
     return WeightSum.sum_logs([m * log_x + l * log_n + math.log(c)
                                for (m, l), c in sorted(table.items())])
 
@@ -550,7 +550,7 @@ def relative_weight(region, gamma, params: Params) -> float:
     length = sum(len(w) - 1 for w in walks if len(w) >= 2)
     log_rest = sum(_log_Z(c, frozenset(), params) for c in comps)
     log_full = _log_Z(edges, frozenset(), params)
-    return math.exp(length * math.log(params.x) + log_rest - log_full)
+    return math.exp(length * params.log_x + log_rest - log_full)
 
 
 @dataclass(frozen=True)
@@ -630,7 +630,7 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
     a = anchors[0]
     u0 = z0[1] if z0[0] == a else z0[0]
 
-    log_x = math.log(params.x)
+    log_x = params.log_x
     log_full = _log_Z(domain.edges, frozenset(), params)
     all_edges = domain.edges
     terms: dict[HexEdge, list[tuple[float, complex]]] = {z0: [(0.0, 1.0 + 0j)]}
@@ -716,7 +716,8 @@ def _truth(system: SpinSystem, event: Callable, side: str) -> bytes:
 
 def exact_event_probability(region, tau, params: Params, event: Callable, *,
                             side: str = "spins",
-                            max_sites: int = MAX_SPIN_SITES) -> float:
+                            max_sites: int = MAX_SPIN_SITES,
+                            total: WeightSum | None = None) -> float:
     """Exact probability of an event under the finite-volume spin measure.
 
     ``region`` is a set of free hexagons, a :class:`Domain` (whose strictly
@@ -731,13 +732,16 @@ def exact_event_probability(region, tau, params: Params, event: Callable, *,
     A named event that carries its own ``side`` and support requirements
     (see ``observables.event_from_json``) is validated against the system
     and routed to the representation it consumes.
+
+    ``total`` is the event-free sum of the system at ``params``, for a
+    caller that asks for several events of one system.
     """
     system = _spin_system(region, tau)
     if hasattr(event, "side") and hasattr(event, "validate_support"):
         event.validate_support(system)
         side = event.side
-    total = spin_partition(system, params, None, side=side,
-                           max_sites=max_sites)
+    if total is None:
+        total = spin_partition(system, params, max_sites=max_sites)
     wanted = spin_partition(system, params, event, side=side,
                             max_sites=max_sites)
     if wanted.is_zero:

@@ -21,9 +21,11 @@ the pairs ``{up(r, s), down(r, s - 1)}``.
 
 A :class:`Domain` is the region bounded by a self-avoiding polygon: its
 interior vertices, the edge set incident to them, the boundary vertices, and
-the hexagons whose corners are all interior.  Constructors are provided for
-explicit polygons, explicit interior sets, unions of hexagons, triangles with
-marked sides, and concentric balls of hexagons.
+the hexagons whose corners are all interior.  Domains are built from an
+interior vertex set, from a union of hexagons (their corners) or as
+triangles with marked sides; the polygon is the wall around the hexagons at
+the interior vertices, traced once.  Balls, rhombi and rectangles of
+hexagons are given as hexagon sets.
 """
 
 from __future__ import annotations
@@ -264,13 +266,17 @@ def mirror_tri(h: TriVertex, axis_x: int = 0) -> TriVertex:
 class Domain:
     """A finite region of the hexagonal lattice bounded by a polygon.
 
+    Built by :func:`domain_from_interior`, which checks that the given
+    interior is exactly what the polygon encloses.
+
     Attributes
     ----------
     polygon:
         The bounding self-avoiding cycle, canonically rotated (starts at its
         smallest vertex, then towards the smaller cycle neighbour).
     interior:
-        Vertices strictly inside the polygon.
+        Vertices strictly inside the polygon: those it cuts off from the
+        far lattice.
     edges:
         All lattice edges with at least one endpoint in the interior, in
         canonical sorted order.  This is the edge set configurations live on.
@@ -319,53 +325,6 @@ class Domain:
                 f"|edges|={len(self.edges)}, |boundary|={len(self.boundary)})")
 
 
-def _canonical_cycle(cycle: Sequence[HexVertex]) -> tuple[HexVertex, ...]:
-    k = min(range(len(cycle)), key=lambda i: cycle[i])
-    rot = tuple(cycle[(k + i) % len(cycle)] for i in range(len(cycle)))
-    if rot[-1] < rot[1]:
-        rot = (rot[0],) + tuple(reversed(rot[1:]))
-    return rot
-
-
-def _vertices_in_box(xmin: int, xmax: int, ymin: int, ymax: int) -> list[HexVertex]:
-    out = []
-    for c in (UP, DOWN):
-        base = 1 + c
-        s_lo = -((-(ymin - base)) // 3)
-        s_hi = (ymax - base) // 3
-        for s in range(s_lo, s_hi + 1):
-            r_lo = -((-(xmin - s - base)) // 2)
-            r_hi = (xmax - s - base) // 2
-            for r in range(r_lo, r_hi + 1):
-                out.append((r, s, c))
-    return out
-
-
-def _interior_of_polygon(polygon: Sequence[HexVertex]) -> frozenset[HexVertex]:
-    pset = set(polygon)
-    xs = [hex_xy(v)[0] for v in polygon]
-    ys = [hex_xy(v)[1] for v in polygon]
-    xmin, xmax = min(xs) - 5, max(xs) + 5
-    ymin, ymax = min(ys) - 7, max(ys) + 7
-    box = set(_vertices_in_box(xmin, xmax, ymin, ymax))
-
-    seeds = []
-    for v in box:
-        if v in pset:
-            continue
-        if any(w not in box for w in hex_neighbors(v)):
-            seeds.append(v)
-    outside = set(seeds)
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        for w in hex_neighbors(v):
-            if w in box and w not in pset and w not in outside:
-                outside.add(w)
-                stack.append(w)
-    return frozenset(box - pset - outside)
-
-
 def _connected(vertices: set[HexVertex]) -> bool:
     if not vertices:
         return False
@@ -381,53 +340,38 @@ def _connected(vertices: set[HexVertex]) -> bool:
     return len(seen) == len(vertices)
 
 
-def build_domain(polygon: Sequence[HexVertex]) -> Domain:
-    """Build the domain bounded by a self-avoiding polygon.
+# (dr, ds) of the hexagon across the edge from corner i to corner i + 1 of
+# hexagon_corners
+_ACROSS = ((0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0))
 
-    The polygon is a cyclic vertex sequence (without the repeated closing
-    vertex); it may be given in either orientation and any rotation.
-    """
-    poly = [tuple(v) for v in polygon]
-    if len(poly) < 6:
-        raise NotSelfAvoiding("a lattice polygon has at least 6 vertices")
-    if len(set(poly)) != len(poly):
-        raise NotSelfAvoiding("polygon repeats a vertex")
-    for i, v in enumerate(poly):
-        w = poly[(i + 1) % len(poly)]
-        if not are_adjacent(v, w):
-            raise NotSelfAvoiding(f"{v} and {w} are consecutive but not adjacent")
+# by the 6-bit mask of its sides on a patch: whether a hexagon outside the
+# patch meets it along one run of at most four sides
+_ONE_SHORT_RUN = tuple(
+    bin(m & ~(m << 1 | m >> 5)).count("1") == 1 and bin(m).count("1") <= 4
+    for m in range(64))
 
-    interior = _interior_of_polygon(poly)
-    if not interior:
-        raise EmptyInterior("the polygon encloses no vertices")
-    if not _connected(set(interior)):
-        raise DisconnectedInterior(
-            "the polygon pinches its interior into several components")
 
-    pset = set(poly)
-    edges = set()
-    for v in interior:
-        for w in hex_neighbors(v):
-            edges.add((v, w) if v < w else (w, v))
-    edges_t = tuple(sorted(edges))
-
-    boundary = sorted({u for e in edges_t for u in e} - interior)
-    for b in boundary:
-        if b not in pset:
-            raise NotSelfAvoiding(
-                f"vertex {b} touches the interior but is not on the polygon")
-
-    candidates = {h for v in interior for h in vertex_hexagons(v)}
-    interior_hex = frozenset(
-        h for h in candidates if all(c in interior for c in hexagon_corners(h)))
-
-    return Domain(
-        polygon=_canonical_cycle(poly),
-        interior=interior,
-        edges=edges_t,
-        boundary=tuple(boundary),
-        interior_hexagons=interior_hex,
-    )
+def _walled_in(corners: set[HexVertex], wall) -> bool:
+    """True if a vertex off the patch corners cannot leave the wall's
+    bounding box without passing through one of them."""
+    xs, ys = zip(*map(hex_xy, wall))
+    bx, by = range(min(xs) + 1, max(xs)), range(min(ys) + 1, max(ys))
+    seen = set(corners)
+    for start in {w for v in wall for w in hex_neighbors(v)} - corners:
+        stack, escaped = [start], start in seen
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            x, y = hex_xy(v)
+            if x in bx and y in by:
+                seen.add(v)
+                stack.extend(hex_neighbors(v))
+            else:
+                escaped = True
+        if not escaped:
+            return True
+    return False
 
 
 def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
@@ -435,33 +379,40 @@ def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
 
     Raises if the set is empty, disconnected, or admits no bounding
     self-avoiding polygon (for instance horseshoe shapes whose notch pinches
-    down to a single vertex).
+    down to a single vertex).  The polygon is the wall of the patch, the
+    hexagons at the set's vertices.  When the wall is one cycle the patch is
+    a disc, whose inside vertices are its corners off the wall.
     """
     want = {tuple(v) for v in interior}
     if not want:
         raise EmptyInterior("interior set is empty")
-    if not _connected(set(want)):
+    if not _connected(want):
         raise DisconnectedInterior("interior set is not connected")
 
     patch = {h for v in want for h in vertex_hexagons(v)}
-    wall_edges = set()
-    for h in patch:
-        for e in hexagon_edges(h):
-            a, b = edge_hexagons(e)
-            other = b if a == h else a
-            if other not in patch:
-                wall_edges.add(e)
-
+    # each wall edge is met once, from its patch side; a vertex meets three
+    # hexagons, so the wall has degree 2 at each of its vertices
     adj: dict[HexVertex, list[HexVertex]] = {}
-    for u, v in wall_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v, ns in adj.items():
-        if len(ns) != 2:
-            raise NotSelfAvoiding(
-                f"interior set admits no bounding polygon (wall degree "
-                f"{len(ns)} at {v})")
+    corners: set[HexVertex] = set()
+    inner_hexagons = []
+    sides: dict[TriVertex, int] = {}  # hexagon outside -> its patch sides
+    for h in patch:
+        r, s = h
+        cs = hexagon_corners(h)
+        corners.update(cs)
+        inner = True
+        for i, (dr, ds) in enumerate(_ACROSS):
+            g = (r + dr, s + ds)
+            if g not in patch:
+                inner = False
+                adj.setdefault(cs[i], []).append(cs[i - 5])
+                adj.setdefault(cs[i - 5], []).append(cs[i])
+                sides[g] = sides.get(g, 0) | 1 << (i + 3) % 6
+        if inner:
+            inner_hexagons.append(h)
 
+    # from the smallest wall vertex towards its smaller neighbour: the
+    # canonical rotation and orientation of the polygon
     start = min(adj)
     cycle = [start, min(adj[start])]
     while True:
@@ -474,11 +425,34 @@ def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
         raise NotSelfAvoiding(
             "interior set admits no bounding polygon (wall is not one cycle)")
 
-    dom = build_domain(cycle)
-    if dom.interior != frozenset(want):
+    # The polygon's interior is every vertex it cuts off from the far
+    # lattice, so a vertex off the patch that the wall walls in splits it.
+    # Only a hexagon outside that meets the patch along two runs of sides,
+    # or along five or six, can wall one in.
+    walled_in = (not all(_ONE_SHORT_RUN[m] for m in sides.values())
+                 and _walled_in(corners, adj))
+    # the patch corners must be the set's vertices, the wall's and no more
+    if walled_in or len(corners) != len(want) + len(adj):
+        if walled_in or not _connected(corners - adj.keys()):
+            raise DisconnectedInterior(
+                "the polygon pinches its interior into several components")
         raise NotSelfAvoiding(
             "interior set admits no bounding polygon (trace disagrees)")
-    return dom
+
+    edges = set()
+    boundary = set()
+    for v in want:
+        for w in hex_neighbors(v):
+            edges.add((v, w) if v < w else (w, v))
+            if w not in want:
+                boundary.add(w)
+    return Domain(
+        polygon=tuple(cycle),
+        interior=frozenset(want),
+        edges=tuple(sorted(edges)),
+        boundary=tuple(sorted(boundary)),
+        interior_hexagons=frozenset(inner_hexagons),
+    )
 
 
 def domain_from_hexagons(hexagons: Iterable[TriVertex]) -> Domain:

@@ -100,7 +100,7 @@ class ChainState:
         # per ring key: the interval [lo, hi) of uniforms that flip the site
         # under some change its wall plan can return, its count changes,
         # sign and plan, and the heat-bath probability of +1 per change dk
-        ln_n, ln_x = math.log(params.n), math.log(params.x)
+        ln_n, ln_x = params.log_n, params.log_x
         h, hp = params.h, params.hp
 
         def p_plus(dk, de, dr, dtw, s):

@@ -1,8 +1,9 @@
 """Test oracles for the exact layer: the defect-pair sum and the defect-pair
 table added up walk by walk, table evaluation through complex log-sum-exp,
 and the three-term relation of the edge-midpoint observable; for the
-lattice, edge components by breadth-first search; and for the chain, a
-heat-bath sweep that walks the walls at every multi-arc site."""
+lattice, edge components by breadth-first search and domains whose interior
+is flood-filled from their bounding polygon; and for the chain, a heat-bath
+sweep that walks the walls at every multi-arc site."""
 
 import math
 from collections import deque
@@ -14,7 +15,12 @@ from hexloop.configs import (
     SpinSystem,
     _multi_arc_dk,
 )
-from hexloop.errors import OutOfRange
+from hexloop.errors import (
+    DisconnectedInterior,
+    EmptyInterior,
+    NotSelfAvoiding,
+    OutOfRange,
+)
 from hexloop.exact import (
     MAX_FIELD_EDGES,
     PathSum,
@@ -25,7 +31,23 @@ from hexloop.exact import (
     relative_weight,
     sweep_table,
 )
-from hexloop.lattice import Domain, HexEdge, HexVertex, edge, hex_position
+from hexloop.lattice import (
+    DOWN,
+    UP,
+    Domain,
+    HexEdge,
+    HexVertex,
+    _connected,
+    are_adjacent,
+    edge,
+    edge_hexagons,
+    hex_neighbors,
+    hex_position,
+    hex_xy,
+    hexagon_corners,
+    hexagon_edges,
+    vertex_hexagons,
+)
 
 
 def walks_to(vertex_edges, a: HexVertex, targets: frozenset[HexVertex]):
@@ -113,6 +135,148 @@ def bfs_edge_components(edges) -> tuple[frozenset[HexEdge], ...]:
         reached |= comp
         comps.append(frozenset(comp))
     return tuple(comps)
+
+
+def _canonical_cycle(cycle) -> tuple[HexVertex, ...]:
+    k = min(range(len(cycle)), key=lambda i: cycle[i])
+    rot = tuple(cycle[(k + i) % len(cycle)] for i in range(len(cycle)))
+    if rot[-1] < rot[1]:
+        rot = (rot[0],) + tuple(reversed(rot[1:]))
+    return rot
+
+
+def _vertices_in_box(xmin: int, xmax: int, ymin: int,
+                     ymax: int) -> list[HexVertex]:
+    out = []
+    for c in (UP, DOWN):
+        base = 1 + c
+        s_lo = -((-(ymin - base)) // 3)
+        s_hi = (ymax - base) // 3
+        for s in range(s_lo, s_hi + 1):
+            r_lo = -((-(xmin - s - base)) // 2)
+            r_hi = (xmax - s - base) // 2
+            for r in range(r_lo, r_hi + 1):
+                out.append((r, s, c))
+    return out
+
+
+def _interior_of_polygon(polygon) -> frozenset[HexVertex]:
+    """The vertices of a padded bounding box that a flood fill from the
+    box's rim, stopped by the polygon's vertices, does not reach."""
+    pset = set(polygon)
+    xs = [hex_xy(v)[0] for v in polygon]
+    ys = [hex_xy(v)[1] for v in polygon]
+    xmin, xmax = min(xs) - 5, max(xs) + 5
+    ymin, ymax = min(ys) - 7, max(ys) + 7
+    box = set(_vertices_in_box(xmin, xmax, ymin, ymax))
+
+    seeds = []
+    for v in box:
+        if v in pset:
+            continue
+        if any(w not in box for w in hex_neighbors(v)):
+            seeds.append(v)
+    outside = set(seeds)
+    stack = list(seeds)
+    while stack:
+        v = stack.pop()
+        for w in hex_neighbors(v):
+            if w in box and w not in pset and w not in outside:
+                outside.add(w)
+                stack.append(w)
+    return frozenset(box - pset - outside)
+
+
+def build_domain(polygon) -> Domain:
+    """The domain bounded by a self-avoiding polygon, given as a cyclic
+    vertex sequence (without the repeated closing vertex) in either
+    orientation and any rotation: its interior flood-filled, everything
+    else derived from the interior."""
+    poly = [tuple(v) for v in polygon]
+    if len(poly) < 6:
+        raise NotSelfAvoiding("a lattice polygon has at least 6 vertices")
+    if len(set(poly)) != len(poly):
+        raise NotSelfAvoiding("polygon repeats a vertex")
+    for i, v in enumerate(poly):
+        w = poly[(i + 1) % len(poly)]
+        if not are_adjacent(v, w):
+            raise NotSelfAvoiding(f"{v} and {w} are consecutive but not "
+                                  "adjacent")
+
+    interior = _interior_of_polygon(poly)
+    if not interior:
+        raise EmptyInterior("the polygon encloses no vertices")
+    if not _connected(set(interior)):
+        raise DisconnectedInterior(
+            "the polygon pinches its interior into several components")
+
+    pset = set(poly)
+    edges = set()
+    for v in interior:
+        for w in hex_neighbors(v):
+            edges.add((v, w) if v < w else (w, v))
+    edges_t = tuple(sorted(edges))
+
+    boundary = sorted({u for e in edges_t for u in e} - interior)
+    for b in boundary:
+        if b not in pset:
+            raise NotSelfAvoiding(
+                f"vertex {b} touches the interior but is not on the polygon")
+
+    candidates = {h for v in interior for h in vertex_hexagons(v)}
+    interior_hex = frozenset(
+        h for h in candidates if all(c in interior for c in hexagon_corners(h)))
+
+    return Domain(
+        polygon=_canonical_cycle(poly),
+        interior=interior,
+        edges=edges_t,
+        boundary=tuple(boundary),
+        interior_hexagons=interior_hex,
+    )
+
+
+def flood_fill_domain(interior) -> Domain:
+    """The oracle of ``lattice.domain_from_interior``: the wall of the
+    hexagons at the given vertices, traced edge by edge, then
+    :func:`build_domain` of the traced cycle, whose interior must be the
+    given set."""
+    want = {tuple(v) for v in interior}
+    if not want:
+        raise EmptyInterior("interior set is empty")
+    if not _connected(want):
+        raise DisconnectedInterior("interior set is not connected")
+
+    patch = {h for v in want for h in vertex_hexagons(v)}
+    wall_edges = set()
+    for h in patch:
+        for e in hexagon_edges(h):
+            a, b = edge_hexagons(e)
+            if (b if a == h else a) not in patch:
+                wall_edges.add(e)
+
+    adj: dict[HexVertex, list[HexVertex]] = {}
+    for u, v in wall_edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(ns) != 2 for ns in adj.values()):
+        raise NotSelfAvoiding("the wall has a vertex of degree other than 2")
+
+    start = min(adj)
+    cycle = [start, min(adj[start])]
+    while True:
+        a, b = cycle[-2], cycle[-1]
+        nxt = adj[b][0] if adj[b][0] != a else adj[b][1]
+        if nxt == start:
+            break
+        cycle.append(nxt)
+    if len(cycle) != len(adj):
+        raise NotSelfAvoiding("the wall is not one cycle")
+
+    dom = build_domain(cycle)
+    if dom.interior != frozenset(want):
+        raise NotSelfAvoiding("the traced polygon encloses another set")
+    return dom
 
 
 def _midpoint(e: HexEdge) -> complex:

@@ -570,9 +570,22 @@ class TestEnumerationCapsAndReuse:
     def test_several_faces_enumerates_once(self, spy):
         check_several_faces(BALL1, -1, [(0, 0)], [(1, 0)], self.PARAMS)
         system, = set(spy["walks"])
-        # four joint events, each a total and an event sum
+        # one total and four joint event sums
         assert len(spy["walks"]) == 1
-        assert spy["reads"] == [system] * 8
+        assert spy["reads"] == [system] * 5
+
+    def test_cbc_sums_each_total_once(self, spy):
+        events = {"origin_plus": lambda s: s[(0, 0)] == 1,
+                  "both_plus": lambda s: s[(0, 0)] == s[(1, 0)] == 1}
+        report = check_cbc(BALL1, -1, 1, self.PARAMS, events)
+        low, high = spy["walks"]
+        # one total per frame, then each event under both frames
+        assert spy["reads"] == [low, high] * 3
+        for row, fn in zip(report.details["events"], events.values()):
+            assert row["low"] == exact_event_probability(BALL1, -1,
+                                                         self.PARAMS, fn)
+            assert row["high"] == exact_event_probability(BALL1, 1,
+                                                          self.PARAMS, fn)
 
     def test_event_probability_enumerates_once(self, spy):
         exact_event_probability(BALL1, 1, self.PARAMS,

@@ -5,6 +5,7 @@ Spin-count values frozen here were computed by hand from the definitions
 triangles through each corner) for one- and two-hexagon free sets.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -66,6 +67,17 @@ def test_params_reject_non_finite(field, value):
     Params(**good)
     with pytest.raises(OutOfRange):
         Params(**{**good, field: value})
+
+
+def test_params_logs_are_kept_beside_the_fields():
+    p = Params(n=1.4, x=0.6, h=0.1)
+    assert p.log_n == math.log(1.4) and p.log_x == math.log(0.6)
+    assert p.log_n is p.log_n
+    # the cached logs change neither the fields, equality nor the hash
+    q = Params(n=1.4, x=0.6, h=0.1)
+    assert p == q and hash(p) == hash(q)
+    assert [f.name for f in dataclasses.fields(p)] == ["n", "x", "h", "hp"]
+    assert dataclasses.astuple(p) == (1.4, 0.6, 0.1, 0.0)
 
 
 def test_monotone_region():

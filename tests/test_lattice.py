@@ -9,7 +9,7 @@ small triangles.
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexloop.errors import (
@@ -26,7 +26,6 @@ from hexloop.lattice import (
     DOWN,
     UP,
     ball_and_annulus,
-    build_domain,
     config_degrees,
     direction_class,
     domain_from_hexagons,
@@ -44,6 +43,7 @@ from hexloop.lattice import (
     is_path,
     mirror_tri,
     path_edges,
+    rectangle_hexagons,
     remove_paths,
     tri_distance,
     tri_neighbors,
@@ -51,7 +51,8 @@ from hexloop.lattice import (
     turn_sign,
     vertex_hexagons,
 )
-from oracles import bfs_edge_components
+from hexloop.fixtures import load_domains, load_monotone_pairs
+from oracles import bfs_edge_components, build_domain, flood_fill_domain
 
 SAMPLE_VERTICES = [(r, s, c) for r in range(-3, 4) for s in range(-3, 4)
                    for c in (UP, DOWN)]
@@ -197,6 +198,79 @@ def test_one_hexagon_domain():
     assert face <= set(dom.edges)
     assert all(dom.degree(b) == 1 for b in dom.boundary)
     assert all(dom.degree(v) == 3 for v in dom.interior)
+
+
+def _corners(hexagons):
+    return {c for h in hexagons for c in hexagon_corners(h)}
+
+
+def test_domains_equal_the_flood_fill_route():
+    # every domain the checks build, balls, rectangles and triangles: the
+    # same polygon rotation, edge and boundary order as the oracle's
+    patches = [f.hexagons for f in load_domains()]
+    patches += [side for p in load_monotone_pairs()
+                for side in (p.inner, p.outer)]
+    patches += [hexagon_ball(k) for k in range(5)]
+    patches += [rectangle_hexagons(w, h) for w in range(1, 9)
+                for h in range(1, 9)]
+    for hexagons in patches:
+        assert domain_from_hexagons(hexagons) == flood_fill_domain(
+            _corners(hexagons))
+    for side in range(2, 15, 2):
+        dom = triangle_domain(side).domain
+        assert dom == flood_fill_domain(dom.interior)
+
+
+def _outcome(build, arg):
+    try:
+        return build(arg)
+    except HexloopError as err:
+        return type(err)
+
+
+BALL3 = sorted(hexagon_ball(3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hexagons=st.sets(st.sampled_from(BALL3)))
+@example(hexagons=set())
+@example(hexagons={(0, 0), (3, 0)})                          # disconnected
+@example(hexagons=set(hexagon_ball(3) - hexagon_ball(1)))    # holed
+@example(hexagons={(-1, 1), (-1, 2), (0, 2), (1, 2), (1, 1)})  # horseshoe
+@example(hexagons={(0, 0), (1, 1)})             # pinched to one edge
+def test_domain_from_hexagons_matches_the_flood_fill_route(hexagons):
+    # random subsets of ball r=3, mostly disconnected, holed or pinched: the
+    # same domain or the same exception class
+    assert _outcome(domain_from_hexagons, hexagons) == _outcome(
+        flood_fill_domain, _corners(hexagons))
+
+
+def _inside(hexagons):
+    """The vertices whose three hexagons are all given."""
+    hs = set(hexagons)
+    return {c for c in _corners(hs)
+            if all(h in hs for h in vertex_hexagons(c))}
+
+
+# a channel from the rim of ball r=3 into a pocket: the channel's sides
+# wall the pocket's vertices off from the far lattice
+NOTCHED = hexagon_ball(3) - {(-3, 2), (-3, 3), (-2, 1), (-1, 0), (-1, 1)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(removed=st.sets(st.sampled_from(BALL3), max_size=6))
+@example(removed=hexagon_ball(3) - NOTCHED)
+def test_domain_from_interior_matches_the_flood_fill_route(removed):
+    # the vertices inside ball r=3 minus a few hexagons: notches, channels,
+    # holes and walled-in pockets
+    interior = _inside(hexagon_ball(3) - removed)
+    assert _outcome(domain_from_interior, interior) == _outcome(
+        flood_fill_domain, interior)
+
+
+def test_domain_from_interior_rejects_a_walled_in_pocket():
+    with pytest.raises(DisconnectedInterior):
+        domain_from_interior(_inside(NOTCHED))
 
 
 def test_build_domain_canonicalizes_rotation_and_orientation():
