@@ -64,6 +64,7 @@ from .errors import OutOfRange, TooLarge
 from .lattice import (
     HexEdge,
     HexVertex,
+    Keeper,
     TriVertex,
     config_degrees,
     edge_components,
@@ -164,7 +165,7 @@ def _check_spin(value) -> int:
     return int(value)
 
 
-class SpinSystem:
+class SpinSystem(Keeper):
     """Free hexagons inside a frozen context, with a uniform sea beyond.
 
     Parameters
@@ -205,13 +206,6 @@ class SpinSystem:
             fixed_map.setdefault(h, self.sea)
         self.fixed: dict[TriVertex, int] = fixed_map
         self.context: tuple[TriVertex, ...] = tuple(sorted(fset | set(fixed_map)))
-        self._kept: dict = {}
-
-    def kept(self, key, build: Callable[[], object]):
-        """``build()``, run once per key and kept for every later call."""
-        if key not in self._kept:
-            self._kept[key] = build()
-        return self._kept[key]
 
     # -- cached structure ---------------------------------------------------
 

@@ -302,19 +302,7 @@ def brute_force_table(edges: Iterable[HexEdge],
 
 def sweep_width(edges: Iterable[HexEdge]) -> int:
     """Largest number of edges crossing the left-to-right sweep frontier."""
-    es = {edge(u, v) for u, v in edges}
-    verts = sorted({u for e in es for u in e}, key=hex_xy)
-    order = {v: i for i, v in enumerate(verts)}
-    open_at = [0] * (len(verts) + 1)
-    for u, v in es:
-        lo, hi = sorted((order[u], order[v]))
-        open_at[lo + 1] += 1
-        open_at[hi + 1] -= 1
-    width = best = 0
-    for d in open_at:
-        width += d
-        best = max(best, width)
-    return best
+    return _frontier_plan(_edges_of(edges), frozenset())[2]
 
 
 #: codes of a frontier slot: no edge, the lower and the upper end of a
@@ -387,54 +375,67 @@ def _partner(codes: int, i: int, step: int) -> int:
         i += step
 
 
-def _frontier_plan(edges: tuple[HexEdge, ...], verts: list[HexVertex],
-                   defects: frozenset[HexVertex]) -> list[tuple]:
-    """Per vertex in sweep order, ``(lo, hi, fresh, kind)``: its arriving
-    edges hold frontier slots ``lo:hi``, its ``fresh`` forward edges take
-    their place, and ``kind`` keys its moves in :func:`_move_table`.
+@lru_cache(maxsize=None)
+def _compiled_moves(kind: tuple[int, int, bool], stride: int) -> list:
+    """The moves of a vertex kind by old edge parity, with a move's edges
+    taken and loops closed turned into its parity flip and offset step."""
+    return [[[(new, taken % 2, recode, (parity + taken) // 2 * stride + closed)
+              for new, taken, recode, closed in moves]
+             for moves in _move_table(kind)] for parity in (0, 1)]
+
+
+def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
+                   ) -> tuple[list[HexVertex], list[tuple], int]:
+    """The vertices in sweep order, by :func:`hex_xy`; per vertex in that
+    order ``(lo, hi, fresh, kind)``: its arriving edges hold frontier slots
+    ``lo:hi``, its ``fresh`` forward edges take their place, and ``kind``
+    keys its moves in :func:`_move_table`; and the sweep width, the most
+    edges on the frontier at once.
 
     Slots are in order of edge midpoint height in doubled coordinates, then
     midpoint abscissa.  Strands on the processed side of the cut cannot
     cross, so a vertex's arriving edges are adjacent in that order (checked
     here) and the brackets of a state nest.
     """
+    xy = {v: hex_xy(v) for v in {u for e in edges for u in e}}
+    verts = sorted(xy, key=xy.__getitem__)
     order = {v: i for i, v in enumerate(verts)}
-    arriving: list[list[HexEdge]] = [[] for _ in verts]
-    fresh: list[list[HexEdge]] = [[] for _ in verts]
-    for e in edges:
-        lo, hi = sorted((order[e[0]], order[e[1]]))
-        fresh[lo].append(e)
-        arriving[hi].append(e)
-
-    xy = {v: hex_xy(v) for v in verts}  # each edge's height, once
     height = {(u, v): (xy[u][1] + xy[v][1], xy[u][0] + xy[v][0])
               for u, v in edges}.__getitem__
+    # filled in height order, so each vertex's edges come sorted
+    arriving: list[list[HexEdge]] = [[] for _ in verts]
+    fresh: list[list[HexEdge]] = [[] for _ in verts]
+    for e in sorted(edges, key=height):
+        i, j = order[e[0]], order[e[1]]
+        if i > j:
+            i, j = j, i
+        fresh[i].append(e)
+        arriving[j].append(e)
+
     frontier: list[HexEdge] = []
     plan = []
+    width = 0
     for v, came, new in zip(verts, arriving, fresh):
-        new.sort(key=height)
-        slots = sorted(frontier.index(e) for e in came)
-        lo = (slots[0] if slots
+        lo = (frontier.index(came[0]) if came
               else bisect_left(frontier, height(new[0]), key=height))
-        hi = lo + len(slots)
-        assert slots == list(range(lo, hi)), f"{v}: arriving slots apart"
+        hi = lo + len(came)
+        assert frontier[lo:hi] == came, f"{v}: arriving slots apart"
         frontier[lo:hi] = new
+        width = max(width, len(frontier))
         plan.append((lo, hi, len(new), (hi - lo, len(new), v in defects)))
-    return plan
+    return verts, plan, width
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                  max_width: int) -> Table:
+    verts, plan, width = _frontier_plan(edges, defects)
     # the width is checked here, so only on a cache miss
-    width = sweep_width(edges)
     if width > max_width:
         raise WidthExceeded(f"sweep frontier width {width} exceeds the cap "
                             f"of {max_width}")
-    verts = sorted({u for e in edges for u in e}, key=hex_xy)
     if not defects <= set(verts):
         return {}
-    plan = _frontier_plan(edges, verts, defects)
 
     # Kronecker packing: a state holds (offset, int), and its count of partial
     # configurations with m edges and l closed loops sits in the nbytes-wide
@@ -448,18 +449,11 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     rank = len(edges) - len(verts) + len(edge_components(edges))
     nbytes = rank // 8 + 1
     field_bits = 8 * nbytes
-    # the moves of each vertex kind by old parity, with a move's edges
-    # taken and loops closed turned into its parity flip and offset step
-    compiled = {kind: [[[(new, taken % 2, recode,
-                          (parity + taken) // 2 * stride + closed)
-                         for new, taken, recode, closed in moves]
-                        for moves in _move_table(kind)] for parity in (0, 1)]
-                for kind in {kind for *_, kind in plan}}
 
     # a key: the edge parity in bit 0, slot i's code in bits 2i + 1 and 2i + 2
     states: dict[int, tuple[int, int]] = {0: (0, 1)}
     for lo, hi, fresh, kind in plan:
-        moves, shift = compiled[kind], fresh - (hi - lo)
+        moves, shift = _compiled_moves(kind, stride), fresh - (hi - lo)
         at_lo, at_hi, at_tail = 2 * lo + 1, 2 * hi + 1, 2 * (lo + fresh) + 1
         head_mask, block_mask = (1 << at_lo) - 1, (1 << 2 * (hi - lo)) - 1
         nxt: dict[int, tuple[int, int]] = {}
@@ -538,18 +532,19 @@ def relative_weight(region, gamma, params: Params) -> float:
     This is ``x`` to the walk length times the ratio of configuration sums
     after and before carving the walk out of the region.  Carving removes the
     walk's edges and the remaining edges at its two endpoints.  For a
-    :class:`Domain` the walk must lie inside it; for a raw edge set the
-    removal is set-theoretic, so a walk may overhang edges that are already
-    missing (this is what makes the two-step and one-step ways of carving a
-    concatenated walk agree).
+    :class:`Domain` the walk must lie inside it, and the domain keeps each
+    carving; for a raw edge set the removal is set-theoretic, so a walk may
+    overhang edges that are already missing (which makes the two-step and
+    one-step ways of carving a concatenated walk agree).
     """
     walks = _as_walks(gamma)
     region = _region(region)
-    edges = _edges_of(region)
-    comps = remove_paths(region, walks)
+    comps = (region.kept(("carved", *walks),
+                         lambda: remove_paths(region, walks))
+             if isinstance(region, Domain) else remove_paths(region, walks))
     length = sum(len(w) - 1 for w in walks if len(w) >= 2)
     log_rest = sum(_log_Z(c, frozenset(), params) for c in comps)
-    log_full = _log_Z(edges, frozenset(), params)
+    log_full = _log_Z(_edges_of(region), frozenset(), params)
     return math.exp(length * params.log_x + log_rest - log_full)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DisconnectedInterior,
@@ -262,8 +262,19 @@ def mirror_tri(h: TriVertex, axis_x: int = 0) -> TriVertex:
 # domains
 # ---------------------------------------------------------------------------
 
+class Keeper:
+    """Results kept for an object's life, unseen by equality and hashing."""
+
+    def kept(self, key, build: Callable[[], object]):
+        """``build()``, run once per key and kept for every later call."""
+        kept = self.__dict__.setdefault("_kept", {})
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
+
+
 @dataclass(frozen=True)
-class Domain:
+class Domain(Keeper):
     """A finite region of the hexagonal lattice bounded by a polygon.
 
     Built by :func:`domain_from_interior`, which checks that the given

@@ -1,9 +1,10 @@
 """Test oracles for the exact layer: the defect-pair sum and the defect-pair
 table added up walk by walk, table evaluation through complex log-sum-exp,
-and the three-term relation of the edge-midpoint observable; for the
-lattice, edge components by breadth-first search and domains whose interior
-is flood-filled from their bounding polygon; and for the chain, a heat-bath
-sweep that walks the walls at every multi-arc site."""
+the sweep width by counting edge intervals, and the three-term relation of
+the edge-midpoint observable; for the lattice, edge components by
+breadth-first search and domains whose interior is flood-filled from their
+bounding polygon; and for the chain, a heat-bath sweep that walks the walls
+at every multi-arc site."""
 
 import math
 from collections import deque
@@ -109,6 +110,25 @@ def sum_terms_evaluate_table(table: Table, params: Params) -> WeightSum:
     return WeightSum.sum_terms(
         (m * log_x + l * log_n + math.log(c), 1.0 + 0j)
         for (m, l), c in sorted(table.items()))
+
+
+def interval_sweep_width(edges) -> int:
+    """The oracle of ``exact.sweep_width``: with the vertices in order of
+    ``hex_xy``, each edge spans the cuts between its two endpoints, and the
+    width is the most spans over one cut, from a difference array."""
+    es = {edge(u, v) for u, v in edges}
+    verts = sorted({u for e in es for u in e}, key=hex_xy)
+    order = {v: i for i, v in enumerate(verts)}
+    open_at = [0] * (len(verts) + 1)
+    for u, v in es:
+        lo, hi = sorted((order[u], order[v]))
+        open_at[lo + 1] += 1
+        open_at[hi + 1] -= 1
+    width = best = 0
+    for d in open_at:
+        width += d
+        best = max(best, width)
+    return best
 
 
 def bfs_edge_components(edges) -> tuple[frozenset[HexEdge], ...]:

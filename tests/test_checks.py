@@ -39,12 +39,14 @@ from hexloop.exact import (
     _truth,
     exact_event_probability,
     parafermion_field,
+    relative_weight,
     spin_partition,
     sweep_table,
     x_critical,
 )
 from hexloop.fixtures import (
     load_default_grid,
+    load_monotone_pairs,
     load_symmetric_fixtures,
     resolve_x,
 )
@@ -353,6 +355,35 @@ class TestDomainMonotonicity:
         gamma = (w[0], v[0], v[1], w[1])
         with pytest.raises(OutOfRange):
             check_domain_monotonicity(strip, dom, gamma, Params(1.0, 0.5))
+
+    def test_each_domain_carves_the_walk_once(self, monkeypatch):
+        pair = load_monotone_pairs()[0]
+        inner, outer = pair.build()
+        hashes = hash(inner), hash(outer)
+        carved = []
+
+        def spy(region, walks, carve=exact.remove_paths):
+            carved.append(region)
+            return carve(region, walks)
+
+        monkeypatch.setattr(exact, "remove_paths", spy)
+        points = [Params(p["n"], resolve_x(p["x"], p["n"]))
+                  for p in load_default_grid()["loop_params"]]
+        reports = [check_domain_monotonicity(inner, outer, pair.gamma, p)
+                   for p in points]
+        # one carving per domain, not one per domain and loop point
+        assert len(points) == 4
+        assert [id(d) for d in carved] == [id(inner), id(outer)]
+        # the kept carving gives the bits a freshly built domain gives
+        for report, params in zip(reports, points):
+            fresh_in, fresh_out = pair.build()
+            assert report.details["w_inner"] == relative_weight(
+                fresh_in, pair.gamma, params)
+            assert report.details["w_outer"] == relative_weight(
+                fresh_out, pair.gamma, params)
+        # what a domain keeps is no part of its value
+        assert (hash(inner), hash(outer)) == hashes
+        assert (inner, outer) == pair.build()
 
 
 class TestTriangleLowerBound:

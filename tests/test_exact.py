@@ -61,6 +61,7 @@ from hexloop.lattice import (
     triangle_domain,
 )
 from oracles import (
+    interval_sweep_width,
     sum_terms_evaluate_table,
     vertex_relation_residual,
     walk_pair_table,
@@ -284,6 +285,25 @@ def test_sweep_counts_the_cycle_space_past_the_brute_cap(size, shuffled):
     rank = len(edges) - len(verts) + len(edge_components(edges))
     assert sum(table.values()) == 2**rank
     assert {m % 2 for m, _ in table} == {0}
+
+
+FIXTURE_EDGES = [fixture.build().edges for fixture in load_domains()]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(edges=st.lists(st.sampled_from(BALL3_EDGES), min_size=1, unique=True),
+       dr=st.integers(-9, 9), ds=st.integers(-9, 9))
+def test_sweep_width_matches_the_interval_oracle(edges, dr, ds):
+    # the width the frontier plan reads off, on a subset of ball r=3 moved
+    # by a lattice offset and on every domain fixture; a cap one below it
+    # is refused with the width and the cap named
+    moved = [tuple((u[0] + dr, u[1] + ds, u[2]) for u in e) for e in edges]
+    for es in (moved, *FIXTURE_EDGES):
+        w = sweep_width(es)
+        assert w == interval_sweep_width(es)
+        with pytest.raises(WidthExceeded, match=(
+                f"^sweep frontier width {w} exceeds the cap of {w - 1}$")):
+            sweep_table(es, max_width=w - 1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
