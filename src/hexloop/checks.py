@@ -441,7 +441,7 @@ def check_catalan_bound(domain, defect_vertices,
     bound = catalan(pairs) / params.n ** (pairs / 2.0)
     log_full = _log_Z(edges, frozenset(), params)
     log_defect = _log_Z(edges, frozenset(defects), params)
-    ratio = 0.0 if log_defect == -math.inf else math.exp(log_defect - log_full)
+    ratio = math.exp(log_defect - log_full)
     return CheckReport(
         name="catalan_bound", holds=ratio <= bound + SERIES_TOL,
         in_region=_loop_region(params),

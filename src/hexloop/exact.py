@@ -2,22 +2,16 @@
 
 Two independent engines compute the weighted sum over all configurations on
 an edge set with a prescribed defect set.  Both reduce an instance to a
-table ``{(edge count, loop count): multiplicity}`` that is independent of
-the weights, so one combinatorial pass serves a whole parameter grid;
-tables are evaluated by log-sum-exp into a :class:`WeightSum`.  The
-left-to-right sweep (:func:`sweep_table`) is the product engine: every walk
-weight, path sum and observable below goes through it.  A state is one int:
-the edge parity in bit 0, then two bits per edge crossing the cut, in order
-of midpoint height, for its code: empty, one end of a strand with both ends
-on the cut (the ends nest like brackets), or a strand to a defect.  A
-vertex's moves depend only on the codes of its arriving edges, which are
-adjacent, on its number of fresh edges and on whether it is a defect, so
-they come from a table built once and indexed by the arriving bits.
-Each state carries the polynomial in edge and loop counts of the partial
-configurations reaching it, packed into one exact Python int with a
-fixed-width field per (edges // 2, loops) term from the state's own lowest
-term up, so a transition moves an offset and a merge is one shift and one
-addition.  The depth-first enumeration with degree pruning
+:class:`Table` ``{(edge count, loop count): multiplicity}`` that is
+independent of the weights, so one combinatorial pass serves a whole
+parameter grid.  A table is read-only, in key order, and keeps the logs of
+its counts, so evaluating it into a :class:`WeightSum` at a parameter point
+is one multiply-add and one exp per term.  The left-to-right sweep
+(:func:`sweep_table`) is the product engine: every walk weight, path sum
+and observable below goes through it.  Its frontier states are ints of
+two-bit slot codes whose strand ends nest like brackets, each carrying its
+partial configurations' polynomial packed into one exact int (see
+:func:`_sweep_table`).  The depth-first enumeration with degree pruning
 (:func:`even_subgraphs`) is the oracle behind :func:`brute_force_table` and
 ``hexloop enumerate --engine brute``, which tests compare the sweep against.
 
@@ -39,6 +33,7 @@ import cmath
 import math
 import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, product
@@ -79,8 +74,24 @@ MAX_SPIN_SITES = 16
 #: plus the triangle suite at side 6 creates 230 keys, which must all stay
 TABLE_CACHE_SIZE = 1024
 
-#: table of a configuration sum: (number of edges, number of loops) -> count
-Table = dict[tuple[int, int], int]
+class Table(dict):
+    """Read-only (edges, loops) -> count table in key order, with its logs."""
+
+    def __init__(self, terms: Mapping[tuple[int, int], int]):
+        items = sorted((key, c) for key, c in terms.items() if c)
+        if any(c < 0 for _, c in items):
+            raise OutOfRange("a configuration count cannot be negative")
+        super().__init__(items)
+        self.log_terms = [(m, l, math.log(c)) for (m, l), c in items]
+
+    def __reduce__(self):  # copy and pickle would set the items one by one
+        return Table, (dict(self),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a configuration table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +119,7 @@ class WeightSum:
         """Log-sum-exp of ``(log magnitude, phase)`` terms, scaled by the
         largest magnitude so intermediate exponentials stay tame."""
         live = [(lg, ph) for lg, ph in terms if ph != 0 and lg != float("-inf")]
-        if not live:
-            return cls.zero()
-        top = max(lg for lg, _ in live)
+        top = max((lg for lg, _ in live), default=0.0)
         acc = 0j
         for lg, ph in live:
             acc += ph * math.exp(lg - top)
@@ -133,14 +142,8 @@ class WeightSum:
         return cls(top + math.log(acc))
 
     @property
-    def is_zero(self) -> bool:
-        return self.phase == 0
-
-    @property
     def value(self) -> complex:
         """The plain complex value (raises if too large for a double)."""
-        if self.is_zero:
-            return 0j
         if self.log_magnitude > math.log(sys.float_info.max):
             raise Overflow(f"magnitude exp({self.log_magnitude:.6g}) "
                            "does not fit in a double")
@@ -278,11 +281,8 @@ def even_subgraphs(edges: tuple[HexEdge, ...],
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _brute_table(edges: tuple[HexEdge, ...],
                  defects: frozenset[HexVertex]) -> Table:
-    table: Table = {}
-    for chosen in even_subgraphs(edges, defects):
-        key = (len(chosen), loop_count(chosen, defects))
-        table[key] = table.get(key, 0) + 1
-    return table
+    return Table(Counter((len(chosen), loop_count(chosen, defects))
+                         for chosen in even_subgraphs(edges, defects)))
 
 
 def brute_force_table(edges: Iterable[HexEdge],
@@ -293,7 +293,7 @@ def brute_force_table(edges: Iterable[HexEdge],
     if len(es) > max_edges:
         raise TooLarge(f"{len(es)} edges exceed the brute-force cap "
                        f"of {max_edges}")
-    return dict(_brute_table(es, frozenset(tuple(d) for d in defects)))
+    return _brute_table(es, frozenset(tuple(d) for d in defects))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +435,7 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
         raise WidthExceeded(f"sweep frontier width {width} exceeds the cap "
                             f"of {max_width}")
     if not defects <= set(verts):
-        return {}
+        return Table({})
 
     # Kronecker packing: a state holds (offset, int), and its count of partial
     # configurations with m edges and l closed loops sits in the nbytes-wide
@@ -480,19 +480,19 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
 
 
 def _unpack(states: dict, stride: int, nbytes: int) -> Table:
-    """Table of the states left by :func:`_sweep_table`, at most the empty
-    one as every edge is closed: field i of its int counts slot offset + i,
-    and slot row * stride + l holds 2 * row + parity edges and l loops."""
-    table: Table = {}
+    """The read-only :class:`Table` of the final states: field i of an int,
+    converted only if a byte is nonzero, counts slot offset + i, and slot
+    row * stride + l holds 2 * row + parity edges and l loops."""
+    terms, zero = {}, bytes(nbytes)
     for parity, (offset, packed) in states.items():
-        slots = -(-packed.bit_length() // (8 * nbytes))
-        raw = packed.to_bytes(slots * nbytes, "little")
-        for i in range(slots):
-            count = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-            if count:
-                row, loops = divmod(offset + i, stride)
-                table[2 * row + parity, loops] = count
-    return table
+        raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
+        for at in range(0, len(raw), nbytes):
+            field = raw[at:at + nbytes]  # the top field may be short
+            if field != zero:
+                row, loops = divmod(offset + at // nbytes, stride)
+                count = int.from_bytes(field, "little")
+                terms[2 * row + parity, loops] = count
+    return Table(terms)
 
 
 def sweep_table(edges: Iterable[HexEdge],
@@ -500,20 +500,21 @@ def sweep_table(edges: Iterable[HexEdge],
                 *, max_width: int = MAX_SWEEP_WIDTH) -> Table:
     """Configuration table by dynamic programming over frontier states."""
     es = tuple(sorted({edge(u, v) for u, v in edges}))
-    return dict(_sweep_table(es, frozenset(tuple(d) for d in defects),
-                             max_width))
+    return _sweep_table(es, frozenset(tuple(d) for d in defects), max_width)
 
 
 # ---------------------------------------------------------------------------
 # weighted sums
 # ---------------------------------------------------------------------------
 
-def evaluate_table(table: Table, params: Params) -> WeightSum:
-    """Evaluate a configuration table at given weights: one float pass over
-    the logs of its positive terms ``c x^m n^l`` in key order."""
+def evaluate_table(table: Mapping, params: Params) -> WeightSum:
+    """One float pass over a table's terms ``c x^m n^l`` in key order, from
+    the count logs a read-only :class:`Table` keeps; a mapping becomes one."""
+    if not isinstance(table, Table):
+        table = Table(table)
     log_x, log_n = params.log_x, params.log_n
-    return WeightSum.sum_logs([m * log_x + l * log_n + math.log(c)
-                               for (m, l), c in sorted(table.items())])
+    return WeightSum.sum_logs([m * log_x + l * log_n + log_c
+                               for m, l, log_c in table.log_terms])
 
 
 def _log_Z(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
@@ -739,6 +740,4 @@ def exact_event_probability(region, tau, params: Params, event: Callable, *,
         total = spin_partition(system, params, max_sites=max_sites)
     wanted = spin_partition(system, params, event, side=side,
                             max_sites=max_sites)
-    if wanted.is_zero:
-        return 0.0
     return math.exp(wanted.log_magnitude - total.log_magnitude)

@@ -25,7 +25,6 @@ from hexloop.errors import (
 from hexloop.exact import (
     MAX_FIELD_EDGES,
     PathSum,
-    Table,
     WeightSum,
     _targets,
     parafermion_field,
@@ -83,7 +82,7 @@ def walk_path_sum(domain: Domain, a: HexVertex, b,
     return PathSum(sum(weights), len(weights))
 
 
-def walk_pair_table(edges, a: HexVertex, b: HexVertex) -> Table:
+def walk_pair_table(edges, a: HexVertex, b: HexVertex) -> dict:
     """The oracle of ``sweep_table(edges, [a, b])``: over the self-avoiding
     walks from ``a`` to ``b``, the defect-free table of the edges that touch
     no vertex of the walk, shifted by the walk's edge count."""
@@ -92,7 +91,7 @@ def walk_pair_table(edges, a: HexVertex, b: HexVertex) -> Table:
     for e in sorted(edges):
         for u in e:
             vertex_edges.setdefault(u, []).append(e)
-    table: Table = {}
+    table: dict[tuple[int, int], int] = {}
     for walk in walks_to(vertex_edges, a, frozenset([b])):
         on_walk = set(walk)
         rest = [e for e in edges if on_walk.isdisjoint(e)]
@@ -102,7 +101,7 @@ def walk_pair_table(edges, a: HexVertex, b: HexVertex) -> Table:
     return table
 
 
-def sum_terms_evaluate_table(table: Table, params: Params) -> WeightSum:
+def sum_terms_evaluate_table(table: dict, params: Params) -> WeightSum:
     """The oracle of ``exact.evaluate_table``: every term in key order as a
     ``(log, 1 + 0j)`` pair, added by :meth:`WeightSum.sum_terms`."""
     log_x = math.log(params.x)

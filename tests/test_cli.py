@@ -35,6 +35,19 @@ def test_enumerate_engines_agree_on_a_fixture(capsys):
         records["brute"]["log_Z"], rel=1e-12)
 
 
+def test_enumerate_matches_golden_log_z(capsys):
+    # written before each table kept its count logs: the 10x4 rectangle
+    # with the defect sets of the benchmark's long tables, n = 1, 1.5 and 2
+    # at x_c; the record less its elapsed time must be the same text
+    for case in json.loads((GOLDEN / "enumerate_log_z.json").read_text()):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == 0
+        record = json.loads(out)
+        del record["elapsed"]
+        assert (json.dumps(record, sort_keys=True)
+                == json.dumps(case["record"], sort_keys=True))
+
+
 def test_enumerate_auto_names_the_width_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--domain", '{"ball": 8}',
                        "--n", "1.5")

@@ -6,9 +6,11 @@ domain, whose three edges make every sum a one-liner.
 """
 
 import cmath
+import copy
 import json
 import math
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -30,6 +32,7 @@ from hexloop.exact import (
     _OPEN,
     _STRAND,
     MAX_SWEEP_WIDTH,
+    Table,
     WeightSum,
     _partner,
     brute_force_table,
@@ -136,11 +139,11 @@ def test_weight_sum_arithmetic():
     b = WeightSum.sum_terms([(math.log(2.0), 1j)])
     assert b.value == pytest.approx(2j)
     z = WeightSum.zero()
-    assert z.is_zero and z.value == 0j
+    assert z.phase == 0 and z.value == 0j
     # exact cancellation collapses to zero
     s = WeightSum.sum_terms([(0.0, 1.0 + 0j), (0.0, -1.0 + 0j)])
-    assert s.is_zero
-    assert WeightSum.sum_terms([]).is_zero
+    assert s == WeightSum.zero()
+    assert WeightSum.sum_terms([]) == WeightSum.zero()
     big = WeightSum(1e6, 1.0 + 0j)
     with pytest.raises(Overflow):
         big.value
@@ -177,6 +180,17 @@ def test_evaluate_table_matches_the_complex_route(terms, n, x):
     assert evaluate_table(table, p) == sum_terms_evaluate_table(table, p)
 
 
+def test_zero_and_negative_counts():
+    # a zero count is no term; a negative count is no configuration table
+    p = Params(n=1.5, x=0.6)
+    assert Table({(2, 0): 0, (0, 0): 1}) == {(0, 0): 1}
+    assert (evaluate_table({(0, 0): 1, (2, 0): 0}, p)
+            == evaluate_table({(0, 0): 1}, p))
+    assert evaluate_table({(2, 0): 0}, p) == WeightSum.zero()
+    with pytest.raises(OutOfRange):
+        evaluate_table({(0, 0): 1, (2, 0): -1}, p)
+
+
 # ---------------------------------------------------------------------------
 # the two engines
 # ---------------------------------------------------------------------------
@@ -194,10 +208,10 @@ def test_brute_force_flower_oracles():
         assert brute_Z((w[0], w[3]), p).value.real == pytest.approx(
             2 * x**5, rel=1e-12)
     p = Params(n=1.4, x=0.6)
-    assert brute_Z((w[0],), p).is_zero
-    assert brute_Z((w[0], w[1], w[2]), p).is_zero
+    assert brute_Z((w[0],), p) == WeightSum.zero()
+    assert brute_Z((w[0], w[1], w[2]), p) == WeightSum.zero()
     # a defect off the domain kills every configuration
-    assert brute_Z(((5, 5, 0), (5, 5, 1)), p).is_zero
+    assert brute_Z(((5, 5, 0), (5, 5, 1)), p) == WeightSum.zero()
 
 
 def test_sweep_matches_brute_tables():
@@ -267,6 +281,26 @@ def test_sweep_matches_brute_on_random_subsets(data):
 
     assert sweep_table([(move(u), move(v)) for u, v in edges],
                        [move(d) for d in defects]) == table
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.floats(0.5, 2.0), x=st.floats(0.3, 1.5))
+def test_engine_tables_evaluate_bit_for_bit(data, n, x):
+    # the count logs a table keeps give the bits of the route that takes
+    # them at every call, and a plain dict of the same terms, in any
+    # insertion order, gives the same sum
+    edges = data.draw(st.one_of(ball2_edge_subsets(), st.just(BALL2_EDGES)))
+    verts = sorted({u for e in edges for u in e})
+    size = data.draw(st.sampled_from((0, 2, 4)))
+    assume(len(verts) >= size)
+    # defects on the edge set, so that defect tables are seldom empty
+    defects = data.draw(st.lists(st.sampled_from(verts), min_size=size,
+                                 max_size=size, unique=True)) if size else []
+    table = sweep_table(edges, defects)
+    p = Params(n=n, x=x)
+    assert evaluate_table(table, p) == sum_terms_evaluate_table(table, p)
+    shuffled = dict(data.draw(st.permutations(list(table.items()))))
+    assert evaluate_table(shuffled, p) == evaluate_table(table, p)
 
 
 BALL3_EDGES = domain_from_hexagons(hexagon_ball(3)).edges
@@ -387,6 +421,34 @@ def test_sweep_matches_ball3_golden():
     defects = [tuple(d) for d in golden["defects"]]
     assert sweep_table(dom.edges, defects) == {
         (m, l): c for m, l, c in golden["pair"]}
+
+
+def test_sweep_tables_are_read_only_and_not_copied():
+    # sweep_table hands out the cached table itself, so no caller may
+    # change it
+    dom = domain_from_hexagons(hexagon_ball(3))
+    table = sweep_table(dom.edges)
+    assert sweep_table(dom.edges) is table
+    assert list(table) == sorted(table)
+    key = next(iter(table))
+    with pytest.raises(TypeError):
+        table[key] = 1
+    with pytest.raises(TypeError):
+        del table[key]
+    with pytest.raises(TypeError):
+        table |= {key: 1}
+    for mutate in (lambda: table.update({key: 1}), lambda: table.pop(key),
+                   table.popitem, lambda: table.setdefault((1, 0), 1),
+                   table.clear):
+        with pytest.raises(TypeError):
+            mutate()
+    golden = json.loads((GOLDEN / "ball3_tables.json").read_text())
+    assert sweep_table(dom.edges) == {
+        (m, l): c for m, l, c in golden["free"]}
+    # a copy or a pickled table is a table with the same terms and logs
+    for twin in (copy.copy(table), pickle.loads(pickle.dumps(table))):
+        assert type(twin) is Table and twin == table
+        assert twin.log_terms == table.log_terms
 
 
 def test_sweep_table_with_odd_lowest_edge_count():
