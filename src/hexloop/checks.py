@@ -33,6 +33,7 @@ from .configs import (
     assignment_index,
     border_edges,
     edge_components,
+    free_sites,
     log_spin_weight,
     loop_count,
     spins_to_loops,
@@ -136,10 +137,7 @@ def check_fkg_lattice(region, tau, params: Params, *,
     offending pair, and the quadruple of weights.
     """
     system = _spin_system(region, tau)
-    m = len(system.free)
-    if m > max_sites:
-        raise TooLarge(f"{m} free hexagons exceed the pair-scan cap "
-                       f"of {max_sites}")
+    m = free_sites(system, max_sites, "pair-scan cap")
     counts = assignment_counts(system, max_sites)
     logw = []
     for bits in range(1 << m):
@@ -220,9 +218,7 @@ def check_cbc(region, tau_low, tau_high, params: Params, events, *,
     if not named:
         raise OutOfRange("no events to compare")
 
-    if len(low.free) > max_sites:
-        raise TooLarge(f"{len(low.free)} free hexagons exceed the cap "
-                       f"of {max_sites}")
+    free_sites(low, max_sites)
     total_low = spin_partition(low, params, max_sites=max_sites)
     total_high = spin_partition(high, params, max_sites=max_sites)
     rows = []
@@ -320,9 +316,7 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
     else:
         shell_signs = {h: int(tau) for h in shell}
         outer = _spin_system(region, tau)
-    m = len(outer.free)
-    if m > max_sites:
-        raise TooLarge(f"{m} free hexagons exceed the cap of {max_sites}")
+    m = free_sites(outer, max_sites)
 
     # the inner system keeps the whole known exterior as fixed context, so
     # that connections running through it are counted the same way
@@ -375,9 +369,7 @@ def check_bijection(region, tau, params: Params, *,
     ring_signs = set(system.fixed.values()) | {system.sea}
     if len(ring_signs) != 1:
         raise OutOfRange("the correspondence check needs a constant frame")
-    m = len(system.free)
-    if m > max_sites:
-        raise TooLarge(f"{m} free hexagons exceed the cap of {max_sites}")
+    m = free_sites(system, max_sites)
 
     edges = border_edges(system.free)
     verts = {v for e in edges for v in e}

@@ -271,20 +271,15 @@ def _cmd_scan(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _spin_points(grid: dict) -> list:
+def _points(grid: dict, side: str) -> list:
+    """(label, Params) of each point of the grid's ``spin_params``, which
+    give n, x, h and hp, or of its ``loop_params``, which give n and x."""
+    names = ("n", "x", "h", "hp") if side == "spin" else ("n", "x")
     with _user_input("parameter grid"):
-        return [(f"n={spec['n']},x={spec['x']},h={spec['h']},"
-                 f"hp={spec['hp']}",
+        return [(",".join(f"{name}={spec[name]}" for name in names),
                  Params(spec["n"], resolve_x(spec["x"], spec["n"]),
-                        spec["h"], spec["hp"]))
-                for spec in grid["spin_params"]]
-
-
-def _loop_points(grid: dict) -> list:
-    with _user_input("parameter grid"):
-        return [(f"n={spec['n']},x={spec['x']}",
-                 Params(spec["n"], resolve_x(spec["x"], spec["n"])))
-                for spec in grid["loop_params"]]
+                        *(spec[name] for name in names[2:])))
+                for spec in grid[f"{side}_params"]]
 
 
 def _triangle(built: dict, side):
@@ -296,7 +291,7 @@ def _triangle(built: dict, side):
 
 def _suite_fkg(grid: dict, built: dict) -> list:
     return [(f"fkg/{r}/{label}", check_fkg_lattice(built[r], -1, params))
-            for label, params in _spin_points(grid)
+            for label, params in _points(grid, "spin")
             for r in ("wedge", "ball1")]
 
 
@@ -306,7 +301,7 @@ def _suite_cbc(grid: dict, built: dict) -> list:
     events = {"origin_plus": lambda s: s[(0, 0)] == 1,
               "all_plus": lambda s: all(v == 1 for v in s.values())}
     out = []
-    for label, params in _spin_points(grid):
+    for label, params in _points(grid, "spin"):
         out.append((f"cbc/ball1/{label}",
                     check_cbc(low.free, low, high, params, events)))
         out.append((f"faces/ball1/{label}",
@@ -318,12 +313,12 @@ def _suite_cbc(grid: dict, built: dict) -> list:
 def _suite_markov(grid: dict, built: dict) -> list:
     return [(f"markov/ball1/{label}", check_domain_markov_and_duality(
                 built["ball1"], [(0, 0), (1, 0)], -1, params))
-            for label, params in _spin_points(grid)]
+            for label, params in _points(grid, "spin")]
 
 
 def _suite_bijection(grid: dict, built: dict) -> list:
     return [(f"bijection/{r}/{label}", check_bijection(built[r], -1, params))
-            for label, params in _loop_points(grid) for r in REGIONS]
+            for label, params in _points(grid, "loop") for r in REGIONS]
 
 
 def _suite_catalan(grid: dict, built: dict) -> list:
@@ -333,7 +328,7 @@ def _suite_catalan(grid: dict, built: dict) -> list:
         picks = defect_sets(domain)
         out += [(f"catalan/{fixture.name}/A{size}.{j}/{label}",
                  check_catalan_bound(domain, pick, params))
-                for label, params in _loop_points(grid)
+                for label, params in _points(grid, "loop")
                 for size in (0, 2, 4) for j, pick in enumerate(picks[size])]
     return out
 
@@ -344,7 +339,7 @@ def _suite_monotone(grid: dict, built: dict) -> list:
         inner, outer = pair.build()
         out += [(f"monotone/{pair.name}/{label}",
                  check_domain_monotonicity(inner, outer, pair.gamma, params))
-                for label, params in _loop_points(grid)]
+                for label, params in _points(grid, "loop")]
     return out
 
 
@@ -377,7 +372,7 @@ def _suite_symmetric(grid: dict, built: dict) -> list:
             h: 1 for h in fixture.arc_a + fixture.arc_b}, sea=-1)
         out += [(f"symmetric/{fixture.name}/{label}",
                  check_symmetric_domain(system, arcs, params.n, params.x))
-                for label, params in _loop_points(grid)]
+                for label, params in _points(grid, "loop")]
     return out
 
 

@@ -633,6 +633,16 @@ def assignment_index(signs) -> int:
     return index
 
 
+def free_sites(system: SpinSystem, max_sites: int,
+               cap: str = "enumeration cap") -> int:
+    """The number m of free hexagons of a system; :class:`TooLarge` when m
+    exceeds ``max_sites``, named ``cap`` in the message."""
+    m = len(system.free)
+    if m > max_sites:
+        raise TooLarge(f"{m} free hexagons exceed the {cap} of {max_sites}")
+    return m
+
+
 def assignment_counts(system: SpinSystem,
                       max_sites: int) -> tuple[SpinCounts, ...]:
     """Counts of all 2^m free-spin assignments of the system, aligned with
@@ -643,10 +653,7 @@ def assignment_counts(system: SpinSystem,
     enumeration.  The Gray-code walk runs once per system and its result is
     kept on the instance, so every later call reads the same tuple.
     """
-    m = len(system.free)
-    if m > max_sites:
-        raise TooLarge(f"{m} free hexagons exceed the enumeration cap "
-                       f"of {max_sites}")
+    free_sites(system, max_sites)
     return system.kept("counts", lambda: _gray_counts(system))
 
 

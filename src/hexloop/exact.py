@@ -11,9 +11,11 @@ is one multiply-add and one exp per term.  The left-to-right sweep
 and observable below goes through it.  Its frontier states are ints of
 two-bit slot codes whose strand ends nest like brackets, each carrying its
 partial configurations' polynomial packed into one exact int (see
-:func:`_sweep_table`).  The depth-first enumeration with degree pruning
-(:func:`even_subgraphs`) is the oracle behind :func:`brute_force_table` and
-``hexloop enumerate --engine brute``, which tests compare the sweep against.
+:func:`_sweep_table`).  A step of the sweep takes one vertex, or both ends
+of a vertical edge, which then never holds a frontier slot.  The
+depth-first enumeration with degree pruning (:func:`even_subgraphs`) is the
+oracle behind :func:`brute_force_table` and ``hexloop enumerate --engine
+brute``, which tests compare the sweep against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -43,6 +45,7 @@ from .configs import (
     Params,
     SpinSystem,
     assignment_counts,
+    free_sites,
     loop_count,
     log_spin_weight,
     spins_to_loops,
@@ -348,16 +351,43 @@ def _moves(block: tuple[int, ...], fresh: int, defect: bool) -> list:
     return [(empty, 0, join.get((c, d)), int((c, d) == (_OPEN, _CLOSE)))]
 
 
+def _step_moves(block: tuple[int, ...], kind: tuple) -> list:
+    """The moves of a plan step (:func:`_frontier_plan`) by the codes of its
+    arriving slots, as :func:`_moves` gives them, which runs at both ends of
+    a vertical edge in turn: the step's arriving slots are the lower end's,
+    then the upper end's others, and its fresh slots the lower end's
+    others, then the upper end's."""
+    (k, fresh, defect), *upper = kind
+    moves = _moves(block[:k], fresh, defect)
+    if not upper:
+        return moves
+    steps = []
+    for new, taken, _, closed in moves:  # a lower end recodes nothing
+        for top, more, recode, shut in _moves(new[-1:] + block[k:],
+                                              upper[0][1], False):
+            top = new[:-1] + top
+            if recode and recode[0] == 0 and not any(block[:k]):
+                # the pair was opened at the lower end, whose other fresh
+                # slot is the partner of the vertical edge
+                top, recode = (recode[2], *top[1:]), None
+            # any other recode has k = 1: the vertical edge carried step
+            # slot 0's strand on, and the upper end's slots are the step's
+            steps.append((top, taken + more, recode, closed + shut))
+    return steps
+
+
 @lru_cache(maxsize=None)
-def _move_table(kind: tuple[int, int, bool]) -> list:
-    """The moves of a vertex of kind (arriving slots, fresh edges, defect),
-    by arriving codes packed two bits per slot, slot 0 lowest, with each
-    move's fresh codes packed the same way; a lattice vertex has at most
-    three edges."""
-    k, fresh, defect = kind
-    return [[(sum(c << 2 * i for i, c in enumerate(new)), *move)
-             for new, *move in _moves(block[::-1], fresh, defect)]
-            for block in product(range(4), repeat=k)]
+def _move_table(kind: tuple, stride: int) -> list:
+    """The moves of a plan step, one vertex or the two ends of a vertical
+    edge (:func:`_step_moves`), by old edge parity, then by arriving codes
+    packed two bits per slot, slot 0 lowest; each move's fresh codes are
+    packed the same way, and its edges taken and loops closed are turned
+    into its parity flip and offset step."""
+    k = sum(v[0] for v in kind) - len(kind) + 1  # less a vertical edge
+    return [[[(sum(c << 2 * i for i, c in enumerate(new)), taken % 2, recode,
+               (parity + taken) // 2 * stride + closed)
+              for new, taken, recode, closed in _step_moves(block[::-1], kind)]
+             for block in product(range(4), repeat=k)] for parity in (0, 1)]
 
 
 def _partner(codes: int, i: int, step: int) -> int:
@@ -375,27 +405,20 @@ def _partner(codes: int, i: int, step: int) -> int:
         i += step
 
 
-@lru_cache(maxsize=None)
-def _compiled_moves(kind: tuple[int, int, bool], stride: int) -> list:
-    """The moves of a vertex kind by old edge parity, with a move's edges
-    taken and loops closed turned into its parity flip and offset step."""
-    return [[[(new, taken % 2, recode, (parity + taken) // 2 * stride + closed)
-              for new, taken, recode, closed in moves]
-             for moves in _move_table(kind)] for parity in (0, 1)]
-
-
 def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                    ) -> tuple[list[HexVertex], list[tuple], int]:
-    """The vertices in sweep order, by :func:`hex_xy`; per vertex in that
-    order ``(lo, hi, fresh, kind)``: its arriving edges hold frontier slots
-    ``lo:hi``, its ``fresh`` forward edges take their place, and ``kind``
-    keys its moves in :func:`_move_table`; and the sweep width, the most
-    edges on the frontier at once.
+    """The vertices in sweep order, by :func:`hex_xy`; per plan step in that
+    order ``(lo, hi, fresh, kind)``: the step's arriving edges hold frontier
+    slots ``lo:hi``, its ``fresh`` forward edges take their place, and
+    ``kind`` keys its moves in :func:`_move_table`; and the sweep width, the
+    most edges on the frontier at once, counted vertex by vertex.
 
-    Slots are in order of edge midpoint height in doubled coordinates, then
-    midpoint abscissa.  Strands on the processed side of the cut cannot
-    cross, so a vertex's arriving edges are adjacent in that order (checked
-    here) and the brackets of a state nest.
+    A step is one vertex, or the two ends of a vertical edge when neither
+    is a defect: they share an abscissa, so they come next to each other in
+    sweep order.  Slots are in order of edge midpoint height in doubled
+    coordinates, then midpoint abscissa.  Strands on the processed side of
+    the cut cannot cross, so a vertex's arriving edges are adjacent in that
+    order (checked here) and the brackets of a state nest.
     """
     xy = {v: hex_xy(v) for v in {u for e in edges for u in e}}
     verts = sorted(xy, key=xy.__getitem__)
@@ -415,6 +438,7 @@ def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     frontier: list[HexEdge] = []
     plan = []
     width = 0
+    vertical = None  # the last vertex's vertical fresh edge, if no defect
     for v, came, new in zip(verts, arriving, fresh):
         lo = (frontier.index(came[0]) if came
               else bisect_left(frontier, height(new[0]), key=height))
@@ -422,7 +446,15 @@ def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
         assert frontier[lo:hi] == came, f"{v}: arriving slots apart"
         frontier[lo:hi] = new
         width = max(width, len(frontier))
-        plan.append((lo, hi, len(new), (hi - lo, len(new), v in defects)))
+        kind = (hi - lo, len(new), v in defects)
+        if came and came[0] == vertical and not kind[2]:  # its upper end
+            lo, hi, out, lower = plan.pop()
+            plan.append((lo, hi + len(came) - 1, out - 1 + len(new),
+                         lower + (kind,)))
+        else:
+            plan.append((lo, hi, len(new), (kind,)))
+        vertical = (new[-1] if new and not kind[2]
+                    and xy[new[-1][0]][0] == xy[new[-1][1]][0] else None)
     return verts, plan, width
 
 
@@ -453,7 +485,7 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     # a key: the edge parity in bit 0, slot i's code in bits 2i + 1 and 2i + 2
     states: dict[int, tuple[int, int]] = {0: (0, 1)}
     for lo, hi, fresh, kind in plan:
-        moves, shift = _compiled_moves(kind, stride), fresh - (hi - lo)
+        moves, shift = _move_table(kind, stride), fresh - (hi - lo)
         at_lo, at_hi, at_tail = 2 * lo + 1, 2 * hi + 1, 2 * (lo + fresh) + 1
         head_mask, block_mask = (1 << at_lo) - 1, (1 << 2 * (hi - lo)) - 1
         nxt: dict[int, tuple[int, int]] = {}
@@ -690,10 +722,7 @@ def spin_partition(system: SpinSystem, params: Params,
     """
     if side not in ("spins", "loops"):
         raise OutOfRange(f"unknown side {side!r}")
-    m = len(system.free)
-    if m > max_sites:
-        raise TooLarge(f"{m} free hexagons exceed the enumeration cap "
-                       f"of {max_sites}")
+    free_sites(system, max_sites)
     counts = assignment_counts(system, max_sites)
     if event is not None:
         counts = compress(counts, _truth(system, event, side))

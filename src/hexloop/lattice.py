@@ -122,21 +122,13 @@ def hexagon_edges(h: TriVertex) -> tuple[HexEdge, ...]:
 
 
 def edge_hexagons(e: HexEdge) -> tuple[TriVertex, TriVertex]:
-    """The two hexagons separated by an edge."""
-    u, v = e
-    if u[2] == DOWN:
-        u, v = v, u
-    r, s, _ = u
-    dr, ds, dc = v
-    if dc != DOWN or u[2] != UP:
+    """The two hexagons separated by an edge: those at both of its ends, in
+    the order of :func:`vertex_hexagons` at its up end."""
+    u, v = sorted(e, key=lambda w: w[2])
+    common = tuple(h for h in vertex_hexagons(u) if h in vertex_hexagons(v))
+    if len(common) != 2 or (u[2], v[2]) != (UP, DOWN):
         raise OutOfRange(f"{e} is not an edge")
-    if (dr, ds) == (r, s):
-        return ((r + 1, s), (r, s + 1))
-    if (dr, ds) == (r - 1, s):
-        return ((r, s), (r, s + 1))
-    if (dr, ds) == (r, s - 1):
-        return ((r, s), (r + 1, s))
-    raise OutOfRange(f"{e} is not an edge")
+    return common
 
 
 def shared_edge(a: TriVertex, b: TriVertex) -> HexEdge:
@@ -177,15 +169,17 @@ def hexagon_ball(radius: int, center: TriVertex = (0, 0)) -> frozenset[TriVertex
     return frozenset(out)
 
 
-def hexagon_components(hexagons: Iterable[TriVertex]) -> list[frozenset[TriVertex]]:
-    """Connected components of a hexagon set under edge adjacency."""
+def hexagon_components(hexagons: Iterable[TriVertex], neighbors=tri_neighbors,
+                       ) -> list[frozenset[TriVertex]]:
+    """Connected components of a hexagon set under edge adjacency, or of a
+    vertex set with ``neighbors=hex_neighbors``."""
     left = set(hexagons)
     out = []
     while left:
         comp = {left.pop()}
         frontier = set(comp)
         while frontier:
-            frontier = {g for h in frontier for g in tri_neighbors(h)} & left
+            frontier = {g for h in frontier for g in neighbors(h)} & left
             left -= frontier
             comp |= frontier
         out.append(frozenset(comp))
@@ -336,21 +330,6 @@ class Domain(Keeper):
                 f"|edges|={len(self.edges)}, |boundary|={len(self.boundary)})")
 
 
-def _connected(vertices: set[HexVertex]) -> bool:
-    if not vertices:
-        return False
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in hex_neighbors(v):
-            if w in vertices and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
-
-
 # (dr, ds) of the hexagon across the edge from corner i to corner i + 1 of
 # hexagon_corners
 _ACROSS = ((0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0))
@@ -397,7 +376,7 @@ def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
     want = {tuple(v) for v in interior}
     if not want:
         raise EmptyInterior("interior set is empty")
-    if not _connected(want):
+    if len(hexagon_components(want, hex_neighbors)) != 1:
         raise DisconnectedInterior("interior set is not connected")
 
     patch = {h for v in want for h in vertex_hexagons(v)}
@@ -444,7 +423,8 @@ def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
                  and _walled_in(corners, adj))
     # the patch corners must be the set's vertices, the wall's and no more
     if walled_in or len(corners) != len(want) + len(adj):
-        if walled_in or not _connected(corners - adj.keys()):
+        if walled_in or len(hexagon_components(
+                corners - adj.keys(), hex_neighbors)) != 1:
             raise DisconnectedInterior(
                 "the polygon pinches its interior into several components")
         raise NotSelfAvoiding(
@@ -617,15 +597,8 @@ def remove_paths(region: Domain | Iterable[HexEdge],
     Returns the remaining edges as connected components, each sorted,
     sorted overall.
     """
-    if isinstance(region, Domain):
-        pool = region.edges
-        incident = region.vertex_edges
-    else:
-        pool = sorted({edge(u, v) for u, v in region})
-        incident = {}
-        for e in pool:
-            incident.setdefault(e[0], []).append(e)
-            incident.setdefault(e[1], []).append(e)
+    pool = (region.edges if isinstance(region, Domain)
+            else sorted({edge(u, v) for u, v in region}))
     removed: set[HexEdge] = set()
     used: set[HexVertex] = set()
     for path in paths:
@@ -641,8 +614,8 @@ def remove_paths(region: Domain | Iterable[HexEdge],
                 if e not in region.edge_index:
                     raise PathNotInDomain(f"edge {e} is not in the domain")
         removed.update(walk)
-        removed.update(incident.get(verts[0], ()))
-        removed.update(incident.get(verts[-1], ()))
+        ends = (verts[0], verts[-1])
+        removed.update(e for e in pool if e[0] in ends or e[1] in ends)
     comps = edge_components(e for e in pool if e not in removed)
     return tuple(sorted(tuple(sorted(c)) for c in comps))
 

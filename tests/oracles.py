@@ -37,7 +37,6 @@ from hexloop.lattice import (
     Domain,
     HexEdge,
     HexVertex,
-    _connected,
     are_adjacent,
     edge,
     edge_hexagons,
@@ -48,6 +47,23 @@ from hexloop.lattice import (
     hexagon_edges,
     vertex_hexagons,
 )
+
+
+def _connected(vertices: set[HexVertex]) -> bool:
+    """Whether a vertex set is nonempty and connected, by depth-first
+    search."""
+    if not vertices:
+        return False
+    start = next(iter(vertices))
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in hex_neighbors(v):
+            if w in vertices and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(vertices)
 
 
 def walks_to(vertex_edges, a: HexVertex, targets: frozenset[HexVertex]):

@@ -38,7 +38,9 @@ def test_enumerate_engines_agree_on_a_fixture(capsys):
 def test_enumerate_matches_golden_log_z(capsys):
     # written before each table kept its count logs: the 10x4 rectangle
     # with the defect sets of the benchmark's long tables, n = 1, 1.5 and 2
-    # at x_c; the record less its elapsed time must be the same text
+    # at x_c; then, before a plan step took both ends of a vertical edge,
+    # ball r=3 with the defect sets of its wide tables at the same points;
+    # the record less its elapsed time must be the same text
     for case in json.loads((GOLDEN / "enumerate_log_z.json").read_text()):
         code, out, _ = run(capsys, *case["argv"])
         assert code == 0

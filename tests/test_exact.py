@@ -34,6 +34,7 @@ from hexloop.exact import (
     MAX_SWEEP_WIDTH,
     Table,
     WeightSum,
+    _frontier_plan,
     _partner,
     brute_force_table,
     catalan,
@@ -283,6 +284,28 @@ def test_sweep_matches_brute_on_random_subsets(data):
                        [move(d) for d in defects]) == table
 
 
+def vertical(edges) -> list:
+    """The vertical edges among ``edges``, whose ends share an abscissa,
+    each as (lower end, upper end)."""
+    return [tuple(sorted(e, key=hex_xy)) for e in edges
+            if hex_xy(e[0])[0] == hex_xy(e[1])[0]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sweep_matches_brute_with_defects_at_vertical_edge_ends(data):
+    # a defect at an end of a vertical edge splits the plan step that takes
+    # both ends, while the other vertical edges of the subset stay in one
+    # step each, with strands and brackets crossing them
+    edges = data.draw(ball2_edge_subsets())
+    ends = sorted({v for e in vertical(edges) for v in e})
+    size = data.draw(st.sampled_from((2, 4)))
+    assume(len(ends) >= size)
+    defects = data.draw(st.lists(st.sampled_from(ends), min_size=size,
+                                 max_size=size, unique=True))
+    assert sweep_table(edges, defects) == brute_force_table(edges, defects)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.floats(0.5, 2.0), x=st.floats(0.3, 1.5))
 def test_engine_tables_evaluate_bit_for_bit(data, n, x):
@@ -338,6 +361,35 @@ def test_sweep_width_matches_the_interval_oracle(edges, dr, ds):
         with pytest.raises(WidthExceeded, match=(
                 f"^sweep frontier width {w} exceeds the cap of {w - 1}$")):
             sweep_table(es, max_width=w - 1)
+
+
+@pytest.mark.parametrize("cells, count", [(hexagon_ball(3), 52),
+                                          (rectangle_hexagons(10, 4), 64),
+                                          (rectangle_hexagons(6, 6), 54)])
+def test_plan_takes_both_ends_of_each_vertical_edge_in_one_step(cells,
+                                                                count):
+    # with no defects, each vertical edge's two ends make one plan step,
+    # and every other step is one vertex; the width is counted vertex by
+    # vertex all the same
+    edges = domain_from_hexagons(cells).edges
+    pairs = vertical(edges)
+    assert len(pairs) == count
+
+    def fused(defects):
+        verts, plan, width = _frontier_plan(edges, frozenset(defects))
+        assert width == interval_sweep_width(edges)
+        steps, i = [], 0
+        for *_, kind in plan:  # a step takes len(kind) vertices in order
+            steps.append(tuple(verts[i:i + len(kind)]))
+            i += len(kind)
+        assert i == len(verts)
+        return {step for step in steps if len(step) == 2}
+
+    assert fused(()) == set(pairs)
+    # a defect at either end leaves that edge's ends two steps
+    for lower, upper in pairs[::9]:
+        for end in (lower, upper):
+            assert fused([end]) == set(pairs) - {(lower, upper)}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -400,6 +452,25 @@ def test_sweep_matches_goldens_past_the_brute_cap(name):
     defects = [tuple(d) for d in golden.get("defects", ())]
     assert sweep_table(edges, defects) == {
         (m, l): c for m, l, c in golden["table"]}
+
+
+def test_sweep_matches_split_pair_goldens():
+    # tables written while each plan step was one vertex: ball r=3 with a
+    # defect pair at both ends of one vertical edge, at its lower end only
+    # and at its upper end only, and triangle side 8 with one defect pair
+    edges = {"ball3": BALL3_EDGES, "triangle8": triangle_domain(8).domain.edges}
+    golden = json.loads((GOLDEN / "split_pair_tables.json").read_text())
+    assert [case["domain"] for case in golden] == ["ball3"] * 3 + ["triangle8"]
+    for case in golden:
+        defects = [tuple(d) for d in case["defects"]]
+        assert sweep_table(edges[case["domain"]], defects) == {
+            (m, l): c for m, l, c in case["table"]}
+    # the three ball scenes: the edge's two ends, then each with one
+    # far vertex
+    (lower, upper), (a, b), (c, d) = (
+        [tuple(v) for v in case["defects"]] for case in golden[:3])
+    assert (lower, upper) in vertical(BALL3_EDGES)
+    assert (a, c, b) == (lower, upper, d)
 
 
 def test_sweep_is_exact_past_int64():
