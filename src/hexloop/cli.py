@@ -36,13 +36,7 @@ from .checks import (
 )
 from .configs import Params, SpinSystem, loops_from_json, spins_from_json
 from .errors import HexloopError, OutOfRange
-from .exact import (
-    MAX_BRUTE_EDGES,
-    MAX_SWEEP_WIDTH,
-    brute_force_table,
-    evaluate_table,
-    sweep_table,
-)
+from .exact import MAX_SWEEP_WIDTH, evaluate_table, sweep_table
 from .fixtures import (
     defect_sets,
     load_default_grid,
@@ -128,8 +122,7 @@ def _defects_from_flag(text: str) -> tuple:
 
 def _log_config(command: str, resolved: dict) -> None:
     line = {"command": command, "resolved": resolved,
-            "caps": {"max_brute_edges": MAX_BRUTE_EDGES,
-                     "max_sweep_width": MAX_SWEEP_WIDTH}}
+            "caps": {"max_sweep_width": MAX_SWEEP_WIDTH}}
     print(json.dumps(line, sort_keys=True), file=sys.stderr)
 
 
@@ -158,15 +151,13 @@ def _cmd_enumerate(args) -> int:
         if domain.degree(v) == 0:
             raise OutOfRange(f"defect {list(v)} is not a vertex of the domain")
     params = Params(args.n, x)
-    # the sweep checks its own width cap; brute is the oracle, on request
-    engine = "brute" if args.engine == "brute" else "sweep"
+    # the sweep, which checks its own width cap, is the one engine
     resolved = {"domain": name, "A": [list(v) for v in defects],
                 "n": args.n, "x": x, "h": args.h, "hp": args.hp,
-                "engine": engine}
+                "engine": "sweep"}
     _log_config("enumerate", {**resolved, "out": args.out})
     t0 = time.perf_counter()
-    build = sweep_table if engine == "sweep" else brute_force_table
-    ws = evaluate_table(build(domain.edges, defects), params)
+    ws = evaluate_table(sweep_table(domain.edges, defects), params)
     record = {**resolved, "log_Z": ws.log_magnitude,
               "elapsed": round(time.perf_counter() - t0, 6)}
     _emit(json.dumps(record, sort_keys=True) + "\n", args.out)
@@ -463,8 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--A", default="", help="JSON list of defect vertices")
     common_params(p)
-    p.add_argument("--engine", choices=("auto", "sweep", "brute"),
-                   default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_enumerate)
 

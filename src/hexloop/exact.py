@@ -14,8 +14,8 @@ partial configurations' polynomial packed into one exact int (see
 :func:`_sweep_table`).  A step of the sweep takes one vertex, or both ends
 of a vertical edge, which then never holds a frontier slot.  The
 depth-first enumeration with degree pruning (:func:`even_subgraphs`) is the
-oracle behind :func:`brute_force_table` and ``hexloop enumerate --engine
-brute``, which tests compare the sweep against.
+oracle behind :func:`brute_force_table`, which tests compare the sweep
+against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -392,17 +392,19 @@ def _move_table(kind: tuple, stride: int) -> list:
 
 def _partner(codes: int, i: int, step: int) -> int:
     """Slot of the other end of the strand whose bracket is at slot ``i`` of
-    the codes packed two bits per slot."""
+    the codes packed two bits per slot; a bracket with no partner is a
+    fault of the engine, which raises instead of scanning without end."""
     depth = 0
-    while True:
-        c = codes >> 2 * i & 3
+    end = codes.bit_length() + 1 >> 1 if step > 0 else -1
+    for j in range(i, end, step):
+        c = codes >> 2 * j & 3
         if c == _OPEN:
             depth += step
         elif c == _CLOSE:
             depth -= step
         if depth == 0:
-            return i
-        i += step
+            return j
+    raise RuntimeError(f"the bracket at slot {i} of {codes:#x} has no partner")
 
 
 def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],

@@ -280,8 +280,7 @@ class Domain(Keeper):
         The bounding self-avoiding cycle, canonically rotated (starts at its
         smallest vertex, then towards the smaller cycle neighbour).
     interior:
-        Vertices strictly inside the polygon: those it cuts off from the
-        far lattice.
+        Vertices strictly inside the polygon, in the disc it bounds.
     edges:
         All lattice edges with at least one endpoint in the interior, in
         canonical sorted order.  This is the edge set configurations live on.
@@ -334,35 +333,6 @@ class Domain(Keeper):
 # hexagon_corners
 _ACROSS = ((0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0))
 
-# by the 6-bit mask of its sides on a patch: whether a hexagon outside the
-# patch meets it along one run of at most four sides
-_ONE_SHORT_RUN = tuple(
-    bin(m & ~(m << 1 | m >> 5)).count("1") == 1 and bin(m).count("1") <= 4
-    for m in range(64))
-
-
-def _walled_in(corners: set[HexVertex], wall) -> bool:
-    """True if a vertex off the patch corners cannot leave the wall's
-    bounding box without passing through one of them."""
-    xs, ys = zip(*map(hex_xy, wall))
-    bx, by = range(min(xs) + 1, max(xs)), range(min(ys) + 1, max(ys))
-    seen = set(corners)
-    for start in {w for v in wall for w in hex_neighbors(v)} - corners:
-        stack, escaped = [start], start in seen
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            x, y = hex_xy(v)
-            if x in bx and y in by:
-                seen.add(v)
-                stack.extend(hex_neighbors(v))
-            else:
-                escaped = True
-        if not escaped:
-            return True
-    return False
-
 
 def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
     """Build the domain whose interior is exactly the given vertex set.
@@ -371,7 +341,7 @@ def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
     self-avoiding polygon (for instance horseshoe shapes whose notch pinches
     down to a single vertex).  The polygon is the wall of the patch, the
     hexagons at the set's vertices.  When the wall is one cycle the patch is
-    a disc, whose inside vertices are its corners off the wall.
+    the disc it bounds, and the set must be its corners off the wall.
     """
     want = {tuple(v) for v in interior}
     if not want:
@@ -385,7 +355,6 @@ def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
     adj: dict[HexVertex, list[HexVertex]] = {}
     corners: set[HexVertex] = set()
     inner_hexagons = []
-    sides: dict[TriVertex, int] = {}  # hexagon outside -> its patch sides
     for h in patch:
         r, s = h
         cs = hexagon_corners(h)
@@ -397,7 +366,6 @@ def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
                 inner = False
                 adj.setdefault(cs[i], []).append(cs[i - 5])
                 adj.setdefault(cs[i - 5], []).append(cs[i])
-                sides[g] = sides.get(g, 0) | 1 << (i + 3) % 6
         if inner:
             inner_hexagons.append(h)
 
@@ -415,16 +383,10 @@ def domain_from_interior(interior: Iterable[HexVertex]) -> Domain:
         raise NotSelfAvoiding(
             "interior set admits no bounding polygon (wall is not one cycle)")
 
-    # The polygon's interior is every vertex it cuts off from the far
-    # lattice, so a vertex off the patch that the wall walls in splits it.
-    # Only a hexagon outside that meets the patch along two runs of sides,
-    # or along five or six, can wall one in.
-    walled_in = (not all(_ONE_SHORT_RUN[m] for m in sides.values())
-                 and _walled_in(corners, adj))
-    # the patch corners must be the set's vertices, the wall's and no more
-    if walled_in or len(corners) != len(want) + len(adj):
-        if walled_in or len(hexagon_components(
-                corners - adj.keys(), hex_neighbors)) != 1:
+    # the wall is a Jordan polygon around the patch, so the disc it bounds
+    # holds the patch corners off the wall: they must be the set's vertices
+    if len(corners) != len(want) + len(adj):
+        if len(hexagon_components(corners - adj.keys(), hex_neighbors)) != 1:
             raise DisconnectedInterior(
                 "the polygon pinches its interior into several components")
         raise NotSelfAvoiding(

@@ -2,9 +2,9 @@
 table added up walk by walk, table evaluation through complex log-sum-exp,
 the sweep width by counting edge intervals, and the three-term relation of
 the edge-midpoint observable; for the lattice, edge components by
-breadth-first search and domains whose interior is flood-filled from their
-bounding polygon; and for the chain, a heat-bath sweep that walks the walls
-at every multi-arc site."""
+breadth-first search and domains whose interior is the disc that their
+bounding polygon keeps a flood of hexagons out of; and for the chain, a
+heat-bath sweep that walks the walls at every multi-arc site."""
 
 import math
 from collections import deque
@@ -32,8 +32,6 @@ from hexloop.exact import (
     sweep_table,
 )
 from hexloop.lattice import (
-    DOWN,
-    UP,
     Domain,
     HexEdge,
     HexVertex,
@@ -45,6 +43,8 @@ from hexloop.lattice import (
     hex_xy,
     hexagon_corners,
     hexagon_edges,
+    shared_edge,
+    tri_neighbors,
     vertex_hexagons,
 )
 
@@ -180,53 +180,32 @@ def _canonical_cycle(cycle) -> tuple[HexVertex, ...]:
     return rot
 
 
-def _vertices_in_box(xmin: int, xmax: int, ymin: int,
-                     ymax: int) -> list[HexVertex]:
-    out = []
-    for c in (UP, DOWN):
-        base = 1 + c
-        s_lo = -((-(ymin - base)) // 3)
-        s_hi = (ymax - base) // 3
-        for s in range(s_lo, s_hi + 1):
-            r_lo = -((-(xmin - s - base)) // 2)
-            r_hi = (xmax - s - base) // 2
-            for r in range(r_lo, r_hi + 1):
-                out.append((r, s, c))
-    return out
-
-
 def _interior_of_polygon(polygon) -> frozenset[HexVertex]:
-    """The vertices of a padded bounding box that a flood fill from the
-    box's rim, stopped by the polygon's vertices, does not reach."""
-    pset = set(polygon)
-    xs = [hex_xy(v)[0] for v in polygon]
-    ys = [hex_xy(v)[1] for v in polygon]
-    xmin, xmax = min(xs) - 5, max(xs) + 5
-    ymin, ymax = min(ys) - 7, max(ys) + 7
-    box = set(_vertices_in_box(xmin, xmax, ymin, ymax))
-
-    seeds = []
-    for v in box:
-        if v in pset:
-            continue
-        if any(w not in box for w in hex_neighbors(v)):
-            seeds.append(v)
-    outside = set(seeds)
-    stack = list(seeds)
+    """The Jordan interior: a flood of hexagons from the rim of a padded
+    box, crossing every edge but the polygon's, and then the corners of the
+    hexagons it never reaches, less the polygon's own vertices."""
+    walls = {edge(u, v) for u, v in zip(polygon, polygon[1:] + polygon[:1])}
+    rs, ss = zip(*(h for v in polygon for h in vertex_hexagons(v)))
+    box = {(r, s) for r in range(min(rs) - 1, max(rs) + 2)
+           for s in range(min(ss) - 1, max(ss) + 2)}
+    outside = {h for h in box if not box.issuperset(tri_neighbors(h))}
+    stack = list(outside)
     while stack:
-        v = stack.pop()
-        for w in hex_neighbors(v):
-            if w in box and w not in pset and w not in outside:
-                outside.add(w)
-                stack.append(w)
-    return frozenset(box - pset - outside)
+        h = stack.pop()
+        for g in tri_neighbors(h):
+            if (g in box and g not in outside
+                    and shared_edge(h, g) not in walls):
+                outside.add(g)
+                stack.append(g)
+    return frozenset({c for h in box - outside for c in hexagon_corners(h)}
+                     - set(polygon))
 
 
 def build_domain(polygon) -> Domain:
     """The domain bounded by a self-avoiding polygon, given as a cyclic
     vertex sequence (without the repeated closing vertex) in either
-    orientation and any rotation: its interior flood-filled, everything
-    else derived from the interior."""
+    orientation and any rotation: its Jordan interior from a flood of
+    hexagons, everything else derived from the interior."""
     poly = [tuple(v) for v in polygon]
     if len(poly) < 6:
         raise NotSelfAvoiding("a lattice polygon has at least 6 vertices")
@@ -274,8 +253,8 @@ def build_domain(polygon) -> Domain:
 def flood_fill_domain(interior) -> Domain:
     """The oracle of ``lattice.domain_from_interior``: the wall of the
     hexagons at the given vertices, traced edge by edge, then
-    :func:`build_domain` of the traced cycle, whose interior must be the
-    given set."""
+    :func:`build_domain` of the traced cycle, whose Jordan interior must be
+    the given set."""
     want = {tuple(v) for v in interior}
     if not want:
         raise EmptyInterior("interior set is empty")

@@ -7,7 +7,7 @@ import pytest
 
 from hexloop import cli, configs
 from hexloop.configs import SpinSystem, loops_to_json, spins_to_json
-from hexloop.exact import MAX_SWEEP_WIDTH
+from hexloop.exact import MAX_SWEEP_WIDTH, brute_force_table, evaluate_table
 from hexloop.fixtures import defect_sets, load_default_grid, load_domains
 from hexloop.lattice import hexagon_ball, hexagon_edges
 
@@ -22,17 +22,16 @@ def run(capsys, *argv):
 
 
 def test_enumerate_engines_agree_on_a_fixture(capsys):
-    name = load_domains()[4].name
-    records = {}
-    for engine in ("sweep", "brute"):
-        code, out, _ = run(capsys, "enumerate", "--domain", name, "--n", "1.5",
-                           "--x", "0.6", "--A", "[]", "--engine", engine)
-        assert code == 0
-        records[engine] = json.loads(out)
-    assert records["sweep"]["engine"] == "sweep"
-    assert records["brute"]["engine"] == "brute"
-    assert records["sweep"]["log_Z"] == pytest.approx(
-        records["brute"]["log_Z"], rel=1e-12)
+    # the command's sweep against the brute-force oracle
+    fixture = load_domains()[4]
+    code, out, _ = run(capsys, "enumerate", "--domain", fixture.name,
+                       "--n", "1.5", "--x", "0.6", "--A", "[]")
+    assert code == 0
+    record = json.loads(out)
+    assert record["engine"] == "sweep"
+    brute = evaluate_table(brute_force_table(fixture.build().edges),
+                           configs.Params(1.5, 0.6))
+    assert record["log_Z"] == pytest.approx(brute.log_magnitude, rel=1e-12)
 
 
 def test_enumerate_matches_golden_log_z(capsys):

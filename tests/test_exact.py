@@ -434,6 +434,18 @@ def test_partner_scan_matches_a_stack(codes):
         assert _partner(packed, j, -1) == i
 
 
+@pytest.mark.parametrize("codes, i, step", [
+    ([_STRAND, _OPEN, 0, _OPEN, _CLOSE, _STRAND], 1, 1),    # a lone open
+    ([_STRAND, _OPEN, _CLOSE, 0, _CLOSE, _STRAND], 4, -1),  # a lone close
+    ([_OPEN], 0, 1),
+    ([_CLOSE], 0, -1)])
+def test_partner_scan_fails_on_a_lone_bracket(codes, i, step):
+    # a wrong recode must fail the sweep instead of hanging it
+    packed = sum(c << 2 * k for k, c in enumerate(codes))
+    with pytest.raises(RuntimeError, match="no partner"):
+        _partner(packed, i, step)
+
+
 @pytest.mark.parametrize("name", ["box8x8_table.json",
                                   "triangle10_pair_table.json",
                                   "ball3_subset_table.json"])

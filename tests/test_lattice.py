@@ -22,6 +22,7 @@ from hexloop.errors import (
     OutOfRange,
     PathNotInDomain,
 )
+from hexloop.exact import sweep_table
 from hexloop.lattice import (
     DOWN,
     UP,
@@ -252,9 +253,16 @@ def _inside(hexagons):
             if all(h in hs for h in vertex_hexagons(c))}
 
 
-# a channel from the rim of ball r=3 into a pocket: the channel's sides
-# wall the pocket's vertices off from the far lattice
+# a channel from the rim of ball r=3 into a pocket: the wall runs along
+# both sides of the channel, and the pocket vertex (-2, 0, 1), whose three
+# hexagons are removed, lies outside the disc it bounds
 NOTCHED = hexagon_ball(3) - {(-3, 2), (-3, 3), (-2, 1), (-1, 0), (-1, 1)}
+# the same pocket reached by a shorter channel, and two pockets on other
+# sides of the ball
+POCKETS = [NOTCHED] + [hexagon_ball(3) - removed for removed in (
+    {(-3, 1), (-2, 1), (-1, 0), (-1, 1)},
+    {(1, -1), (1, 0), (2, -1), (3, -1)},
+    {(0, -1), (1, -3), (1, -2), (1, -1)})]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -268,9 +276,43 @@ def test_domain_from_interior_matches_the_flood_fill_route(removed):
         flood_fill_domain, interior)
 
 
-def test_domain_from_interior_rejects_a_walled_in_pocket():
-    with pytest.raises(DisconnectedInterior):
-        domain_from_interior(_inside(NOTCHED))
+BALL4 = hexagon_ball(4)
+RIM4 = sorted(h for h in BALL4 if tri_distance(h, (0, 0)) == 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(start=st.sampled_from(RIM4),
+       turns=st.lists(st.integers(0, 5), max_size=7))
+@example(start=(-4, 0), turns=[0, 0, 0, 3])     # a pocket at (-2, -1, 1)
+def test_carved_balls_match_the_flood_fill_route(start, turns):
+    # ball r=4 minus a walk of 1-8 hexagons from its rim, which carves
+    # channels, pockets walled in by both sides of a channel, and pinches
+    walk = [start]
+    for turn in turns:
+        walk.append(tri_neighbors(walk[-1])[turn])
+    interior = _inside(BALL4 - set(walk))
+    assert _outcome(domain_from_interior, interior) == _outcome(
+        flood_fill_domain, interior)
+
+
+def test_domain_from_interior_accepts_a_walled_in_pocket():
+    found = []
+    for hexagons in POCKETS:
+        interior = _inside(hexagons)
+        dom = domain_from_interior(interior)
+        assert dom.interior == interior
+        assert len(dom.spokes) == len(dom.boundary)
+        # with no defects the even subgraphs are the cycle space
+        verts = {u for e in dom.edges for u in e}
+        rank = len(dom.edges) - len(verts) + len(edge_components(dom.edges))
+        assert sum(sweep_table(dom.edges).values()) == 2 ** rank
+        # one vertex off the polygon has its three neighbours on it
+        poly = set(dom.polygon)
+        pocket = {w for v in poly for w in hex_neighbors(v)
+                  if w not in poly and poly.issuperset(hex_neighbors(w))}
+        assert len(pocket) == 1 and not pocket & dom.interior
+        found.append((rank, pocket))
+    assert found[0] == (9, {(-2, 0, 1)})
 
 
 def test_build_domain_canonicalizes_rotation_and_orientation():
