@@ -34,13 +34,13 @@ from .configs import (
     border_edges,
     edge_components,
     free_sites,
+    is_even_config,
     log_spin_weight,
     loop_count,
     spins_to_loops,
 )
-from .errors import DomainNotSymmetric, EventNotIncreasing, OutOfRange, TooLarge
+from .errors import DomainNotSymmetric, EventNotIncreasing, OutOfRange
 from .exact import (
-    MAX_SPIN_SITES,
     _as_walks,
     _edges_of,
     _free_hexagons,
@@ -49,7 +49,6 @@ from .exact import (
     _spin_system,
     _truth,
     catalan,
-    even_subgraphs,
     exact_event_probability,
     path_sum,
     relative_weight,
@@ -70,8 +69,8 @@ from .observables import _sign_crossing
 
 ALGEBRAIC_TOL = 1e-12
 SERIES_TOL = 1e-9
-#: edges of the bordering set that check_bijection enumerates at most
-MAX_BIJECTION_EDGES = 40
+#: free hexagons whose assignments and pairs check_fkg_lattice scans at most
+MAX_PAIR_SCAN_SITES = 12
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +126,7 @@ def _loop_region(params: Params) -> bool:
 # the lattice condition and its consequences
 # ---------------------------------------------------------------------------
 
-def check_fkg_lattice(region, tau, params: Params, *,
-                      max_sites: int = 12) -> CheckReport:
+def check_fkg_lattice(region, tau, params: Params) -> CheckReport:
     """Scan every assignment and pair of free hexagons for the lattice
     condition: weight(both up) * weight(both down) must be at least the
     product of the two mixed weights.
@@ -137,8 +135,8 @@ def check_fkg_lattice(region, tau, params: Params, *,
     offending pair, and the quadruple of weights.
     """
     system = _spin_system(region, tau)
-    m = free_sites(system, max_sites, "pair-scan cap")
-    counts = assignment_counts(system, max_sites)
+    m = free_sites(system, MAX_PAIR_SCAN_SITES, "pair-scan cap")
+    counts = assignment_counts(system)
     logw = []
     for bits in range(1 << m):
         signs = [1 if bits >> i & 1 else -1 for i in range(m)]
@@ -194,8 +192,8 @@ def _verify_increasing(system: SpinSystem, event: Callable, name: str) -> None:
                     f"{system.free[i]} is raised")
 
 
-def check_cbc(region, tau_low, tau_high, params: Params, events, *,
-              max_sites: int = MAX_SPIN_SITES) -> CheckReport:
+def check_cbc(region, tau_low, tau_high, params: Params,
+              events) -> CheckReport:
     """Compare boundary conditions: under a pointwise larger frame, every
     increasing event must be at least as likely.
 
@@ -218,16 +216,14 @@ def check_cbc(region, tau_low, tau_high, params: Params, events, *,
     if not named:
         raise OutOfRange("no events to compare")
 
-    free_sites(low, max_sites)
-    total_low = spin_partition(low, params, max_sites=max_sites)
-    total_high = spin_partition(high, params, max_sites=max_sites)
+    total_low = spin_partition(low, params)
+    total_high = spin_partition(high, params)
     rows = []
     for name, fn in named:
         _verify_increasing(low, fn, name)
         p_low = exact_event_probability(low, None, params, fn,
-                                        max_sites=max_sites, total=total_low)
+                                        total=total_low)
         p_high = exact_event_probability(high, None, params, fn,
-                                         max_sites=max_sites,
                                          total=total_high)
         rows.append({"event": name, "low": p_low, "high": p_high,
                      "gap": p_high - p_low})
@@ -237,8 +233,8 @@ def check_cbc(region, tau_low, tau_high, params: Params, events, *,
         details={"events": rows})
 
 
-def check_several_faces(region, tau, faces_a, faces_b, params: Params, *,
-                        max_sites: int = MAX_SPIN_SITES) -> CheckReport:
+def check_several_faces(region, tau, faces_a, faces_b,
+                        params: Params) -> CheckReport:
     """Verify the two-face inequality: the chance that both hexagon sets are
     all plus times the chance both are all minus dominates the product of
     the two mixed chances."""
@@ -251,7 +247,7 @@ def check_several_faces(region, tau, faces_a, faces_b, params: Params, *,
     if not fa <= free or not fb <= free:
         raise OutOfRange("both hexagon sets must consist of free hexagons")
 
-    total = spin_partition(system, params, max_sites=max_sites)
+    total = spin_partition(system, params)
 
     def joint(sign_a, sign_b):
         # one event per face sets and signs, whose truth the system keeps
@@ -259,7 +255,7 @@ def check_several_faces(region, tau, faces_a, faces_b, params: Params, *,
             lambda sigma: all(sigma[h] == sign_a for h in fa)
             and all(sigma[h] == sign_b for h in fb)))
         return exact_event_probability(system, None, params, event,
-                                       max_sites=max_sites, total=total)
+                                       total=total)
 
     p_pp = joint(1, 1)
     p_mm = joint(-1, -1)
@@ -278,9 +274,8 @@ def check_several_faces(region, tau, faces_a, faces_b, params: Params, *,
 # measure identities
 # ---------------------------------------------------------------------------
 
-def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
-                                    *, max_sites: int = MAX_SPIN_SITES,
-                                    ) -> CheckReport:
+def check_domain_markov_and_duality(region, sub_region, tau,
+                                    params: Params) -> CheckReport:
     """Check two exact identities of the spin measure.
 
     First, conditioning the measure on the region to the frame's values
@@ -316,7 +311,7 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
     else:
         shell_signs = {h: int(tau) for h in shell}
         outer = _spin_system(region, tau)
-    m = free_sites(outer, max_sites)
+    m = free_sites(outer)
 
     # the inner system keeps the whole known exterior as fixed context, so
     # that connections running through it are counted the same way
@@ -324,10 +319,10 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
                        SpinSystem(sub, {**outer.fixed, **shell_signs},
                                   sea=outer.sea))
 
-    outer_counts = assignment_counts(outer, max_sites)
+    outer_counts = assignment_counts(outer)
     cond, direct = [], []
     for sub_signs, counts in zip(product((-1, 1), repeat=len(inner.free)),
-                                 assignment_counts(inner, max_sites)):
+                                 assignment_counts(inner)):
         signs = {**shell_signs, **dict(zip(inner.free, sub_signs))}
         at = assignment_index(signs[h] for h in outer.free)
         cond.append(math.exp(log_spin_weight(params, outer_counts[at])))
@@ -340,7 +335,7 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
     # negating every spin reverses the product order of the assignments
     w_out = [math.exp(log_spin_weight(params, c)) for c in outer_counts]
     w_flip = [math.exp(log_spin_weight(neg, c))
-              for c in reversed(assignment_counts(flipped, max_sites))]
+              for c in reversed(assignment_counts(flipped))]
     zo, zf = sum(w_out), sum(w_flip)
     flip_gap = max(abs(a / zo - b / zf) for a, b in zip(w_out, w_flip))
 
@@ -352,16 +347,17 @@ def check_domain_markov_and_duality(region, sub_region, tau, params: Params,
                  "n_assignments": 1 << m})
 
 
-def check_bijection(region, tau, params: Params, *,
-                    max_sites: int = MAX_SPIN_SITES) -> CheckReport:
+def check_bijection(region, tau, params: Params) -> CheckReport:
     """Push the spin measure through the domain-wall map and compare it,
     configuration by configuration, with the loop measure on the bordering
     edges.
 
-    The loop side is enumerated independently (even subgraphs by parity
-    search, weighted by edge count and loop count), so the agreement of the
-    two distributions is a genuine two-route check.  Needs a constant frame
-    and no external fields.
+    The free set must be simply connected, so the edges have cycle rank m
+    and hold exactly 2^m even subgraphs: the 2^m wall sets are all of them
+    exactly when they are distinct even subsets of the edges.  The loop side
+    is the even wall sets, weighted by edge count and loop count, and
+    ``n_configs`` counts them, 2^m whenever the check holds.  Needs a
+    constant frame and no external fields.
     """
     if params.h != 0.0 or params.hp != 0.0:
         raise OutOfRange("the spin-loop correspondence needs h = hp = 0")
@@ -369,7 +365,7 @@ def check_bijection(region, tau, params: Params, *,
     ring_signs = set(system.fixed.values()) | {system.sea}
     if len(ring_signs) != 1:
         raise OutOfRange("the correspondence check needs a constant frame")
-    m = free_sites(system, max_sites)
+    m = free_sites(system)
 
     edges = border_edges(system.free)
     verts = {v for e in edges for v in e}
@@ -377,27 +373,28 @@ def check_bijection(region, tau, params: Params, *,
     if cycle_rank != m:
         raise OutOfRange("the free set must fill a simply connected region "
                          f"(cycle rank {cycle_rank} for {m} hexagons)")
-    if len(edges) > MAX_BIJECTION_EDGES:
-        raise TooLarge(f"{len(edges)} edges exceed the enumeration cap "
-                       f"of {MAX_BIJECTION_EDGES}")
 
     spin_side: dict = {}
     wall_sets = system.kept("walls", lambda: [
         spins_to_loops(system, signs) for signs in product((-1, 1), repeat=m)])
-    for walls, counts in zip(wall_sets, assignment_counts(system, max_sites)):
+    for walls, counts in zip(wall_sets, assignment_counts(system)):
         w = math.exp(log_spin_weight(params, counts))
         spin_side[walls] = spin_side.get(walls, 0.0) + w
     z_spin = sum(spin_side.values())
 
+    # the even wall sets in edge-inclusion order (each edge left out before
+    # it is taken), which fixes the rounding of z_loop
     log_x, log_n = params.log_x, params.log_n
+    edge_set = frozenset(edges)
     loop_configs = system.kept("loop side", lambda: [
         (cfg, len(cfg), loop_count(cfg))
-        for cfg in map(frozenset, even_subgraphs(edges))])
+        for cfg in sorted(set(wall_sets), key=lambda c: [e in c for e in edges])
+        if cfg <= edge_set and is_even_config(cfg)])
     loop_side = {cfg: math.exp(size * log_x + loops * log_n)
                  for cfg, size, loops in loop_configs}
     z_loop = sum(loop_side.values())
 
-    support_match = set(spin_side) == set(loop_side)
+    support_match = len(loop_side) == 1 << m
     max_diff = math.inf
     if support_match:
         max_diff = max(abs(spin_side[c] / z_spin - loop_side[c] / z_loop)
@@ -558,8 +555,8 @@ def check_contour_identity(side, n: float, x: float) -> CheckReport:
 # crossings of symmetric regions
 # ---------------------------------------------------------------------------
 
-def check_symmetric_domain(region, plus_arcs, n: float, x: float, *,
-                           max_sites: int = MAX_SPIN_SITES) -> CheckReport:
+def check_symmetric_domain(region, plus_arcs, n: float,
+                           x: float) -> CheckReport:
     """Crossing bound for a mirror-symmetric region with mixed boundary.
 
     ``plus_arcs`` is a pair of contiguous runs of boundary hexagons that are
@@ -619,8 +616,7 @@ def check_symmetric_domain(region, plus_arcs, n: float, x: float, *,
 
     # one event per pair of arcs, whose truth the system keeps
     event = system.kept(("crossing", sa, sb), lambda: crossing)
-    probability = exact_event_probability(system, None, params, event,
-                                          max_sites=max_sites)
+    probability = exact_event_probability(system, None, params, event)
     bound = 1.0 / (1.0 + n)
     return CheckReport(
         name="symmetric_domain",

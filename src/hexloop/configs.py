@@ -76,6 +76,9 @@ from .lattice import (
     vertex_hexagons,
 )
 
+#: free hexagons that an enumeration of all 2^m spin assignments takes at most
+MAX_SPIN_SITES = 16
+
 
 # ---------------------------------------------------------------------------
 # model parameters
@@ -633,27 +636,27 @@ def assignment_index(signs) -> int:
     return index
 
 
-def free_sites(system: SpinSystem, max_sites: int,
+def free_sites(system: SpinSystem, max_sites: int = MAX_SPIN_SITES,
                cap: str = "enumeration cap") -> int:
     """The number m of free hexagons of a system; :class:`TooLarge` when m
-    exceeds ``max_sites``, named ``cap`` in the message."""
+    exceeds ``max_sites``, by default the one cap of every spin enumeration,
+    named ``cap`` in the message."""
     m = len(system.free)
     if m > max_sites:
         raise TooLarge(f"{m} free hexagons exceed the {cap} of {max_sites}")
     return m
 
 
-def assignment_counts(system: SpinSystem,
-                      max_sites: int) -> tuple[SpinCounts, ...]:
+def assignment_counts(system: SpinSystem) -> tuple[SpinCounts, ...]:
     """Counts of all 2^m free-spin assignments of the system, aligned with
     ``itertools.product((-1, 1), repeat=m)`` over ``system.free`` (see
     :func:`assignment_index`).
 
-    Raises :class:`TooLarge` when m exceeds ``max_sites``, before any
+    Raises :class:`TooLarge` when m exceeds ``MAX_SPIN_SITES``, before any
     enumeration.  The Gray-code walk runs once per system and its result is
     kept on the instance, so every later call reads the same tuple.
     """
-    free_sites(system, max_sites)
+    free_sites(system)
     return system.kept("counts", lambda: _gray_counts(system))
 
 

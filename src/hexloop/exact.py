@@ -13,8 +13,8 @@ two-bit slot codes whose strand ends nest like brackets, each carrying its
 partial configurations' polynomial packed into one exact int (see
 :func:`_sweep_table`).  A step of the sweep takes one vertex, or both ends
 of a vertical edge, which then never holds a frontier slot.  The
-depth-first enumeration with degree pruning (:func:`even_subgraphs`) is the
-oracle behind :func:`brute_force_table`, which tests compare the sweep
+depth-first enumeration with degree pruning (:func:`even_subgraphs`) only
+backs the oracle :func:`brute_force_table`, which tests compare the sweep
 against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
@@ -72,7 +72,6 @@ from .lattice import (
 MAX_BRUTE_EDGES = 26
 MAX_SWEEP_WIDTH = 16
 MAX_FIELD_EDGES = 40
-MAX_SPIN_SITES = 16
 #: entries kept by each table cache; one ``hexloop verify --suite all`` pass
 #: plus the triangle suite at side 6 creates 230 keys, which must all stay
 TABLE_CACHE_SIZE = 1024
@@ -289,13 +288,12 @@ def _brute_table(edges: tuple[HexEdge, ...],
 
 
 def brute_force_table(edges: Iterable[HexEdge],
-                      defects: Iterable[HexVertex] = (),
-                      *, max_edges: int = MAX_BRUTE_EDGES) -> Table:
+                      defects: Iterable[HexVertex] = ()) -> Table:
     """Configuration table by exhaustive search with degree pruning."""
     es = tuple(sorted({edge(u, v) for u, v in edges}))
-    if len(es) > max_edges:
+    if len(es) > MAX_BRUTE_EDGES:
         raise TooLarge(f"{len(es)} edges exceed the brute-force cap "
-                       f"of {max_edges}")
+                       f"of {MAX_BRUTE_EDGES}")
     return _brute_table(es, frozenset(tuple(d) for d in defects))
 
 
@@ -631,9 +629,7 @@ def path_sum(domain: Domain, a: HexVertex, b, params: Params) -> PathSum:
 # ---------------------------------------------------------------------------
 
 def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
-                      sigma: float | None = None, *,
-                      max_edges: int = MAX_FIELD_EDGES,
-                      ) -> dict[HexEdge, complex]:
+                      sigma: float | None = None) -> dict[HexEdge, complex]:
     """The complex observable at every edge midpoint of the domain.
 
     The value at a midpoint ``z`` sums, over all self-avoiding midpoint
@@ -647,9 +643,9 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
     z0 = edge(*z0)
     if z0 not in domain.edge_index:
         raise PathNotInDomain(f"{z0} is not an edge of the domain")
-    if len(domain.edges) > max_edges:
+    if len(domain.edges) > MAX_FIELD_EDGES:
         raise TooLarge(f"{len(domain.edges)} edges exceed the observable cap "
-                       f"of {max_edges}")
+                       f"of {MAX_FIELD_EDGES}")
     if sigma is None:
         sigma = sigma_exponent(params.n)
     bset = set(domain.boundary)
@@ -714,8 +710,8 @@ def _spin_system(region, tau) -> SpinSystem:
 
 
 def spin_partition(system: SpinSystem, params: Params,
-                   event: Callable | None = None, *, side: str = "spins",
-                   max_sites: int = MAX_SPIN_SITES) -> WeightSum:
+                   event: Callable | None = None, *,
+                   side: str = "spins") -> WeightSum:
     """Weighted sum over free-spin assignments, optionally within an event.
 
     With ``side="spins"`` the event predicate sees a mapping from free
@@ -724,8 +720,8 @@ def spin_partition(system: SpinSystem, params: Params,
     """
     if side not in ("spins", "loops"):
         raise OutOfRange(f"unknown side {side!r}")
-    free_sites(system, max_sites)
-    counts = assignment_counts(system, max_sites)
+    free_sites(system)
+    counts = assignment_counts(system)
     if event is not None:
         counts = compress(counts, _truth(system, event, side))
     return WeightSum.sum_logs([log_spin_weight(params, c) for c in counts])
@@ -743,7 +739,6 @@ def _truth(system: SpinSystem, event: Callable, side: str) -> bytes:
 
 def exact_event_probability(region, tau, params: Params, event: Callable, *,
                             side: str = "spins",
-                            max_sites: int = MAX_SPIN_SITES,
                             total: WeightSum | None = None) -> float:
     """Exact probability of an event under the finite-volume spin measure.
 
@@ -768,7 +763,6 @@ def exact_event_probability(region, tau, params: Params, event: Callable, *,
         event.validate_support(system)
         side = event.side
     if total is None:
-        total = spin_partition(system, params, max_sites=max_sites)
-    wanted = spin_partition(system, params, event, side=side,
-                            max_sites=max_sites)
+        total = spin_partition(system, params)
+    wanted = spin_partition(system, params, event, side=side)
     return math.exp(wanted.log_magnitude - total.log_magnitude)

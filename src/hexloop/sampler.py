@@ -386,8 +386,8 @@ def _compile_events(events, system: SpinSystem) -> list[Callable]:
 
 
 def run_chain(region, tau, params: Params, sweeps: int, burn_in=None,
-              seed: int = 0, events: Iterable = (), *, stream: int = 0,
-              debug: bool = False, init=1) -> list[Estimate]:
+              seed: int = 0, events: Iterable = (), *,
+              stream: int = 0) -> list[Estimate]:
     """Run one chain and estimate the given events.
 
     ``region``/``tau`` are as in ``exact.exact_event_probability``: free
@@ -411,8 +411,7 @@ def run_chain(region, tau, params: Params, sweeps: int, burn_in=None,
             "n*x^2 <= exp(-|h'|)); the chain is still valid but nothing "
             "is known about its mixing", stacklevel=2)
     preds = _compile_events(events, system)
-    state = ChainState(system, params, seed=seed, stream=stream,
-                       debug=debug, init=init)
+    state = ChainState(system, params, seed=seed, stream=stream)
     series = np.zeros((len(preds), sweeps), dtype=np.uint8)
     for _ in range(burn_in):
         state.sweep()

@@ -23,7 +23,6 @@ from hexloop.errors import (
     OutOfRange,
 )
 from hexloop.exact import (
-    MAX_FIELD_EDGES,
     PathSum,
     WeightSum,
     _targets,
@@ -301,8 +300,7 @@ def _midpoint(e: HexEdge) -> complex:
 
 def vertex_relation_residual(domain: Domain, z0: HexEdge, v: HexVertex,
                              params: Params, sigma: float | None = None, *,
-                             field=None,
-                             max_edges: int = MAX_FIELD_EDGES) -> complex:
+                             field=None) -> complex:
     """Residual of the three-term midpoint relation around an interior vertex.
 
     Returns ``sum over the three edges e at v of (mid(e) - v) F(e)``, which
@@ -314,8 +312,7 @@ def vertex_relation_residual(domain: Domain, z0: HexEdge, v: HexVertex,
     if v not in domain.interior:
         raise OutOfRange(f"{v} is not an interior vertex")
     if field is None:
-        field = parafermion_field(domain, z0, params, sigma,
-                                  max_edges=max_edges)
+        field = parafermion_field(domain, z0, params, sigma)
     pv = complex(*hex_position(v))
     res = 0j
     for e in domain.vertex_edges[v]:

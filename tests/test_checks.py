@@ -56,6 +56,7 @@ from hexloop.lattice import (
     hex_xy,
     hexagon_ball,
     hexagon_corners,
+    rectangle_hexagons,
     rhombus_hexagons,
     tri_neighbors,
     triangle_domain,
@@ -260,6 +261,39 @@ class TestSpinWallCorrespondence:
         plus = check_bijection(BALL1, +1, Params(2.0, x_critical(2.0)))
         assert minus.details["empty_probability"] == pytest.approx(
             plus.details["empty_probability"], abs=1e-15)
+
+    def test_box_of_twelve_hexagons(self):
+        # 12 free hexagons and 49 border edges: 2^12 distinct even wall sets
+        box = SpinSystem(rectangle_hexagons(4, 3), -1, sea=-1)
+        for n in (1.0, 1.5, 2.0):
+            report = check_bijection(box, -1, Params(n, x_critical(n)))
+            assert report.holds
+            assert report.details["n_configs"] == 4096
+            assert report.details["support_match"]
+            assert report.details["max_diff"] <= 1e-12
+
+    @staticmethod
+    def broken_report(monkeypatch, wall_map):
+        monkeypatch.setattr(checks, "spins_to_loops", wall_map)
+        return check_bijection(BALL1, -1, Params(2.0, x_critical(2.0)))
+
+    def test_an_odd_wall_set_fails(self, monkeypatch):
+        walls = checks.spins_to_loops
+        # one wall edge less turns every nonempty wall set odd
+        report = self.broken_report(monkeypatch, lambda system, signs:
+                                    frozenset(sorted(walls(system, signs))[1:]))
+        assert not report.holds
+        assert not report.details["support_match"]
+        assert report.details["n_configs"] == 1
+
+    def test_two_assignments_with_one_wall_set_fail(self, monkeypatch):
+        walls = checks.spins_to_loops
+        # the all-plus assignment takes the walls of the all-minus one
+        report = self.broken_report(monkeypatch, lambda system, signs: walls(
+            system, [-1] * len(signs) if min(signs) == 1 else signs))
+        assert not report.holds
+        assert not report.details["support_match"]
+        assert report.details["n_configs"] == 127
 
     def test_rejects_unsupported_inputs(self):
         with pytest.raises(OutOfRange):
@@ -571,9 +605,9 @@ class TestEnumerationCapsAndReuse:
 
         monkeypatch.setattr(configs, "_gray_counts", spy_walk)
         for module in (exact, checks):
-            def spy_read(system, max_sites, read=module.assignment_counts):
+            def spy_read(system, read=module.assignment_counts):
                 calls["reads"].append(system)
-                return read(system, max_sites)
+                return read(system)
 
             monkeypatch.setattr(module, "assignment_counts", spy_read)
         return calls

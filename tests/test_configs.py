@@ -292,7 +292,7 @@ def test_assignment_counts_match_spin_counts(system):
     # holed context too
     want = [spin_counts(system, signs) for signs in
             itertools.product((-1, 1), repeat=len(system.free))]
-    assert list(assignment_counts(system, len(system.free))) == want
+    assert list(assignment_counts(system)) == want
 
 
 def test_assignment_counts_recount_a_holed_context():
@@ -306,7 +306,7 @@ def test_assignment_counts_recount_a_holed_context():
             system = SpinSystem([(0, 0)], frame, sea=sea)
             assert holes(system.context) == {HOLE}
             want = [spin_counts(system, [v]) for v in (-1, 1)]
-            assert list(assignment_counts(system, 1)) == want
+            assert list(assignment_counts(system)) == want
 
 
 def test_assignment_index_follows_product_order():
@@ -317,11 +317,12 @@ def test_assignment_index_follows_product_order():
 
 def test_assignment_counts_are_kept_on_the_system():
     system = SpinSystem(hexagon_ball(1), {(2, 0): 1, (0, 2): 1}, sea=-1)
-    first = assignment_counts(system, 7)
+    first = assignment_counts(system)
     assert len(first) == 2 ** 7
-    assert assignment_counts(system, 16) is first
-    with pytest.raises(TooLarge, match="cap of 6"):
-        assignment_counts(system, 6)
+    assert assignment_counts(system) is first
+    strip = SpinSystem([(q, 0) for q in range(17)], -1, sea=-1)
+    with pytest.raises(TooLarge, match="cap of 16"):
+        assignment_counts(strip)
 
 
 def test_full_spins_names_a_missing_hexagon():

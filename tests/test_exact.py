@@ -31,6 +31,7 @@ from hexloop.exact import (
     _CLOSE,
     _OPEN,
     _STRAND,
+    MAX_BRUTE_EDGES,
     MAX_SWEEP_WIDTH,
     Table,
     WeightSum,
@@ -556,10 +557,10 @@ def test_empty_edge_set():
 
 
 def test_engine_caps():
+    # the brute engine takes a domain at exactly its cap
     chain = domain_from_hexagons([(0, 0), (1, 0), (2, 0)])
-    assert len(chain.edges) == 26
-    with pytest.raises(TooLarge):
-        brute_force_table(chain.edges, max_edges=10)
+    assert len(chain.edges) == MAX_BRUTE_EDGES
+    assert brute_force_table(chain.edges) == sweep_table(chain.edges)
     dom, _, _ = flower()
     w = sweep_width(dom.edges)
     assert 2 <= w <= 6
@@ -895,8 +896,10 @@ def test_observable_arguments():
     inner = hexagon_edges((1, 1))[0]  # both endpoints interior
     with pytest.raises(OutOfRange):
         parafermion_field(d, inner, p)
+    big = triangle_domain(6)
+    assert len(big.domain.edges) == 45
     with pytest.raises(TooLarge):
-        parafermion_field(d, tri.start_edge, p, max_edges=5)
+        parafermion_field(big.domain, big.start_edge, p)
 
 
 def test_vertex_relation_rejects_boundary_vertices():
@@ -987,7 +990,6 @@ def test_spin_partition_inputs():
     assert by_mapping == pytest.approx(1.4 * 0.6**6 / (1 + 1.4 * 0.6**6),
                                        rel=1e-12)
     with pytest.raises(TooLarge):
-        spin_partition(SpinSystem(sorted(rhombus_hexagons(5)), -1), p,
-                       max_sites=8)
+        spin_partition(SpinSystem(sorted(rhombus_hexagons(5)), -1), p)
     with pytest.raises(OutOfRange):
         spin_partition(sys, p, side="edges")
