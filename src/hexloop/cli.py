@@ -85,9 +85,9 @@ def _domain_from_spec(text: str):
     ``ball``, ``triangle``, or ``fixture``, or the bare name of a fixture
     from the shipped domain corpus.
     """
-    for fixture in load_domains():
-        if fixture.name == text:
-            return text, fixture.build()
+    fixtures = {fixture.name: fixture for fixture in load_domains()}
+    if text in fixtures:
+        return text, fixtures[text].build()
     obj = _read_structured(text)
     if not isinstance(obj, dict):
         raise OutOfRange("a domain spec must be a JSON object")
@@ -104,10 +104,10 @@ def _domain_from_spec(text: str):
         side = _integer(obj["triangle"], "the triangle side")
         return f"triangle{side}", triangle_domain(side).domain
     if "fixture" in obj:
-        for fixture in load_domains():
-            if fixture.name == obj["fixture"]:
-                return fixture.name, fixture.build()
-        raise OutOfRange(f"unknown fixture {obj['fixture']!r}")
+        name = obj["fixture"]
+        if not isinstance(name, str) or name not in fixtures:
+            raise OutOfRange(f"unknown fixture {name!r}")
+        return name, fixtures[name].build()
     raise OutOfRange("domain spec needs hexagons, ball, triangle, or fixture")
 
 

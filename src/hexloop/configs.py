@@ -286,21 +286,13 @@ class SpinSystem(Keeper):
         """Index triples of triangles touching a free hexagon.
 
         Triangles of hexagons are in bijection with lattice vertices: the
-        three hexagons meeting at a vertex are pairwise adjacent.
+        three hexagons meeting at a vertex are pairwise adjacent, so the
+        triangles touching a free hexagon are those at its corners.
         """
-        fset = set(self.free)
         idx = self._index
-        seen = set()
-        out = []
-        for h in self.free:
-            for corner in hexagon_corners(h):
-                if corner in seen:
-                    continue
-                seen.add(corner)
-                tri = vertex_hexagons(corner)
-                if any(t in fset for t in tri):
-                    out.append(tuple(sorted(idx[t] for t in tri)))
-        return tuple(sorted(set(out)))
+        corners = {c for h in self.free for c in hexagon_corners(h)}
+        return tuple(sorted({tuple(sorted(idx[t] for t in vertex_hexagons(c)))
+                             for c in corners}))
 
     # -- single-flip structure -------------------------------------------------
 
@@ -365,13 +357,9 @@ class SpinSystem(Keeper):
             if len(values) != len(self.free):
                 raise OutOfRange(
                     f"expected {len(self.free)} spins, got {len(values)}")
-        full = [0] * len(self.context)
-        for i, h in enumerate(self.context):
-            if h in self.free_index:
-                full[i] = values[self.free_index[h]]
-            else:
-                full[i] = self.fixed[h]
-        return full
+        at = self.free_index
+        return [values[at[h]] if h in at else self.fixed[h]
+                for h in self.context]
 
     def framed_spins(self, spins) -> list[int]:
         """:meth:`full_spins` followed by the sea sign of every hexagon of
@@ -444,23 +432,18 @@ def spin_counts(system: SpinSystem, spins) -> SpinCounts:
     find = cluster_find(system, full)
     k = len({find(i) for i in system._counted}) - 1
 
-    e = 0
-    for i, j in system._free_pairs:
-        if full[i] != full[j]:
-            e += 1
-
+    e = sum(full[i] != full[j] for i, j in system._free_pairs)
     fidx = system._index
     r = sum(full[fidx[h]] for h in system.free)
-
-    twice_rp = 0
-    for a, b, c in system._triangles:
-        t = full[a] + full[b] + full[c]
-        if t == 3:
-            twice_rp += 1
-        elif t == -3:
-            twice_rp -= 1
-
+    twice_rp = sum(_one_sign(full[a] + full[b] + full[c])
+                   for a, b, c in system._triangles)
     return SpinCounts(k=k, e=e, r=r, twice_rp=twice_rp)
+
+
+def _one_sign(t: int) -> int:
+    """+1 when a triangle's spins, which sum to ``t``, are all plus, -1
+    when they are all minus, and 0 otherwise."""
+    return (t == 3) - (t == -3)
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +514,10 @@ def _local_entry(key: int):
     sgn = [1 if key >> i & 1 else -1 for i in range(6)]
     de = 2 * sgn.count(s) - 6
     dr = -2 * s
-    dtw = 0
-    for i in range(6):
-        # the triangle of the site and its ring neighbors i and i + 1
-        t = s + sgn[i] + sgn[i - 5]
-        tp = t - 2 * s
-        if tp == 3:
-            dtw += 1
-        elif tp == -3:
-            dtw -= 1
-        if t == 3:
-            dtw -= 1
-        elif t == -3:
-            dtw += 1
+    # the triangles of the site and its ring neighbours i and i + 1, whose
+    # spin sums the flip moves from t to t - 2s
+    dtw = sum(_one_sign(t - 2 * s) - _one_sign(t)
+              for t in (s + sgn[i] + sgn[i - 5] for i in range(6)))
     corners = [i for i in range(6) if sgn[i] != sgn[i - 5]]
     if len(corners) < 4:
         return s, de, dr, dtw, 0 if corners else sgn[0] * s, None

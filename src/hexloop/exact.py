@@ -11,11 +11,12 @@ is one multiply-add and one exp per term.  The left-to-right sweep
 and observable below goes through it.  Its frontier states are ints of
 two-bit slot codes whose strand ends nest like brackets, each carrying its
 partial configurations' polynomial packed into one exact int (see
-:func:`_sweep_table`).  A step of the sweep takes one vertex, or both ends
-of a vertical edge, which then never holds a frontier slot.  The
-depth-first enumeration with degree pruning (:func:`even_subgraphs`) only
-backs the oracle :func:`brute_force_table`, which tests compare the sweep
-against.
+:func:`_sweep_table`).  It first drops the edges that no configuration can
+take, those left at a vertex of degree one that is not a defect (see
+:func:`_usable`).  A step of the sweep takes one vertex, or both ends of a
+vertical edge, which then never holds a frontier slot.  The depth-first
+enumeration with degree pruning (:func:`even_subgraphs`) only backs the
+oracle :func:`brute_force_table`, which tests compare the sweep against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -61,9 +62,11 @@ from .lattice import (
     Domain,
     HexEdge,
     HexVertex,
+    config_degrees,
     direction_class,
     edge,
     edge_components,
+    hex_neighbors,
     hex_xy,
     remove_paths,
     turn_sign,
@@ -302,8 +305,31 @@ def brute_force_table(edges: Iterable[HexEdge],
 # ---------------------------------------------------------------------------
 
 def sweep_width(edges: Iterable[HexEdge]) -> int:
-    """Largest number of edges crossing the left-to-right sweep frontier."""
-    return _frontier_plan(_edges_of(edges), frozenset())[2]
+    """Largest number of edges crossing the left-to-right sweep frontier
+    over the edges that a configuration with no defects can take
+    (:func:`_usable`), as the width cap of :func:`sweep_table` counts it
+    then; a defect at a leaf keeps an edge that this count drops."""
+    return _frontier_plan(_usable(_edges_of(edges), frozenset()),
+                          frozenset())[2]
+
+
+def _usable(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
+            ) -> tuple[HexEdge, ...]:
+    """The edges less every edge at a vertex of degree one that is not a
+    defect, dropped again and again until none is left: such a vertex has
+    degree zero in every configuration, so none takes the edge."""
+    live, degree = set(edges), config_degrees(edges)
+    leaves = [v for v, d in degree.items() if d == 1 and v not in defects]
+    while leaves:
+        v = leaves.pop()
+        for w in hex_neighbors(v):
+            e = edge(v, w)
+            if e in live:
+                live.remove(e)
+                degree[w] -= 1
+                if degree[w] == 1 and w not in defects:
+                    leaves.append(w)
+    return tuple(e for e in edges if e in live)
 
 
 #: codes of a frontier slot: no edge, the lower and the upper end of a
@@ -461,6 +487,7 @@ def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                  max_width: int) -> Table:
+    edges = _usable(edges, defects)
     verts, plan, width = _frontier_plan(edges, defects)
     # the width is checked here, so only on a cache miss
     if width > max_width:
@@ -475,8 +502,9 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     # is bipartite, so one state's configurations, which differ by an even
     # subgraph, share the parity of m, and the key carries it.  Transitions
     # move the offset; a merge shifts the operand with the higher offset, so
-    # field 0 is never zero.  Loops are vertex-disjoint with >= 6 vertices,
-    # so l < stride, and a field never carries: it is at most 2^(cycle rank).
+    # field 0 is never zero.  Loops are vertex-disjoint with >= 6 usable
+    # vertices each, so l < stride, and a field never carries: it is at most
+    # 2^(cycle rank), and dropping a leaf's edge keeps E - V + C.
     stride = len(verts) // 6 + 1
     rank = len(edges) - len(verts) + len(edge_components(edges))
     nbytes = rank // 8 + 1

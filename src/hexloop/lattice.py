@@ -161,12 +161,9 @@ def hexagon_ball(radius: int, center: TriVertex = (0, 0)) -> frozenset[TriVertex
     if radius < 0:
         raise OutOfRange("radius must be nonnegative")
     r0, s0 = center
-    out = set()
-    for dr in range(-radius, radius + 1):
-        for ds in range(-radius, radius + 1):
-            if (abs(dr) + abs(ds) + abs(dr + ds)) // 2 <= radius:
-                out.add((r0 + dr, s0 + ds))
-    return frozenset(out)
+    around = range(-radius, radius + 1)
+    return frozenset({(r0 + dr, s0 + ds) for dr in around for ds in around
+                      if tri_distance((dr, ds), (0, 0)) <= radius})
 
 
 def hexagon_components(hexagons: Iterable[TriVertex], neighbors=tri_neighbors,
@@ -547,9 +544,9 @@ def remove_paths(region: Domain | Iterable[HexEdge],
     Removes each walk's edges together with every remaining edge at its two
     endpoint vertices (at most two each; a boundary endpoint has none).
     Edges elsewhere stay, including edges at inner walk vertices that end up
-    with a dangling endpoint; such edges can never be occupied by an even
-    configuration, so they do not change any weighted sum.  A walk with
-    fewer than two vertices removes nothing.
+    with a dangling endpoint; no even configuration takes such an edge, and
+    the sweep engine drops it before it plans a sweep.  A walk with fewer
+    than two vertices removes nothing.
 
     ``region`` is a :class:`Domain`, whose edges must contain every walk
     edge, or a raw edge set, from which the removal is set-theoretic: a walk

@@ -1,13 +1,14 @@
 """Test oracles for the exact layer: the defect-pair sum and the defect-pair
 table added up walk by walk, table evaluation through complex log-sum-exp,
-the sweep width by counting edge intervals, and the three-term relation of
-the edge-midpoint observable; for the lattice, edge components by
-breadth-first search and domains whose interior is the disc that their
-bounding polygon keeps a flood of hexagons out of; and for the chain, a
-heat-bath sweep that walks the walls at every multi-arc site."""
+the sweep width by counting edge intervals, the edges the sweep keeps by a
+naive fixpoint, and the three-term relation of the edge-midpoint
+observable; for the lattice, edge components by breadth-first search and
+domains whose interior is the disc that their bounding polygon keeps a
+flood of hexagons out of; and for the chain, a heat-bath sweep that walks
+the walls at every multi-arc site."""
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 from hexloop.configs import (
     _LOCAL,
@@ -143,6 +144,22 @@ def interval_sweep_width(edges) -> int:
         width += d
         best = max(best, width)
     return best
+
+
+def peeled_edges(edges, defects=()) -> tuple[HexEdge, ...]:
+    """The oracle of the edges ``exact._sweep_table`` keeps: every edge with
+    an endpoint of degree one that is not a defect is dropped, in passes
+    over the whole set, each counting the degrees anew, until a pass drops
+    nothing; sorted."""
+    es = sorted({edge(u, v) for u, v in edges})
+    defects = {tuple(d) for d in defects}
+    while True:
+        degree = Counter(u for e in es for u in e)
+        kept = [e for e in es
+                if all(degree[u] > 1 or u in defects for u in e)]
+        if kept == es:
+            return tuple(es)
+        es = kept
 
 
 def bfs_edge_components(edges) -> tuple[frozenset[HexEdge], ...]:

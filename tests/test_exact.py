@@ -37,6 +37,7 @@ from hexloop.exact import (
     WeightSum,
     _frontier_plan,
     _partner,
+    _usable,
     brute_force_table,
     catalan,
     evaluate_table,
@@ -53,12 +54,14 @@ from hexloop.exact import (
 from hexloop.fixtures import defect_sets, load_domains
 from hexloop.lattice import (
     domain_from_hexagons,
+    edge,
     edge_components,
     hex_neighbors,
     hex_xy,
     hexagon_ball,
     hexagon_corners,
     hexagon_edges,
+    path_edges,
     rectangle_hexagons,
     remove_paths,
     rhombus_hexagons,
@@ -67,6 +70,7 @@ from hexloop.lattice import (
 )
 from oracles import (
     interval_sweep_width,
+    peeled_edges,
     sum_terms_evaluate_table,
     vertex_relation_residual,
     walk_pair_table,
@@ -327,7 +331,8 @@ def test_engine_tables_evaluate_bit_for_bit(data, n, x):
     assert evaluate_table(shuffled, p) == evaluate_table(table, p)
 
 
-BALL3_EDGES = domain_from_hexagons(hexagon_ball(3)).edges
+BALL3 = sorted(hexagon_ball(3))
+BALL3_EDGES = domain_from_hexagons(BALL3).edges
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -352,16 +357,77 @@ FIXTURE_EDGES = [fixture.build().edges for fixture in load_domains()]
 @given(edges=st.lists(st.sampled_from(BALL3_EDGES), min_size=1, unique=True),
        dr=st.integers(-9, 9), ds=st.integers(-9, 9))
 def test_sweep_width_matches_the_interval_oracle(edges, dr, ds):
-    # the width the frontier plan reads off, on a subset of ball r=3 moved
-    # by a lattice offset and on every domain fixture; a cap one below it
-    # is refused with the width and the cap named
+    # the width the frontier plan reads off the edges some configuration
+    # can take, on a subset of ball r=3 moved by a lattice offset and on
+    # every domain fixture; a cap one below it is refused with the width
+    # and the cap named
     moved = [tuple((u[0] + dr, u[1] + ds, u[2]) for u in e) for e in edges]
     for es in (moved, *FIXTURE_EDGES):
         w = sweep_width(es)
-        assert w == interval_sweep_width(es)
+        assert w == interval_sweep_width(peeled_edges(es))
         with pytest.raises(WidthExceeded, match=(
                 f"^sweep frontier width {w} exceeds the cap of {w - 1}$")):
             sweep_table(es, max_width=w - 1)
+
+
+@st.composite
+def ball3_edge_subsets(draw):
+    """Edges of the ball r=3 domain: the borders of up to eight of its
+    hexagons less up to four edges, and up to 20 loose edges, so that
+    cycles carry dangling paths and trees."""
+    cells = draw(st.lists(st.sampled_from(BALL3), max_size=8, unique=True))
+    borders = sorted({e for h in cells for e in hexagon_edges(h)})
+    kept = set(borders)
+    if borders:
+        kept -= draw(st.sets(st.sampled_from(borders), max_size=4))
+    loose = draw(st.sets(st.sampled_from(BALL3_EDGES), max_size=20))
+    return kept | loose
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edges=ball3_edge_subsets(), dr=st.integers(-9, 9),
+       ds=st.integers(-9, 9), data=st.data())
+def test_sweep_drops_the_edges_no_configuration_takes(edges, dr, ds, data):
+    # a subset of ball r=3 moved by a lattice offset, with 0, 2 or 4
+    # defects anywhere on it, at leaves too: the engine keeps the oracle's
+    # edges, and the kept edges give the table of the whole subset
+    moved = tuple(sorted(edge(*((u[0] + dr, u[1] + ds, u[2]) for u in e))
+                         for e in edges))
+    verts = sorted({u for e in moved for u in e})
+    size = data.draw(st.sampled_from((0, 2, 4)))
+    assume(len(verts) >= size)
+    defects = frozenset(data.draw(st.lists(
+        st.sampled_from(verts), min_size=size, max_size=size, unique=True))
+        if size else ())
+    kept = _usable(moved, defects)
+    assert kept == peeled_edges(moved, defects)
+    table = sweep_table(moved, defects)
+    assert sweep_table(kept, defects) == table
+    for es in (moved, kept):
+        if len(es) <= MAX_BRUTE_EDGES:
+            assert brute_force_table(es, defects) == table
+
+
+def test_sweep_drops_dangling_edges_at_the_corners():
+    dom, v, w = flower()
+    # a defect whose only neighbour is a leaf that is no defect: no
+    # configuration takes the edge between them, so none has the defect
+    lone = ((7, 7, 0), (7, 7, 1))
+    edges = (*dom.edges, lone)
+    defects = (lone[0], w[0])
+    assert sweep_table(edges, defects) == brute_force_table(edges, defects)
+    assert sweep_table(edges, defects) == {}
+    # a path with defects at both ends: the one strand takes every edge
+    path = domain_from_hexagons([(0, 0), (1, 0), (2, 0)]).polygon
+    edges = path_edges(path)
+    defects = (path[0], path[-1])
+    assert sweep_table(edges, defects) == brute_force_table(edges, defects)
+    assert sweep_table(edges, defects) == {(len(edges), 0): 1}
+    # a tree with no defects, the flower less one edge of its hexagon:
+    # every edge is dropped, which leaves the empty configuration
+    tree = [e for e in dom.edges if e != edge(v[0], v[1])]
+    assert sweep_table(tree) == brute_force_table(tree) == {(0, 0): 1}
+    assert _usable(tuple(tree), frozenset()) == ()
 
 
 @pytest.mark.parametrize("cells, count", [(hexagon_ball(3), 52),
