@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping
 
@@ -37,6 +38,7 @@ from .configs import (
     is_even_config,
     log_spin_weight,
     loop_count,
+    sign_flood,
     spins_to_loops,
 )
 from .errors import DomainNotSymmetric, EventNotIncreasing, OutOfRange
@@ -54,6 +56,7 @@ from .exact import (
     relative_weight,
     sigma_exponent,
     spin_partition,
+    sum_in_order,
     x_critical,
 )
 from .lattice import (
@@ -65,7 +68,6 @@ from .lattice import (
     tri_neighbors,
     triangle_domain,
 )
-from .observables import _sign_crossing
 
 ALGEBRAIC_TOL = 1e-12
 SERIES_TOL = 1e-9
@@ -137,13 +139,9 @@ def check_fkg_lattice(region, tau, params: Params) -> CheckReport:
     system = _spin_system(region, tau)
     m = free_sites(system, MAX_PAIR_SCAN_SITES, "pair-scan cap")
     counts = assignment_counts(system)
-    logw = []
-    for bits in range(1 << m):
-        signs = [1 if bits >> i & 1 else -1 for i in range(m)]
-        logw.append(log_spin_weight(params, counts[assignment_index(signs)]))
+    logw = [log_spin_weight(params, counts[i]) for i in _bit_order(m)]
 
-    worst = math.inf
-    at = None
+    worst, at = math.inf, None
     for iu in range(m):
         bu = 1 << iu
         for iv in range(iu + 1, m):
@@ -179,6 +177,14 @@ def check_fkg_lattice(region, tau, params: Params) -> CheckReport:
                  "n_assignments": 1 << m, "n_pairs": m * (m - 1) // 2})
 
 
+@lru_cache(maxsize=MAX_PAIR_SCAN_SITES + 1)
+def _bit_order(m: int) -> tuple[int, ...]:
+    """``assignment_index`` of each assignment whose bit i is the sign of
+    free hexagon i (1 for plus), in the pair scan's order of bits."""
+    return tuple(assignment_index([bits >> i & 1 or -1 for i in range(m)])
+                 for bits in range(1 << m))
+
+
 def _verify_increasing(system: SpinSystem, event: Callable, name: str) -> None:
     """Raise unless the event is monotone under raising any single spin."""
     truth = _truth(system, event, "spins")
@@ -198,9 +204,9 @@ def check_cbc(region, tau_low, tau_high, params: Params,
     increasing event must be at least as likely.
 
     ``events`` maps names to predicates on the free-spin assignment (or is
-    one predicate).  Each predicate is first verified to be increasing over
-    every assignment.  Either frame may be given as the prebuilt SpinSystem
-    of the region in it.
+    one predicate).  Each predicate is first verified, once per system, to
+    be increasing over every assignment.  Either frame may be given as the
+    prebuilt SpinSystem of the region in it.
     """
     low = _spin_system(region, tau_low)
     high = _spin_system(region, tau_high)
@@ -220,7 +226,7 @@ def check_cbc(region, tau_low, tau_high, params: Params,
     total_high = spin_partition(high, params)
     rows = []
     for name, fn in named:
-        _verify_increasing(low, fn, name)
+        low.kept(("increasing", fn), lambda: _verify_increasing(low, fn, name))
         p_low = exact_event_probability(low, None, params, fn,
                                         total=total_low)
         p_high = exact_event_probability(high, None, params, fn,
@@ -248,19 +254,18 @@ def check_several_faces(region, tau, faces_a, faces_b,
         raise OutOfRange("both hexagon sets must consist of free hexagons")
 
     total = spin_partition(system, params)
+    at = system._framed_index
 
     def joint(sign_a, sign_b):
-        # one event per face sets and signs, whose truth the system keeps
+        # one kept event per face sets and signs: index tests on the array
+        wants = [(at[h], sign_a) for h in fa] + [(at[h], sign_b) for h in fb]
         event = system.kept(("faces", fa, fb, sign_a, sign_b), lambda: (
-            lambda sigma: all(sigma[h] == sign_a for h in fa)
-            and all(sigma[h] == sign_b for h in fb)))
+            lambda full: all(full[i] == s for i, s in wants)))
         return exact_event_probability(system, None, params, event,
-                                       total=total)
+                                       side="framed", total=total)
 
-    p_pp = joint(1, 1)
-    p_mm = joint(-1, -1)
-    p_pm = joint(1, -1)
-    p_mp = joint(-1, 1)
+    p_pp, p_mm, p_pm, p_mp = (joint(a, b) for a, b in
+                              ((1, 1), (-1, -1), (1, -1), (-1, 1)))
     lhs = p_pp * p_mm
     rhs = p_pm * p_mp
     return CheckReport(
@@ -327,16 +332,15 @@ def check_domain_markov_and_duality(region, sub_region, tau,
         at = assignment_index(signs[h] for h in outer.free)
         cond.append(math.exp(log_spin_weight(params, outer_counts[at])))
         direct.append(math.exp(log_spin_weight(params, counts)))
-    zc, zd = sum(cond), sum(direct)
+    zc, zd = sum_in_order(cond), sum_in_order(direct)
     markov_gap = max(abs(c / zc - d / zd) for c, d in zip(cond, direct))
 
-    flipped = outer.negated
     neg = Params(n=params.n, x=params.x, h=-params.h, hp=-params.hp)
     # negating every spin reverses the product order of the assignments
     w_out = [math.exp(log_spin_weight(params, c)) for c in outer_counts]
     w_flip = [math.exp(log_spin_weight(neg, c))
-              for c in reversed(assignment_counts(flipped))]
-    zo, zf = sum(w_out), sum(w_flip)
+              for c in reversed(assignment_counts(outer.negated))]
+    zo, zf = sum_in_order(w_out), sum_in_order(w_flip)
     flip_gap = max(abs(a / zo - b / zf) for a, b in zip(w_out, w_flip))
 
     holds = markov_gap <= ALGEBRAIC_TOL and flip_gap <= ALGEBRAIC_TOL
@@ -362,8 +366,7 @@ def check_bijection(region, tau, params: Params) -> CheckReport:
     if params.h != 0.0 or params.hp != 0.0:
         raise OutOfRange("the spin-loop correspondence needs h = hp = 0")
     system = _spin_system(region, tau)
-    ring_signs = set(system.fixed.values()) | {system.sea}
-    if len(ring_signs) != 1:
+    if len(set(system.fixed.values()) | {system.sea}) != 1:
         raise OutOfRange("the correspondence check needs a constant frame")
     m = free_sites(system)
 
@@ -380,7 +383,7 @@ def check_bijection(region, tau, params: Params) -> CheckReport:
     for walls, counts in zip(wall_sets, assignment_counts(system)):
         w = math.exp(log_spin_weight(params, counts))
         spin_side[walls] = spin_side.get(walls, 0.0) + w
-    z_spin = sum(spin_side.values())
+    z_spin = sum_in_order(spin_side.values())
 
     # the even wall sets in edge-inclusion order (each edge left out before
     # it is taken), which fixes the rounding of z_loop
@@ -392,7 +395,7 @@ def check_bijection(region, tau, params: Params) -> CheckReport:
         if cfg <= edge_set and is_even_config(cfg)])
     loop_side = {cfg: math.exp(size * log_x + loops * log_n)
                  for cfg, size, loops in loop_configs}
-    z_loop = sum(loop_side.values())
+    z_loop = sum_in_order(loop_side.values())
 
     support_match = len(loop_side) == 1 << m
     max_diff = math.inf
@@ -533,10 +536,10 @@ def check_contour_identity(side, n: float, x: float) -> CheckReport:
     right = [field(b, -math.pi / 3) for b in tri.right_boundary]
     bottom = [field(b, math.pi if hex_xy(b)[0] < hex_xy(a)[0] else -math.pi)
               for b in tri.bottom_boundary]
-    bottom_sum = sum(bottom)
-    lhs = (cmath.exp(-2j * math.pi / 3) * sum(left)
-           + cmath.exp(2j * math.pi / 3) * sum(right) + bottom_sum)
-    magnitude = sum(abs(f) for f in left + right + bottom)
+    bottom_sum = sum_in_order(bottom)
+    lhs = (cmath.exp(-2j * math.pi / 3) * sum_in_order(left)
+           + cmath.exp(2j * math.pi / 3) * sum_in_order(right) + bottom_sum)
+    magnitude = sum_in_order(abs(f) for f in left + right + bottom)
     residual = abs(lhs)
     relative = residual / magnitude if magnitude > 0 else math.inf
     xc = x_critical(n)
@@ -565,7 +568,8 @@ def check_symmetric_domain(region, plus_arcs, n: float,
     vertical mirror that carries the minus part of the boundary ring into
     the plus arcs.  The probability that the two plus arcs are joined by a
     path of pluses is then at least 1/(1+n).  ``region`` may be the
-    prebuilt SpinSystem of the region in that frame.
+    prebuilt SpinSystem of the region in that frame, where the crossing is
+    an index flood over its framed sign array (``configs.sign_flood``).
     """
     free = frozenset(_free_hexagons(region))
     if not free:
@@ -587,8 +591,7 @@ def check_symmetric_domain(region, plus_arcs, n: float,
     axis = min(xs) + max(xs)
     if {mirror_tri(h, axis) for h in free} != set(free):
         raise DomainNotSymmetric("the region has no vertical mirror axis")
-    minus = ring - sa - sb
-    minus_runs = hexagon_components(minus)
+    minus_runs = hexagon_components(ring - sa - sb)
     if len(minus_runs) > 2:
         raise OutOfRange("the minus boundary must form at most two runs")
     targets = []
@@ -605,18 +608,15 @@ def check_symmetric_domain(region, plus_arcs, n: float,
         raise DomainNotSymmetric("both minus runs mirror into the same "
                                  "plus arc")
 
-    params = Params(n=n, x=x)
-    arcs = {h: 1 for h in sa | sb}
     system = (region if isinstance(region, SpinSystem)
-              else SpinSystem(free, arcs, sea=-1))
-
-    def crossing(sigma) -> bool:
-        signs = {**sigma, **arcs}
-        return _sign_crossing(signs, signs, sa, sb, 1)
-
+              else SpinSystem(free, {h: 1 for h in sa | sb}, sea=-1))
+    if any(system.fixed[h] != 1 for h in sa | sb):
+        raise OutOfRange("the system must freeze both plus arcs to plus")
     # one event per pair of arcs, whose truth the system keeps
-    event = system.kept(("crossing", sa, sb), lambda: crossing)
-    probability = exact_event_probability(system, None, params, event)
+    event = system.kept(("crossing", sa, sb), lambda: sign_flood(
+        system, set(system.free) | sa | sb, sa, sb, 1))
+    probability = exact_event_probability(system, None, Params(n, x),
+                                          event, side="framed")
     bound = 1.0 / (1.0 + n)
     return CheckReport(
         name="symmetric_domain",

@@ -41,7 +41,8 @@ a cluster node of its own (:func:`cluster_find`).  The heat-bath chain
 (``sampler.ChainState``) updates its counts
 this way, and :func:`assignment_counts` walks all 2^m assignments of a
 system in Gray-code order, one flip per step, and keeps the result on the
-system.
+system as one tuple per assignment (:class:`SpinCounts`); ``exact`` reads
+event truths off a walk in the same order, the spin layer's only one.
 
 Spins and loops are two views of the same model: the domain walls of a spin
 assignment form an even edge set on the edges bordering the free hexagons,
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import OutOfRange, TooLarge
 from .lattice import (
@@ -139,11 +140,8 @@ def loop_count(edges: Iterable[HexEdge],
                defects: Iterable[HexVertex] = ()) -> int:
     """Number of loops: components that contain no defect vertex."""
     dset = set(defects)
-    count = 0
-    for comp in edge_components(edges):
-        if not any(u in dset for e in comp for u in e):
-            count += 1
-    return count
+    return sum(not any(u in dset for e in comp for u in e)
+               for comp in edge_components(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +273,7 @@ class SpinSystem(Keeper):
     @cached_property
     def _counted(self) -> tuple[int, ...]:
         """Indices of hexagons in free union neighbours-of-free."""
-        fset = set(self.free)
-        q = set(fset)
-        for h in fset:
-            q.update(tri_neighbors(h))
+        q = set(self.free).union(*map(tri_neighbors, self.free))
         return tuple(sorted(self._index[h] for h in q))
 
     @cached_property
@@ -371,9 +366,8 @@ class SpinSystem(Keeper):
                 f"|context|={len(self.context)}, sea={self.sea:+d})")
 
 
-@dataclass(frozen=True)
-class SpinCounts:
-    """Integer statistics of a spin assignment.
+class SpinCounts(NamedTuple):
+    """Integer statistics of a spin assignment, as one plain tuple.
 
     ``twice_rp`` is kept doubled so that everything stays integral; the
     field term uses ``rp = twice_rp / 2``.
@@ -433,11 +427,10 @@ def spin_counts(system: SpinSystem, spins) -> SpinCounts:
     k = len({find(i) for i in system._counted}) - 1
 
     e = sum(full[i] != full[j] for i, j in system._free_pairs)
-    fidx = system._index
-    r = sum(full[fidx[h]] for h in system.free)
+    r = sum(full[i] for i in system._free_ctx)
     twice_rp = sum(_one_sign(full[a] + full[b] + full[c])
                    for a, b, c in system._triangles)
-    return SpinCounts(k=k, e=e, r=r, twice_rp=twice_rp)
+    return SpinCounts(k, e, r, twice_rp)
 
 
 def _one_sign(t: int) -> int:
@@ -577,12 +570,9 @@ def _gray_counts(system: SpinSystem) -> tuple[SpinCounts, ...]:
     """
     m = len(system.free)
     full = system.framed_spins([-1] * m)
-    start = spin_counts(system, [-1] * m)
-    k, e, r, tw = start.k, start.e, start.r, start.twice_rp
+    k, e, r, tw = start = spin_counts(system, [-1] * m)
     out = [start] * (1 << m)
-    free_ctx = system._free_ctx
-    nb6 = system._nb6
-    walls = system._walls
+    free_ctx, nb6, walls = system._free_ctx, system._nb6, system._walls
     for step in range(1, 1 << m):
         iu = m - (step & -step).bit_length()
         cu = free_ctx[iu]
@@ -597,7 +587,7 @@ def _gray_counts(system: SpinSystem) -> tuple[SpinCounts, ...]:
         e += de
         r += dr
         tw += dtw
-        out[step ^ (step >> 1)] = SpinCounts(k=k, e=e, r=r, twice_rp=tw)
+        out[step ^ step >> 1] = SpinCounts(k, e, r, tw)
     return tuple(out)
 
 
@@ -635,10 +625,8 @@ def assignment_counts(system: SpinSystem) -> tuple[SpinCounts, ...]:
 
 
 def log_spin_weight(params: Params, counts: SpinCounts) -> float:
-    return (counts.k * params.log_n
-            + counts.e * params.log_x
-            + params.h * counts.r
-            + params.hp * (counts.twice_rp / 2.0))
+    return (counts.k * params.log_n + counts.e * params.log_x
+            + params.h * counts.r + params.hp * (counts.twice_rp / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +638,32 @@ def spins_to_loops(system: SpinSystem, spins) -> frozenset[HexEdge]:
     full = system.full_spins(spins)
     return frozenset(e for e, i, j in system._wall_probes
                      if full[i] != full[j])
+
+
+def sign_flood(system: SpinSystem, cells: Iterable[TriVertex],
+               starts: Iterable[TriVertex], ends, sign: int) -> Callable:
+    """Predicate on the framed sign array (:meth:`SpinSystem.framed_spins`):
+    whether hexagons of ``sign`` join one of ``starts`` to one of ``ends``
+    inside ``cells``, by a flood over their indices, set up once."""
+    cells = sorted(cells)
+    pos = {h: i for i, h in enumerate(cells)}
+    at = [system._framed_index[h] for h in cells]
+    nbrs = [[pos[g] for g in tri_neighbors(h) if g in pos] for h in cells]
+    goal, entry = [h in ends for h in cells], [pos[h] for h in starts]
+
+    def joined(full) -> bool:
+        seen, todo = bytearray(len(cells)), entry[:]
+        while todo:
+            i = todo.pop()
+            if seen[i] or full[at[i]] != sign:
+                continue
+            if goal[i]:
+                return True
+            seen[i] = 1
+            todo += nbrs[i]
+        return False
+
+    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +684,8 @@ def loops_from_json(data: Iterable) -> frozenset[HexEdge]:
 
 def spins_to_json(system: SpinSystem, spins) -> dict:
     full = system.full_spins(spins)
-    idx = system._index
     return {
-        "free": [[*h, full[idx[h]]] for h in system.free],
+        "free": [[*h, full[i]] for h, i in zip(system.free, system._free_ctx)],
         "fixed": [[*h, s] for h, s in sorted(system.fixed.items())],
         "sea": system.sea,
     }

@@ -26,8 +26,10 @@ carved out), the defect-pair sum ``Z^{a,b} / Z`` read off defect tables by
 of the model.  The spin sums read what a :class:`SpinSystem` keeps, none of
 which depends on the weights: the counts of its 2^m assignments from
 ``configs.assignment_counts`` (one Gray-code walk) and each event's truth
-at each assignment, by event and side.  So one enumeration per system
-serves an event sum, its total and every parameter point.
+at each assignment, by event and side, off one walk in the same order over
+the framed sign array (:func:`_truth`).  So one enumeration per system
+serves an event sum, its total and every parameter point.  Float sums that
+reports print are added in order (:func:`sum_in_order`).
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, compress, product
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .configs import (
@@ -49,7 +52,6 @@ from .configs import (
     free_sites,
     loop_count,
     log_spin_weight,
-    spins_to_loops,
 )
 from .errors import (
     OutOfRange,
@@ -62,11 +64,9 @@ from .lattice import (
     Domain,
     HexEdge,
     HexVertex,
-    config_degrees,
     direction_class,
     edge,
     edge_components,
-    hex_neighbors,
     hex_xy,
     remove_paths,
     turn_sign,
@@ -102,6 +102,12 @@ class Table(dict):
 # ---------------------------------------------------------------------------
 # log-magnitude arithmetic
 # ---------------------------------------------------------------------------
+
+def sum_in_order(values: Iterable):
+    """The values added left to right, one rounding per term, as the builtin
+    ``sum`` added floats before Python 3.12: every printed figure's sum."""
+    return reduce(add, values, 0)
+
 
 @dataclass(frozen=True)
 class WeightSum:
@@ -142,7 +148,7 @@ class WeightSum:
             return cls.zero()
         top, exp = max(logs), math.exp
         acc = 0.0
-        for lg in logs:  # not sum(), which compensates from Python 3.12 on
+        for lg in logs:  # as sum_in_order adds, with no list of the terms
             acc += exp(lg - top)
         return cls(top + math.log(acc))
 
@@ -318,14 +324,18 @@ def _usable(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     """The edges less every edge at a vertex of degree one that is not a
     defect, dropped again and again until none is left: such a vertex has
     degree zero in every configuration, so none takes the edge."""
-    live, degree = set(edges), config_degrees(edges)
+    incident: dict[HexVertex, list[HexEdge]] = {}
+    for e in edges:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    live, degree = set(edges), {v: len(es) for v, es in incident.items()}
     leaves = [v for v, d in degree.items() if d == 1 and v not in defects]
     while leaves:
         v = leaves.pop()
-        for w in hex_neighbors(v):
-            e = edge(v, w)
+        for e in incident[v]:
             if e in live:
                 live.remove(e)
+                w = e[1] if e[0] == v else e[0]
                 degree[w] -= 1
                 if degree[w] == 1 and w not in defects:
                     leaves.append(w)
@@ -604,7 +614,7 @@ def relative_weight(region, gamma, params: Params) -> float:
                          lambda: remove_paths(region, walks))
              if isinstance(region, Domain) else remove_paths(region, walks))
     length = sum(len(w) - 1 for w in walks if len(w) >= 2)
-    log_rest = sum(_log_Z(c, frozenset(), params) for c in comps)
+    log_rest = sum_in_order(_log_Z(c, frozenset(), params) for c in comps)
     log_full = _log_Z(_edges_of(region), frozenset(), params)
     return math.exp(length * params.log_x + log_rest - log_full)
 
@@ -647,9 +657,9 @@ def path_sum(domain: Domain, a: HexVertex, b, params: Params) -> PathSum:
     a, targets = _targets(domain, a, b)
     edges = domain.edges
     log_full = _log_Z(edges, frozenset(), params)
-    return PathSum(sum(math.exp(_log_Z(edges, frozenset((a, t)), params)
-                                - log_full)
-                       for t in sorted(targets - {a})), 0)
+    return PathSum(sum_in_order(
+        math.exp(_log_Z(edges, frozenset((a, t)), params) - log_full)
+        for t in sorted(targets - {a})), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +713,9 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
             # end the walk at the midpoint of e
             used.add(e)
             remainder = [ed for ed in all_edges if ed not in used]
-            log_rest = sum(_log_Z(tuple(sorted(c)), frozenset(), params)
-                           for c in edge_components(remainder))
+            log_rest = sum_in_order(
+                _log_Z(tuple(sorted(c)), frozenset(), params)
+                for c in edge_components(remainder))
             log_w = depth * log_x + log_rest - log_full
             phase = cmath.exp(-1j * sigma * wound * math.pi / 3.0)
             terms.setdefault(e, []).append((log_w, phase))
@@ -744,9 +755,11 @@ def spin_partition(system: SpinSystem, params: Params,
 
     With ``side="spins"`` the event predicate sees a mapping from free
     hexagon to sign; with ``side="loops"`` it sees the frozen set of domain
-    wall edges of the assignment; the system keeps its truth (:func:`_truth`).
+    wall edges of the assignment; with ``side="framed"`` it reads the framed
+    sign array, which it must neither change nor keep.  The system keeps
+    its truth (:func:`_truth`).
     """
-    if side not in ("spins", "loops"):
+    if side not in ("spins", "loops", "framed"):
         raise OutOfRange(f"unknown side {side!r}")
     free_sites(system)
     counts = assignment_counts(system)
@@ -757,12 +770,23 @@ def spin_partition(system: SpinSystem, params: Params,
 
 def _truth(system: SpinSystem, event: Callable, side: str) -> bytes:
     """Whether the event holds (1) or not (0) at each assignment, in
-    ``assignment_counts`` order, kept on the system by event and side."""
-    configs = (spins_to_loops(system, signs) if side == "loops"
-               else dict(zip(system.free, signs))
-               for signs in product((-1, 1), repeat=len(system.free)))
-    return system.kept((event, side),
-                       lambda: bytes(bool(event(c)) for c in configs))
+    ``assignment_counts`` order, kept by event and side: one Gray-code walk
+    in ``configs._gray_counts`` order on a framed sign array, read by side."""
+    def walk() -> bytes:
+        m, at, free = len(system.free), system._free_ctx, system.free
+        full, out = system.framed_spins([-1] * m), bytearray(1 << m)
+        sigma = dict.fromkeys(free, -1)  # in step with the array
+        view = {"framed": lambda: full, "spins": sigma.copy,
+                "loops": lambda: frozenset(e for e, i, j in system._wall_probes
+                                           if full[i] != full[j])}[side]
+        for t in range(1 << m):
+            if t:
+                iu = m - (t & -t).bit_length()
+                full[at[iu]] = sigma[free[iu]] = -sigma[free[iu]]
+            out[t ^ t >> 1] = bool(event(view()))
+        return bytes(out)
+
+    return system.kept((event, side), walk)
 
 
 def exact_event_probability(region, tau, params: Params, event: Callable, *,

@@ -19,6 +19,11 @@ def _load(name: str) -> dict:
     return json.loads(files("hexloop").joinpath(f"data/{name}").read_text())
 
 
+def _cells(rows) -> tuple:
+    """Hexagons or vertices read as lists from JSON, as tuples."""
+    return tuple(tuple(c) for c in rows)
+
+
 def resolve_x(value, n: float) -> float:
     """Turn a grid or flag value for the edge weight into a number.
 
@@ -44,9 +49,8 @@ class DomainFixture:
 
 
 def load_domains() -> tuple[DomainFixture, ...]:
-    data = _load("domains.json")
-    return tuple(DomainFixture(d["name"], tuple(tuple(c) for c in d["hexagons"]))
-                 for d in data["domains"])
+    return tuple(DomainFixture(d["name"], _cells(d["hexagons"]))
+                 for d in _load("domains.json")["domains"])
 
 
 def defect_sets(domain: Domain) -> dict[int, tuple[tuple, ...]]:
@@ -74,12 +78,9 @@ class MonotonePair:
 
 
 def load_monotone_pairs() -> tuple[MonotonePair, ...]:
-    data = _load("monotone_pairs.json")
-    return tuple(MonotonePair(p["name"],
-                              tuple(tuple(c) for c in p["inner"]),
-                              tuple(tuple(c) for c in p["outer"]),
-                              tuple(tuple(u) for u in p["gamma"]))
-                 for p in data["pairs"])
+    return tuple(MonotonePair(p["name"], *(_cells(p[key]) for key in
+                                           ("inner", "outer", "gamma")))
+                 for p in _load("monotone_pairs.json")["pairs"])
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,9 @@ class SymmetricFixture:
 
 
 def load_symmetric_fixtures() -> tuple[SymmetricFixture, ...]:
-    data = _load("symmetric.json")
-    return tuple(SymmetricFixture(f["name"],
-                                  tuple(tuple(c) for c in f["region"]),
-                                  tuple(tuple(c) for c in f["arc_a"]),
-                                  tuple(tuple(c) for c in f["arc_b"]))
-                 for f in data["fixtures"])
+    return tuple(SymmetricFixture(f["name"], *(_cells(f[key]) for key in
+                                               ("region", "arc_a", "arc_b")))
+                 for f in _load("symmetric.json")["fixtures"])
 
 
 def load_default_grid() -> dict:

@@ -189,14 +189,8 @@ def hexagon_components(hexagons: Iterable[TriVertex], neighbors=tri_neighbors,
 
 # Direction class j of a step u -> v: the step's angle is 30 + 60 j degrees.
 # Classes 0, 2, 4 go up -> down; classes 1, 3, 5 go down -> up.
-_DIRECTION_BY_DELTA = {
-    (1, 1): 0,
-    (0, 2): 1,
-    (-1, 1): 2,
-    (-1, -1): 3,
-    (0, -2): 4,
-    (1, -1): 5,
-}
+_DIRECTION_BY_DELTA = {(1, 1): 0, (0, 2): 1, (-1, 1): 2, (-1, -1): 3,
+                       (0, -2): 4, (1, -1): 5}
 
 
 def direction_class(u: HexVertex, v: HexVertex) -> int:
@@ -225,10 +219,9 @@ def turn_sign(j_in: int, j_out: int) -> int:
 
 def is_path(vertices: Sequence[HexVertex]) -> bool:
     """True if the sequence is a self-avoiding walk in the lattice."""
-    if len(set(vertices)) != len(vertices):
-        return False
-    return all(are_adjacent(vertices[i], vertices[i + 1])
-               for i in range(len(vertices) - 1))
+    return len(set(vertices)) == len(vertices) and all(
+        are_adjacent(vertices[i], vertices[i + 1])
+        for i in range(len(vertices) - 1))
 
 
 def path_edges(vertices: Sequence[HexVertex]) -> tuple[HexEdge, ...]:
@@ -479,7 +472,6 @@ def triangle_domain(side: int) -> TriangleDomain:
         raise NotSelfAvoiding("triangle boundary does not match its marks")
 
     a = ((k - 2) // 2, -1, DOWN)
-    start_edge = edge(a, ((k - 2) // 2, 0, UP))
     return TriangleDomain(
         domain=dom,
         side=k,
@@ -490,7 +482,7 @@ def triangle_domain(side: int) -> TriangleDomain:
         left_boundary=left_b,
         right_boundary=right_b,
         start_vertex=a,
-        start_edge=start_edge,
+        start_edge=edge(a, ((k - 2) // 2, 0, UP)),
     )
 
 

@@ -36,6 +36,7 @@ from .lattice import (
     edge_hexagons,
     hexagon_ball,
     rhombus_hexagons,
+    tri_distance,
     tri_neighbors,
 )
 
@@ -146,28 +147,17 @@ def plus_circuit_event(sigma: Mapping[TriVertex, int], k: int) -> bool:
 
     A circuit of pluses blocks every path from the center to the outside of
     the radius-2k ball, and on a triangulated lattice the converse holds as
-    well, so the test floods from the origin through the inner ball and the
-    non-plus ring hexagons and reports whether the flood stays trapped.
+    well, so the test asks whether non-plus ring hexagons join distance
+    k + 1, next to the inner ball, to distance 2k.
     """
     if k < 1:
         raise OutOfRange("circuit scale must be at least 1")
     outer = hexagon_ball(2 * k)
     _check_coverage(sigma, outer, f"the circuit event at scale {k}")
-    inner = hexagon_ball(k)
-    seen = {ORIGIN}
-    queue = deque(seen)
-    while queue:
-        h = queue.popleft()
-        for g in tri_neighbors(h):
-            if g in seen:
-                continue
-            if g not in outer:
-                return False
-            if g not in inner and sigma[g] > 0:
-                continue
-            seen.add(g)
-            queue.append(g)
-    return True
+    ring = outer - hexagon_ball(k)
+    return not _sign_crossing(
+        sigma, ring, [h for h in ring if tri_distance(h, ORIGIN) == k + 1],
+        frozenset(h for h in ring if tri_distance(h, ORIGIN) == 2 * k), -1)
 
 
 def crossing_rectangle(k: int, rho: float = 1.0,

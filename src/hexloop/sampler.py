@@ -39,6 +39,7 @@ from .configs import (
     SpinCounts,
     SpinSystem,
     _multi_arc_dk,
+    sign_flood,
     spin_counts,
     spins_to_loops,
 )
@@ -49,7 +50,6 @@ from .lattice import (
     edge_hexagons,
     hexagon_ball,
     tri_distance,
-    tri_neighbors,
 )
 from .observables import ORIGIN, EventSpec, event_from_json
 
@@ -119,8 +119,8 @@ class ChainState:
                       else (-1.0, max(ps.values())))
             self._table.append((lo, hi, dk, de, dr, dtw, s, plan, ps))
 
-        c = spin_counts(system, self.free_signs())
-        self._k, self._e, self._r, self._tw = c.k, c.e, c.r, c.twice_rp
+        self._k, self._e, self._r, self._tw = spin_counts(system,
+                                                          self.free_signs())
 
     # -- views ----------------------------------------------------------------
 
@@ -137,7 +137,7 @@ class ChainState:
     @property
     def counts(self) -> SpinCounts:
         """Cached statistics of the current spins."""
-        return SpinCounts(k=self._k, e=self._e, r=self._r, twice_rp=self._tw)
+        return SpinCounts(self._k, self._e, self._r, self._tw)
 
     # -- single-site updates ----------------------------------------------------
 
@@ -189,7 +189,7 @@ class ChainState:
             tw += dtw
             flips += 1
             if self.debug:
-                kept = SpinCounts(k=k, e=e, r=r, twice_rp=tw)
+                kept = SpinCounts(k, e, r, tw)
                 fresh = spin_counts(self.system, self.free_signs())
                 assert kept == fresh, (kept, fresh)
         self._k, self._e, self._r, self._tw = k, e, r, tw
@@ -326,31 +326,13 @@ def annulus_signs_event(system: SpinSystem, k: int) -> Callable:
 
 def _circuit_flood(system: SpinSystem, k: int) -> Callable:
     """Evaluator of ``plus_circuit_event`` at scale k on the framed sign
-    array of a context that covers the radius-2k ball.  Its flood covers
-    the radius-k ball, so this one starts at every non-plus hexagon at
-    distance k + 1 and fails once it reaches distance 2k.
-    """
+    array of a context that covers the radius-2k ball: no non-plus ring
+    hexagons join distance k + 1 to 2k (:func:`configs.sign_flood`)."""
     ring = sorted(hexagon_ball(2 * k) - hexagon_ball(k))
-    pos = {h: i for i, h in enumerate(ring)}
-    cell = [system._framed_index[h] for h in ring]
-    nbrs = [[pos[g] for g in tri_neighbors(h) if g in pos] for h in ring]
-    entry = [i for i, h in enumerate(ring) if tri_distance(h, ORIGIN) == k + 1]
-    rim = [tri_distance(h, ORIGIN) == 2 * k for h in ring]
-
-    def event(full) -> bool:
-        seen = bytearray(len(ring))
-        todo = entry[:]
-        while todo:
-            i = todo.pop()
-            if seen[i] or full[cell[i]] > 0:
-                continue
-            if rim[i]:
-                return False
-            seen[i] = 1
-            todo += nbrs[i]
-        return True
-
-    return event
+    joined = sign_flood(
+        system, ring, [h for h in ring if tri_distance(h, ORIGIN) == k + 1],
+        {h for h in ring if tri_distance(h, ORIGIN) == 2 * k}, -1)
+    return lambda full: not joined(full)
 
 
 def _compile_events(events, system: SpinSystem) -> list[Callable]:

@@ -4,11 +4,14 @@ the sweep width by counting edge intervals, the edges the sweep keeps by a
 naive fixpoint, and the three-term relation of the edge-midpoint
 observable; for the lattice, edge components by breadth-first search and
 domains whose interior is the disc that their bounding polygon keeps a
-flood of hexagons out of; and for the chain, a heat-bath sweep that walks
-the walls at every multi-arc site."""
+flood of hexagons out of; for the chain, a heat-bath sweep that walks the
+walls at every multi-arc site; for the spin layer, event truths read
+assignment by assignment in product order; and the builtin ``sum`` of
+Python 3.12 and later, which compensates float rounding."""
 
 import math
 from collections import Counter, deque
+from itertools import product
 
 from hexloop.configs import (
     _LOCAL,
@@ -16,6 +19,7 @@ from hexloop.configs import (
     SpinCounts,
     SpinSystem,
     _multi_arc_dk,
+    spins_to_loops,
 )
 from hexloop.errors import (
     DisconnectedInterior,
@@ -388,3 +392,51 @@ def reference_sweep(system: SpinSystem, params: Params, full,
         flips += 1
         total = tuple(a + b for a, b in zip(total, (dk, de, dr, dtw)))
     return flips, SpinCounts(*total)
+
+
+def product_truth(system: SpinSystem, event, side: str) -> bytes:
+    """Whether the event holds (1) or not (0) at each assignment, visited in
+    ``itertools.product`` order, each read from a sign mapping, a framed
+    sign array or a wall set of its own: the route that the one Gray-code
+    walk of ``exact._truth`` replaced."""
+    configs = (spins_to_loops(system, signs) if side == "loops"
+               else system.framed_spins(signs) if side == "framed"
+               else dict(zip(system.free, signs))
+               for signs in product((-1, 1), repeat=len(system.free)))
+    return bytes(bool(event(c)) for c in configs)
+
+
+def compensated_sum(iterable, start=0):
+    """The builtin ``sum`` as CPython 3.12 and later compute it: ints
+    exactly; once the total is a float, each float term with Neumaier's
+    compensation and each int term as a plain float addition; the
+    compensation is added at the end, or before a term of another type,
+    which is added generically from then on."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(total) is not int:
+                break
+    if type(total) is not float:
+        for item in items:
+            total = total + item
+        return total
+    c = 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                c += (total - t) + item
+            else:
+                c += (item - t) + total
+            total = t
+        elif type(item) is int:
+            total += float(item)
+        else:
+            total = (total + c if c and math.isfinite(c) else total) + item
+            for item in items:
+                total = total + item
+            return total
+    return total + c if c and math.isfinite(c) else total

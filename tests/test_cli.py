@@ -1,15 +1,17 @@
 """Tests for the command line front end, run in process."""
 
+import builtins
 import json
 import pathlib
 
 import pytest
 
-from hexloop import cli, configs
+from hexloop import checks, cli, configs, exact
 from hexloop.configs import SpinSystem, loops_to_json, spins_to_json
 from hexloop.exact import MAX_SWEEP_WIDTH, brute_force_table, evaluate_table
 from hexloop.fixtures import defect_sets, load_default_grid, load_domains
 from hexloop.lattice import hexagon_ball, hexagon_edges
+from oracles import compensated_sum, product_truth
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -241,6 +243,45 @@ def test_verify_table_suites_match_golden(capsys, suite):
     code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
     assert out == golden[suite]
+
+
+def test_pinned_suites_keep_their_digits_under_compensated_sum(
+        capsys, monkeypatch):
+    # from Python 3.12 on the builtin sum compensates float rounding; every
+    # printed sum is added in order by exact.sum_in_order, so under the
+    # 3.12 rule every pinned suite still prints its golden bytes
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert exact.sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    goldens = {}
+    for name in ("verify_spin_suites.json", "verify_table_suites.json"):
+        goldens.update(json.loads((GOLDEN / name).read_text()))
+    assert len(goldens) == 9
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    for suite, want in goldens.items():
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert out == want, f"verify --suite {suite} moved a digit"
+
+
+def test_every_truth_of_a_verify_pass_equals_the_product_order_oracle(
+        capsys, monkeypatch):
+    # each truth that the Gray-code walk writes, spin, wall or framed-array
+    # event alike, against the same event read assignment by assignment
+    seen = {}
+    truth = exact._truth
+
+    def spy(system, event, side):
+        got = truth(system, event, side)
+        seen[id(system), event, side] = system, got
+        return got
+
+    for module in (exact, checks):
+        monkeypatch.setattr(module, "_truth", spy)
+    assert run(capsys, "verify", "--suite", "all")[0] == 0
+    sides = {side for _, _, side in seen}
+    assert sides == {"spins", "framed"}
+    for (_, event, side), (system, got) in seen.items():
+        assert got == product_truth(system, event, side)
 
 
 def test_verify_walks_each_system_once_per_run(capsys, monkeypatch):

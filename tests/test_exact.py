@@ -17,7 +17,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hexloop.configs import Params, SpinSystem, border_edges, loop_count
+from hexloop.checks import check_several_faces, check_symmetric_domain
+from hexloop.configs import (
+    Params,
+    SpinSystem,
+    border_edges,
+    loop_count,
+    sign_flood,
+)
 from hexloop.errors import (
     NotAPath,
     NotSelfAvoiding,
@@ -37,6 +44,7 @@ from hexloop.exact import (
     WeightSum,
     _frontier_plan,
     _partner,
+    _truth,
     _usable,
     brute_force_table,
     catalan,
@@ -51,7 +59,7 @@ from hexloop.exact import (
     sweep_width,
     x_critical,
 )
-from hexloop.fixtures import defect_sets, load_domains
+from hexloop.fixtures import defect_sets, load_domains, load_symmetric_fixtures
 from hexloop.lattice import (
     domain_from_hexagons,
     edge,
@@ -68,14 +76,17 @@ from hexloop.lattice import (
     tri_neighbors,
     triangle_domain,
 )
+from hexloop.observables import _sign_crossing
 from oracles import (
     interval_sweep_width,
     peeled_edges,
+    product_truth,
     sum_terms_evaluate_table,
     vertex_relation_residual,
     walk_pair_table,
     walk_path_sum,
 )
+from shapes import spin_systems
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 BALL2 = sorted(hexagon_ball(2))
@@ -1040,6 +1051,78 @@ def test_wall_distribution_matches_loop_weights():
                 dom, tau, p, lambda ws, W=walls: ws == W, side="loops")
             want = p.x ** len(walls) * p.n ** loop_count(walls) / z
             assert got == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(system=spin_systems(BALL2, max_size=8), data=st.data())
+def test_gray_walk_truths_equal_the_product_order_oracle(system, data):
+    # spin, wall and framed-array events, the last against their mapping
+    # forms, each read assignment by assignment in product order
+    free = system.free
+    picks = data.draw(st.lists(st.sampled_from(free), min_size=1,
+                               unique=True))
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)),
+                               min_size=len(picks), max_size=len(picks)))
+    wanted = dict(zip(picks, signs))
+    level = data.draw(st.integers(-len(free), len(free)))
+    wall = data.draw(st.sampled_from(border_edges(free)))
+    events = [
+        ("spins", lambda s: all(s[h] == v for h, v in wanted.items())),
+        ("spins", lambda s: sum(s.values()) > level),
+        ("spins", lambda s: tuple(s) == free),  # keys in system.free order
+        ("loops", lambda walls: wall in walls and len(walls) % 4 != 2),
+    ]
+    for side, event in events:
+        assert _truth(system, event, side) == product_truth(system, event,
+                                                            side)
+
+    # the joint events of check_several_faces, kept on the system
+    fa = frozenset(data.draw(st.lists(st.sampled_from(free), min_size=1,
+                                      max_size=3, unique=True)))
+    fb = frozenset(data.draw(st.lists(st.sampled_from(free), min_size=1,
+                                      max_size=3, unique=True)))
+    check_several_faces(system, None, fa, fb, Params(1.5, 0.5))
+    for a, b in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+        framed = system.kept(("faces", fa, fb, a, b), None)
+        mapped = lambda s, a=a, b=b: (all(s[h] == a for h in fa)  # noqa: E731
+                                      and all(s[h] == b for h in fb))
+        assert (_truth(system, framed, "framed")
+                == product_truth(system, framed, "framed")
+                == product_truth(system, mapped, "spins"))
+
+    # a crossing between frozen plus arcs, against the mapping flood
+    plus = sorted(h for h, v in system.fixed.items() if v == 1)
+    if plus:
+        sa = frozenset(data.draw(st.lists(st.sampled_from(plus), min_size=1,
+                                          max_size=3, unique=True)))
+        sb = frozenset(data.draw(st.lists(st.sampled_from(plus), min_size=1,
+                                          max_size=3, unique=True)))
+        crossing = sign_flood(system, set(free) | sa | sb, sa, sb, 1)
+
+        def mapped_crossing(sigma):
+            signs = {**sigma, **{h: 1 for h in sa | sb}}
+            return _sign_crossing(signs, signs, sa, sb, 1)
+
+        assert (_truth(system, crossing, "framed")
+                == product_truth(system, mapped_crossing, "spins"))
+
+
+def test_symmetric_crossings_equal_the_mapping_flood():
+    # the kept crossing of each symmetric fixture, an index flood over the
+    # framed array, against the flood of the merged sign mapping it replaced
+    for f in load_symmetric_fixtures():
+        sa, sb = frozenset(f.arc_a), frozenset(f.arc_b)
+        system = SpinSystem(f.region, {h: 1 for h in sa | sb}, sea=-1)
+        check_symmetric_domain(system, (f.arc_a, f.arc_b), 1.5, 0.5)
+        crossing = system.kept(("crossing", sa, sb), None)
+
+        def mapped(sigma):
+            signs = {**sigma, **{h: 1 for h in sa | sb}}
+            return _sign_crossing(signs, signs, sa, sb, 1)
+
+        want = product_truth(system, mapped, "spins")
+        assert 0 < sum(want) < len(want)
+        assert _truth(system, crossing, "framed") == want
 
 
 def test_spin_partition_inputs():
