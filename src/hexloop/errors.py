@@ -57,11 +57,6 @@ class DomainTooSmall(HexloopError):
     """The requested observable needs a larger domain than the one supplied."""
 
 
-class OutOfDomain(HexloopError):
-    """A vertex or hexagon referenced by an observable is not in the support
-    of the configuration."""
-
-
 class EventNotIncreasing(HexloopError):
     """An event handed to a monotonicity check failed the increasing-event
     sanity test."""

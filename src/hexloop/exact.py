@@ -27,8 +27,10 @@ of the model.  The spin sums read what a :class:`SpinSystem` keeps, none of
 which depends on the weights: the counts of its 2^m assignments from
 ``configs.assignment_counts`` (one Gray-code walk) and each event's truth
 at each assignment, by event and side, off one walk in the same order over
-the framed sign array (:func:`_truth`).  So one enumeration per system
-serves an event sum, its total and every parameter point.  Float sums that
+the framed sign array (:func:`_truth`).  A named spin connectivity event is
+read on that array by the sign flood that its spec builds, once per system
+(``observables.event_from_json``).  So one enumeration per system serves
+an event sum, its total and every parameter point.  Float sums that
 reports print are added in order (:func:`sum_in_order`).
 """
 
@@ -805,7 +807,9 @@ def exact_event_probability(region, tau, params: Params, event: Callable, *,
 
     A named event that carries its own ``side`` and support requirements
     (see ``observables.event_from_json``) is validated against the system
-    and routed to the representation it consumes.
+    and routed to the representation it consumes.  One that builds a
+    predicate on the framed sign array (its ``framed``) is read there, with
+    the built predicate kept on the system, so that its truth is too.
 
     ``total`` is the event-free sum of the system at ``params``, for a
     caller that asks for several events of one system.
@@ -813,7 +817,10 @@ def exact_event_probability(region, tau, params: Params, event: Callable, *,
     system = _spin_system(region, tau)
     if hasattr(event, "side") and hasattr(event, "validate_support"):
         event.validate_support(system)
-        side = event.side
+        side, spec = event.side, event
+        if spec.framed is not None:
+            side, event = "framed", system.kept(
+                ("framed", spec), lambda: spec.framed(system))
     if total is None:
         total = spin_partition(system, params)
     wanted = spin_partition(system, params, event, side=side)

@@ -4,6 +4,10 @@ Loop-side events (loops that surround the origin inside an annulus) and
 spin-side connectivity events (circuits of pluses, box crossings, two-point
 connections).  A small JSON grammar names events so that the sampler, the
 exact enumerator and the command line share one vocabulary.
+:func:`event_from_json` is the one place that knows each connectivity
+event's geometry: the cells, starts, ends and sign of its flood, which the
+spec builds on a system's framed sign array with :func:`configs.sign_flood`
+for the chain and the exact route alike.
 
 Every evaluator is a pure function of the configuration passed in, and the
 geometric decisions are integer-exact.  "Surrounding" is decided by the
@@ -16,17 +20,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .configs import SpinSystem, border_edges, edge_components, is_even_config
-from .errors import (
-    DomainTooSmall,
-    InconsistentParity,
-    OutOfDomain,
-    OutOfRange,
+from .configs import (
+    SpinSystem,
+    border_edges,
+    edge_components,
+    is_even_config,
+    sign_flood,
 )
+from .errors import DomainTooSmall, InconsistentParity, OutOfRange
 from .lattice import (
     Domain,
     HexEdge,
@@ -37,7 +41,6 @@ from .lattice import (
     hexagon_ball,
     rhombus_hexagons,
     tri_distance,
-    tri_neighbors,
 )
 
 ORIGIN: TriVertex = (0, 0)
@@ -110,56 +113,6 @@ def annulus_loop_event(omega: Iterable[HexEdge], k: int,
 # spin events
 # ---------------------------------------------------------------------------
 
-def _check_coverage(sigma: Mapping[TriVertex, int],
-                    cells: Iterable[TriVertex], what: str) -> None:
-    missing = [h for h in cells if h not in sigma]
-    if missing:
-        raise DomainTooSmall(
-            f"{what} needs spins on {len(missing)} more hexagons, "
-            f"e.g. {sorted(missing)[:3]}")
-
-
-def _sign_crossing(sigma: Mapping[TriVertex, int],
-                   cells: Container[TriVertex],
-                   sources: Iterable[TriVertex],
-                   targets: frozenset[TriVertex], sign: int) -> bool:
-    """Whether ``sign`` cells connect sources to targets inside ``cells``."""
-    seen = set()
-    queue: deque[TriVertex] = deque()
-    for h in sources:
-        if sigma[h] == sign:
-            seen.add(h)
-            queue.append(h)
-    while queue:
-        h = queue.popleft()
-        if h in targets:
-            return True
-        for g in tri_neighbors(h):
-            if g in cells and g not in seen and sigma[g] == sign:
-                seen.add(g)
-                queue.append(g)
-    return False
-
-
-def plus_circuit_event(sigma: Mapping[TriVertex, int], k: int) -> bool:
-    """Whether pluses form a circuit in the ring between radii k and 2k that
-    surrounds the radius-k ball.
-
-    A circuit of pluses blocks every path from the center to the outside of
-    the radius-2k ball, and on a triangulated lattice the converse holds as
-    well, so the test asks whether non-plus ring hexagons join distance
-    k + 1, next to the inner ball, to distance 2k.
-    """
-    if k < 1:
-        raise OutOfRange("circuit scale must be at least 1")
-    outer = hexagon_ball(2 * k)
-    _check_coverage(sigma, outer, f"the circuit event at scale {k}")
-    ring = outer - hexagon_ball(k)
-    return not _sign_crossing(
-        sigma, ring, [h for h in ring if tri_distance(h, ORIGIN) == k + 1],
-        frozenset(h for h in ring if tri_distance(h, ORIGIN) == 2 * k), -1)
-
-
 def crossing_rectangle(k: int, rho: float = 1.0,
                        eps: float = 0.0) -> frozenset[TriVertex]:
     """The slanted box of hexagons (r, s) with -εk <= r <= (1+ε)k and
@@ -182,62 +135,6 @@ def crossing_rectangle(k: int, rho: float = 1.0,
                      for s in range(lo, smax + 1))
 
 
-def crossing_event(sigma: Mapping[TriVertex, int],
-                   rect: tuple[int, float, float]) -> bool:
-    """Left-right plus crossing of the slanted box named by (k, rho, eps).
-
-    The crossing itself runs inside the core box (eps = 0) from the r = 0
-    column to the r = k column; the padding only widens the support that
-    ``sigma`` must cover.
-    """
-    k, rho, eps = rect
-    k = int(k)
-    padded = crossing_rectangle(k, rho, eps)
-    _check_coverage(sigma, padded, f"the crossing event at scale {k}")
-    core = crossing_rectangle(k, rho, 0.0)
-    sources = [h for h in core if h[0] == 0]
-    targets = frozenset(h for h in core if h[0] == k)
-    return _sign_crossing(sigma, core, sources, targets, 1)
-
-
-def trapeze_crossing_event(sigma: Mapping[TriVertex, int], k: int,
-                           sign: int = 1, vertical: bool = True) -> bool:
-    """Crossing of the slanted box {(r, s): 0 <= r, s <= k} by one sign.
-
-    ``vertical`` connects the top row (s = k) to the bottom row (s = 0);
-    otherwise the left column (r = 0) to the right column (r = k).  On this
-    triangulated box exactly one of "vertical plus crossing" and
-    "horizontal minus crossing" occurs in any configuration.
-    """
-    if k < 1:
-        raise OutOfRange("box scale must be at least 1")
-    if sign not in (-1, 1):
-        raise OutOfRange("sign must be -1 or +1")
-    box = rhombus_hexagons(k)
-    _check_coverage(sigma, box, f"the size-{k} box crossing")
-    if vertical:
-        sources = [h for h in box if h[1] == k]
-        targets = frozenset(h for h in box if h[1] == 0)
-    else:
-        sources = [h for h in box if h[0] == 0]
-        targets = frozenset(h for h in box if h[0] == k)
-    return _sign_crossing(sigma, box, sources, targets, sign)
-
-
-def two_point_event(sigma: Mapping[TriVertex, int], v) -> bool:
-    """Whether the origin hexagon is connected to ``v`` by adjacent pluses.
-
-    The path must stay inside the support of ``sigma``; both endpoints must
-    carry a spin.
-    """
-    target = (int(v[0]), int(v[1]))
-    if ORIGIN not in sigma:
-        raise OutOfDomain("the origin hexagon has no spin")
-    if target not in sigma:
-        raise OutOfDomain(f"hexagon {target} has no spin")
-    return _sign_crossing(sigma, sigma, (ORIGIN,), frozenset([target]), 1)
-
-
 # ---------------------------------------------------------------------------
 # named events
 # ---------------------------------------------------------------------------
@@ -246,22 +143,28 @@ def two_point_event(sigma: Mapping[TriVertex, int], v) -> bool:
 class EventSpec:
     """A named event, with everything needed to route and validate it.
 
-    ``side`` says which representation the predicate consumes: "spins" gets
-    a mapping from free hexagons to signs, "loops" gets the set of domain
-    wall edges.  The required fields give the support the predicate relies
-    on.  ``sampler.run_chain`` evaluates the kinds ``annulus_loop`` and
-    ``plus_circuit`` on its own sign array, by kind and scale, and calls the
-    predicate of every other spec.
+    ``side`` says which representation the event reads: "spins" the signs
+    of the free hexagons, "loops" the set of domain wall edges, which is
+    what ``predicate`` gets (for "spins" a mapping from free hexagon to
+    sign).  A spin connectivity kind has no predicate but ``framed``
+    instead: given a :class:`SpinSystem`, it builds the event's predicate
+    on the system's framed sign array, one :func:`configs.sign_flood`,
+    which ``sampler.run_chain`` and ``exact.exact_event_probability`` both
+    call.  The required fields give the support the event relies on.
+    Equality reads kind, side, params and predicate; the builder takes no
+    part, since one kind and params build one flood.
     """
 
     kind: str
     side: str
     params: tuple[tuple[str, object], ...]
-    predicate: Callable[[object], bool] = field(compare=False)
+    predicate: Callable[[object], bool] | None = None
     required_hexagons: frozenset[TriVertex] = field(
         default=frozenset(), compare=False)
     required_edges: frozenset[HexEdge] = field(
         default=frozenset(), compare=False)
+    framed: Callable[[SpinSystem], Callable] | None = field(
+        default=None, compare=False)
 
     def __call__(self, config) -> bool:
         return self.predicate(config)
@@ -298,6 +201,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; OutOfRange unless it is a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfRange(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require_scale(obj: Mapping, kind: str) -> int:
     k = _integer(obj.get("k"), f"the scale k of event {kind!r}")
     if k < 1:
@@ -305,15 +215,37 @@ def _require_scale(obj: Mapping, kind: str) -> int:
     return k
 
 
+def _flood_spec(kind: str, params, required, cells, starts, ends,
+                sign: int, negate: bool = False) -> EventSpec:
+    """A spin event that ``sign`` hexagons join one of ``starts`` to one of
+    ``ends`` inside ``cells`` (every free hexagon if None), or with
+    ``negate`` that they do not."""
+    def framed(system: SpinSystem) -> Callable:
+        joined = sign_flood(system, system.free if cells is None else cells,
+                            starts, ends, sign)
+        return (lambda full: not joined(full)) if negate else joined
+
+    return EventSpec(kind=kind, side="spins", params=params,
+                     required_hexagons=required, framed=framed)
+
+
 def event_from_json(obj: Mapping) -> EventSpec:
     """Build an :class:`EventSpec` from its JSON description.
 
-    Accepted forms:
-      {"type": "annulus_loop", "k": 4}
-      {"type": "plus_circuit", "k": 4}
-      {"type": "crossing", "k": 4, "rho": 1.0, "eps": 0.25}
-      {"type": "trapeze", "k": 4, "sign": 1, "vertical": true}
-      {"type": "two_point", "v": [3, 1]}
+    Accepted forms, each with its event:
+      {"type": "annulus_loop", "k": 4}: a loop inside the radius-k edge
+        annulus (:func:`lattice.ball_and_annulus`) winds around the origin;
+      {"type": "plus_circuit", "k": 4}: pluses circle the radius-k ball in
+        the ring out to radius 2k, that is, on a triangulated lattice, no
+        non-plus ring hexagons join distance k + 1 to distance 2k;
+      {"type": "crossing", "k": 4, "rho": 1.0, "eps": 0.25}: pluses cross
+        the core box (eps = 0) of :func:`crossing_rectangle` from column
+        r = 0 to r = k; eps only widens the support that must be free;
+      {"type": "trapeze", "k": 4, "sign": 1, "vertical": true}: ``sign``
+        hexagons cross the box {(r, s): 0 <= r, s <= k} from row s = k to
+        s = 0, or from column r = 0 to r = k, and exactly one of a vertical
+        plus and a horizontal minus crossing occurs;
+      {"type": "two_point", "v": [3, 1]}: free pluses join the origin to v.
     """
     kind = obj.get("type")
     if kind == "annulus_loop":
@@ -326,39 +258,42 @@ def event_from_json(obj: Mapping) -> EventSpec:
     if kind == "plus_circuit":
         k = _require_scale(obj, kind)
         outer = hexagon_ball(2 * k)
-        return EventSpec(
-            kind=kind, side="spins", params=(("k", k),),
-            predicate=lambda sg: plus_circuit_event(sg, k),
-            required_hexagons=outer)
+        ring = outer - hexagon_ball(k)
+        return _flood_spec(
+            kind, (("k", k),), outer, ring,
+            [h for h in ring if tri_distance(h, ORIGIN) == k + 1],
+            {h for h in ring if tri_distance(h, ORIGIN) == 2 * k}, -1,
+            negate=True)
     if kind == "crossing":
         k = _require_scale(obj, kind)
-        rho = float(obj.get("rho", 1.0))
-        eps = float(obj.get("eps", 0.0))
-        padded = crossing_rectangle(k, rho, eps)
-        return EventSpec(
-            kind=kind, side="spins",
-            params=(("k", k), ("rho", rho), ("eps", eps)),
-            predicate=lambda sg: crossing_event(sg, (k, rho, eps)),
-            required_hexagons=padded)
+        rho = _real(obj.get("rho", 1.0), "the aspect ratio rho")
+        eps = _real(obj.get("eps", 0.0), "the padding eps")
+        core = crossing_rectangle(k, rho, 0.0)
+        return _flood_spec(
+            kind, (("k", k), ("rho", rho), ("eps", eps)),
+            crossing_rectangle(k, rho, eps), core,
+            [h for h in core if h[0] == 0], {h for h in core if h[0] == k}, 1)
     if kind == "trapeze":
         k = _require_scale(obj, kind)
         sign = _integer(obj.get("sign", 1), "the sign of event 'trapeze'")
-        vertical = bool(obj.get("vertical", True))
+        vertical = obj.get("vertical", True)
         if sign not in (-1, 1):
             raise OutOfRange("sign must be -1 or +1")
+        if not isinstance(vertical, bool):
+            raise OutOfRange(f"'vertical' of event 'trapeze' must be true or "
+                             f"false, got {vertical!r}")
         box = rhombus_hexagons(k)
-        return EventSpec(
-            kind=kind, side="spins",
-            params=(("k", k), ("sign", sign), ("vertical", vertical)),
-            predicate=lambda sg: trapeze_crossing_event(sg, k, sign, vertical),
-            required_hexagons=box)
+        axis = 1 if vertical else 0
+        return _flood_spec(
+            kind, (("k", k), ("sign", sign), ("vertical", vertical)),
+            box, box, [h for h in box if h[axis] == k],
+            {h for h in box if h[axis] == 0}, sign)
     if kind == "two_point":
         v = obj.get("v")
         if v is None or len(v) != 2:
             raise OutOfRange("event 'two_point' needs a hexagon v = [r, s]")
         target = tuple(_integer(c, "a coordinate of v") for c in v)
-        return EventSpec(
-            kind=kind, side="spins", params=(("v", target),),
-            predicate=lambda sg: two_point_event(sg, target),
-            required_hexagons=frozenset((ORIGIN, target)))
+        return _flood_spec(kind, (("v", target),),
+                           frozenset((ORIGIN, target)), None, [ORIGIN],
+                           {target}, 1)
     raise OutOfRange(f"unknown event type {kind!r}")

@@ -19,8 +19,9 @@ scan order, so runs are reproducible bit for bit.
 
 ``run_chain`` turns each event into a predicate over the chain's framed
 sign array before the first sweep: ``annulus_loop`` walks the walls from
-the ray walls of its annulus, ``plus_circuit`` floods its ring, and other
-events read the free signs or their walls.
+the ray walls of its annulus, the spin connectivity kinds run the flood
+that their spec builds (``observables.event_from_json``), and other events
+read the free signs or their walls.
 """
 
 from __future__ import annotations
@@ -39,19 +40,13 @@ from .configs import (
     SpinCounts,
     SpinSystem,
     _multi_arc_dk,
-    sign_flood,
     spin_counts,
     spins_to_loops,
 )
 from .errors import InconsistentParity, OutOfRange
 from .exact import _spin_system
-from .lattice import (
-    ball_and_annulus,
-    edge_hexagons,
-    hexagon_ball,
-    tri_distance,
-)
-from .observables import ORIGIN, EventSpec, event_from_json
+from .lattice import ball_and_annulus, edge_hexagons
+from .observables import EventSpec, event_from_json
 
 
 class ChainState:
@@ -324,23 +319,13 @@ def annulus_signs_event(system: SpinSystem, k: int) -> Callable:
     return event
 
 
-def _circuit_flood(system: SpinSystem, k: int) -> Callable:
-    """Evaluator of ``plus_circuit_event`` at scale k on the framed sign
-    array of a context that covers the radius-2k ball: no non-plus ring
-    hexagons join distance k + 1 to 2k (:func:`configs.sign_flood`)."""
-    ring = sorted(hexagon_ball(2 * k) - hexagon_ball(k))
-    joined = sign_flood(
-        system, ring, [h for h in ring if tri_distance(h, ORIGIN) == k + 1],
-        {h for h in ring if tri_distance(h, ORIGIN) == 2 * k}, -1)
-    return lambda full: not joined(full)
-
-
 def _compile_events(events, system: SpinSystem) -> list[Callable]:
     """Named/JSON/callable events as predicates over the framed sign array.
 
-    ``annulus_loop`` and ``plus_circuit`` read the array directly; other
-    spin events and callables get the mapping from free hexagon to sign,
-    and other wall events the wall edges of :func:`spins_to_loops`.
+    ``annulus_loop`` and the specs that build a flood read the array
+    directly; other spin events and callables get the mapping from free
+    hexagon to sign, and other wall events the wall edges of
+    :func:`spins_to_loops`.
     """
     free, free_ctx = system.free, system._free_ctx
 
@@ -354,11 +339,10 @@ def _compile_events(events, system: SpinSystem) -> list[Callable]:
             out.append(on_sigma(spec))
             continue
         spec.validate_support(system)
-        k = dict(spec.params).get("k")
         if spec.kind == "annulus_loop":
-            out.append(annulus_signs_event(system, k))
-        elif spec.kind == "plus_circuit":
-            out.append(_circuit_flood(system, k))
+            out.append(annulus_signs_event(system, dict(spec.params)["k"]))
+        elif spec.framed is not None:
+            out.append(spec.framed(system))
         elif spec.side == "spins":
             out.append(on_sigma(spec))
         else:

@@ -6,12 +6,14 @@ observable; for the lattice, edge components by breadth-first search and
 domains whose interior is the disc that their bounding polygon keeps a
 flood of hexagons out of; for the chain, a heat-bath sweep that walks the
 walls at every multi-arc site; for the spin layer, event truths read
-assignment by assignment in product order; and the builtin ``sum`` of
+assignment by assignment in product order, and the spin connectivity
+events by a flood over a sign mapping; and the builtin ``sum`` of
 Python 3.12 and later, which compensates float rounding."""
 
 import math
 from collections import Counter, deque
 from itertools import product
+from typing import Container, Iterable, Mapping
 
 from hexloop.configs import (
     _LOCAL,
@@ -23,6 +25,7 @@ from hexloop.configs import (
 )
 from hexloop.errors import (
     DisconnectedInterior,
+    DomainTooSmall,
     EmptyInterior,
     NotSelfAvoiding,
     OutOfRange,
@@ -39,18 +42,23 @@ from hexloop.lattice import (
     Domain,
     HexEdge,
     HexVertex,
+    TriVertex,
     are_adjacent,
     edge,
     edge_hexagons,
     hex_neighbors,
     hex_position,
     hex_xy,
+    hexagon_ball,
     hexagon_corners,
     hexagon_edges,
+    rhombus_hexagons,
     shared_edge,
+    tri_distance,
     tri_neighbors,
     vertex_hexagons,
 )
+from hexloop.observables import ORIGIN, crossing_rectangle
 
 
 def _connected(vertices: set[HexVertex]) -> bool:
@@ -404,6 +412,112 @@ def product_truth(system: SpinSystem, event, side: str) -> bytes:
                else dict(zip(system.free, signs))
                for signs in product((-1, 1), repeat=len(system.free)))
     return bytes(bool(event(c)) for c in configs)
+
+
+def _check_coverage(sigma: Mapping[TriVertex, int],
+                    cells: Iterable[TriVertex], what: str) -> None:
+    missing = [h for h in cells if h not in sigma]
+    if missing:
+        raise DomainTooSmall(
+            f"{what} needs spins on {len(missing)} more hexagons, "
+            f"e.g. {sorted(missing)[:3]}")
+
+
+def _sign_crossing(sigma: Mapping[TriVertex, int],
+                   cells: Container[TriVertex],
+                   sources: Iterable[TriVertex],
+                   targets: frozenset[TriVertex], sign: int) -> bool:
+    """Whether ``sign`` cells connect sources to targets inside ``cells``."""
+    seen = set()
+    queue: deque[TriVertex] = deque()
+    for h in sources:
+        if sigma[h] == sign:
+            seen.add(h)
+            queue.append(h)
+    while queue:
+        h = queue.popleft()
+        if h in targets:
+            return True
+        for g in tri_neighbors(h):
+            if g in cells and g not in seen and sigma[g] == sign:
+                seen.add(g)
+                queue.append(g)
+    return False
+
+
+def plus_circuit_event(sigma: Mapping[TriVertex, int], k: int) -> bool:
+    """Whether pluses form a circuit in the ring between radii k and 2k that
+    surrounds the radius-k ball.
+
+    A circuit of pluses blocks every path from the center to the outside of
+    the radius-2k ball, and on a triangulated lattice the converse holds as
+    well, so the test asks whether non-plus ring hexagons join distance
+    k + 1, next to the inner ball, to distance 2k.
+    """
+    if k < 1:
+        raise OutOfRange("circuit scale must be at least 1")
+    outer = hexagon_ball(2 * k)
+    _check_coverage(sigma, outer, f"the circuit event at scale {k}")
+    ring = outer - hexagon_ball(k)
+    return not _sign_crossing(
+        sigma, ring, [h for h in ring if tri_distance(h, ORIGIN) == k + 1],
+        frozenset(h for h in ring if tri_distance(h, ORIGIN) == 2 * k), -1)
+
+
+def crossing_event(sigma: Mapping[TriVertex, int],
+                   rect: tuple[int, float, float]) -> bool:
+    """Left-right plus crossing of the slanted box named by (k, rho, eps).
+
+    The crossing itself runs inside the core box (eps = 0) from the r = 0
+    column to the r = k column; the padding only widens the support that
+    ``sigma`` must cover.
+    """
+    k, rho, eps = rect
+    k = int(k)
+    padded = crossing_rectangle(k, rho, eps)
+    _check_coverage(sigma, padded, f"the crossing event at scale {k}")
+    core = crossing_rectangle(k, rho, 0.0)
+    sources = [h for h in core if h[0] == 0]
+    targets = frozenset(h for h in core if h[0] == k)
+    return _sign_crossing(sigma, core, sources, targets, 1)
+
+
+def trapeze_crossing_event(sigma: Mapping[TriVertex, int], k: int,
+                           sign: int = 1, vertical: bool = True) -> bool:
+    """Crossing of the slanted box {(r, s): 0 <= r, s <= k} by one sign.
+
+    ``vertical`` connects the top row (s = k) to the bottom row (s = 0);
+    otherwise the left column (r = 0) to the right column (r = k).  On this
+    triangulated box exactly one of "vertical plus crossing" and
+    "horizontal minus crossing" occurs in any configuration.
+    """
+    if k < 1:
+        raise OutOfRange("box scale must be at least 1")
+    if sign not in (-1, 1):
+        raise OutOfRange("sign must be -1 or +1")
+    box = rhombus_hexagons(k)
+    _check_coverage(sigma, box, f"the size-{k} box crossing")
+    if vertical:
+        sources = [h for h in box if h[1] == k]
+        targets = frozenset(h for h in box if h[1] == 0)
+    else:
+        sources = [h for h in box if h[0] == 0]
+        targets = frozenset(h for h in box if h[0] == k)
+    return _sign_crossing(sigma, box, sources, targets, sign)
+
+
+def two_point_event(sigma: Mapping[TriVertex, int], v) -> bool:
+    """Whether the origin hexagon is connected to ``v`` by adjacent pluses.
+
+    The path must stay inside the support of ``sigma``; both endpoints must
+    carry a spin.
+    """
+    target = (int(v[0]), int(v[1]))
+    if ORIGIN not in sigma:
+        raise DomainTooSmall("the origin hexagon has no spin")
+    if target not in sigma:
+        raise DomainTooSmall(f"hexagon {target} has no spin")
+    return _sign_crossing(sigma, sigma, (ORIGIN,), frozenset([target]), 1)
 
 
 def compensated_sum(iterable, start=0):

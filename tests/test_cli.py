@@ -79,6 +79,15 @@ def test_seeded_sample_repeats(capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_sample_of_every_named_kind_matches_golden(capsys):
+    # a seeded chain on ball r = 4 with all five named event kinds; the
+    # golden holds the command's stdout byte for byte
+    golden = json.loads((GOLDEN / "sample_all_kinds.json").read_text())
+    code, out, _ = run(capsys, *golden["argv"])
+    assert code == 0
+    assert out == golden["csv"]
+
+
 def test_verify_catalan_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "catalan")
     assert code == 0
@@ -185,6 +194,13 @@ def test_scan_pool_is_capped_at_the_cell_count(capsys, monkeypatch):
     ["enumerate", "--domain", '{"ball": 2.5}', "--n", "1.5"],
     ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
      "--events", '{"type": "crossing", "k": 1, "rho": 1e999}'],
+    # a string orientation or a boolean aspect ratio or padding
+    ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
+     "--events", '{"type": "trapeze", "k": 2, "vertical": "false"}'],
+    ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
+     "--events", '{"type": "crossing", "k": 1, "rho": true}'],
+    ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
+     "--events", '{"type": "crossing", "k": 1, "eps": false}'],
     ["scan", "--domain", '{"ball": 3}', "--n", "1.5", "--xs", "auto",
      "--event", '{"type": "plus_circuit", "k": 1}', "--sweeps", "5",
      "--workers", "-2"],

@@ -76,8 +76,8 @@ from hexloop.lattice import (
     tri_neighbors,
     triangle_domain,
 )
-from hexloop.observables import _sign_crossing
 from oracles import (
+    _sign_crossing,
     interval_sweep_width,
     peeled_edges,
     product_truth,

@@ -5,11 +5,16 @@ import random
 
 import pytest
 
-from hexloop.configs import SpinSystem, is_even_config, loop_count, spins_to_loops
+from hexloop.configs import (
+    Params,
+    SpinSystem,
+    is_even_config,
+    loop_count,
+    spins_to_loops,
+)
 from hexloop.errors import (
     DomainTooSmall,
     InconsistentParity,
-    OutOfDomain,
     OutOfRange,
     TooLarge,
 )
@@ -24,11 +29,14 @@ from hexloop.lattice import (
     tri_distance,
 )
 from hexloop.observables import (
+    EventSpec,
     annulus_loop_event,
-    crossing_event,
     crossing_rectangle,
     event_from_json,
     loop_surrounds,
+)
+from oracles import (
+    crossing_event,
     plus_circuit_event,
     trapeze_crossing_event,
     two_point_event,
@@ -357,9 +365,9 @@ def test_two_point_stays_inside_support():
 
 
 def test_two_point_arguments():
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(DomainTooSmall):
         two_point_event({(0, 0): 1}, (5, 5))
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(DomainTooSmall):
         two_point_event({(1, 0): 1}, (1, 0))
 
 
@@ -383,7 +391,8 @@ def test_event_from_json_annulus():
 def test_event_from_json_spin_events():
     circuit = event_from_json({"type": "plus_circuit", "k": 1})
     assert circuit.side == "spins"
-    assert circuit({h: 1 for h in hexagon_ball(2)})
+    ball = SpinSystem(sorted(hexagon_ball(2)), -1)
+    assert circuit.framed(ball)(ball.framed_spins([1] * len(ball.free)))
     circuit.validate_support(SpinSystem(sorted(hexagon_ball(2))))
     with pytest.raises(DomainTooSmall):
         circuit.validate_support(SpinSystem(sorted(hexagon_ball(1))))
@@ -397,7 +406,8 @@ def test_event_from_json_spin_events():
 
     pair = event_from_json({"type": "two_point", "v": [2, 1]})
     assert pair.required_hexagons == {(0, 0), (2, 1)}
-    assert pair({(0, 0): 1, (2, 1): 1, (1, 0): 1, (1, 1): 1})
+    path = SpinSystem([(0, 0), (2, 1), (1, 0), (1, 1)], -1)
+    assert pair.framed(path)(path.framed_spins([1] * 4))
 
 
 def test_event_from_json_rejects_bad_specs():
@@ -418,11 +428,52 @@ def test_event_from_json_rejects_bad_specs():
         event_from_json({"type": "trapeze", "k": 2, "sign": -1.5})
     assert event_from_json({"type": "plus_circuit", "k": 2.0}).params == (
         ("k", 2),)
+    # an orientation that is not a boolean would read as truthy, and a
+    # boolean aspect ratio or padding as 1.0 or 0.0
+    for bad in ({"type": "trapeze", "k": 2, "vertical": "false"},
+                {"type": "trapeze", "k": 2, "vertical": 0},
+                {"type": "crossing", "k": 2, "rho": True},
+                {"type": "crossing", "k": 2, "eps": False},
+                {"type": "crossing", "k": 2, "rho": "2"}):
+        with pytest.raises(OutOfRange):
+            event_from_json(bad)
+    assert dict(event_from_json({"type": "crossing", "k": 2, "rho": 2,
+                                 "eps": 0}).params) == {
+        "k": 2, "rho": 2.0, "eps": 0.0}
+
+
+def test_specs_with_other_predicates_keep_their_own_truths():
+    # equal kind, side and params but other predicates: the truth that the
+    # system keeps for the first must not answer for the second
+    params = Params(1.5, x_critical(1.5))
+    wedge = [(0, 0), (1, 0), (0, 1)]
+    system = SpinSystem(wedge, -1, sea=-1)
+    plus, minus = (EventSpec(kind="origin", side="spins", params=(),
+                             predicate=lambda sg, s=s: sg[(0, 0)] == s)
+                   for s in (1, -1))
+    assert plus != minus
+    p_plus = exact_event_probability(system, None, params, plus)
+    p_minus = exact_event_probability(system, None, params, minus)
+    assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
+    assert p_minus == exact_event_probability(SpinSystem(wedge, -1, sea=-1),
+                                              None, params, minus)
+
+
+def test_named_specs_of_one_json_share_their_flood():
+    # the builder takes no part in equality, so a second spec of the same
+    # JSON reads the flood, and with it the truth, that the first built
+    a, b = (event_from_json({"type": "trapeze", "k": 1}) for _ in range(2))
+    assert a == b and a.framed is not b.framed
+    system = SpinSystem(sorted(rhombus_hexagons(1)), 1)
+    params = Params(1.5, x_critical(1.5))
+    p = exact_event_probability(system, None, params, a)
+    built = system.kept(("framed", a), None)
+    assert exact_event_probability(system, None, params, b) == p
+    assert system.kept(("framed", b), None) is built
 
 
 def test_named_event_routes_through_exact_probability():
     p = dict(n=1.5, x=0.55)
-    from hexloop.configs import Params
     params = Params(**p)
     spec = event_from_json({"type": "two_point", "v": [1, 0]})
     direct = exact_event_probability(
@@ -439,7 +490,6 @@ def test_named_event_routes_through_exact_probability():
 def test_trapeze_probabilities_sum_to_one():
     # complementarity plus the diagonal symmetry of the box force
     # P_plus[top-bottom plus] + P_minus[top-bottom plus] = 1 exactly
-    from hexloop.configs import Params
     for k, n, x in ((1, 1.5, 0.55), (1, 1.2, x_critical(1.2)),
                     (2, 1.0, 0.5)):
         params = Params(n=n, x=x)
@@ -474,7 +524,6 @@ def test_nested_circuits_force_annulus_loop():
 
 
 def test_exact_annulus_probability_is_too_large_to_enumerate():
-    from hexloop.configs import Params
     spec = event_from_json({"type": "annulus_loop", "k": 1})
     with pytest.raises(TooLarge):
         exact_event_probability(sorted(hexagon_ball(3)), 1,

@@ -21,11 +21,16 @@ from hexloop.configs import (
     cluster_find,
     log_spin_weight,
     spin_counts,
+    spins_to_loops,
 )
-from hexloop.errors import DomainTooSmall, OutOfRange
+from hexloop.errors import DomainTooSmall, OutOfRange, TooLarge
 from hexloop.exact import exact_event_probability, x_critical
 from hexloop.lattice import hexagon_ball, rhombus_hexagons, tri_neighbors
-from hexloop.observables import event_from_json
+from hexloop.observables import (
+    annulus_loop_event,
+    crossing_rectangle,
+    event_from_json,
+)
 from hexloop.sampler import (
     ChainState,
     Estimate,
@@ -34,7 +39,15 @@ from hexloop.sampler import (
     run_chain,
 )
 
-from oracles import change_probabilities, reference_sweep
+from oracles import (
+    change_probabilities,
+    crossing_event,
+    plus_circuit_event,
+    product_truth,
+    reference_sweep,
+    trapeze_crossing_event,
+    two_point_event,
+)
 from shapes import HOLE, RING12, holes, spin_systems, with_hole
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -750,14 +763,45 @@ def event_scenes(draw):
     return system, k, signs
 
 
-def test_compiled_events_match_reference_events():
-    """The chain's annulus walk and circuit flood, read off the framed sign
-    array, against the loop-side event on ``spins_to_loops`` and, where
-    the context and its frame cover the radius-2k ball, against
-    ``plus_circuit_event`` on their signs."""
-    from hexloop.configs import spins_to_loops
-    from hexloop.observables import annulus_loop_event, plus_circuit_event
+#: the named spin connectivity events at scales that small systems cover
+FLOOD_SPECS = (
+    {"type": "plus_circuit", "k": 1},
+    {"type": "crossing", "k": 1},
+    {"type": "crossing", "k": 1, "rho": 2.0, "eps": 0.5},
+    {"type": "trapeze", "k": 1},
+    {"type": "trapeze", "k": 1, "sign": -1, "vertical": False},
+    {"type": "two_point", "v": [0, 0]},
+    {"type": "two_point", "v": [1, 1]},
+    {"type": "two_point", "v": [-1, 2]},
+)
 
+
+def oracle_event(spec):
+    """The mapping flood of ``oracles`` that a named flood spec replaced."""
+    p = dict(spec.params)
+    return {
+        "plus_circuit": lambda sg: plus_circuit_event(sg, p["k"]),
+        "crossing": lambda sg: crossing_event(sg, (p["k"], p["rho"],
+                                                   p["eps"])),
+        "trapeze": lambda sg: trapeze_crossing_event(sg, p["k"], p["sign"],
+                                                     p["vertical"]),
+        "two_point": lambda sg: two_point_event(sg, p["v"]),
+    }[spec.kind]
+
+
+def test_compiled_events_match_reference_events():
+    """The chain's annulus walk and the floods that named spin events
+    build, read off the framed sign array, against the loop-side event on
+    ``spins_to_loops`` and the mapping floods of ``oracles``.  On large
+    scenes, at one assignment each, the circuit flood is read where the
+    context and its frame cover the radius-2k ball.  On small systems in
+    either frame every flood is read at every assignment: ``two_point``,
+    which floods the free hexagons, against its oracle on the free signs,
+    the others against theirs on every hexagon of the framed array; and
+    where a spec's support is free, the exact route of the spec against
+    that of its oracle on the free signs: one probability, or for
+    ``plus_circuit``, whose support of 19 hexagons at k = 1 exceeds the
+    enumeration cap, TooLarge from both."""
     seen = set()
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -771,12 +815,61 @@ def test_compiled_events_match_reference_events():
         plane = dict(zip(system.context + system._sea_frame, full))
         if hexagon_ball(2 * k) <= plane.keys():
             want = plus_circuit_event(plane, k)
-            assert sampler._circuit_flood(system, k)(full) == want
+            spec = event_from_json({"type": "plus_circuit", "k": k})
+            assert spec.framed(system)(full) == want
             seen.add(("plus_circuit", want))
 
     check()
     assert seen == {(kind, outcome) for kind in ("annulus_loop", "plus_circuit")
                     for outcome in (False, True)}
+
+    pool = sorted(hexagon_ball(2) | rhombus_hexagons(2))
+    boxes = (frozenset(), rhombus_hexagons(1),
+             crossing_rectangle(1, 2.0, 0.5))
+    params = Params(1.5, x_critical(1.5))
+    specs = [event_from_json(spec) for spec in FLOOD_SPECS]
+    seen, exact = set(), set()
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(box=st.sampled_from(boxes),
+           extra=st.lists(st.sampled_from(pool), min_size=1, max_size=3),
+           tau=st.sampled_from((-1, 1)))
+    def check_small(box, extra, tau):
+        system = SpinSystem(sorted(box | set(extra)), tau, sea=tau)
+        at = system.context + system._sea_frame
+        for spec in specs:
+            oracle = oracle_event(spec)
+            try:
+                if spec.kind == "two_point":
+                    want = product_truth(system, oracle, "spins")
+                else:
+                    want = product_truth(
+                        system, lambda full: oracle(dict(zip(at, full))),
+                        "framed")
+            except DomainTooSmall:
+                continue
+            assert product_truth(system, spec.framed(system),
+                                 "framed") == want
+            seen.update((spec.kind, bool(t)) for t in want)
+            try:
+                spec.validate_support(system)
+            except DomainTooSmall:
+                continue
+            assert (exact_event_probability(system, None, params, spec)
+                    == exact_event_probability(system, None, params, oracle,
+                                               side="spins"))
+            exact.add(spec.kind)
+
+    check_small()
+    assert seen == {(kind, outcome)
+                    for kind in ("plus_circuit", "crossing", "trapeze",
+                                 "two_point")
+                    for outcome in (False, True)}
+    assert exact == {"crossing", "trapeze", "two_point"}
+    system = SpinSystem(sorted(hexagon_ball(2)), 1)
+    for event in (specs[0], oracle_event(specs[0])):
+        with pytest.raises(TooLarge):
+            exact_event_probability(system, None, params, event)
 
 
 def test_user_wall_event_goes_through_spins_to_loops():
