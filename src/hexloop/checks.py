@@ -30,16 +30,13 @@ from typing import Callable, Mapping
 from .configs import (
     Params,
     SpinSystem,
-    assignment_counts,
     assignment_index,
+    assignment_log_weights,
     border_edges,
     edge_components,
     free_sites,
-    is_even_config,
-    log_spin_weight,
-    loop_count,
     sign_flood,
-    spins_to_loops,
+    wall_masks,
 )
 from .errors import DomainNotSymmetric, EventNotIncreasing, OutOfRange
 from .exact import (
@@ -80,8 +77,12 @@ MAX_PAIR_SCAN_SITES = 12
 # ---------------------------------------------------------------------------
 
 def _jsonable(value):
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+    # Mapping last, after dict: an isinstance test against typing's Mapping
+    # goes through its slow subclass hook
+    if isinstance(value, float):
+        return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
     if isinstance(value, (list, tuple, set, frozenset)):
         items = [_jsonable(v) for v in value]
         if isinstance(value, (set, frozenset)):
@@ -89,8 +90,8 @@ def _jsonable(value):
         return items
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    if isinstance(value, (dict, Mapping)):
+        return {str(k): _jsonable(v) for k, v in value.items()}
     return value
 
 
@@ -138,8 +139,8 @@ def check_fkg_lattice(region, tau, params: Params) -> CheckReport:
     """
     system = _spin_system(region, tau)
     m = free_sites(system, MAX_PAIR_SCAN_SITES, "pair-scan cap")
-    counts = assignment_counts(system)
-    logw = [log_spin_weight(params, counts[i]) for i in _bit_order(m)]
+    weights = assignment_log_weights(system, params)
+    logw = [weights[i] for i in _bit_order(m)]
 
     worst, at = math.inf, None
     for iu in range(m):
@@ -324,22 +325,22 @@ def check_domain_markov_and_duality(region, sub_region, tau,
                        SpinSystem(sub, {**outer.fixed, **shell_signs},
                                   sea=outer.sea))
 
-    outer_counts = assignment_counts(outer)
+    outer_logw = assignment_log_weights(outer, params)
     cond, direct = [], []
-    for sub_signs, counts in zip(product((-1, 1), repeat=len(inner.free)),
-                                 assignment_counts(inner)):
+    for sub_signs, logw in zip(product((-1, 1), repeat=len(inner.free)),
+                               assignment_log_weights(inner, params)):
         signs = {**shell_signs, **dict(zip(inner.free, sub_signs))}
         at = assignment_index(signs[h] for h in outer.free)
-        cond.append(math.exp(log_spin_weight(params, outer_counts[at])))
-        direct.append(math.exp(log_spin_weight(params, counts)))
+        cond.append(math.exp(outer_logw[at]))
+        direct.append(math.exp(logw))
     zc, zd = sum_in_order(cond), sum_in_order(direct)
     markov_gap = max(abs(c / zc - d / zd) for c, d in zip(cond, direct))
 
     neg = Params(n=params.n, x=params.x, h=-params.h, hp=-params.hp)
     # negating every spin reverses the product order of the assignments
-    w_out = [math.exp(log_spin_weight(params, c)) for c in outer_counts]
-    w_flip = [math.exp(log_spin_weight(neg, c))
-              for c in reversed(assignment_counts(outer.negated))]
+    w_out = [math.exp(logw) for logw in outer_logw]
+    w_flip = [math.exp(logw) for logw in
+              reversed(assignment_log_weights(outer.negated, neg))]
     zo, zf = sum_in_order(w_out), sum_in_order(w_flip)
     flip_gap = max(abs(a / zo - b / zf) for a, b in zip(w_out, w_flip))
 
@@ -358,8 +359,10 @@ def check_bijection(region, tau, params: Params) -> CheckReport:
 
     The free set must be simply connected, so the edges have cycle rank m
     and hold exactly 2^m even subgraphs: the 2^m wall sets are all of them
-    exactly when they are distinct even subsets of the edges.  The loop side
-    is the even wall sets, weighted by edge count and loop count, and
+    exactly when they are distinct even subsets of the edges.  The wall
+    sets are int masks over the edges (``configs.wall_masks``, one Gray-code
+    walk).  The loop side is the even wall sets, weighted by edge count and
+    loop count, both read off the masks alone (:func:`_even_wall_sets`);
     ``n_configs`` counts them, 2^m whenever the check holds.  Needs a
     constant frame and no external fields.
     """
@@ -377,24 +380,18 @@ def check_bijection(region, tau, params: Params) -> CheckReport:
         raise OutOfRange("the free set must fill a simply connected region "
                          f"(cycle rank {cycle_rank} for {m} hexagons)")
 
-    spin_side: dict = {}
-    wall_sets = system.kept("walls", lambda: [
-        spins_to_loops(system, signs) for signs in product((-1, 1), repeat=m)])
-    for walls, counts in zip(wall_sets, assignment_counts(system)):
-        w = math.exp(log_spin_weight(params, counts))
-        spin_side[walls] = spin_side.get(walls, 0.0) + w
+    spin_side: dict[int, float] = {}
+    masks = wall_masks(system)
+    for walls, logw in zip(masks, assignment_log_weights(system, params)):
+        spin_side[walls] = spin_side.get(walls, 0.0) + math.exp(logw)
     z_spin = sum_in_order(spin_side.values())
 
-    # the even wall sets in edge-inclusion order (each edge left out before
-    # it is taken), which fixes the rounding of z_loop
+    # ascending masks are in edge-inclusion order, which fixes the
+    # rounding of z_loop
     log_x, log_n = params.log_x, params.log_n
-    edge_set = frozenset(edges)
-    loop_configs = system.kept("loop side", lambda: [
-        (cfg, len(cfg), loop_count(cfg))
-        for cfg in sorted(set(wall_sets), key=lambda c: [e in c for e in edges])
-        if cfg <= edge_set and is_even_config(cfg)])
     loop_side = {cfg: math.exp(size * log_x + loops * log_n)
-                 for cfg, size, loops in loop_configs}
+                 for cfg, size, loops in system.kept(
+                     "loop side", lambda: _even_wall_sets(edges, masks))}
     z_loop = sum_in_order(loop_side.values())
 
     support_match = len(loop_side) == 1 << m
@@ -402,13 +399,49 @@ def check_bijection(region, tau, params: Params) -> CheckReport:
     if support_match:
         max_diff = max(abs(spin_side[c] / z_spin - loop_side[c] / z_loop)
                        for c in loop_side)
-    empty = loop_side.get(frozenset(), 0.0) / z_loop
+    empty = loop_side.get(0, 0.0) / z_loop
     return CheckReport(
         name="bijection",
         holds=support_match and max_diff <= ALGEBRAIC_TOL,
         in_region=True,
         details={"n_configs": len(loop_side), "support_match": support_match,
                  "max_diff": max_diff, "empty_probability": empty})
+
+
+def _even_wall_sets(edges, masks) -> list[tuple[int, int, int]]:
+    """``(mask, edge count, loop count)`` of each distinct even mask, in
+    ascending order, where bit i of a mask is edge i with edge 0 the
+    highest bit.  A set is even when it takes 0 or 2 of the edges at each
+    vertex, by a popcount against the vertex's mask of incident edges; its
+    loops are the parts that a flood over touching edges finds."""
+    top = len(edges) - 1
+    at_vertex: dict = {}
+    for i, e in enumerate(edges):
+        for v in e:
+            at_vertex[v] = at_vertex.get(v, 0) | 1 << top - i
+    stars = tuple(at_vertex.values())
+    touching = [0] * len(edges)  # by bit: the edges that share a vertex
+    for star in stars:
+        for i in range(len(edges)):
+            if star >> i & 1:
+                touching[i] |= star
+    out = []
+    for cfg in sorted(set(masks)):
+        if not all((cfg & star).bit_count() in (0, 2) for star in stars):
+            continue
+        loops, rest = 0, cfg
+        while rest:
+            seen = todo = rest & -rest
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = touching[low.bit_length() - 1] & rest & ~seen
+                seen |= new
+                todo |= new
+            rest ^= seen
+            loops += 1
+        out.append((cfg, cfg.bit_count(), loops))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +602,49 @@ def check_symmetric_domain(region, plus_arcs, n: float,
     the plus arcs.  The probability that the two plus arcs are joined by a
     path of pluses is then at least 1/(1+n).  ``region`` may be the
     prebuilt SpinSystem of the region in that frame, where the crossing is
-    an index flood over its framed sign array (``configs.sign_flood``).
+    an index flood over its framed sign array (``configs.sign_flood``);
+    the system keeps the validated arcs and mirror, and the flood, per
+    pair of arcs.
     """
-    free = frozenset(_free_hexagons(region))
-    if not free:
-        raise OutOfRange("the region must be nonempty")
     try:
         arc_a, arc_b = plus_arcs
     except (TypeError, ValueError):
         raise OutOfRange("plus_arcs must be a pair of hexagon runs") from None
     sa = frozenset(tuple(h) for h in arc_a)
     sb = frozenset(tuple(h) for h in arc_b)
+    if isinstance(region, SpinSystem):
+        system = region
+        axis, n_runs = system.kept(("symmetric frame", sa, sb), lambda:
+                                   _symmetric_frame(system.free, sa, sb,
+                                                    system.fixed))
+    else:
+        free = frozenset(_free_hexagons(region))
+        axis, n_runs = _symmetric_frame(free, sa, sb)
+        system = SpinSystem(free, {h: 1 for h in sa | sb}, sea=-1)
+    # one event per pair of arcs, whose truth the system keeps
+    event = system.kept(("crossing", sa, sb), lambda: sign_flood(
+        system, set(system.free) | sa | sb, sa, sb, 1))
+    probability = exact_event_probability(system, None, Params(n, x),
+                                          event, side="framed")
+    bound = 1.0 / (1.0 + n)
+    return CheckReport(
+        name="symmetric_domain",
+        holds=probability >= bound - ALGEBRAIC_TOL,
+        in_region=n >= 1.0 and n * x * x <= 1.0 + ALGEBRAIC_TOL,
+        details={"probability": probability, "bound": bound,
+                 "slack": probability - bound, "axis": axis,
+                 "arc_sizes": (len(sa), len(sb)),
+                 "n_minus_runs": n_runs})
+
+
+def _symmetric_frame(free, sa, sb, fixed=None) -> tuple[int, int]:
+    """The mirror axis of the free hexagons and the number of minus runs
+    of their boundary ring under the plus arcs ``sa`` and ``sb``; raises
+    unless the arcs, the mirror and a prebuilt system's ``fixed`` spins
+    are as :func:`check_symmetric_domain` requires."""
+    free = frozenset(free)
+    if not free:
+        raise OutOfRange("the region must be nonempty")
     ring = frozenset(g for h in free for g in tri_neighbors(h)) - free
     if not sa or not sb or not sa <= ring or not sb <= ring:
         raise OutOfRange("each plus arc must be a nonempty set of hexagons "
@@ -607,22 +672,6 @@ def check_symmetric_domain(region, plus_arcs, n: float,
     if len(targets) == 2 and targets[0] == targets[1]:
         raise DomainNotSymmetric("both minus runs mirror into the same "
                                  "plus arc")
-
-    system = (region if isinstance(region, SpinSystem)
-              else SpinSystem(free, {h: 1 for h in sa | sb}, sea=-1))
-    if any(system.fixed[h] != 1 for h in sa | sb):
+    if fixed is not None and any(fixed[h] != 1 for h in sa | sb):
         raise OutOfRange("the system must freeze both plus arcs to plus")
-    # one event per pair of arcs, whose truth the system keeps
-    event = system.kept(("crossing", sa, sb), lambda: sign_flood(
-        system, set(system.free) | sa | sb, sa, sb, 1))
-    probability = exact_event_probability(system, None, Params(n, x),
-                                          event, side="framed")
-    bound = 1.0 / (1.0 + n)
-    return CheckReport(
-        name="symmetric_domain",
-        holds=probability >= bound - ALGEBRAIC_TOL,
-        in_region=n >= 1.0 and n * x * x <= 1.0 + ALGEBRAIC_TOL,
-        details={"probability": probability, "bound": bound,
-                 "slack": probability - bound, "axis": axis,
-                 "arc_sizes": (len(sa), len(sb)),
-                 "n_minus_runs": len(minus_runs)})
+    return axis, len(minus_runs)

@@ -1,10 +1,9 @@
-"""Command-line interface wiring domains, engines, checks, chains, and SVG.
+"""Command-line interface wiring domains, engines, checks and chains.
 
 Subcommands: ``enumerate`` (exact weighted sums), ``sample`` (one chain,
 CSV of event estimates), ``verify`` (exhaustive check suites over the
-frozen fixture sets, nonzero exit on any in-region failure), ``render``
-(configuration file to SVG), and ``scan`` (a grid of sampling jobs, CSV
-phase table).
+frozen fixture sets, nonzero exit on any in-region failure), and ``scan``
+(a grid of sampling jobs, CSV phase table).
 
 Every run writes one JSON line with the fully resolved configuration to
 stderr, so any output can be reproduced from its log line.  Malformed input
@@ -34,7 +33,7 @@ from .checks import (
     check_symmetric_domain,
     check_triangle_lower_bound,
 )
-from .configs import Params, SpinSystem, loops_from_json, spins_from_json
+from .configs import Params, SpinSystem
 from .errors import HexloopError, OutOfRange
 from .exact import MAX_SWEEP_WIDTH, evaluate_table, sweep_table
 from .fixtures import (
@@ -47,7 +46,6 @@ from .fixtures import (
 )
 from .lattice import domain_from_hexagons, hexagon_ball, triangle_domain
 from .observables import _integer, event_from_json
-from .render import render_loops, render_spins
 from .sampler import run_chain
 
 #: the regions of the spin suites, each in a minus frame and sea
@@ -410,37 +408,13 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# render
-# ---------------------------------------------------------------------------
-
-def _cmd_render(args) -> int:
-    data = _read_structured(args.infile)
-    _log_config("render", {"in": args.infile, "mode": args.mode,
-                           "top": args.top, "overlay": args.overlay,
-                           "out": args.out})
-    if args.mode == "loops":
-        with _user_input("loops file"):
-            data = data if isinstance(data, dict) else {"edges": data}
-            edges = loops_from_json(data["edges"])
-            hexagons = ([tuple(c) for c in data["hexagons"]]
-                        if "hexagons" in data else None)
-        svg = render_loops(edges, args.top, hexagons=hexagons)
-    else:
-        with _user_input("spins file"):
-            system, spins = spins_from_json(data)
-        svg = render_spins(system, spins, overlay=args.overlay)
-    _emit(svg, args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexloop",
-        description="loop model tools: exact sums, chains, checks, pictures")
+        description="loop model tools: exact sums, chains, checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_params(p):
@@ -476,14 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="grid JSON file, or 'default' for the shipped grid")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("render", help="render a configuration file to SVG")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", choices=("loops", "spins"), required=True)
-    p.add_argument("--top", type=int, default=5)
-    p.add_argument("--overlay", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("scan", help="grid of sampling jobs, CSV phase table")
     p.add_argument("--domain", required=True)

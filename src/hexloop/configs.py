@@ -41,17 +41,21 @@ a cluster node of its own (:func:`cluster_find`).  The heat-bath chain
 (``sampler.ChainState``) updates its counts
 this way, and :func:`assignment_counts` walks all 2^m assignments of a
 system in Gray-code order, one flip per step, and keeps the result on the
-system as one tuple per assignment (:class:`SpinCounts`); ``exact`` reads
-event truths off a walk in the same order, the spin layer's only one.
+system as one tuple per assignment (:class:`SpinCounts`), with its
+distinct tuples, few next to 2^m, so that :func:`assignment_log_weights`
+evaluates each weight once.  ``exact`` reads event truths, and
+:func:`wall_masks` the wall sets as int masks, off walks in the same
+order, the spin layer's only one.
 
 Spins and loops are two views of the same model: the domain walls of a spin
 assignment form an even edge set on the edges bordering the free hexagons,
 and with a constant fixed boundary the correspondence is one to one
-(:func:`spins_to_loops`) and ``k`` is the number of loops the walls form,
-on a context with holes too.  With the hexagons at distance 2 from the
-origin free and minus, and the frame and sea plus, the context has a hole
-at the origin, and :func:`spin_counts` gives k = 2: the plus hexagons
-inside the ring form a cluster with the hole, apart from the outer sea's.
+(:func:`spins_to_loops` for one assignment) and ``k`` is the number of
+loops the walls form, on a context with holes too.  With the hexagons at
+distance 2 from the origin free and minus, and the frame and sea plus, the
+context has a hole at the origin, and :func:`spin_counts` gives k = 2: the
+plus hexagons inside the ring form a cluster with the hole, apart from the
+outer sea's.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import OutOfRange, TooLarge
@@ -629,6 +634,25 @@ def log_spin_weight(params: Params, counts: SpinCounts) -> float:
             + params.h * counts.r + params.hp * (counts.twice_rp / 2.0))
 
 
+def _distinct_counts(counts) -> tuple[tuple[SpinCounts, ...], Callable]:
+    """The distinct counts in first-seen order, and a reader that picks
+    each assignment's entry out of a list aligned with them."""
+    first: dict[SpinCounts, int] = {}
+    index = [first.setdefault(c, len(first)) for c in counts]
+    return tuple(first), itemgetter(*index)
+
+
+def assignment_log_weights(system: SpinSystem,
+                           params: Params) -> tuple[float, ...]:
+    """:func:`log_spin_weight` of every assignment, in
+    :func:`assignment_counts` order.  The weight is evaluated once per
+    distinct count, which the system keeps with each assignment's index
+    among them, so every assignment of one count reads the same float."""
+    distinct, pick = system.kept("distinct counts", lambda: _distinct_counts(
+        assignment_counts(system)))
+    return pick([log_spin_weight(params, c) for c in distinct])
+
+
 # ---------------------------------------------------------------------------
 # spins <-> loops
 # ---------------------------------------------------------------------------
@@ -638,6 +662,32 @@ def spins_to_loops(system: SpinSystem, spins) -> frozenset[HexEdge]:
     full = system.full_spins(spins)
     return frozenset(e for e, i, j in system._wall_probes
                      if full[i] != full[j])
+
+
+def wall_masks(system: SpinSystem) -> tuple[int, ...]:
+    """Domain walls of every assignment, in :func:`assignment_counts`
+    order, as ints: bit i is edge i of ``border_edges(system.free)``, with
+    edge 0 the highest bit, so that ascending masks are in edge-inclusion
+    order (each edge left out before it is taken).
+
+    One walk in the Gray-code order of :func:`_gray_counts` from the walls
+    of all minus: a flip toggles the walls of the six edges of its hexagon.
+    Kept on the system; :class:`TooLarge` above ``MAX_SPIN_SITES``.
+    """
+    m = free_sites(system)
+
+    def walk() -> tuple[int, ...]:
+        edges = border_edges(system.free)
+        bit = {e: 1 << len(edges) - 1 - i for i, e in enumerate(edges)}
+        mask = sum(bit[e] for e in spins_to_loops(system, [-1] * m))
+        six = [sum(bit[e] for e in hexagon_edges(h)) for h in system.free]
+        out = [mask] * (1 << m)
+        for step in range(1, 1 << m):
+            mask ^= six[m - (step & -step).bit_length()]
+            out[step ^ step >> 1] = mask
+        return tuple(out)
+
+    return system.kept("walls", walk)
 
 
 def sign_flood(system: SpinSystem, cells: Iterable[TriVertex],
@@ -664,36 +714,3 @@ def sign_flood(system: SpinSystem, cells: Iterable[TriVertex],
         return False
 
     return joined
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def loops_to_json(edges: Iterable[HexEdge]) -> list:
-    return [[list(u), list(v)] for u, v in sorted(edges)]
-
-
-def loops_from_json(data: Iterable) -> frozenset[HexEdge]:
-    out = set()
-    for u, v in data:
-        a, b = tuple(u), tuple(v)
-        out.add((a, b) if a < b else (b, a))
-    return frozenset(out)
-
-
-def spins_to_json(system: SpinSystem, spins) -> dict:
-    full = system.full_spins(spins)
-    return {
-        "free": [[*h, full[i]] for h, i in zip(system.free, system._free_ctx)],
-        "fixed": [[*h, s] for h, s in sorted(system.fixed.items())],
-        "sea": system.sea,
-    }
-
-
-def spins_from_json(data: Mapping) -> tuple[SpinSystem, dict[TriVertex, int]]:
-    """Invert :func:`spins_to_json`: rebuild the system and its assignment."""
-    spins = {(q, r): s for q, r, s in data["free"]}
-    fixed = {(q, r): s for q, r, s in data.get("fixed", [])}
-    system = SpinSystem(spins, fixed or None, sea=data.get("sea", 1))
-    return system, spins

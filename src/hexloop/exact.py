@@ -25,7 +25,8 @@ carved out), the defect-pair sum ``Z^{a,b} / Z`` read off defect tables by
 :func:`parafermion_field`, and exact event probabilities for the spin form
 of the model.  The spin sums read what a :class:`SpinSystem` keeps, none of
 which depends on the weights: the counts of its 2^m assignments from
-``configs.assignment_counts`` (one Gray-code walk) and each event's truth
+``configs.assignment_counts`` (one Gray-code walk), weighed once per
+distinct count (``configs.assignment_log_weights``), and each event's truth
 at each assignment, by event and side, off one walk in the same order over
 the framed sign array (:func:`_truth`).  A named spin connectivity event is
 read on that array by the sign flood that its spec builds, once per system
@@ -50,10 +51,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .configs import (
     Params,
     SpinSystem,
-    assignment_counts,
+    assignment_log_weights,
     free_sites,
     loop_count,
-    log_spin_weight,
 )
 from .errors import (
     OutOfRange,
@@ -764,10 +764,10 @@ def spin_partition(system: SpinSystem, params: Params,
     if side not in ("spins", "loops", "framed"):
         raise OutOfRange(f"unknown side {side!r}")
     free_sites(system)
-    counts = assignment_counts(system)
+    logs = assignment_log_weights(system, params)
     if event is not None:
-        counts = compress(counts, _truth(system, event, side))
-    return WeightSum.sum_logs([log_spin_weight(params, c) for c in counts])
+        logs = list(compress(logs, _truth(system, event, side)))
+    return WeightSum.sum_logs(logs)
 
 
 def _truth(system: SpinSystem, event: Callable, side: str) -> bytes:

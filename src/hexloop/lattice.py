@@ -30,7 +30,6 @@ hexagons are given as hexagon sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -52,8 +51,6 @@ HexEdge = tuple[HexVertex, HexVertex]
 UP = 0
 DOWN = 1
 
-SQRT3 = math.sqrt(3.0)
-
 
 # ---------------------------------------------------------------------------
 # vertices, edges, faces
@@ -67,12 +64,6 @@ def hex_xy(v: HexVertex) -> tuple[int, int]:
     if c == DOWN:
         return (2 * r + s + 2, 3 * s + 2)
     raise OutOfRange(f"vertex class must be 0 or 1, got {c!r}")
-
-
-def hex_position(v: HexVertex) -> tuple[float, float]:
-    """Real-plane position of a lattice vertex (unit edge length)."""
-    x, y = hex_xy(v)
-    return (x * SQRT3 / 2.0, y / 2.0)
 
 
 def hex_neighbors(v: HexVertex) -> tuple[HexVertex, HexVertex, HexVertex]:

@@ -229,6 +229,13 @@ def _flood_spec(kind: str, params, required, cells, starts, ends,
                      required_hexagons=required, framed=framed)
 
 
+#: the keys that each event kind reads; any other key is refused
+_KEYS = {"annulus_loop": {"type", "k"}, "plus_circuit": {"type", "k"},
+         "crossing": {"type", "k", "rho", "eps"},
+         "trapeze": {"type", "k", "sign", "vertical"},
+         "two_point": {"type", "v"}}
+
+
 def event_from_json(obj: Mapping) -> EventSpec:
     """Build an :class:`EventSpec` from its JSON description.
 
@@ -246,8 +253,13 @@ def event_from_json(obj: Mapping) -> EventSpec:
         s = 0, or from column r = 0 to r = k, and exactly one of a vertical
         plus and a horizontal minus crossing occurs;
       {"type": "two_point", "v": [3, 1]}: free pluses join the origin to v.
+    A key that the kind does not read raises :class:`OutOfRange`.
     """
     kind = obj.get("type")
+    if isinstance(kind, str) and kind in _KEYS:
+        stray = sorted(set(obj) - _KEYS[kind], key=str)
+        if stray:
+            raise OutOfRange(f"event {kind!r} reads no key {stray[0]!r}")
     if kind == "annulus_loop":
         k = _require_scale(obj, kind)
         _, annulus = ball_and_annulus(k)

@@ -2,13 +2,14 @@
 table added up walk by walk, table evaluation through complex log-sum-exp,
 the sweep width by counting edge intervals, the edges the sweep keeps by a
 naive fixpoint, and the three-term relation of the edge-midpoint
-observable; for the lattice, edge components by breadth-first search and
-domains whose interior is the disc that their bounding polygon keeps a
-flood of hexagons out of; for the chain, a heat-bath sweep that walks the
-walls at every multi-arc site; for the spin layer, event truths read
-assignment by assignment in product order, and the spin connectivity
-events by a flood over a sign mapping; and the builtin ``sum`` of
-Python 3.12 and later, which compensates float rounding."""
+observable; for the lattice, vertex positions in the plane, edge
+components by breadth-first search and domains whose interior is the disc
+that their bounding polygon keeps a flood of hexagons out of; for the
+chain, a heat-bath sweep that walks the walls at every multi-arc site; for
+the spin layer, event truths and wall sets read assignment by assignment
+in product order, and the spin connectivity events by a flood over a sign
+mapping; and the builtin ``sum`` of Python 3.12 and later, which
+compensates float rounding."""
 
 import math
 from collections import Counter, deque
@@ -47,7 +48,6 @@ from hexloop.lattice import (
     edge,
     edge_hexagons,
     hex_neighbors,
-    hex_position,
     hex_xy,
     hexagon_ball,
     hexagon_corners,
@@ -321,6 +321,12 @@ def flood_fill_domain(interior) -> Domain:
     return dom
 
 
+def hex_position(v: HexVertex) -> tuple[float, float]:
+    """Real-plane position of a lattice vertex (unit edge length)."""
+    x, y = hex_xy(v)
+    return (x * math.sqrt(3.0) / 2.0, y / 2.0)
+
+
 def _midpoint(e: HexEdge) -> complex:
     pu = hex_position(e[0])
     pv = hex_position(e[1])
@@ -412,6 +418,14 @@ def product_truth(system: SpinSystem, event, side: str) -> bytes:
                else dict(zip(system.free, signs))
                for signs in product((-1, 1), repeat=len(system.free)))
     return bytes(bool(event(c)) for c in configs)
+
+
+def product_wall_sets(system: SpinSystem) -> list[frozenset]:
+    """The domain walls of every assignment in ``itertools.product`` order,
+    each from ``spins_to_loops``: the route that ``configs.wall_masks``
+    replaced."""
+    return [spins_to_loops(system, signs)
+            for signs in product((-1, 1), repeat=len(system.free))]
 
 
 def _check_coverage(sigma: Mapping[TriVertex, int],

@@ -273,24 +273,27 @@ class TestSpinWallCorrespondence:
             assert report.details["max_diff"] <= 1e-12
 
     @staticmethod
-    def broken_report(monkeypatch, wall_map):
-        monkeypatch.setattr(checks, "spins_to_loops", wall_map)
+    def broken_report(monkeypatch, corrupt):
+        masks = checks.wall_masks
+        monkeypatch.setattr(checks, "wall_masks",
+                            lambda system: corrupt(masks(system)))
         return check_bijection(BALL1, -1, Params(2.0, x_critical(2.0)))
 
     def test_an_odd_wall_set_fails(self, monkeypatch):
-        walls = checks.spins_to_loops
-        # one wall edge less turns every nonempty wall set odd
-        report = self.broken_report(monkeypatch, lambda system, signs:
-                                    frozenset(sorted(walls(system, signs))[1:]))
+        # one wall edge less, the first in edge order and so the highest
+        # bit, turns every nonempty wall set odd
+        report = self.broken_report(monkeypatch, lambda masks: [
+            walls ^ 1 << walls.bit_length() - 1 if walls else 0
+            for walls in masks])
         assert not report.holds
         assert not report.details["support_match"]
         assert report.details["n_configs"] == 1
 
     def test_two_assignments_with_one_wall_set_fail(self, monkeypatch):
-        walls = checks.spins_to_loops
-        # the all-plus assignment takes the walls of the all-minus one
-        report = self.broken_report(monkeypatch, lambda system, signs: walls(
-            system, [-1] * len(signs) if min(signs) == 1 else signs))
+        # the all-plus assignment, last in product order, takes the walls
+        # of the all-minus one, first
+        report = self.broken_report(monkeypatch,
+                                    lambda masks: [*masks[:-1], masks[0]])
         assert not report.holds
         assert not report.details["support_match"]
         assert report.details["n_configs"] == 127
@@ -575,6 +578,23 @@ class TestSymmetricDomain:
         with pytest.raises(DomainNotSymmetric):
             check_symmetric_domain(BALL1, ([RING[9]], ARC_B), 1.0, 0.5)
 
+    def test_a_prebuilt_system_validates_its_arcs_once(self, monkeypatch):
+        calls = []
+        components = checks.hexagon_components
+        monkeypatch.setattr(checks, "hexagon_components",
+                            lambda cells: calls.append(1) or components(cells))
+        system = SpinSystem(BALL1, {h: 1 for h in ARC_A + ARC_B}, sea=-1)
+        first = check_symmetric_domain(system, (ARC_A, ARC_B), 1.0, 0.5)
+        again = check_symmetric_domain(system, (ARC_A, ARC_B), 1.5, 0.5)
+        # both arcs and the minus runs, at the first call only
+        assert len(calls) == 3
+        assert first.details["axis"] == again.details["axis"]
+        # an invalid pair of arcs raises at every call
+        for _ in range(2):
+            with pytest.raises(OutOfRange):
+                check_symmetric_domain(system, ([RING[9], RING[11]], ARC_B),
+                                       1.0, 0.5)
+
     def test_rejects_malformed_arcs(self):
         with pytest.raises(OutOfRange):
             check_symmetric_domain(BALL1, ([RING[9], RING[11]], ARC_B),
@@ -595,7 +615,7 @@ class TestEnumerationCapsAndReuse:
     @pytest.fixture
     def spy(self, monkeypatch):
         """Systems passed to the Gray-code walk and to every binding of
-        the enumerator."""
+        the reader of its weights."""
         calls = {"walks": [], "reads": []}
         walk = configs._gray_counts
 
@@ -605,11 +625,12 @@ class TestEnumerationCapsAndReuse:
 
         monkeypatch.setattr(configs, "_gray_counts", spy_walk)
         for module in (exact, checks):
-            def spy_read(system, read=module.assignment_counts):
+            def spy_read(system, params,
+                         read=module.assignment_log_weights):
                 calls["reads"].append(system)
-                return read(system)
+                return read(system, params)
 
-            monkeypatch.setattr(module, "assignment_counts", spy_read)
+            monkeypatch.setattr(module, "assignment_log_weights", spy_read)
         return calls
 
     def test_caps_raise_before_enumerating(self, spy):

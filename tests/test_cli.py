@@ -7,10 +7,8 @@ import pathlib
 import pytest
 
 from hexloop import checks, cli, configs, exact
-from hexloop.configs import SpinSystem, loops_to_json, spins_to_json
 from hexloop.exact import MAX_SWEEP_WIDTH, brute_force_table, evaluate_table
 from hexloop.fixtures import defect_sets, load_default_grid, load_domains
-from hexloop.lattice import hexagon_ball, hexagon_edges
 from oracles import compensated_sum, product_truth
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -99,30 +97,6 @@ def test_verify_catalan_suite(capsys):
     assert all("engine" not in r["details"] for r in body["reports"])
 
 
-def test_render_matches_golden_files(capsys, tmp_path):
-    two_cell = (frozenset(hexagon_edges((-1, 0)))
-                ^ frozenset(hexagon_edges((-1, 1))))
-    loops = (two_cell | frozenset(hexagon_edges((1, 0)))
-             | frozenset(hexagon_edges((2, -2))))
-    loops_file = tmp_path / "loops.json"
-    loops_file.write_text(json.dumps({
-        "edges": loops_to_json(loops),
-        "hexagons": sorted(hexagon_ball(2))}))
-    code, out, _ = run(capsys, "render", "--in", str(loops_file), "--mode",
-                       "loops", "--top", "5")
-    assert code == 0
-    assert out == (GOLDEN / "loops_sample.svg").read_text()
-
-    system = SpinSystem(hexagon_ball(1), -1)
-    spins = {h: (1 if (h[0] + h[1]) % 2 == 0 else -1) for h in system.free}
-    spins_file = tmp_path / "spins.json"
-    spins_file.write_text(json.dumps(spins_to_json(system, spins)))
-    code, out, _ = run(capsys, "render", "--in", str(spins_file), "--mode",
-                       "spins", "--overlay")
-    assert code == 0
-    assert out == (GOLDEN / "spins_sample.svg").read_text()
-
-
 def test_scan_with_one_worker(capsys):
     code, out, _ = run(capsys, "scan", "--domain", '{"ball": 3}', "--n", "1.5",
                        "--xs", "auto,0.5", "--hs", "0.0,0.1", "--event",
@@ -176,7 +150,9 @@ def test_scan_pool_is_capped_at_the_cell_count(capsys, monkeypatch):
      "--sweeps", "5"],
     ["sample", "--domain", '{"ball": 1}', "--n", "1.5", "--sweeps", "5",
      "--events", '{"type": "plus_circuit", "k": "one"}'],
-    ["render", "--in", '{"fixed": []}', "--mode", "spins"],
+    # a key that the event kind does not read
+    ["sample", "--domain", '{"ball": 2}', "--n", "1.5", "--sweeps", "5",
+     "--events", '{"type": "plus_circuit", "k": 1, "bogus": 3}'],
     ["sample", "--domain", '{"ball": 1}', "--n", "1.5", "--sweeps", "5",
      "--burn", "-3", "--events", '{"type": "two_point", "v": [1, 0]}'],
     ["sample", "--domain", '{"ball": 5}', "--n", "1.5", "--sweeps", "5",
@@ -222,6 +198,8 @@ def test_scan_pool_is_capped_at_the_cell_count(capsys, monkeypatch):
      '{"triangle": {"sides": [], "ns": [1.5]}}'],
     ["verify", "--suite", "contour", "--params",
      '{"contour": {"sides": [2, 4], "ns": []}}'],
+    ["sample", "--domain", '{"ball": 3}', "--n", "1.5", "--sweeps", "5",
+     "--events", '{"type": "trapeze", "k": 2, "vertcal": false}'],
 ])
 def test_malformed_input_exits_with_two(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -21,18 +21,16 @@ from hexloop.configs import (
     _multi_arc_dk,
     assignment_counts,
     assignment_index,
+    assignment_log_weights,
     border_edges,
     config_degrees,
     edge_components,
     is_even_config,
     log_spin_weight,
     loop_count,
-    loops_from_json,
-    loops_to_json,
     spin_counts,
-    spins_from_json,
-    spins_to_json,
     spins_to_loops,
+    wall_masks,
 )
 from hexloop.errors import OutOfRange, TooLarge
 from hexloop.exact import evaluate_table
@@ -45,6 +43,7 @@ from hexloop.lattice import (
     tri_neighbors,
 )
 
+from oracles import product_wall_sets
 from shapes import HOLE, RING12, holes, spin_systems, with_hole
 
 BALL2 = sorted(hexagon_ball(2))
@@ -264,23 +263,6 @@ def test_clusters_are_wall_loops_and_walks_are_recounts(system, data):
                     == spin_counts(system, flipped).k - k)
 
 
-def test_loops_json_round_trip():
-    walls = frozenset(hexagon_edges((0, 0)))
-    assert loops_from_json(loops_to_json(walls)) == walls
-
-
-def test_spins_json_round_trip():
-    sys_ = SpinSystem(hexagon_ball(1), fixed=-1)
-    spins = {h: (1 if (h[0] + h[1]) % 2 == 0 else -1) for h in sys_.free}
-    blob = spins_to_json(sys_, spins)
-    back_sys, back_spins = spins_from_json(blob)
-    assert back_sys.free == sys_.free
-    assert back_sys.fixed == sys_.fixed
-    assert back_sys.sea == sys_.sea
-    assert back_spins == spins
-    assert spins_to_json(back_sys, back_spins) == blob
-
-
 # ---------------------------------------------------------------------------
 # counts of all assignments
 # ---------------------------------------------------------------------------
@@ -293,6 +275,27 @@ def test_assignment_counts_match_spin_counts(system):
     want = [spin_counts(system, signs) for signs in
             itertools.product((-1, 1), repeat=len(system.free))]
     assert list(assignment_counts(system)) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=spin_systems(BALL2, max_size=10),
+       n=st.floats(0.05, 5.0), x=st.floats(0.05, 3.0),
+       h=st.floats(-2.0, 2.0), hp=st.floats(-2.0, 2.0))
+def test_wall_masks_and_weights_equal_the_product_order_oracles(system, n, x,
+                                                                h, hp):
+    # the masks of one Gray walk decode to the wall sets of spins_to_loops,
+    # assignment by assignment in product order, in a holed context too
+    edges = border_edges(system.free)
+    top = len(edges) - 1
+    decoded = [frozenset(e for i, e in enumerate(edges) if mask >> top - i & 1)
+               for mask in wall_masks(system)]
+    assert decoded == product_wall_sets(system)
+    assert wall_masks(system) is wall_masks(system)
+    # a weight evaluated once per distinct count is the same float as the
+    # one evaluated at each assignment
+    params = Params(n, x, h, hp)
+    assert list(assignment_log_weights(system, params)) == [
+        log_spin_weight(params, c) for c in assignment_counts(system)]
 
 
 def test_assignment_counts_recount_a_holed_context():

@@ -35,7 +35,6 @@ from hexloop.lattice import (
     edge_components,
     edge_hexagons,
     hex_neighbors,
-    hex_position,
     hex_xy,
     hexagon_ball,
     hexagon_components,
@@ -53,7 +52,12 @@ from hexloop.lattice import (
     vertex_hexagons,
 )
 from hexloop.fixtures import load_domains, load_monotone_pairs
-from oracles import bfs_edge_components, build_domain, flood_fill_domain
+from oracles import (
+    bfs_edge_components,
+    build_domain,
+    flood_fill_domain,
+    hex_position,
+)
 
 SAMPLE_VERTICES = [(r, s, c) for r in range(-3, 4) for s in range(-3, 4)
                    for c in (UP, DOWN)]

@@ -442,6 +442,20 @@ def test_event_from_json_rejects_bad_specs():
         "k": 2, "rho": 2.0, "eps": 0.0}
 
 
+@pytest.mark.parametrize("spec, stray", [
+    ({"type": "plus_circuit", "k": 1, "bogus": 3}, "bogus"),
+    ({"type": "trapeze", "k": 2, "vertcal": False}, "vertcal"),
+    ({"type": "annulus_loop", "k": 2, "rho": 1.0}, "rho"),
+    ({"type": "crossing", "k": 2, "sign": 1}, "sign"),
+    ({"type": "two_point", "v": [1, 0], "k": 1}, "k"),
+])
+def test_event_from_json_names_a_key_its_kind_does_not_read(spec, stray):
+    # a misspelt option would otherwise measure its default without a word
+    with pytest.raises(OutOfRange, match=repr(stray)):
+        event_from_json(spec)
+    event_from_json({key: v for key, v in spec.items() if key != stray})
+
+
 def test_specs_with_other_predicates_keep_their_own_truths():
     # equal kind, side and params but other predicates: the truth that the
     # system keeps for the first must not answer for the second

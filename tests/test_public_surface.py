@@ -20,8 +20,6 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 TEST_ONLY = {
     "brute_force_table": "the exhaustive oracle that tests compare the "
                          "sweep engine against",
-    "loops_to_json": "writes the loops files that `hexloop render` reads",
-    "spins_to_json": "writes the spins files that `hexloop render` reads",
 }
 
 
