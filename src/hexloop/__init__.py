@@ -2,8 +2,8 @@
 
 Exact partition-function engines, the spin (cluster) representation on
 hexagons, a discrete-observable verifier, a seedable Monte Carlo sampler with
-external fields, correlation-inequality checkers and event observables, plus
-a command line front end (``hexloop``).
+external fields, correlation-inequality checkers, event observables and an
+SVG loop picture, plus a command line front end (``hexloop``).
 """
 
 __version__ = "0.1.0"

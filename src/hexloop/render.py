@@ -1,23 +1,22 @@
-"""Deterministic SVG pictures of loop and spin configurations.
+"""Deterministic SVG pictures of loop configurations.
 
 Loops are drawn over a faint lattice outline; the longest ones are
 highlighted in a fixed palette ordered by length, with ties broken by the
-smallest edge in lexicographic order.  Spin pictures fill the dual hexagons
-with one of two colors (frozen hexagons at reduced opacity) and can overlay
-the cluster walls, whose path geometry matches the loop picture exactly.
-
-Both entry points are pure functions from configuration to SVG 1.1 text:
-identical inputs give byte-identical documents.
+smallest edge in lexicographic order.  :func:`render_loops` is a pure
+function from configuration to SVG 1.1 text: identical inputs give
+byte-identical documents.
 """
 
+import math
 from typing import Iterable
 
-from .configs import SpinSystem, edge_components, loops_from_json, spins_to_loops
+from .configs import edge_components
 from .lattice import (
     HexEdge,
     TriVertex,
+    edge,
     edge_hexagons,
-    hex_position,
+    hex_xy,
     hexagon_ball,
     hexagon_corners,
 )
@@ -29,9 +28,6 @@ HIGHLIGHT_PALETTE = ("red", "blue", "green", "purple", "orange")
 
 LATTICE_STROKE = "#cccccc"
 LOOP_STROKE = "#222222"
-PLUS_FILL = "#4878b0"
-MINUS_FILL = "#f5f0e6"
-FRAME_OPACITY = "0.45"
 
 
 def _fmt(value: float) -> str:
@@ -40,8 +36,9 @@ def _fmt(value: float) -> str:
 
 
 def _point(v) -> tuple[float, float]:
-    x, y = hex_position(v)
-    return (x * SCALE, -y * SCALE)
+    """Picture coordinates of a lattice vertex (unit edge length, scaled)."""
+    x, y = hex_xy(v)
+    return (x * math.sqrt(3.0) / 2.0 * SCALE, -(y / 2.0) * SCALE)
 
 
 def _component_path(component: frozenset[HexEdge]) -> str:
@@ -84,26 +81,6 @@ def _component_path(component: frozenset[HexEdge]) -> str:
     return " ".join(parts)
 
 
-def _hexagon_points(h: TriVertex) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}"
-                    for x, y in map(_point, hexagon_corners(h)))
-
-
-def _document(body: list[str], points: Iterable[tuple[float, float]]) -> str:
-    xs, ys = zip(*points)
-    x0, y0 = min(xs) - MARGIN, min(ys) - MARGIN
-    width, height = max(xs) + MARGIN - x0, max(ys) + MARGIN - y0
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(width)} {_fmt(height)}" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}">',
-    ]
-    lines.extend(body)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
 def render_loops(omega: Iterable[HexEdge], highlight_top: int = 5, *,
                  hexagons: Iterable[TriVertex] | None = None) -> str:
     """SVG picture of a loop configuration.
@@ -113,7 +90,7 @@ def render_loops(omega: Iterable[HexEdge], highlight_top: int = 5, *,
     the outlined backdrop; by default it is the faces touched by the
     configuration, or a small ball when the configuration is empty.
     """
-    edges = loops_from_json(omega)  # canonical edges from any vertex pairs
+    edges = frozenset(edge(u, v) for u, v in omega)
     if hexagons is not None:
         faces = frozenset(tuple(h) for h in hexagons)
     elif edges:
@@ -129,8 +106,9 @@ def render_loops(omega: Iterable[HexEdge], highlight_top: int = 5, *,
              if not any(comp is picked for picked in highlighted)]
 
     body = [f'<g fill="none" stroke="{LATTICE_STROKE}" stroke-width="1">']
-    body.extend(f'<polygon points="{_hexagon_points(h)}"/>'
-                for h in sorted(faces))
+    body.extend('<polygon points="' + " ".join(
+        f"{_fmt(x)},{_fmt(y)}" for x, y in map(_point, hexagon_corners(h)))
+        + '"/>' for h in sorted(faces))
     body.append('</g>')
     if plain:
         body.append(f'<g fill="none" stroke="{LOOP_STROKE}" stroke-width="2" '
@@ -144,36 +122,15 @@ def render_loops(omega: Iterable[HexEdge], highlight_top: int = 5, *,
 
     points = [_point(c) for h in faces for c in hexagon_corners(h)]
     points.extend(_point(u) for e in edges for u in e)
-    return _document(body, points)
-
-
-def render_spins(system: SpinSystem, spins, *, overlay: bool = False) -> str:
-    """SVG picture of a spin configuration on the dual hexagons.
-
-    Free hexagons are filled at full opacity, frozen context hexagons at
-    reduced opacity, with one color per sign.  With ``overlay`` the walls
-    of the configuration are drawn on top as cluster boundaries.
-    """
-    full = system.full_spins(spins)
-    index = system._index
-    free = set(system.free)
-
-    body = ['<g stroke="none">']
-    for h in system.context:
-        fill = PLUS_FILL if full[index[h]] == 1 else MINUS_FILL
-        opacity = "" if h in free else f' fill-opacity="{FRAME_OPACITY}"'
-        body.append(f'<polygon points="{_hexagon_points(h)}" '
-                    f'fill="{fill}"{opacity}/>')
-    body.append('</g>')
-    if overlay:
-        walls = spins_to_loops(system, spins)
-        if walls:
-            body.append(f'<g fill="none" stroke="{LOOP_STROKE}" '
-                        'stroke-width="2" stroke-linecap="round" '
-                        'stroke-linejoin="round">')
-            body.extend(f'<path d="{_component_path(comp)}"/>'
-                        for comp in sorted(edge_components(walls), key=min))
-            body.append('</g>')
-
-    points = [_point(c) for h in system.context for c in hexagon_corners(h)]
-    return _document(body, points)
+    xs, ys = zip(*points)
+    x0, y0 = min(xs) - MARGIN, min(ys) - MARGIN
+    width, height = max(xs) + MARGIN - x0, max(ys) + MARGIN - y0
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(width)} {_fmt(height)}" '
+        f'width="{_fmt(width)}" height="{_fmt(height)}">',
+        *body,
+        "</svg>",
+    ]
+    return "\n".join(lines) + "\n"

@@ -3,10 +3,9 @@
 Every public top-level name of ``src/hexloop/*.py`` must be read by another
 source module, by its own module outside its definition, or by the
 benchmark under ``bench/``.  The few names that only tests read are test
-oracles or writers of files the command line reads, and are listed in
-``TEST_ONLY`` with the reason each one stays.  Every name that a source or
-test module imports must be read in that module, or listed in its
-``__all__``.
+oracles or code due for deletion, and are listed in ``TEST_ONLY`` with the
+reason each one stays.  Every name that a source or test module imports
+must be read in that module, or listed in its ``__all__``.
 """
 
 import ast
@@ -20,6 +19,8 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 TEST_ONLY = {
     "brute_force_table": "the exhaustive oracle that tests compare the "
                          "sweep engine against",
+    "render_loops": "the loop picture, whose removal is the second half of "
+                    "deleting `hexloop render`",
 }
 
 

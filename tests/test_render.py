@@ -1,22 +1,15 @@
-"""Tests for the SVG renderer.
+"""Tests for the SVG loop renderer.
 
 The palette fixture has loops of lengths 10, 6, and 6 so the tie between
 the two hexagon loops must fall to the one with the smaller first edge.
-Golden files freeze the exact bytes of one loop picture and one spin
-picture with wall overlay.
+A golden file freezes the exact bytes of one loop picture.
 """
 
 import pathlib
 import re
 
-from hexloop.configs import (
-    SpinSystem,
-    loops_from_json,
-    loops_to_json,
-    spins_to_loops,
-)
 from hexloop.lattice import hexagon_ball, hexagon_edges
-from hexloop.render import render_loops, render_spins
+from hexloop.render import render_loops
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -27,12 +20,6 @@ def three_loops():
     return (two_cell
             | frozenset(hexagon_edges((1, 0)))
             | frozenset(hexagon_edges((2, -2))))
-
-
-def checker_system():
-    system = SpinSystem(hexagon_ball(1), -1)
-    spins = {h: (1 if (h[0] + h[1]) % 2 == 0 else -1) for h in system.free}
-    return system, spins
 
 
 def highlight_paths(svg):
@@ -82,46 +69,6 @@ class TestRenderLoops:
         assert len(highlight_paths(svg)) == 3
         assert not plain_paths(svg)
 
-    def test_serialization_round_trip_renders_identically(self):
-        omega = three_loops()
-        back = loops_from_json(loops_to_json(omega))
-        assert render_loops(back, 5) == render_loops(omega, 5)
-
     def test_golden_loops(self):
         svg = render_loops(three_loops(), 5, hexagons=hexagon_ball(2))
         assert svg == (GOLDEN / "loops_sample.svg").read_text()
-
-
-class TestRenderSpins:
-    def test_constant_field_is_single_color(self):
-        system = SpinSystem(hexagon_ball(1), +1)
-        svg = render_spins(system, {h: 1 for h in system.free})
-        assert svg.count('fill="#4878b0"') == len(system.context)
-        assert 'fill="#f5f0e6"' not in svg
-
-    def test_two_colors_and_frame_opacity(self):
-        system, spins = checker_system()
-        svg = render_spins(system, spins)
-        pluses = sum(1 for h in system.context
-                     if (h in spins and spins[h] == 1))
-        assert svg.count('fill="#4878b0"') == pluses
-        assert svg.count("fill-opacity") == len(system.fixed)
-
-    def test_overlay_matches_loop_geometry(self):
-        system, spins = checker_system()
-        walls = spins_to_loops(system, spins)
-        overlay = plain_paths(render_spins(system, spins, overlay=True))
-        loops = plain_paths(render_loops(walls, 0))
-        assert overlay
-        assert overlay == loops
-
-    def test_deterministic_bytes(self):
-        system, spins = checker_system()
-        first = render_spins(system, spins, overlay=True)
-        second = render_spins(system, spins, overlay=True)
-        assert first == second
-
-    def test_golden_spins(self):
-        system, spins = checker_system()
-        svg = render_spins(system, spins, overlay=True)
-        assert svg == (GOLDEN / "spins_sample.svg").read_text()
