@@ -319,20 +319,22 @@ def check_domain_markov_and_duality(region, sub_region, tau,
         outer = _spin_system(region, tau)
     m = free_sites(outer)
 
-    # the inner system keeps the whole known exterior as fixed context, so
-    # that connections running through it are counted the same way
-    inner = outer.kept(("inner", frozenset(shell_signs.items())), lambda:
-                       SpinSystem(sub, {**outer.fixed, **shell_signs},
-                                  sea=outer.sea))
+    def restrict() -> tuple[SpinSystem, list[int]]:
+        # the inner system keeps the whole known exterior as fixed context,
+        # so that connections running through it are counted the same way;
+        # each inner assignment's index among the outer ones goes with it
+        inner = SpinSystem(sub, {**outer.fixed, **shell_signs}, sea=outer.sea)
+        index = []
+        for sub_signs in product((-1, 1), repeat=len(inner.free)):
+            signs = {**shell_signs, **dict(zip(inner.free, sub_signs))}
+            index.append(assignment_index(signs[h] for h in outer.free))
+        return inner, index
 
+    inner, index = outer.kept(("inner", frozenset(shell_signs.items())),
+                              restrict)
     outer_logw = assignment_log_weights(outer, params)
-    cond, direct = [], []
-    for sub_signs, logw in zip(product((-1, 1), repeat=len(inner.free)),
-                               assignment_log_weights(inner, params)):
-        signs = {**shell_signs, **dict(zip(inner.free, sub_signs))}
-        at = assignment_index(signs[h] for h in outer.free)
-        cond.append(math.exp(outer_logw[at]))
-        direct.append(math.exp(logw))
+    cond = [math.exp(outer_logw[at]) for at in index]
+    direct = [math.exp(logw) for logw in assignment_log_weights(inner, params)]
     zc, zd = sum_in_order(cond), sum_in_order(direct)
     markov_gap = max(abs(c / zc - d / zd) for c, d in zip(cond, direct))
 

@@ -645,12 +645,16 @@ def _distinct_counts(counts) -> tuple[tuple[SpinCounts, ...], Callable]:
 def assignment_log_weights(system: SpinSystem,
                            params: Params) -> tuple[float, ...]:
     """:func:`log_spin_weight` of every assignment, in
-    :func:`assignment_counts` order.  The weight is evaluated once per
-    distinct count, which the system keeps with each assignment's index
-    among them, so every assignment of one count reads the same float."""
-    distinct, pick = system.kept("distinct counts", lambda: _distinct_counts(
-        assignment_counts(system)))
-    return pick([log_spin_weight(params, c) for c in distinct])
+    :func:`assignment_counts` order, kept on the system per ``params``.
+    The weight is evaluated once per distinct count, which the system keeps
+    with each assignment's index among them, so every assignment of one
+    count reads the same float."""
+    def weigh() -> tuple[float, ...]:
+        distinct, pick = system.kept("distinct counts", lambda: (
+            _distinct_counts(assignment_counts(system))))
+        return pick([log_spin_weight(params, c) for c in distinct])
+
+    return system.kept(("log weights", params), weigh)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,16 @@ Two independent engines compute the weighted sum over all configurations on
 an edge set with a prescribed defect set.  Both reduce an instance to a
 :class:`Table` ``{(edge count, loop count): multiplicity}`` that is
 independent of the weights, so one combinatorial pass serves a whole
-parameter grid.  A table is read-only, in key order, and keeps the logs of
-its counts, so evaluating it into a :class:`WeightSum` at a parameter point
-is one multiply-add and one exp per term.  The left-to-right sweep
-(:func:`sweep_table`) is the product engine: every walk weight, path sum
-and observable below goes through it.  Its frontier states are ints of
-two-bit slot codes whose strand ends nest like brackets, each carrying its
-partial configurations' polynomial packed into one exact int (see
-:func:`_sweep_table`).  It first drops the edges that no configuration can
-take, those left at a vertex of degree one that is not a defect (see
+parameter grid.  A table is read-only, in key order, and keeps its edge
+counts, loop counts and count logs as float columns, so evaluating it into a
+:class:`WeightSum` at a parameter point is one array multiply-add and one
+exp per term, and it keeps its sum at each point evaluated.  The
+left-to-right sweep (:func:`sweep_table`) is the product engine: every walk
+weight, path sum and observable below goes through it.  Its frontier states
+are ints of two-bit slot codes whose strand ends nest like brackets, each
+carrying its partial configurations' polynomial packed into one exact int
+(see :func:`_sweep_table`).  It first drops the edges that no configuration
+can take, those left at a vertex of degree one that is not a defect (see
 :func:`_usable`).  A step of the sweep takes one vertex, or both ends of a
 vertical edge, which then never holds a frontier slot.  The depth-first
 enumeration with degree pruning (:func:`even_subgraphs`) only backs the
@@ -46,7 +47,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, compress, product
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .configs import (
     Params,
@@ -82,7 +85,9 @@ MAX_FIELD_EDGES = 40
 TABLE_CACHE_SIZE = 1024
 
 class Table(dict):
-    """Read-only (edges, loops) -> count table in key order, with its logs."""
+    """Read-only (edges, loops) -> count table in key order, with its logs,
+    the same as three float64 columns, and its sum at each point evaluated
+    (:func:`evaluate_table`)."""
 
     def __init__(self, terms: Mapping[tuple[int, int], int]):
         items = sorted((key, c) for key, c in terms.items() if c)
@@ -90,9 +95,14 @@ class Table(dict):
             raise OutOfRange("a configuration count cannot be negative")
         super().__init__(items)
         self.log_terms = [(m, l, math.log(c)) for (m, l), c in items]
+        # rows m, l, log c: each float is the one that the list route
+        # multiplies, since m and l are far below 2^53
+        self.columns = tuple(np.array(list(zip(*self.log_terms)),
+                                      np.float64).reshape(3, -1))
+        self.sums: dict[tuple[float, float], WeightSum] = {}
 
-    def __reduce__(self):  # copy and pickle would set the items one by one
-        return Table, (dict(self),)
+    def __reduce__(self):  # copy and pickle would set the items one by one,
+        return Table, (dict(self),)  # and carry no sums
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a configuration table is read-only")
@@ -142,7 +152,7 @@ class WeightSum:
         return cls(top + math.log(mag), acc / mag)
 
     @classmethod
-    def sum_logs(cls, logs: list[float]) -> "WeightSum":
+    def sum_logs(cls, logs: Sequence[float]) -> "WeightSum":
         """Log-sum-exp of positive terms given by their logs, added in order
         into one float scaled by the largest: bit for bit the real part of
         what :meth:`sum_terms` adds for the same terms at phase 1."""
@@ -553,17 +563,19 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
 
 def _unpack(states: dict, stride: int, nbytes: int) -> Table:
     """The read-only :class:`Table` of the final states: field i of an int,
-    converted only if a byte is nonzero, counts slot offset + i, and slot
-    row * stride + l holds 2 * row + parity edges and l loops."""
-    terms, zero = {}, bytes(nbytes)
+    converted only if a byte is nonzero (one numpy test of the fields as
+    rows), counts slot offset + i, and slot row * stride + l holds
+    2 * row + parity edges and l loops."""
+    terms = {}
     for parity, (offset, packed) in states.items():
-        raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
-        for at in range(0, len(raw), nbytes):
-            field = raw[at:at + nbytes]  # the top field may be short
-            if field != zero:
-                row, loops = divmod(offset + at // nbytes, stride)
-                count = int.from_bytes(field, "little")
-                terms[2 * row + parity, loops] = count
+        fields = -(-packed.bit_length() // (8 * nbytes))
+        raw = packed.to_bytes(fields * nbytes, "little")
+        live = np.frombuffer(raw, np.uint8).reshape(fields, nbytes).any(1)
+        for i in live.nonzero()[0].tolist():
+            row, loops = divmod(offset + i, stride)
+            at = i * nbytes
+            terms[2 * row + parity, loops] = int.from_bytes(
+                raw[at:at + nbytes], "little")
     return Table(terms)
 
 
@@ -580,13 +592,19 @@ def sweep_table(edges: Iterable[HexEdge],
 # ---------------------------------------------------------------------------
 
 def evaluate_table(table: Mapping, params: Params) -> WeightSum:
-    """One float pass over a table's terms ``c x^m n^l`` in key order, from
-    the count logs a read-only :class:`Table` keeps; a mapping becomes one."""
+    """One float pass over a table's terms ``c x^m n^l`` in key order, their
+    logs ``m log x + l log n + log c`` formed as arrays from the columns a
+    read-only :class:`Table` keeps, which also keeps the sum per point; a
+    mapping becomes a table."""
     if not isinstance(table, Table):
         table = Table(table)
     log_x, log_n = params.log_x, params.log_n
-    return WeightSum.sum_logs([m * log_x + l * log_n + log_c
-                               for m, l, log_c in table.log_terms])
+    got = table.sums.get((log_x, log_n))
+    if got is None:
+        ms, ls, lcs = table.columns
+        got = table.sums[log_x, log_n] = WeightSum.sum_logs(
+            (ms * log_x + ls * log_n + lcs).tolist())
+    return got
 
 
 def _log_Z(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
@@ -759,15 +777,16 @@ def spin_partition(system: SpinSystem, params: Params,
     hexagon to sign; with ``side="loops"`` it sees the frozen set of domain
     wall edges of the assignment; with ``side="framed"`` it reads the framed
     sign array, which it must neither change nor keep.  The system keeps
-    its truth (:func:`_truth`).
+    its truth (:func:`_truth`), and its event-free sum per ``params``.
     """
     if side not in ("spins", "loops", "framed"):
         raise OutOfRange(f"unknown side {side!r}")
     free_sites(system)
-    logs = assignment_log_weights(system, params)
-    if event is not None:
-        logs = list(compress(logs, _truth(system, event, side)))
-    return WeightSum.sum_logs(logs)
+    if event is None:
+        return system.kept(("total", params), lambda: WeightSum.sum_logs(
+            assignment_log_weights(system, params)))
+    return WeightSum.sum_logs(list(compress(
+        assignment_log_weights(system, params), _truth(system, event, side))))
 
 
 def _truth(system: SpinSystem, event: Callable, side: str) -> bytes:

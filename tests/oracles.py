@@ -1,7 +1,8 @@
 """Test oracles for the exact layer: the defect-pair sum and the defect-pair
-table added up walk by walk, table evaluation through complex log-sum-exp,
-the sweep width by counting edge intervals, the edges the sweep keeps by a
-naive fixpoint, and the three-term relation of the edge-midpoint
+table added up walk by walk, table evaluation through complex log-sum-exp
+and through a list of term logs, the final sweep states unpacked field by
+field, the sweep width by counting edge intervals, the edges the sweep
+keeps by a naive fixpoint, and the three-term relation of the edge-midpoint
 observable; for the lattice, vertex positions in the plane, edge
 components by breadth-first search and domains whose interior is the disc
 that their bounding polygon keeps a flood of hexagons out of; for the
@@ -137,6 +138,31 @@ def sum_terms_evaluate_table(table: dict, params: Params) -> WeightSum:
     return WeightSum.sum_terms(
         (m * log_x + l * log_n + math.log(c), 1.0 + 0j)
         for (m, l), c in sorted(table.items()))
+
+
+def list_evaluate_table(table: Mapping, params: Params) -> WeightSum:
+    """The list route of ``exact.evaluate_table``: each term's log
+    ``m log x + l log n + log c`` formed in a Python list in key order, then
+    added by :meth:`WeightSum.sum_logs`."""
+    log_x = math.log(params.x)
+    log_n = math.log(params.n)
+    return WeightSum.sum_logs([m * log_x + l * log_n + math.log(c)
+                               for (m, l), c in sorted(table.items()) if c])
+
+
+def sliced_unpack(states: dict, stride: int, nbytes: int) -> dict:
+    """The oracle of ``exact._unpack``: every field of each final state's
+    int sliced out and compared with zero, and a nonzero one converted."""
+    terms, zero = {}, bytes(nbytes)
+    for parity, (offset, packed) in states.items():
+        raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
+        for at in range(0, len(raw), nbytes):
+            field = raw[at:at + nbytes]  # the top field may be short
+            if field != zero:
+                row, loops = divmod(offset + at // nbytes, stride)
+                terms[2 * row + parity, loops] = int.from_bytes(field,
+                                                                "little")
+    return terms
 
 
 def interval_sweep_width(edges) -> int:

@@ -660,6 +660,23 @@ class TestEnumerationCapsAndReuse:
         assert len(spy["walks"]) == 1
         assert spy["reads"] == [system] * 5
 
+    def test_markov_maps_the_inner_assignments_once(self, monkeypatch):
+        calls = []
+        index = checks.assignment_index
+        monkeypatch.setattr(checks, "assignment_index",
+                            lambda signs: calls.append(1) or index(signs))
+        outer = SpinSystem(BALL1, -1, sea=-1)
+        sub = [(0, 0), (1, 0)]
+        points = [self.PARAMS, Params(n=1.0, x=0.6, h=0.2, hp=-0.1)]
+        reports = [check_domain_markov_and_duality(outer, sub, -1, p)
+                   for p in points]
+        # one index per inner assignment, at the first report only
+        assert len(calls) == 4
+        for p, report in zip(points, reports):
+            assert report.holds
+            assert report.to_json() == check_domain_markov_and_duality(
+                BALL1, sub, -1, p).to_json()
+
     def test_cbc_sums_each_total_once(self, spy):
         events = {"origin_plus": lambda s: s[(0, 0)] == 1,
                   "both_plus": lambda s: s[(0, 0)] == s[(1, 0)] == 1}

@@ -294,8 +294,12 @@ def test_wall_masks_and_weights_equal_the_product_order_oracles(system, n, x,
     # a weight evaluated once per distinct count is the same float as the
     # one evaluated at each assignment
     params = Params(n, x, h, hp)
-    assert list(assignment_log_weights(system, params)) == [
+    kept = assignment_log_weights(system, params)
+    assert list(kept) == [
         log_spin_weight(params, c) for c in assignment_counts(system)]
+    # the system keeps the list per point, past a read at another point
+    assignment_log_weights(system, Params(n + 1.0, x, h, hp))
+    assert assignment_log_weights(system, Params(n, x, h, hp)) is kept
 
 
 def test_assignment_counts_recount_a_holed_context():

@@ -17,11 +17,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hexloop import exact
 from hexloop.checks import check_several_faces, check_symmetric_domain
 from hexloop.configs import (
     Params,
     SpinSystem,
+    assignment_counts,
     border_edges,
+    log_spin_weight,
     loop_count,
     sign_flood,
 )
@@ -79,8 +82,10 @@ from hexloop.lattice import (
 from oracles import (
     _sign_crossing,
     interval_sweep_width,
+    list_evaluate_table,
     peeled_edges,
     product_truth,
+    sliced_unpack,
     sum_terms_evaluate_table,
     vertex_relation_residual,
     walk_pair_table,
@@ -361,6 +366,72 @@ def test_sweep_counts_the_cycle_space_past_the_brute_cap(size, shuffled):
     assert {m % 2 for m, _ in table} == {0}
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(40, len(BALL3_EDGES)),
+       shuffled=st.permutations(BALL3_EDGES), n=st.floats(0.05, 5.0),
+       x=st.floats(0.05, 3.0))
+def test_array_evaluation_equals_the_list_route(data, size, shuffled, n, x):
+    # the term logs formed as arrays from a table's columns are the floats
+    # of the list route, so the sums are the same bits, for an engine
+    # table, a plain mapping and the empty table alike
+    edges = shuffled[:size]
+    verts = sorted({u for e in edges for u in e})
+    count = data.draw(st.sampled_from((0, 2, 4)))
+    defects = data.draw(st.lists(st.sampled_from(verts), min_size=count,
+                                 max_size=count, unique=True))
+    table = sweep_table(edges, defects)
+    p = Params(n=n, x=x)
+    want = list_evaluate_table(table, p)
+    assert evaluate_table(table, p) == want
+    assert evaluate_table(dict(table), p) == want
+    assert evaluate_table({}, p) == list_evaluate_table({}, p)
+    assert evaluate_table({}, p) == WeightSum.zero()
+
+
+def test_a_table_keeps_its_sum_per_point():
+    table = sweep_table(BALL2_EDGES)
+    p = Params(n=1.5, x=x_critical(1.5))
+    kept = evaluate_table(table, p)
+    # the same point, as the same or an equal Params, reads the kept sum;
+    # the fields do not enter a loop sum
+    assert evaluate_table(table, p) is kept
+    assert evaluate_table(table, Params(1.5, x_critical(1.5), h=0.3)) is kept
+    other = evaluate_table(table, Params(n=1.0, x=0.5))
+    assert other != kept and evaluate_table(table, Params(1.0, 0.5)) is other
+    assert kept == list_evaluate_table(table, p)
+    # a copy or a pickled table starts with no sums
+    for twin in (copy.copy(table), pickle.loads(pickle.dumps(table))):
+        assert twin.sums == {}
+        assert evaluate_table(twin, p) == kept
+
+
+def _bench_cases():
+    """The nine tables of the benchmark's ``tables`` workload: ball r=3,
+    the 6x6 and the 10x4 rectangle, each with 0, 2 and 4 defects spread
+    over the vertices of degree at most two in sweep order."""
+    for cells in (hexagon_ball(3), rectangle_hexagons(6, 6),
+                  rectangle_hexagons(10, 4)):
+        dom = domain_from_hexagons(cells)
+        low = sorted((v for v in {u for e in dom.edges for u in e}
+                      if dom.degree(v) <= 2), key=hex_xy)
+        for size in (0, 2, 4):
+            yield dom.edges, frozenset(
+                low[(2 * i + 1) * len(low) // (2 * size)] for i in range(size))
+
+
+def test_unpack_row_test_equals_the_slicing_route(monkeypatch):
+    finals = []
+    unpack = exact._unpack
+    monkeypatch.setattr(exact, "_unpack",
+                        lambda *args: finals.append(args) or unpack(*args))
+    for edges, defects in _bench_cases():
+        exact._sweep_table.__wrapped__(edges, defects, MAX_SWEEP_WIDTH)
+    assert len(finals) == 9
+    for states, stride, nbytes in finals:
+        table = unpack(states, stride, nbytes)
+        assert table and table == sliced_unpack(states, stride, nbytes)
+
+
 FIXTURE_EDGES = [fixture.build().edges for fixture in load_domains()]
 
 
@@ -610,6 +681,8 @@ def test_sweep_tables_are_read_only_and_not_copied():
     for twin in (copy.copy(table), pickle.loads(pickle.dumps(table))):
         assert type(twin) is Table and twin == table
         assert twin.log_terms == table.log_terms
+        assert ([c.tolist() for c in twin.columns]
+                == [c.tolist() for c in table.columns])
 
 
 def test_sweep_table_with_odd_lowest_edge_count():
@@ -1123,6 +1196,21 @@ def test_symmetric_crossings_equal_the_mapping_flood():
         want = product_truth(system, mapped, "spins")
         assert 0 < sum(want) < len(want)
         assert _truth(system, crossing, "framed") == want
+
+
+def test_spin_totals_are_kept_per_point():
+    system = SpinSystem(sorted(hexagon_ball(1)), -1, sea=-1)
+    points = [Params(1.5, x_critical(1.5)), Params(1.0, 0.5, 0.2, -0.3)]
+    totals = [spin_partition(system, p) for p in points]
+    for p, total in zip(points, totals):
+        assert spin_partition(system, Params(p.n, p.x, p.h, p.hp)) is total
+        # equal to a fresh system's, and to the weights added afresh
+        assert total == spin_partition(SpinSystem(system.free, -1, sea=-1), p)
+        assert total == WeightSum.sum_logs(
+            [log_spin_weight(p, c) for c in assignment_counts(system)])
+    # an event sum is not kept as the total
+    everything = spin_partition(system, points[0], lambda s: True)
+    assert everything == totals[0] and everything is not totals[0]
 
 
 def test_spin_partition_inputs():

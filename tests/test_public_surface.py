@@ -19,8 +19,6 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 TEST_ONLY = {
     "brute_force_table": "the exhaustive oracle that tests compare the "
                          "sweep engine against",
-    "render_loops": "the loop picture, whose removal is the second half of "
-                    "deleting `hexloop render`",
 }
 
 
