@@ -271,11 +271,11 @@ def _points(grid: dict, side: str) -> list:
                 for spec in grid[f"{side}_params"]]
 
 
-def _triangle(built: dict, side):
-    """The triangular domain of a side, built once per ``verify`` run."""
-    if side not in built:
-        built[side] = triangle_domain(side)
-    return built[side]
+def _once(built: dict, key, make):
+    """``make(key)``, built once per ``verify`` run."""
+    if key not in built:
+        built[key] = make(key)
+    return built[key]
 
 
 def _suite_fkg(grid: dict, built: dict) -> list:
@@ -313,7 +313,8 @@ def _suite_bijection(grid: dict, built: dict) -> list:
 def _suite_catalan(grid: dict, built: dict) -> list:
     out = []
     for fixture in load_domains()[:12]:
-        domain = fixture.build()
+        domain = _once(built, frozenset(fixture.hexagons),
+                       domain_from_hexagons)
         picks = defect_sets(domain)
         out += [(f"catalan/{fixture.name}/A{size}.{j}/{label}",
                  check_catalan_bound(domain, pick, params))
@@ -325,7 +326,8 @@ def _suite_catalan(grid: dict, built: dict) -> list:
 def _suite_monotone(grid: dict, built: dict) -> list:
     out = []
     for pair in load_monotone_pairs():
-        inner, outer = pair.build()
+        inner, outer = (_once(built, frozenset(cells), domain_from_hexagons)
+                        for cells in (pair.inner, pair.outer))
         out += [(f"monotone/{pair.name}/{label}",
                  check_domain_monotonicity(inner, outer, pair.gamma, params))
                 for label, params in _points(grid, "loop")]
@@ -336,9 +338,8 @@ def _suite_triangle(grid: dict, built: dict) -> list:
     with _user_input("parameter grid"):
         spec = grid["triangle"]
         points = [(side, n) for side in spec["sides"] for n in spec["ns"]]
-    return [(f"triangle/side{side}/n={n}",
-             check_triangle_lower_bound(_triangle(built, side), n))
-            for side, n in points]
+    return [(f"triangle/side{side}/n={n}", check_triangle_lower_bound(
+        _once(built, side, triangle_domain), n)) for side, n in points]
 
 
 def _suite_contour(grid: dict, built: dict) -> list:
@@ -349,7 +350,7 @@ def _suite_contour(grid: dict, built: dict) -> list:
         points += [(off["side"], off["n"], off["x"], off["x"])
                    for off in spec.get("off_critical", ())]
     return [(f"contour/side{side}/n={n}/x={label}",
-             check_contour_identity(_triangle(built, side), n, x))
+             check_contour_identity(_once(built, side, triangle_domain), n, x))
             for side, n, label, x in points]
 
 
@@ -385,8 +386,8 @@ def _cmd_verify(args) -> int:
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     _log_config("verify", {"suite": args.suite, "params": args.params,
                            "out": args.out})
-    # built once for this run only: each region's spin system, and each
-    # triangular domain by its side
+    # built once for this run only: each region's spin system, each
+    # triangular domain by its side and each domain by its hexagon set
     built = {r: SpinSystem(cells, -1, sea=-1) for r, cells in REGIONS.items()}
     labeled = []
     for suite in names:

@@ -4,20 +4,18 @@ Two independent engines compute the weighted sum over all configurations on
 an edge set with a prescribed defect set.  Both reduce an instance to a
 :class:`Table` ``{(edge count, loop count): multiplicity}`` that is
 independent of the weights, so one combinatorial pass serves a whole
-parameter grid.  A table is read-only, in key order, and keeps its edge
-counts, loop counts and count logs as float columns, so evaluating it into a
-:class:`WeightSum` at a parameter point is one array multiply-add and one
-exp per term, and it keeps its sum at each point evaluated.  The
-left-to-right sweep (:func:`sweep_table`) is the product engine: every walk
-weight, path sum and observable below goes through it.  Its frontier states
-are ints of two-bit slot codes whose strand ends nest like brackets, each
-carrying its partial configurations' polynomial packed into one exact int
-(see :func:`_sweep_table`).  It first drops the edges that no configuration
-can take, those left at a vertex of degree one that is not a defect (see
-:func:`_usable`).  A step of the sweep takes one vertex, or both ends of a
-vertical edge, which then never holds a frontier slot.  The depth-first
-enumeration with degree pruning (:func:`even_subgraphs`) only backs the
-oracle :func:`brute_force_table`, which tests compare the sweep against.
+parameter grid; a table evaluates into a :class:`WeightSum` at a parameter
+point with one array multiply-add and one exp per term.  The left-to-right
+sweep (:func:`sweep_table`) is the product engine: every walk weight, path
+sum and observable below goes through it.  Its frontier states are ints of
+two-bit slot codes whose strand ends nest like brackets, each carrying its
+partial configurations' polynomial packed into one exact int (see
+:func:`_sweep_table`).  Its plan (:func:`_plan`) drops the edges that no
+configuration can take, those left at a vertex of degree one that is not a
+defect.  A step of the sweep takes one vertex, or both ends of a vertical
+edge, which then never holds a frontier slot.  The depth-first enumeration
+with degree pruning (:func:`even_subgraphs`) only backs the oracle
+:func:`brute_force_table`, which tests compare the sweep against.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -85,21 +83,27 @@ MAX_FIELD_EDGES = 40
 TABLE_CACHE_SIZE = 1024
 
 class Table(dict):
-    """Read-only (edges, loops) -> count table in key order, with its logs,
-    the same as three float64 columns, and its sum at each point evaluated
-    (:func:`evaluate_table`)."""
+    """Read-only (edges, loops) -> count table in key order, with its edge
+    counts, loop counts and count logs as float64 columns, and its sum at
+    each point evaluated (:func:`evaluate_table`)."""
 
     def __init__(self, terms: Mapping[tuple[int, int], int]):
         items = sorted((key, c) for key, c in terms.items() if c)
         if any(c < 0 for _, c in items):
             raise OutOfRange("a configuration count cannot be negative")
-        super().__init__(items)
-        self.log_terms = [(m, l, math.log(c)) for (m, l), c in items]
-        # rows m, l, log c: each float is the one that the list route
-        # multiplies, since m and l are far below 2^53
-        self.columns = tuple(np.array(list(zip(*self.log_terms)),
-                                      np.float64).reshape(3, -1))
+        self._fill(items, *np.array([key for key, _ in items],
+                                    np.int64).reshape(-1, 2).T)
+
+    def _fill(self, items: Iterable, ms: np.ndarray, ls: np.ndarray) -> Table:
+        """Take ``(key, count)`` items in key order with no count zero, and
+        their edge and loop counts as int arrays, as they stand."""
+        dict.__init__(self, items)
+        # m, l and log c: the floats of the list route, as m, l < 2^53
+        self.columns = (ms.astype(np.float64), ls.astype(np.float64),
+                        np.fromiter(map(math.log, self.values()), np.float64,
+                                    len(self)))
         self.sums: dict[tuple[float, float], WeightSum] = {}
+        return self
 
     def __reduce__(self):  # copy and pickle would set the items one by one,
         return Table, (dict(self),)  # and carry no sums
@@ -153,15 +157,15 @@ class WeightSum:
 
     @classmethod
     def sum_logs(cls, logs: Sequence[float]) -> "WeightSum":
-        """Log-sum-exp of positive terms given by their logs, added in order
-        into one float scaled by the largest: bit for bit the real part of
-        what :meth:`sum_terms` adds for the same terms at phase 1."""
-        if not logs:
+        """Log-sum-exp of positive terms given by their logs as float64, the
+        exps added in order into one float scaled by the largest: bit for
+        bit the real part of what :meth:`sum_terms` adds at phase 1."""
+        logs = np.asarray(logs, np.float64)
+        if not logs.size:
             return cls.zero()
-        top, exp = max(logs), math.exp
-        acc = 0.0
-        for lg in logs:  # as sum_in_order adds, with no list of the terms
-            acc += exp(lg - top)
+        top, exp, acc = float(logs.max()), math.exp, 0.0
+        for d in (logs - top).tolist():  # as sum_in_order adds, but faster
+            acc += exp(d)
         return cls(top + math.log(acc))
 
     @property
@@ -325,33 +329,9 @@ def brute_force_table(edges: Iterable[HexEdge],
 def sweep_width(edges: Iterable[HexEdge]) -> int:
     """Largest number of edges crossing the left-to-right sweep frontier
     over the edges that a configuration with no defects can take
-    (:func:`_usable`), as the width cap of :func:`sweep_table` counts it
-    then; a defect at a leaf keeps an edge that this count drops."""
-    return _frontier_plan(_usable(_edges_of(edges), frozenset()),
-                          frozenset())[2]
-
-
-def _usable(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
-            ) -> tuple[HexEdge, ...]:
-    """The edges less every edge at a vertex of degree one that is not a
-    defect, dropped again and again until none is left: such a vertex has
-    degree zero in every configuration, so none takes the edge."""
-    incident: dict[HexVertex, list[HexEdge]] = {}
-    for e in edges:
-        for v in e:
-            incident.setdefault(v, []).append(e)
-    live, degree = set(edges), {v: len(es) for v, es in incident.items()}
-    leaves = [v for v, d in degree.items() if d == 1 and v not in defects]
-    while leaves:
-        v = leaves.pop()
-        for e in incident[v]:
-            if e in live:
-                live.remove(e)
-                w = e[1] if e[0] == v else e[0]
-                degree[w] -= 1
-                if degree[w] == 1 and w not in defects:
-                    leaves.append(w)
-    return tuple(e for e in edges if e in live)
+    (:func:`_plan`), as the width cap of :func:`sweep_table` counts it then;
+    a defect at a leaf keeps an edge that this count drops."""
+    return _plan(_edges_of(edges), frozenset())[2]
 
 
 #: codes of a frontier slot: no edge, the lower and the upper end of a
@@ -398,7 +378,7 @@ def _moves(block: tuple[int, ...], fresh: int, defect: bool) -> list:
 
 
 def _step_moves(block: tuple[int, ...], kind: tuple) -> list:
-    """The moves of a plan step (:func:`_frontier_plan`) by the codes of its
+    """The moves of a plan step (:func:`_plan`) by the codes of its
     arriving slots, as :func:`_moves` gives them, which runs at both ends of
     a vertical edge in turn: the step's arriving slots are the lower end's,
     then the upper end's others, and its fresh slots the lower end's
@@ -436,6 +416,18 @@ def _move_table(kind: tuple, stride: int) -> list:
              for block in product(range(4), repeat=k)] for parity in (0, 1)]
 
 
+@lru_cache(maxsize=None)
+def _placed_moves(kind: tuple, stride: int, lo: int) -> dict:
+    """:func:`_move_table` by parity and arriving codes as they sit in a key
+    from slot ``lo`` on; fresh blocks, flips and recode slots placed."""
+    at = 2 * lo + 1
+    return {codes << at | parity: [
+        (new << at | flip, recode and (lo + recode[0], *recode[1:]), delta)
+        for new, flip, recode, delta in moves]
+        for parity, by_codes in enumerate(_move_table(kind, stride))
+        for codes, moves in enumerate(by_codes)}
+
+
 def _partner(codes: int, i: int, step: int) -> int:
     """Slot of the other end of the strand whose bracket is at slot ``i`` of
     the codes packed two bits per slot; a bracket with no partner is a
@@ -453,43 +445,54 @@ def _partner(codes: int, i: int, step: int) -> int:
     raise RuntimeError(f"the bracket at slot {i} of {codes:#x} has no partner")
 
 
-def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
-                   ) -> tuple[list[HexVertex], list[tuple], int]:
-    """The vertices in sweep order, by :func:`hex_xy`; per plan step in that
-    order ``(lo, hi, fresh, kind)``: the step's arriving edges hold frontier
-    slots ``lo:hi``, its ``fresh`` forward edges take their place, and
-    ``kind`` keys its moves in :func:`_move_table`; and the sweep width, the
-    most edges on the frontier at once, counted vertex by vertex.
+def _plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
+          ) -> tuple[list[HexVertex], list[tuple], int, int]:
+    """The sweep over vertex and edge numbers, less each edge at a vertex of
+    degree one that is no defect, again and again: the vertices left, by
+    :func:`hex_xy`; per plan step (one vertex, or both ends of a vertical
+    edge with no defect) ``(lo, hi, fresh, kind)``: its arriving edges'
+    slots ``lo:hi``, which its ``fresh`` forward edges take, and its moves'
+    key; the width, the most edges on the frontier at once; and the cycle
+    rank E - V + C.  Slots and edge numbers go by midpoint height in doubled
+    coordinates, then abscissa; strands on the processed side of the cut
+    cannot cross, so a vertex's arriving edges are adjacent (checked)."""
+    verts = sorted({u for e in edges for u in e}, key=hex_xy)
+    pos = list(map(hex_xy, verts))
+    index = {v: i for i, v in enumerate(verts)}
+    ends = [sorted((index[u], index[v])) for u, v in edges]
+    near, arriving, fresh = ([[] for _ in verts] for _ in range(3))
+    for i, j in ends:
+        near[i].append(j)
+        near[j].append(i)
+    stack = list(range(len(verts)))
+    while stack:  # a leaf that is no defect is in no configuration
+        i = stack.pop()
+        if len(near[i]) == 1 and verts[i] not in defects:
+            w = near[i].pop()
+            near[w].remove(i)
+            stack.append(w)
 
-    A step is one vertex, or the two ends of a vertical edge when neither
-    is a defect: they share an abscissa, so they come next to each other in
-    sweep order.  Slots are in order of edge midpoint height in doubled
-    coordinates, then midpoint abscissa.  Strands on the processed side of
-    the cut cannot cross, so a vertex's arriving edges are adjacent in that
-    order (checked here) and the brackets of a state nest.
-    """
-    xy = {v: hex_xy(v) for v in {u for e in edges for u in e}}
-    verts = sorted(xy, key=xy.__getitem__)
-    order = {v: i for i, v in enumerate(verts)}
-    height = {(u, v): (xy[u][1] + xy[v][1], xy[u][0] + xy[v][0])
-              for u, v in edges}.__getitem__
-    # filled in height order, so each vertex's edges come sorted
-    arriving: list[list[HexEdge]] = [[] for _ in verts]
-    fresh: list[list[HexEdge]] = [[] for _ in verts]
-    for e in sorted(edges, key=height):
-        i, j = order[e[0]], order[e[1]]
-        if i > j:
-            i, j = j, i
-        fresh[i].append(e)
-        arriving[j].append(e)
+    plumb, parent, rank = [], list(range(len(verts))), 0
+    for t, (*_, i, j) in enumerate(sorted(
+            (pos[i][1] + pos[j][1], pos[i][0] + pos[j][0], i, j)
+            for i, j in ends if j in near[i])):
+        fresh[i].append(t)
+        arriving[j].append(t)
+        plumb.append(pos[i][0] == pos[j][0])
+        while parent[i] != i:  # union-find, halving each path walked
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        rank += i == j
+        parent[i] = j
 
-    frontier: list[HexEdge] = []
-    plan = []
-    width = 0
-    vertical = None  # the last vertex's vertical fresh edge, if no defect
+    # vertical: the last vertex's vertical fresh edge, if it is no defect
+    order, frontier, plan, width, vertical = [], [], [], 0, None
     for v, came, new in zip(verts, arriving, fresh):
-        lo = (frontier.index(came[0]) if came
-              else bisect_left(frontier, height(new[0]), key=height))
+        if not (came or new):
+            continue
+        order.append(v)
+        lo = frontier.index(came[0]) if came else bisect_left(frontier, new[0])
         hi = lo + len(came)
         assert frontier[lo:hi] == came, f"{v}: arriving slots apart"
         frontier[lo:hi] = new
@@ -501,16 +504,14 @@ def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                          lower + (kind,)))
         else:
             plan.append((lo, hi, len(new), (kind,)))
-        vertical = (new[-1] if new and not kind[2]
-                    and xy[new[-1][0]][0] == xy[new[-1][1]][0] else None)
-    return verts, plan, width
+        vertical = new[-1] if new and plumb[new[-1]] and not kind[2] else None
+    return order, plan, width, rank
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                  max_width: int) -> Table:
-    edges = _usable(edges, defects)
-    verts, plan, width = _frontier_plan(edges, defects)
+    verts, plan, width, rank = _plan(edges, defects)
     # the width is checked here, so only on a cache miss
     if width > max_width:
         raise WidthExceeded(f"sweep frontier width {width} exceeds the cap "
@@ -526,57 +527,55 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     # move the offset; a merge shifts the operand with the higher offset, so
     # field 0 is never zero.  Loops are vertex-disjoint with >= 6 usable
     # vertices each, so l < stride, and a field never carries: it is at most
-    # 2^(cycle rank), and dropping a leaf's edge keeps E - V + C.
-    stride = len(verts) // 6 + 1
-    rank = len(edges) - len(verts) + len(edge_components(edges))
-    nbytes = rank // 8 + 1
-    field_bits = 8 * nbytes
+    # 2^(cycle rank).
+    stride, nbytes = len(verts) // 6 + 1, rank // 8 + 1
+    bits = 8 * nbytes
 
     # a key: the edge parity in bit 0, slot i's code in bits 2i + 1 and 2i + 2
     states: dict[int, tuple[int, int]] = {0: (0, 1)}
     for lo, hi, fresh, kind in plan:
-        moves, shift = _move_table(kind, stride), fresh - (hi - lo)
+        moves, shift = _placed_moves(kind, stride, lo), fresh - (hi - lo)
         at_lo, at_hi, at_tail = 2 * lo + 1, 2 * hi + 1, 2 * (lo + fresh) + 1
-        head_mask, block_mask = (1 << at_lo) - 1, (1 << 2 * (hi - lo)) - 1
+        head_mask, arrived = (1 << at_lo) - 1, (1 << at_hi) - (1 << at_lo) | 1
         nxt: dict[int, tuple[int, int]] = {}
         get = nxt.get
         for key, (offset, poly) in states.items():
             rest = key & head_mask | key >> at_hi << at_tail
-            for block, flip, recode, delta in (
-                    moves[key & 1][key >> at_lo & block_mask]):
-                new = rest ^ flip | block << at_lo
+            for placed, recode, delta in moves[key & arrived]:
+                new = rest ^ placed
                 if recode is not None:
-                    slot, step, code = recode
-                    j = _partner(key >> 1, lo + slot, step)
+                    j = _partner(key >> 1, recode[0], recode[1])
                     at = 2 * (j + shift if j >= hi else j) + 1
-                    new = new & ~(3 << at) | code << at
-                state = (offset + delta, poly)
-                old = get(new)
-                if old is not None:
-                    (low, a), (high, b) = ((old, state) if old[0] <= state[0]
-                                           else (state, old))
-                    state = (low, a + (b << (high - low) * field_bits))
-                nxt[new] = state
+                    new = new & ~(3 << at) | recode[2] << at
+                low, old = offset + delta, get(new)
+                if old is None:
+                    nxt[new] = low, poly
+                elif old[0] <= low:
+                    nxt[new] = old[0], old[1] + (poly << (low - old[0]) * bits)
+                else:
+                    nxt[new] = low, poly + (old[1] << (old[0] - low) * bits)
         states = nxt
     return _unpack(states, stride, nbytes)
 
 
 def _unpack(states: dict, stride: int, nbytes: int) -> Table:
-    """The read-only :class:`Table` of the final states: field i of an int,
-    converted only if a byte is nonzero (one numpy test of the fields as
-    rows), counts slot offset + i, and slot row * stride + l holds
-    2 * row + parity edges and l loops."""
-    terms = {}
-    for parity, (offset, packed) in states.items():
-        fields = -(-packed.bit_length() // (8 * nbytes))
-        raw = packed.to_bytes(fields * nbytes, "little")
-        live = np.frombuffer(raw, np.uint8).reshape(fields, nbytes).any(1)
-        for i in live.nonzero()[0].tolist():
-            row, loops = divmod(offset + i, stride)
-            at = i * nbytes
-            terms[2 * row + parity, loops] = int.from_bytes(
-                raw[at:at + nbytes], "little")
-    return Table(terms)
+    """The read-only :class:`Table` of the final state, if any (the lattice
+    is bipartite, so one edge parity is left): field i of its int, read if a
+    byte is nonzero (one numpy test of the fields as rows), counts slot
+    offset + i, and slot row * stride + l holds 2 * row + parity edges and
+    l loops, so the fields come in key order."""
+    if not states:
+        return Table({})
+    [(parity, (offset, packed))] = states.items()
+    fields = -(-packed.bit_length() // (8 * nbytes))
+    raw = packed.to_bytes(fields * nbytes, "little")
+    live = np.flatnonzero(np.frombuffer(raw, np.uint8).reshape(-1, nbytes)
+                          .any(1))
+    rows, loops = np.divmod(live + offset, stride)
+    ms = 2 * rows + parity
+    return Table.__new__(Table)._fill(zip(zip(ms.tolist(), loops.tolist()), (
+        int.from_bytes(raw[at:at + nbytes], "little")
+        for at in (live * nbytes).tolist())), ms, loops)
 
 
 def sweep_table(edges: Iterable[HexEdge],
@@ -603,7 +602,7 @@ def evaluate_table(table: Mapping, params: Params) -> WeightSum:
     if got is None:
         ms, ls, lcs = table.columns
         got = table.sums[log_x, log_n] = WeightSum.sum_logs(
-            (ms * log_x + ls * log_n + lcs).tolist())
+            ms * log_x + ls * log_n + lcs)
     return got
 
 

@@ -1,18 +1,20 @@
 """Test oracles for the exact layer: the defect-pair sum and the defect-pair
 table added up walk by walk, table evaluation through complex log-sum-exp
-and through a list of term logs, the final sweep states unpacked field by
-field, the sweep width by counting edge intervals, the edges the sweep
-keeps by a naive fixpoint, and the three-term relation of the edge-midpoint
-observable; for the lattice, vertex positions in the plane, edge
-components by breadth-first search and domains whose interior is the disc
-that their bounding polygon keeps a flood of hexagons out of; for the
-chain, a heat-bath sweep that walks the walls at every multi-arc site; for
-the spin layer, event truths and wall sets read assignment by assignment
-in product order, and the spin connectivity events by a flood over a sign
-mapping; and the builtin ``sum`` of Python 3.12 and later, which
-compensates float rounding."""
+and through a list of term logs added in Python, the final sweep states
+unpacked field by field, the sweep width by counting edge intervals, the
+edges the sweep keeps by a naive fixpoint and by a worklist of vertex
+tuples, the sweep plan on vertex tuples with edges as its frontier, and the
+three-term relation of the edge-midpoint observable; for the lattice, vertex
+positions in the plane, edge components by breadth-first search and domains
+whose interior is the disc that their bounding polygon keeps a flood of
+hexagons out of; for the chain, a heat-bath sweep that walks the walls at
+every multi-arc site; for the spin layer, event truths and wall sets read
+assignment by assignment in product order, and the spin connectivity events
+by a flood over a sign mapping; and the builtin ``sum`` of Python 3.12 and
+later, which compensates float rounding."""
 
 import math
+from bisect import bisect_left
 from collections import Counter, deque
 from itertools import product
 from typing import Container, Iterable, Mapping
@@ -140,14 +142,25 @@ def sum_terms_evaluate_table(table: dict, params: Params) -> WeightSum:
         for (m, l), c in sorted(table.items()))
 
 
+def loop_sum_logs(logs) -> WeightSum:
+    """The oracle of :meth:`WeightSum.sum_logs`: the largest log and each
+    log less it formed in Python, the exps added in order."""
+    if not logs:
+        return WeightSum.zero()
+    top, acc = max(logs), 0.0
+    for lg in logs:
+        acc += math.exp(lg - top)
+    return WeightSum(top + math.log(acc))
+
+
 def list_evaluate_table(table: Mapping, params: Params) -> WeightSum:
     """The list route of ``exact.evaluate_table``: each term's log
     ``m log x + l log n + log c`` formed in a Python list in key order, then
-    added by :meth:`WeightSum.sum_logs`."""
+    added in Python by :func:`loop_sum_logs`."""
     log_x = math.log(params.x)
     log_n = math.log(params.n)
-    return WeightSum.sum_logs([m * log_x + l * log_n + math.log(c)
-                               for (m, l), c in sorted(table.items()) if c])
+    return loop_sum_logs([m * log_x + l * log_n + math.log(c)
+                          for (m, l), c in sorted(table.items()) if c])
 
 
 def sliced_unpack(states: dict, stride: int, nbytes: int) -> dict:
@@ -198,6 +211,77 @@ def peeled_edges(edges, defects=()) -> tuple[HexEdge, ...]:
         if kept == es:
             return tuple(es)
         es = kept
+
+
+def _usable(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
+            ) -> tuple[HexEdge, ...]:
+    """The peel of ``exact._plan`` on vertex tuples: the edges less every edge
+    at a vertex of degree one that is not a defect, dropped again and again
+    from a worklist of vertices until none is left, in the given order."""
+    incident: dict[HexVertex, list[HexEdge]] = {}
+    for e in edges:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    live, degree = set(edges), {v: len(es) for v, es in incident.items()}
+    leaves = [v for v, d in degree.items() if d == 1 and v not in defects]
+    while leaves:
+        v = leaves.pop()
+        for e in incident[v]:
+            if e in live:
+                live.remove(e)
+                w = e[1] if e[0] == v else e[0]
+                degree[w] -= 1
+                if degree[w] == 1 and w not in defects:
+                    leaves.append(w)
+    return tuple(e for e in edges if e in live)
+
+
+def _frontier_plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
+                   ) -> tuple[list[HexVertex], list[tuple], int]:
+    """The oracle of the plan of ``exact._plan``, on the edges it keeps
+    (:func:`_usable`), with vertex tuples and edges as the frontier:
+    the vertices in order of ``hex_xy``; per plan step ``(lo, hi, fresh,
+    kind)``, one vertex or the two ends of a vertical edge when neither is
+    a defect, the step's arriving edges' slots ``lo:hi``, which its
+    ``fresh`` forward edges take, and its vertex kinds; and the most edges
+    on the frontier at once.  Slots go by edge midpoint height in doubled
+    coordinates, then midpoint abscissa, found by bisection on a height
+    key."""
+    xy = {v: hex_xy(v) for v in {u for e in edges for u in e}}
+    verts = sorted(xy, key=xy.__getitem__)
+    order = {v: i for i, v in enumerate(verts)}
+    height = {(u, v): (xy[u][1] + xy[v][1], xy[u][0] + xy[v][0])
+              for u, v in edges}.__getitem__
+    arriving: list[list[HexEdge]] = [[] for _ in verts]
+    fresh: list[list[HexEdge]] = [[] for _ in verts]
+    for e in sorted(edges, key=height):
+        i, j = order[e[0]], order[e[1]]
+        if i > j:
+            i, j = j, i
+        fresh[i].append(e)
+        arriving[j].append(e)
+
+    frontier: list[HexEdge] = []
+    plan = []
+    width = 0
+    vertical = None  # the last vertex's vertical fresh edge, if no defect
+    for v, came, new in zip(verts, arriving, fresh):
+        lo = (frontier.index(came[0]) if came
+              else bisect_left(frontier, height(new[0]), key=height))
+        hi = lo + len(came)
+        assert frontier[lo:hi] == came, f"{v}: arriving slots apart"
+        frontier[lo:hi] = new
+        width = max(width, len(frontier))
+        kind = (hi - lo, len(new), v in defects)
+        if came and came[0] == vertical and not kind[2]:  # its upper end
+            lo, hi, out, lower = plan.pop()
+            plan.append((lo, hi + len(came) - 1, out - 1 + len(new),
+                         lower + (kind,)))
+        else:
+            plan.append((lo, hi, len(new), (kind,)))
+        vertical = (new[-1] if new and not kind[2]
+                    and xy[new[-1][0]][0] == xy[new[-1][1]][0] else None)
+    return verts, plan, width
 
 
 def bfs_edge_components(edges) -> tuple[frozenset[HexEdge], ...]:

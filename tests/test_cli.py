@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from hexloop import checks, cli, configs, exact
+from hexloop import checks, cli, configs, exact, fixtures, lattice
 from hexloop.exact import MAX_SWEEP_WIDTH, brute_force_table, evaluate_table
 from hexloop.fixtures import defect_sets, load_default_grid, load_domains
 from oracles import compensated_sum, product_truth
@@ -296,3 +296,20 @@ def test_verify_walks_each_system_once_per_run(capsys, monkeypatch):
         assert code == 0 and len(walks) == 11
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_verify_builds_each_domain_once_per_run(capsys, monkeypatch):
+    # the catalan and monotone suites read their domains through the run's
+    # built dict, so their 36 regions build the 20 distinct hexagon sets
+    # once each
+    calls = []
+    build = lattice.domain_from_hexagons
+
+    def counted(hexagons):
+        calls.append(frozenset(hexagons))
+        return build(hexagons)
+
+    for module in (lattice, fixtures, cli):
+        monkeypatch.setattr(module, "domain_from_hexagons", counted)
+    assert run(capsys, "verify", "--suite", "all")[0] == 0
+    assert len(calls) == len(set(calls)) == 20

@@ -23,6 +23,7 @@ from hexloop.configs import (
     Params,
     SpinSystem,
     assignment_counts,
+    assignment_log_weights,
     border_edges,
     log_spin_weight,
     loop_count,
@@ -45,10 +46,9 @@ from hexloop.exact import (
     MAX_SWEEP_WIDTH,
     Table,
     WeightSum,
-    _frontier_plan,
     _partner,
+    _plan,
     _truth,
-    _usable,
     brute_force_table,
     catalan,
     evaluate_table,
@@ -80,9 +80,12 @@ from hexloop.lattice import (
     triangle_domain,
 )
 from oracles import (
+    _frontier_plan,
     _sign_crossing,
+    _usable,
     interval_sweep_width,
     list_evaluate_table,
+    loop_sum_logs,
     peeled_edges,
     product_truth,
     sliced_unpack,
@@ -432,7 +435,19 @@ def test_unpack_row_test_equals_the_slicing_route(monkeypatch):
         assert table and table == sliced_unpack(states, stride, nbytes)
 
 
-FIXTURE_EDGES = [fixture.build().edges for fixture in load_domains()]
+FIXTURE_DOMAINS = [fixture.build() for fixture in load_domains()]
+FIXTURE_EDGES = [dom.edges for dom in FIXTURE_DOMAINS]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.floats(0.05, 5.0), x=st.floats(0.05, 3.0))
+def test_bench_tables_evaluate_as_the_list_route(n, x):
+    # the nine tables of the benchmark's tables workload at a random point:
+    # numpy's max and subtraction give the bits of the Python list route
+    p = Params(n=n, x=x)
+    for edges, defects in _bench_cases():
+        table = sweep_table(edges, defects)
+        assert evaluate_table(table, p) == list_evaluate_table(table, p)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -539,6 +554,46 @@ def test_plan_takes_both_ends_of_each_vertical_edge_in_one_step(cells,
     for lower, upper in pairs[::9]:
         for end in (lower, upper):
             assert fused([end]) == set(pairs) - {(lower, upper)}
+
+
+TRIANGLES = {side: triangle_domain(side).domain for side in (4, 6, 8, 10)}
+
+
+@st.composite
+def plan_scenes(draw):
+    """An edge set with a defect set: a subset of ball r=3 with 0, 2 or 4
+    defects on it, a domain fixture with one of its defect sets, or a
+    triangle of side 4 to 10 with a pair of boundary vertices."""
+    source = draw(st.sampled_from(("ball3", "fixture", "triangle")))
+    if source == "ball3":
+        edges = tuple(sorted(draw(ball3_edge_subsets())))
+        verts = sorted({u for e in edges for u in e})
+        size = draw(st.sampled_from((0, 2, 4)))
+        assume(len(verts) >= size)
+        return edges, frozenset(draw(st.lists(
+            st.sampled_from(verts), min_size=size, max_size=size,
+            unique=True)) if size else ())
+    if source == "fixture":
+        dom = draw(st.sampled_from(FIXTURE_DOMAINS))
+        picks = [p for ps in defect_sets(dom).values() for p in ps]
+        return dom.edges, frozenset(draw(st.sampled_from(picks)))
+    dom = TRIANGLES[draw(st.sampled_from(sorted(TRIANGLES)))]
+    return dom.edges, frozenset(draw(st.lists(
+        st.sampled_from(dom.boundary), min_size=2, max_size=2, unique=True)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scene=plan_scenes())
+def test_plan_equals_the_vertex_tuple_oracle(scene):
+    # the plan on vertex and edge numbers is the plan on vertex tuples with
+    # edges as the frontier, over the edges that the worklist of vertex
+    # tuples keeps, and its rank is E - V + C of those edges
+    edges, defects = scene
+    verts, plan, width, rank = _plan(edges, defects)
+    kept = _usable(edges, defects)
+    assert kept == peeled_edges(edges, defects)
+    assert (verts, plan, width) == _frontier_plan(kept, defects)
+    assert rank == len(kept) - len(verts) + len(edge_components(kept))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -677,10 +732,9 @@ def test_sweep_tables_are_read_only_and_not_copied():
     golden = json.loads((GOLDEN / "ball3_tables.json").read_text())
     assert sweep_table(dom.edges) == {
         (m, l): c for m, l, c in golden["free"]}
-    # a copy or a pickled table is a table with the same terms and logs
+    # a copy or a pickled table is a table with the same terms and columns
     for twin in (copy.copy(table), pickle.loads(pickle.dumps(table))):
         assert type(twin) is Table and twin == table
-        assert twin.log_terms == table.log_terms
         assert ([c.tolist() for c in twin.columns]
                 == [c.tolist() for c in table.columns])
 
@@ -1126,6 +1180,24 @@ def test_wall_distribution_matches_loop_weights():
             assert got == pytest.approx(want, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=spin_systems(BALL2, max_size=8), n=st.floats(0.05, 5.0),
+       x=st.floats(0.05, 3.0), level=st.integers(-8, 8))
+def test_spin_sums_equal_the_python_loop(system, n, x, level):
+    # a total and an event sum add the same floats as the Python loop of
+    # max, subtraction and exp over the log weights in assignment order
+    p = Params(n=n, x=x)
+    logs = list(assignment_log_weights(system, p))
+    assert spin_partition(system, p) == loop_sum_logs(logs)
+
+    def event(s):
+        return sum(s.values()) > level
+
+    holds = _truth(system, event, "spins")
+    want = loop_sum_logs([lg for lg, t in zip(logs, holds) if t])
+    assert spin_partition(system, p, event) == want
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(system=spin_systems(BALL2, max_size=8), data=st.data())
 def test_gray_walk_truths_equal_the_product_order_oracle(system, data):
@@ -1206,8 +1278,8 @@ def test_spin_totals_are_kept_per_point():
         assert spin_partition(system, Params(p.n, p.x, p.h, p.hp)) is total
         # equal to a fresh system's, and to the weights added afresh
         assert total == spin_partition(SpinSystem(system.free, -1, sea=-1), p)
-        assert total == WeightSum.sum_logs(
-            [log_spin_weight(p, c) for c in assignment_counts(system)])
+        logs = [log_spin_weight(p, c) for c in assignment_counts(system)]
+        assert total == WeightSum.sum_logs(logs) == loop_sum_logs(logs)
     # an event sum is not kept as the total
     everything = spin_partition(system, points[0], lambda s: True)
     assert everything == totals[0] and everything is not totals[0]
