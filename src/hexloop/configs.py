@@ -73,11 +73,11 @@ from .lattice import (
     Keeper,
     TriVertex,
     config_degrees,
+    edge,
     edge_components,
     hexagon_components,
     hexagon_corners,
     hexagon_edges,
-    shared_edge,
     tri_neighbors,
     vertex_hexagons,
 )
@@ -251,11 +251,12 @@ class SpinSystem(Keeper):
 
     @cached_property
     def _wall_probes(self) -> tuple[tuple[HexEdge, int, int], ...]:
-        """``(edge, i, j)`` for each pair of :attr:`_free_pairs`: the edge
-        the two hexagons share is a wall when their spins differ."""
+        """``(edge, i, j)`` per :attr:`_free_pairs`, a wall if the spins differ:
+        corners k - 1 and k of hexagon i, the side to j at ``_CYCLE[k]``."""
         ctx = self.context
-        return tuple((shared_edge(ctx[i], ctx[j]), i, j)
-                     for i, j in self._free_pairs)
+        return tuple((edge(c[k - 1], c[k]), i, j) for i, j in self._free_pairs
+                     for c, k in [(hexagon_corners(ctx[i]), _CYCLE.index(
+                         (ctx[j][0] - ctx[i][0], ctx[j][1] - ctx[i][1])))])
 
     @cached_property
     def _exterior_touching(self) -> tuple[tuple[int, int], ...]:

@@ -5,17 +5,17 @@ an edge set with a prescribed defect set.  Both reduce an instance to a
 :class:`Table` ``{(edge count, loop count): multiplicity}`` that is
 independent of the weights, so one combinatorial pass serves a whole
 parameter grid; a table evaluates into a :class:`WeightSum` at a parameter
-point with one array multiply-add and one exp per term.  The left-to-right
-sweep (:func:`sweep_table`) is the product engine: every walk weight, path
-sum and observable below goes through it.  Its frontier states are ints of
+point with one array multiply-add and one exp per term.  The sweep
+(:func:`sweep_table`) is the product engine: every walk weight, path sum
+and observable below goes through it.  Its frontier states are ints of
 two-bit slot codes whose strand ends nest like brackets, each carrying its
 partial configurations' polynomial packed into one exact int (see
 :func:`_sweep_table`).  Its plan (:func:`_plan`) drops the edges that no
-configuration can take, those left at a vertex of degree one that is not a
-defect.  A step of the sweep takes one vertex, or both ends of a vertical
-edge, which then never holds a frontier slot.  The depth-first enumeration
-with degree pruning (:func:`even_subgraphs`) only backs the oracle
-:func:`brute_force_table`, which tests compare the sweep against.
+configuration can take, at a vertex of degree one that is no defect, and
+goes left to right or, past width 6, along the narrowest of the lattice's
+six directions, whose width is the sweep's.  A step takes one vertex, or
+both ends of a vertical edge.  The depth-first enumeration with degree
+pruning (:func:`even_subgraphs`) backs the tests' oracle, :func:`_brute_table`.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -75,7 +75,6 @@ from .lattice import (
     turn_sign,
 )
 
-MAX_BRUTE_EDGES = 26
 MAX_SWEEP_WIDTH = 16
 MAX_FIELD_EDGES = 40
 #: entries kept by each table cache; one ``hexloop verify --suite all`` pass
@@ -312,25 +311,15 @@ def _brute_table(edges: tuple[HexEdge, ...],
                          for chosen in even_subgraphs(edges, defects)))
 
 
-def brute_force_table(edges: Iterable[HexEdge],
-                      defects: Iterable[HexVertex] = ()) -> Table:
-    """Configuration table by exhaustive search with degree pruning."""
-    es = tuple(sorted({edge(u, v) for u, v in edges}))
-    if len(es) > MAX_BRUTE_EDGES:
-        raise TooLarge(f"{len(es)} edges exceed the brute-force cap "
-                       f"of {MAX_BRUTE_EDGES}")
-    return _brute_table(es, frozenset(tuple(d) for d in defects))
-
-
 # ---------------------------------------------------------------------------
 # sweep engine
 # ---------------------------------------------------------------------------
 
 def sweep_width(edges: Iterable[HexEdge]) -> int:
-    """Largest number of edges crossing the left-to-right sweep frontier
-    over the edges that a configuration with no defects can take
-    (:func:`_plan`), as the width cap of :func:`sweep_table` counts it then;
-    a defect at a leaf keeps an edge that this count drops."""
+    """Largest number of edges crossing the sweep frontier over the edges
+    that a configuration with no defects can take, in the direction that
+    :func:`sweep_table` sweeps then (:func:`_plan`), as its width cap counts
+    it; a defect at a leaf keeps an edge that this count drops."""
     return _plan(_edges_of(edges), frozenset())[2]
 
 
@@ -403,29 +392,18 @@ def _step_moves(block: tuple[int, ...], kind: tuple) -> list:
 
 
 @lru_cache(maxsize=None)
-def _move_table(kind: tuple, stride: int) -> list:
-    """The moves of a plan step, one vertex or the two ends of a vertical
-    edge (:func:`_step_moves`), by old edge parity, then by arriving codes
-    packed two bits per slot, slot 0 lowest; each move's fresh codes are
-    packed the same way, and its edges taken and loops closed are turned
-    into its parity flip and offset step."""
-    k = sum(v[0] for v in kind) - len(kind) + 1  # less a vertical edge
-    return [[[(sum(c << 2 * i for i, c in enumerate(new)), taken % 2, recode,
-               (parity + taken) // 2 * stride + closed)
-              for new, taken, recode, closed in _step_moves(block[::-1], kind)]
-             for block in product(range(4), repeat=k)] for parity in (0, 1)]
-
-
-@lru_cache(maxsize=None)
 def _placed_moves(kind: tuple, stride: int, lo: int) -> dict:
-    """:func:`_move_table` by parity and arriving codes as they sit in a key
-    from slot ``lo`` on; fresh blocks, flips and recode slots placed."""
-    at = 2 * lo + 1
-    return {codes << at | parity: [
-        (new << at | flip, recode and (lo + recode[0], *recode[1:]), delta)
-        for new, flip, recode, delta in moves]
-        for parity, by_codes in enumerate(_move_table(kind, stride))
-        for codes, moves in enumerate(by_codes)}
+    """The moves of a plan step (:func:`_step_moves`) by old edge parity and
+    the codes of its k arriving slots (less a vertical edge) as they sit in
+    a key from slot ``lo`` on, two bits per slot; each move's fresh codes
+    and recode slot placed alike, its edges and loops as flip and offset."""
+    k, at = sum(v[0] for v in kind) - len(kind) + 1, 2 * lo + 1
+    return {sum(c << 2 * i for i, c in enumerate(block)) << at | parity: [
+        (sum(c << 2 * i for i, c in enumerate(new)) << at | taken % 2,
+         recode and (lo + recode[0], *recode[1:]),
+         (parity + taken) // 2 * stride + closed)
+        for new, taken, recode, closed in _step_moves(block, kind)]
+        for parity in (0, 1) for block in product(range(4), repeat=k)}
 
 
 def _partner(codes: int, i: int, step: int) -> int:
@@ -445,19 +423,29 @@ def _partner(codes: int, i: int, step: int) -> int:
     raise RuntimeError(f"the bracket at slot {i} of {codes:#x} has no partner")
 
 
+#: rows (a, b, c, d) of (aX + bY, cX + dY): twice the doubled coordinates
+#: turned k times by 60 degrees about the origin hexagon, a lattice symmetry
+_TURNS = ((2, 0, 0, 2), (1, -1, 3, 1), (-1, -1, 3, -1), (-2, 0, 0, -2),
+          (-1, 1, -3, -1), (1, 1, -3, 1))
+
+
 def _plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
-          ) -> tuple[list[HexVertex], list[tuple], int, int]:
+          turns: int | None = None) -> tuple[list, list[tuple], int, int]:
     """The sweep over vertex and edge numbers, less each edge at a vertex of
-    degree one that is no defect, again and again: the vertices left, by
-    :func:`hex_xy`; per plan step (one vertex, or both ends of a vertical
-    edge with no defect) ``(lo, hi, fresh, kind)``: its arriving edges'
-    slots ``lo:hi``, which its ``fresh`` forward edges take, and its moves'
-    key; the width, the most edges on the frontier at once; and the cycle
-    rank E - V + C.  Slots and edge numbers go by midpoint height in doubled
-    coordinates, then abscissa; strands on the processed side of the cut
-    cannot cross, so a vertex's arriving edges are adjacent (checked)."""
-    verts = sorted({u for e in edges for u in e}, key=hex_xy)
-    pos = list(map(hex_xy, verts))
+    degree one that is no defect, again and again, with the coordinates
+    turned ``turns`` times (:data:`_TURNS`): the vertices left, by abscissa;
+    per plan step (one vertex, or both ends of a vertical edge with no
+    defect) ``(lo, hi, fresh, kind)``: its arriving edges' slots ``lo:hi``,
+    which its ``fresh`` forward edges take, and its moves' key; the width,
+    the most edges on the frontier at once; and the cycle rank E - V + C.
+    Slots and edge numbers go by midpoint height, then abscissa; strands on
+    the processed side of the cut cannot cross, so a vertex's arriving edges
+    are adjacent (checked).  With no ``turns``, a plan wider than 6 is made
+    again in the narrowest direction, fewest estimated states, fewest turns."""
+    a, b, c, d = _TURNS[turns or 0]
+    pos = sorted((a * x + b * y, c * x + d * y, v)
+                 for v in {u for e in edges for u in e} for x, y in [hex_xy(v)])
+    verts = [v for *_, v in pos]
     index = {v: i for i, v in enumerate(verts)}
     ends = [sorted((index[u], index[v])) for u, v in edges]
     near, arriving, fresh = ([[] for _ in verts] for _ in range(3))
@@ -505,6 +493,25 @@ def _plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
         else:
             plan.append((lo, hi, len(new), (kind,)))
         vertical = new[-1] if new and plumb[new[-1]] and not kind[2] else None
+    if turns is None and width > 6:  # the six directions at once
+        n, degree = len(pos), np.fromiter(map(len, near), np.int64, len(pos))
+        i, j = np.array(ends)[degree[ends].all(1)].T  # the edges left
+        x, y = (np.array(_TURNS).reshape(6, 2, 2) @ np.array(
+            [p[:2] for p in pos]).T).transpose(1, 0, 2)
+        key, met = (x << 32) + y, np.array([v in defects for v in verts])
+        seq = key.argsort(1)  # after a vertex the frontier has its edges more,
+        earlier = np.bincount((np.where(  # less twice those to earlier ones
+            key[:, i] > key[:, j], i, j) + n * np.arange(6)[:, None]).ravel(),
+            minlength=6 * n).reshape(6, n)
+        w = np.take_along_axis(degree - 2 * earlier, seq, 1).cumsum(1)
+        # states of m slots, d defects met: k <= d strand ends of d's parity
+        states = np.array([[sum(math.comb(m, k) << m - k for k in range(
+            d % 2, min(d, m) + 1, 2)) for d in range(len(defects) + 1)]
+            for m in range(w.max() + 1)], np.float64)
+        cost = (states[w, met[seq].cumsum(1)] * (degree > 0)[seq]).sum(1)
+        best = min(zip(w.max(1).tolist(), cost.tolist(), range(6)))[2]
+        if best:
+            return _plan(edges, defects, best)
     return order, plan, width, rank
 
 

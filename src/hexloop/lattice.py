@@ -122,14 +122,6 @@ def edge_hexagons(e: HexEdge) -> tuple[TriVertex, TriVertex]:
     return common
 
 
-def shared_edge(a: TriVertex, b: TriVertex) -> HexEdge:
-    """The unique lattice edge separating two adjacent hexagons."""
-    common = set(hexagon_edges(a)) & set(hexagon_edges(b))
-    if len(common) != 1:
-        raise OutOfRange(f"hexagons {a} and {b} are not adjacent")
-    return next(iter(common))
-
-
 def tri_neighbors(h: TriVertex) -> tuple[TriVertex, ...]:
     """The six hexagons sharing an edge with ``h``."""
     r, s = h

@@ -1,11 +1,13 @@
-"""Test oracles for the exact layer: the defect-pair sum and the defect-pair
-table added up walk by walk, table evaluation through complex log-sum-exp
+"""Test oracles for the exact layer: the configuration table by exhaustive
+search, the defect-pair sum and the defect-pair table added up walk by
+walk, table evaluation through complex log-sum-exp
 and through a list of term logs added in Python, the final sweep states
 unpacked field by field, the sweep width by counting edge intervals, the
 edges the sweep keeps by a naive fixpoint and by a worklist of vertex
 tuples, the sweep plan on vertex tuples with edges as its frontier, and the
 three-term relation of the edge-midpoint observable; for the lattice, vertex
-positions in the plane, edge components by breadth-first search and domains
+positions in the plane, edge components by breadth-first search, the edge
+two hexagons share by intersecting their edge sets, and domains
 whose interior is the disc that their bounding polygon keeps a flood of
 hexagons out of; for the chain, a heat-bath sweep that walks the walls at
 every multi-arc site; for the spin layer, event truths and wall sets read
@@ -33,10 +35,13 @@ from hexloop.errors import (
     EmptyInterior,
     NotSelfAvoiding,
     OutOfRange,
+    TooLarge,
 )
 from hexloop.exact import (
     PathSum,
+    Table,
     WeightSum,
+    _brute_table,
     _targets,
     parafermion_field,
     relative_weight,
@@ -56,7 +61,6 @@ from hexloop.lattice import (
     hexagon_corners,
     hexagon_edges,
     rhombus_hexagons,
-    shared_edge,
     tri_distance,
     tri_neighbors,
     vertex_hexagons,
@@ -111,6 +115,21 @@ def walk_path_sum(domain: Domain, a: HexVertex, b,
     weights = [relative_weight(domain, walk, params)
                for walk in walks_to(domain.vertex_edges, a, targets)]
     return PathSum(sum(weights), len(weights))
+
+
+#: edges that the brute-force oracle takes at most
+MAX_BRUTE_EDGES = 26
+
+
+def brute_force_table(edges, defects=()) -> Table:
+    """The exhaustive oracle of ``exact.sweep_table``: the configuration
+    table by depth-first search with degree pruning (``exact._brute_table``),
+    on at most ``MAX_BRUTE_EDGES`` edges."""
+    es = tuple(sorted({edge(u, v) for u, v in edges}))
+    if len(es) > MAX_BRUTE_EDGES:
+        raise TooLarge(f"{len(es)} edges exceed the brute-force cap "
+                       f"of {MAX_BRUTE_EDGES}")
+    return _brute_table(es, frozenset(tuple(d) for d in defects))
 
 
 def walk_pair_table(edges, a: HexVertex, b: HexVertex) -> dict:
@@ -178,12 +197,20 @@ def sliced_unpack(states: dict, stride: int, nbytes: int) -> dict:
     return terms
 
 
-def interval_sweep_width(edges) -> int:
-    """The oracle of ``exact.sweep_width``: with the vertices in order of
-    ``hex_xy``, each edge spans the cuts between its two endpoints, and the
-    width is the most spans over one cut, from a difference array."""
+def interval_sweep_width(edges, turns: int = 0) -> int:
+    """The oracle of ``exact.sweep_width`` in one direction: with the
+    vertices in order of ``hex_xy`` turned ``turns`` times by 60 degrees
+    about the origin hexagon, a turn at a time, each edge spans the cuts
+    between its two endpoints, and the width is the most spans over one
+    cut, from a difference array."""
+    def turned(v):
+        x, y = hex_xy(v)
+        for _ in range(turns):
+            x, y = (x - y) // 2, (3 * x + y) // 2
+        return x, y
+
     es = {edge(u, v) for u, v in edges}
-    verts = sorted({u for e in es for u in e}, key=hex_xy)
+    verts = sorted({u for e in es for u in e}, key=turned)
     order = {v: i for i, v in enumerate(verts)}
     open_at = [0] * (len(verts) + 1)
     for u, v in es:
@@ -308,6 +335,16 @@ def bfs_edge_components(edges) -> tuple[frozenset[HexEdge], ...]:
         reached |= comp
         comps.append(frozenset(comp))
     return tuple(comps)
+
+
+def shared_edge(a: TriVertex, b: TriVertex) -> HexEdge:
+    """The oracle of the wall edges of ``SpinSystem._wall_probes``: the
+    unique lattice edge separating two adjacent hexagons, as the one edge
+    that their six edges have in common."""
+    common = set(hexagon_edges(a)) & set(hexagon_edges(b))
+    if len(common) != 1:
+        raise OutOfRange(f"hexagons {a} and {b} are not adjacent")
+    return next(iter(common))
 
 
 def _canonical_cycle(cycle) -> tuple[HexVertex, ...]:

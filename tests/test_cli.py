@@ -7,9 +7,9 @@ import pathlib
 import pytest
 
 from hexloop import checks, cli, configs, exact, fixtures, lattice
-from hexloop.exact import MAX_SWEEP_WIDTH, brute_force_table, evaluate_table
+from hexloop.exact import MAX_SWEEP_WIDTH, evaluate_table
 from hexloop.fixtures import defect_sets, load_default_grid, load_domains
-from oracles import compensated_sum, product_truth
+from oracles import brute_force_table, compensated_sum, product_truth
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -57,6 +57,21 @@ def test_enumerate_auto_names_the_width_cap(capsys):
     assert resolved["resolved"]["engine"] == "sweep"
     assert failure["error"] == "WidthExceeded"
     assert f"cap of {MAX_SWEEP_WIDTH}" in failure["message"]
+
+
+def test_enumerate_sweeps_a_turned_box_past_the_width_cap(capsys):
+    # the 7x9 box turned by 60 degrees, (r, s) -> (-s, r + s): 17 wide in
+    # the default direction, past the cap, and 9 in its narrowest, which
+    # the sweep takes, to the log Z of the unturned box
+    box = lattice.rectangle_hexagons(7, 9)
+    turned = sorted([-s, r + s] for r, s in box)
+    records = []
+    for cells in (turned, sorted(map(list, box))):
+        code, out, _ = run(capsys, "enumerate", "--domain",
+                           json.dumps({"hexagons": cells}), "--n", "1.5")
+        assert code == 0
+        records.append(json.loads(out))
+    assert records[0]["log_Z"] == records[1]["log_Z"]
 
 
 def test_seeded_sample_repeats(capsys, tmp_path):

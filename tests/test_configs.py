@@ -43,7 +43,7 @@ from hexloop.lattice import (
     tri_neighbors,
 )
 
-from oracles import product_wall_sets
+from oracles import product_wall_sets, shared_edge
 from shapes import HOLE, RING12, holes, spin_systems, with_hole
 
 BALL2 = sorted(hexagon_ball(2))
@@ -284,7 +284,11 @@ def test_assignment_counts_match_spin_counts(system):
 def test_wall_masks_and_weights_equal_the_product_order_oracles(system, n, x,
                                                                 h, hp):
     # the masks of one Gray walk decode to the wall sets of spins_to_loops,
-    # assignment by assignment in product order, in a holed context too
+    # assignment by assignment in product order, in a holed context too;
+    # the wall probes that spins_to_loops reads name the shared edges
+    ctx = system.context
+    assert system._wall_probes == tuple(
+        (shared_edge(ctx[i], ctx[j]), i, j) for i, j in system._free_pairs)
     edges = border_edges(system.free)
     top = len(edges) - 1
     decoded = [frozenset(e for i, e in enumerate(edges) if mask >> top - i & 1)

@@ -12,12 +12,13 @@ import math
 import pathlib
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hexloop import exact
+from hexloop import cli, exact
 from hexloop.checks import check_several_faces, check_symmetric_domain
 from hexloop.configs import (
     Params,
@@ -42,14 +43,12 @@ from hexloop.exact import (
     _CLOSE,
     _OPEN,
     _STRAND,
-    MAX_BRUTE_EDGES,
     MAX_SWEEP_WIDTH,
     Table,
     WeightSum,
     _partner,
     _plan,
     _truth,
-    brute_force_table,
     catalan,
     evaluate_table,
     exact_event_probability,
@@ -80,9 +79,11 @@ from hexloop.lattice import (
     triangle_domain,
 )
 from oracles import (
+    MAX_BRUTE_EDGES,
     _frontier_plan,
     _sign_crossing,
     _usable,
+    brute_force_table,
     interval_sweep_width,
     list_evaluate_table,
     loop_sum_logs,
@@ -455,13 +456,17 @@ def test_bench_tables_evaluate_as_the_list_route(n, x):
        dr=st.integers(-9, 9), ds=st.integers(-9, 9))
 def test_sweep_width_matches_the_interval_oracle(edges, dr, ds):
     # the width the frontier plan reads off the edges some configuration
-    # can take, on a subset of ball r=3 moved by a lattice offset and on
-    # every domain fixture; a cap one below it is refused with the width
-    # and the cap named
+    # can take, in the direction the sweep takes: today's, or the narrowest
+    # of the six when today's is wider than 6; on a subset of ball r=3
+    # moved by a lattice offset and on every domain fixture; a cap one
+    # below it is refused with the width and the cap named
     moved = [tuple((u[0] + dr, u[1] + ds, u[2]) for u in e) for e in edges]
     for es in (moved, *FIXTURE_EDGES):
-        w = sweep_width(es)
-        assert w == interval_sweep_width(peeled_edges(es))
+        kept = peeled_edges(es)
+        w = interval_sweep_width(kept)
+        if w > 6:
+            w = min(interval_sweep_width(kept, turns) for turns in range(6))
+        assert sweep_width(es) == w
         with pytest.raises(WidthExceeded, match=(
                 f"^sweep frontier width {w} exceeds the cap of {w - 1}$")):
             sweep_table(es, max_width=w - 1)
@@ -560,19 +565,98 @@ TRIANGLES = {side: triangle_domain(side).domain for side in (4, 6, 8, 10)}
 
 
 @st.composite
+def ball3_scenes(draw):
+    """A subset of ball r=3 with 0, 2 or 4 defects on it: one of
+    :func:`ball3_edge_subsets`, or the whole ball less 30 to 80 edges,
+    whose default plan is often wider than 6."""
+    edges = tuple(sorted(draw(st.one_of(ball3_edge_subsets(), st.sets(
+        st.sampled_from(BALL3_EDGES), min_size=30, max_size=80).map(
+            lambda cut: set(BALL3_EDGES) - cut)))))
+    verts = sorted({u for e in edges for u in e})
+    size = draw(st.sampled_from((0, 2, 4)))
+    assume(len(verts) >= size)
+    return edges, frozenset(draw(st.lists(
+        st.sampled_from(verts), min_size=size, max_size=size,
+        unique=True)) if size else ())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scene=ball3_scenes())
+def test_every_direction_sweeps_the_same_table(scene):
+    # a turn of the lattice by 60 degrees keeps every edge and loop count,
+    # so the plan of each of the six directions sweeps to the same table,
+    # term for term in key order; the plan swept is one of them, today's
+    # when that is at most 6 wide, and never wider than today's
+    edges, defects = scene
+    plans = [_plan(edges, defects, turns) for turns in range(6)]
+    swept = _plan(edges, defects)
+    assert swept in plans and swept[2] <= plans[0][2]
+    assert swept == plans[0] or plans[0][2] > 6
+    want = list(sweep_table(edges, defects).items())
+    for planned in plans:
+        with mock.patch.object(exact, "_plan", lambda *_: planned):
+            table = exact._sweep_table.__wrapped__(edges, defects,
+                                                   MAX_SWEEP_WIDTH)
+        assert list(table.items()) == want
+
+
+def turned_box(width: int, height: int, turns: int) -> tuple:
+    """The edges of an axial box of hexagons turned ``turns`` times by 60
+    degrees about the origin hexagon, (r, s) -> (-s, r + s) per turn."""
+    cells = rectangle_hexagons(width, height)
+    for _ in range(turns):
+        cells = {(-s, r + s) for r, s in cells}
+    return domain_from_hexagons(cells).edges
+
+
+def test_turned_boxes_sweep_in_their_narrowest_direction():
+    # the 10x4 box turned by 120 degrees is 11 wide in today's direction
+    # and is swept 6 wide, as the box itself is, to the box's table
+    box, turned = turned_box(10, 4, 0), turned_box(10, 4, 2)
+    assert _plan(turned, frozenset(), 0)[2] == 11
+    assert sweep_width(turned) == sweep_width(box) == 6
+    assert list(sweep_table(turned).items()) == list(sweep_table(box).items())
+    # the 7x9 box turned by 60 degrees is 17 wide in today's direction,
+    # past the cap, and 9 in its narrowest, as the box itself is (11 wide
+    # in today's direction): the cap no longer refuses it
+    box, turned = turned_box(7, 9, 0), turned_box(7, 9, 1)
+    assert _plan(turned, frozenset(), 0)[2] == 17 > MAX_SWEEP_WIDTH
+    assert _plan(box, frozenset(), 0)[2] == 11
+    assert sweep_width(turned) == sweep_width(box) == 9
+    assert list(sweep_table(turned).items()) == list(sweep_table(box).items())
+
+
+def test_plans_at_most_6_wide_estimate_no_other_direction(capsys):
+    # no table of a verify pass (75 plans) and none of the three long 10x4
+    # tables is wider than 6 in today's direction, and only a plan wider
+    # than 6 estimates the six directions, so none estimates them or is
+    # planned in another direction
+    exact._sweep_table.cache_clear()
+    widths, plan = [], exact._plan
+
+    def spy(edges, defects, turns=None):
+        planned = plan(edges, defects, turns)
+        widths.append((turns, planned[2]))
+        return planned
+
+    with mock.patch.object(exact, "_plan", spy):
+        assert cli.main(["verify", "--suite", "all"]) == 0
+        for edges, defects in list(_bench_cases())[6:]:
+            sweep_table(edges, defects)
+    capsys.readouterr()
+    assert len(widths) == 78
+    assert all(turns is None and w <= 6 for turns, w in widths)
+
+
+@st.composite
 def plan_scenes(draw):
     """An edge set with a defect set: a subset of ball r=3 with 0, 2 or 4
-    defects on it, a domain fixture with one of its defect sets, or a
-    triangle of side 4 to 10 with a pair of boundary vertices."""
+    defects on it (:func:`ball3_scenes`), a domain fixture with one of its
+    defect sets, or a triangle of side 4 to 10 with a pair of boundary
+    vertices."""
     source = draw(st.sampled_from(("ball3", "fixture", "triangle")))
     if source == "ball3":
-        edges = tuple(sorted(draw(ball3_edge_subsets())))
-        verts = sorted({u for e in edges for u in e})
-        size = draw(st.sampled_from((0, 2, 4)))
-        assume(len(verts) >= size)
-        return edges, frozenset(draw(st.lists(
-            st.sampled_from(verts), min_size=size, max_size=size,
-            unique=True)) if size else ())
+        return draw(ball3_scenes())
     if source == "fixture":
         dom = draw(st.sampled_from(FIXTURE_DOMAINS))
         picks = [p for ps in defect_sets(dom).values() for p in ps]
@@ -589,7 +673,7 @@ def test_plan_equals_the_vertex_tuple_oracle(scene):
     # edges as the frontier, over the edges that the worklist of vertex
     # tuples keeps, and its rank is E - V + C of those edges
     edges, defects = scene
-    verts, plan, width, rank = _plan(edges, defects)
+    verts, plan, width, rank = _plan(edges, defects, 0)
     kept = _usable(edges, defects)
     assert kept == peeled_edges(edges, defects)
     assert (verts, plan, width) == _frontier_plan(kept, defects)

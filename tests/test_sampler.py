@@ -45,6 +45,7 @@ from oracles import (
     plus_circuit_event,
     product_truth,
     reference_sweep,
+    shared_edge,
     trapeze_crossing_event,
     two_point_event,
 )
@@ -873,7 +874,6 @@ def test_compiled_events_match_reference_events():
 
 
 def test_user_wall_event_goes_through_spins_to_loops():
-    from hexloop.lattice import shared_edge
     from hexloop.observables import EventSpec
 
     wall = shared_edge((0, 0), (1, 0))
