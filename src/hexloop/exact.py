@@ -392,7 +392,7 @@ def _step_moves(block: tuple[int, ...], kind: tuple) -> list:
 
 
 @lru_cache(maxsize=None)
-def _placed_moves(kind: tuple, stride: int, lo: int) -> dict:
+def _placed_moves(kind: tuple, rows: int, lo: int) -> dict:
     """The moves of a plan step (:func:`_step_moves`) by old edge parity and
     the codes of its k arriving slots (less a vertical edge) as they sit in
     a key from slot ``lo`` on, two bits per slot; each move's fresh codes
@@ -401,7 +401,7 @@ def _placed_moves(kind: tuple, stride: int, lo: int) -> dict:
     return {sum(c << 2 * i for i, c in enumerate(block)) << at | parity: [
         (sum(c << 2 * i for i, c in enumerate(new)) << at | taken % 2,
          recode and (lo + recode[0], *recode[1:]),
-         (parity + taken) // 2 * stride + closed)
+         (parity + taken) // 2 + closed * rows)
         for new, taken, recode, closed in _step_moves(block, kind)]
         for parity in (0, 1) for block in product(range(4), repeat=k)}
 
@@ -507,7 +507,7 @@ def _plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
         # states of m slots, d defects met: k <= d strand ends of d's parity
         states = np.array([[sum(math.comb(m, k) << m - k for k in range(
             d % 2, min(d, m) + 1, 2)) for d in range(len(defects) + 1)]
-            for m in range(w.max() + 1)], np.float64)
+            for m in range(w.max() + 1)], object)  # exact: 2^1024 is no float
         cost = (states[w, met[seq].cumsum(1)] * (degree > 0)[seq]).sum(1)
         best = min(zip(w.max(1).tolist(), cost.tolist(), range(6)))[2]
         if best:
@@ -528,20 +528,20 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
 
     # Kronecker packing: a state holds (offset, int), and its count of partial
     # configurations with m edges and l closed loops sits in the nbytes-wide
-    # field at slot (m // 2) * stride + l - offset of the int.  The lattice
-    # is bipartite, so one state's configurations, which differ by an even
-    # subgraph, share the parity of m, and the key carries it.  Transitions
-    # move the offset; a merge shifts the operand with the higher offset, so
-    # field 0 is never zero.  Loops are vertex-disjoint with >= 6 usable
-    # vertices each, so l < stride, and a field never carries: it is at most
-    # 2^(cycle rank).
-    stride, nbytes = len(verts) // 6 + 1, rank // 8 + 1
+    # field at slot l * rows + m // 2 - offset of the int, loop-major since a
+    # state's configurations span few loop counts.  The lattice is bipartite,
+    # so one state's configurations, which differ by an even subgraph, share
+    # the parity of m, and the key carries it.  Transitions move the offset; a
+    # merge shifts the operand with the higher offset, so field 0 is never
+    # zero.  Every usable vertex has degree <= 2, so m <= len(verts) and
+    # m // 2 < rows, and a field never carries: it is at most 2^(cycle rank).
+    rows, nbytes = len(verts) // 2 + 1, rank // 8 + 1
     bits = 8 * nbytes
 
     # a key: the edge parity in bit 0, slot i's code in bits 2i + 1 and 2i + 2
     states: dict[int, tuple[int, int]] = {0: (0, 1)}
     for lo, hi, fresh, kind in plan:
-        moves, shift = _placed_moves(kind, stride, lo), fresh - (hi - lo)
+        moves, shift = _placed_moves(kind, rows, lo), fresh - (hi - lo)
         at_lo, at_hi, at_tail = 2 * lo + 1, 2 * hi + 1, 2 * (lo + fresh) + 1
         head_mask, arrived = (1 << at_lo) - 1, (1 << at_hi) - (1 << at_lo) | 1
         nxt: dict[int, tuple[int, int]] = {}
@@ -562,27 +562,27 @@ def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
                 else:
                     nxt[new] = low, poly + (old[1] << (old[0] - low) * bits)
         states = nxt
-    return _unpack(states, stride, nbytes)
+    return _unpack(states, rows, nbytes)
 
 
-def _unpack(states: dict, stride: int, nbytes: int) -> Table:
+def _unpack(states: dict, rows: int, nbytes: int) -> Table:
     """The read-only :class:`Table` of the final state, if any (the lattice
-    is bipartite, so one edge parity is left): field i of its int, read if a
-    byte is nonzero (one numpy test of the fields as rows), counts slot
-    offset + i, and slot row * stride + l holds 2 * row + parity edges and
-    l loops, so the fields come in key order."""
+    is bipartite, so one edge parity is left): field i of its int counts slot
+    offset + i, slot l * rows + row holds 2 * row + parity edges and l loops,
+    and the int shifted up by offset % rows fields is a grid of loop levels by
+    rows, whose transposed cells with a nonzero byte come in key order."""
     if not states:
         return Table({})
     [(parity, (offset, packed))] = states.items()
-    fields = -(-packed.bit_length() // (8 * nbytes))
-    raw = packed.to_bytes(fields * nbytes, "little")
-    live = np.flatnonzero(np.frombuffer(raw, np.uint8).reshape(-1, nbytes)
-                          .any(1))
-    rows, loops = np.divmod(live + offset, stride)
-    ms = 2 * rows + parity
-    return Table.__new__(Table)._fill(zip(zip(ms.tolist(), loops.tolist()), (
+    level, skip = divmod(offset, rows)
+    packed, bits = packed << 8 * nbytes * skip, 8 * rows * nbytes
+    raw = packed.to_bytes(-(-packed.bit_length() // bits) * bits // 8, "little")
+    row, loops = np.nonzero(np.frombuffer(raw, np.uint8).reshape(
+        -1, rows, nbytes).any(2).T)
+    ms, ls = 2 * row + parity, loops + level
+    return Table.__new__(Table)._fill(zip(zip(ms.tolist(), ls.tolist()), (
         int.from_bytes(raw[at:at + nbytes], "little")
-        for at in (live * nbytes).tolist())), ms, loops)
+        for at in ((loops * rows + row) * nbytes).tolist())), ms, ls)
 
 
 def sweep_table(edges: Iterable[HexEdge],

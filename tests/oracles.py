@@ -182,16 +182,18 @@ def list_evaluate_table(table: Mapping, params: Params) -> WeightSum:
                           for (m, l), c in sorted(table.items()) if c])
 
 
-def sliced_unpack(states: dict, stride: int, nbytes: int) -> dict:
+def sliced_unpack(states: dict, rows: int, nbytes: int) -> dict:
     """The oracle of ``exact._unpack``: every field of each final state's
-    int sliced out and compared with zero, and a nonzero one converted."""
+    int sliced out and compared with zero, and a nonzero one converted; field
+    i counts slot offset + i, which holds loop level l and row r at
+    l * rows + r."""
     terms, zero = {}, bytes(nbytes)
     for parity, (offset, packed) in states.items():
         raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
         for at in range(0, len(raw), nbytes):
             field = raw[at:at + nbytes]  # the top field may be short
             if field != zero:
-                row, loops = divmod(offset + at // nbytes, stride)
+                loops, row = divmod(offset + at // nbytes, rows)
                 terms[2 * row + parity, loops] = int.from_bytes(field,
                                                                 "little")
     return terms

@@ -59,6 +59,22 @@ def test_enumerate_auto_names_the_width_cap(capsys):
     assert f"cap of {MAX_SWEEP_WIDTH}" in failure["message"]
 
 
+def test_enumerate_names_the_width_cap_of_a_long_strip(capsys, tmp_path):
+    # a 12-wide strip of 1,030 rows: its estimate counts frontiers past
+    # the float range, and its narrowest direction is 18 wide
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps({"hexagons": [
+        [r, s] for s in range(1030)
+        for r in range(-(s // 2), -(s // 2) + 12)]}))
+    code, _, err = run(capsys, "enumerate", "--domain", str(path),
+                       "--n", "1.5", "--x", "auto")
+    assert code == 2
+    failure = json.loads(err.splitlines()[-1])
+    assert failure["error"] == "WidthExceeded"
+    assert failure["message"] == ("sweep frontier width 18 exceeds the cap "
+                                  f"of {MAX_SWEEP_WIDTH}")
+
+
 def test_enumerate_sweeps_a_turned_box_past_the_width_cap(capsys):
     # the 7x9 box turned by 60 degrees, (r, s) -> (-s, r + s): 17 wide in
     # the default direction, past the cap, and 9 in its narrowest, which

@@ -254,6 +254,19 @@ def test_sweep_matches_brute_tables():
             assert brute_force_table(dom.edges, A) == sweep_table(dom.edges, A)
 
 
+def test_sweep_tables_reach_the_row_bound():
+    # the outer loop of one hexagon, and of two adjacent ones, takes every
+    # usable vertex: its m = len(verts) edges sit in the top row, rows - 1,
+    # of the loop-major packing (exact._sweep_table), which one row fewer
+    # would fold into the next loop level
+    for cells in ([(0, 0)], [(0, 0), (1, 0)]):
+        edges = tuple(sorted({e for h in cells for e in hexagon_edges(h)}))
+        table = sweep_table(edges)
+        assert (max(m for m, _ in table) == len(_plan(edges, frozenset())[0])
+                == 4 * len(cells) + 2)
+        assert table == brute_force_table(edges, ())
+
+
 def test_fixture_tables_count_the_cycle_space():
     # boundary defects have degree one, so every even defect set admits
     # exactly 2^(E - V + 1) configurations on a connected domain
@@ -431,9 +444,22 @@ def test_unpack_row_test_equals_the_slicing_route(monkeypatch):
     for edges, defects in _bench_cases():
         exact._sweep_table.__wrapped__(edges, defects, MAX_SWEEP_WIDTH)
     assert len(finals) == 9
-    for states, stride, nbytes in finals:
-        table = unpack(states, stride, nbytes)
-        assert table and table == sliced_unpack(states, stride, nbytes)
+    # final states made up: each offset lies inside a loop level (level and
+    # row above 0), each int ends mid-level, and some fields have only a
+    # high byte set
+    for parity, rows, nbytes, offset, fields in (
+            (1, 5, 1, 7, [3, 0, 9, 0, 0, 1]),
+            (0, 4, 2, 6, [1, 0, 256, 0, 0, 0, 65535]),
+            (1, 7, 3, 23, [2**23, 5, 0, 0, 0, 0, 0, 0, 1]),
+            (0, 3, 1, 4, [1])):
+        assert offset // rows and offset % rows
+        assert (offset + len(fields)) % rows
+        packed = sum(f << 8 * nbytes * i for i, f in enumerate(fields))
+        finals.append(({parity: (offset, packed)}, rows, nbytes))
+    for states, rows, nbytes in finals:
+        table = unpack(states, rows, nbytes)
+        assert table and table == sliced_unpack(states, rows, nbytes)
+        assert list(table) == sorted(table)
 
 
 FIXTURE_DOMAINS = [fixture.build() for fixture in load_domains()]
@@ -624,6 +650,15 @@ def test_turned_boxes_sweep_in_their_narrowest_direction():
     assert _plan(box, frozenset(), 0)[2] == 11
     assert sweep_width(turned) == sweep_width(box) == 9
     assert list(sweep_table(turned).items()) == list(sweep_table(box).items())
+
+
+def test_direction_estimate_counts_states_past_the_float_range():
+    # a 3-wide strip of 1,100 rows is 6 wide in its narrowest direction and
+    # far wider in the others, whose frontiers reach 2^1024 states and more:
+    # the estimate counts them exactly, as floats would overflow
+    strip = domain_from_hexagons([(r, s) for s in range(1100)
+                                  for r in range(-(s // 2), -(s // 2) + 3)])
+    assert sweep_width(strip.edges) == 6
 
 
 def test_plans_at_most_6_wide_estimate_no_other_direction(capsys):
