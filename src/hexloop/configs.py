@@ -25,6 +25,14 @@ where, writing Q for the free hexagons together with their neighbours,
   all-minus triangles touching a free hexagon (triangles of hexagons
   correspond one-to-one to lattice vertices).
 
+A system has one sign array, :meth:`SpinSystem.framed_spins`: the context's
+spins, then the sea sign on its sea frame (the hexagons beyond the context
+that touch it).  It has one neighbour table over that array, ``_ring``,
+six positions per hexagon in ``_CYCLE`` order, and every index structure
+is read off it: the adjacent pairs and their wall edges, the hexagons
+counted, the triangles, each free site's ring and the step tables of the
+wall walk.
+
 Counts change locally under a single flip.  The wall, magnetization and
 triangle deltas are functions of seven signs, the site's and its six
 neighbours' in rotational order (``_CYCLE``), so one 128-entry table
@@ -34,14 +42,13 @@ of arcs of the old sign minus that of the new sign.  Otherwise, with a >= 2
 arcs of each sign, the walls leaving the site pair its 2a sign changes
 outside it, and the pairing fixes how many groups the arcs of each sign
 form.  :func:`_multi_arc_dk` finds it by walking along the walls, the
-perimeter walk of Ziff, Cummings and Stell, on the context and its sea
-frame (the hexagons beyond it that touch it); a walk always ends.  The
-count rests on planarity, which holds on every context, since each hole is
-a cluster node of its own (:func:`cluster_find`).  The heat-bath chain
-(``sampler.ChainState``) updates its counts
-this way, and :func:`assignment_counts` walks all 2^m assignments of a
-system in Gray-code order, one flip per step, and keeps the result on the
-system as one tuple per assignment (:class:`SpinCounts`), with its
+perimeter walk of Ziff, Cummings and Stell, on the sign array; a walk
+always ends.  The count rests on planarity, which holds on every context,
+since each hole is a cluster node of its own (:func:`cluster_find`).  The
+heat-bath chain (``sampler.ChainState``) updates its counts this way, and
+:func:`assignment_counts` walks all 2^m assignments of a system in
+Gray-code order, one flip per step, and keeps the result on the system as
+one tuple per assignment (:class:`SpinCounts`), with its
 distinct tuples, few next to 2^m, so that :func:`assignment_log_weights`
 evaluates each weight once.  ``exact`` reads event truths, and
 :func:`wall_masks` the wall sets as int masks, off walks in the same
@@ -79,7 +86,6 @@ from .lattice import (
     hexagon_corners,
     hexagon_edges,
     tri_neighbors,
-    vertex_hexagons,
 )
 
 #: free hexagons that an enumeration of all 2^m spin assignments takes at most
@@ -187,6 +193,11 @@ class SpinSystem(Keeper):
         that is, hexagons beyond the context that the context encloses,
         has the sea sign too but is a cluster of its own: same-sign context
         hexagons that touch it share its cluster, not the outer sea's.
+
+    Its structure is read off one neighbour table, ``_ring``, over the
+    positions of :meth:`framed_spins`; the parts of the plane beyond the
+    context (:attr:`_exterior_touching`) take a flood of their own, as a
+    hole more than one hexagon wide reaches past the sea frame.
     """
 
     def __init__(self, free: Iterable[TriVertex],
@@ -222,41 +233,63 @@ class SpinSystem(Keeper):
                           sea=-self.sea)
 
     @cached_property
-    def _index(self) -> dict[TriVertex, int]:
-        return {h: i for i, h in enumerate(self.context)}
-
-    @cached_property
     def free_index(self) -> dict[TriVertex, int]:
         return {h: i for i, h in enumerate(self.free)}
 
     @cached_property
+    def _sea_frame(self) -> tuple[TriVertex, ...]:
+        """Hexagons beyond the context that touch it."""
+        ctx = set(self.context)
+        return tuple(sorted({g for h in ctx for g in tri_neighbors(h)} - ctx))
+
+    @cached_property
+    def _framed_index(self) -> dict[TriVertex, int]:
+        """Positions in :meth:`framed_spins` by hexagon: the context's
+        hexagons in order, then those of its sea frame."""
+        return {h: i for i, h in enumerate(self.context + self._sea_frame)}
+
+    @cached_property
+    def _ring(self) -> list[int]:
+        """The neighbour table: entry 6A + j is the position of cell A's
+        neighbour in direction ``_CYCLE[j]``, or -1 past the sea frame."""
+        get = self._framed_index.get
+        return [get((r + dr, s + ds), -1) for r, s in self._framed_index
+                for dr, ds in _CYCLE]
+
+    @cached_property
+    def _free_ctx(self) -> tuple[int, ...]:
+        """Context index of each free hexagon."""
+        return tuple(self._framed_index[h] for h in self.free)
+
+    @cached_property
+    def _nb6(self) -> tuple[tuple[int, ...], ...]:
+        """Context indices of each free hexagon's six neighbours in
+        ``_CYCLE`` order (all of them lie in the context by construction)."""
+        ring = self._ring
+        return tuple(tuple(ring[6 * u:6 * u + 6]) for u in self._free_ctx)
+
+    @cached_property
     def _pairs(self) -> tuple[tuple[int, int], ...]:
         """Adjacent context pairs (i < j by context index)."""
-        idx = self._index
-        out = set()
-        for h in self.context:
-            i = idx[h]
-            for g in tri_neighbors(h):
-                j = idx.get(g)
-                if j is not None and i < j:
-                    out.add((i, j))
-        return tuple(sorted(out))
+        ring, m = self._ring, len(self.context)
+        return tuple(sorted((i, j) for i in range(m)
+                            for j in ring[6 * i:6 * i + 6] if i < j < m))
 
     @cached_property
     def _free_pairs(self) -> tuple[tuple[int, int], ...]:
         """Adjacent context pairs with at least one free hexagon."""
-        fset = set(self.free)
-        return tuple((i, j) for i, j in self._pairs
-                     if self.context[i] in fset or self.context[j] in fset)
+        free = set(self._free_ctx)
+        return tuple((i, j) for i, j in self._pairs if i in free or j in free)
 
     @cached_property
     def _wall_probes(self) -> tuple[tuple[HexEdge, int, int], ...]:
         """``(edge, i, j)`` per :attr:`_free_pairs`, a wall if the spins differ:
-        corners k - 1 and k of hexagon i, the side to j at ``_CYCLE[k]``."""
-        ctx = self.context
+        corners k - 1 and k of hexagon i, the side to j, which sits in slot
+        k of i's row of the neighbour table."""
+        ctx, ring = self.context, self._ring
         return tuple((edge(c[k - 1], c[k]), i, j) for i, j in self._free_pairs
-                     for c, k in [(hexagon_corners(ctx[i]), _CYCLE.index(
-                         (ctx[j][0] - ctx[i][0], ctx[j][1] - ctx[i][1])))])
+                     for c, k in [(hexagon_corners(ctx[i]),
+                                   ring.index(j, 6 * i) - 6 * i)])
 
     @cached_property
     def _exterior_touching(self) -> tuple[tuple[int, int], ...]:
@@ -273,58 +306,34 @@ class SpinSystem(Keeper):
         parts = sorted(hexagon_components(beyond),
                        key=lambda comp: (r0, s0) not in comp)
         part = {g: p for p, comp in enumerate(parts) for g in comp}
-        return tuple(sorted({(self._index[h], part[g]) for h in self.context
-                             for g in tri_neighbors(h) if g not in ctx}))
+        # a neighbour of a context hexagon at position m or later lies in
+        # the sea frame
+        frame, ring, m = self._sea_frame, self._ring, len(self.context)
+        return tuple(sorted({(i, part[frame[g - m]]) for i in range(m)
+                             for g in ring[6 * i:6 * i + 6] if g >= m}))
 
     @cached_property
     def _counted(self) -> tuple[int, ...]:
         """Indices of hexagons in free union neighbours-of-free."""
-        q = set(self.free).union(*map(tri_neighbors, self.free))
-        return tuple(sorted(self._index[h] for h in q))
+        return tuple(sorted(set(self._free_ctx).union(*self._nb6)))
 
     @cached_property
     def _triangles(self) -> tuple[tuple[int, int, int], ...]:
         """Index triples of triangles touching a free hexagon.
 
         Triangles of hexagons are in bijection with lattice vertices: the
-        three hexagons meeting at a vertex are pairwise adjacent, so the
-        triangles touching a free hexagon are those at its corners.
+        three hexagons meeting at a corner of a free hexagon are the free
+        hexagon and its ring neighbours k - 1 and k, which are adjacent.
         """
-        idx = self._index
-        corners = {c for h in self.free for c in hexagon_corners(h)}
-        return tuple(sorted({tuple(sorted(idx[t] for t in vertex_hexagons(c)))
-                             for c in corners}))
-
-    # -- single-flip structure -------------------------------------------------
-
-    @cached_property
-    def _free_ctx(self) -> tuple[int, ...]:
-        """Context index of each free hexagon."""
-        return tuple(self._index[h] for h in self.free)
-
-    @cached_property
-    def _nb6(self) -> tuple[tuple[int, ...], ...]:
-        """Context indices of each free hexagon's six neighbours in
-        ``_CYCLE`` order (all of them lie in the context by construction)."""
-        idx = self._index
-        return tuple(tuple(idx[(r + dr, s + ds)] for dr, ds in _CYCLE)
-                     for r, s in self.free)
-
-    @cached_property
-    def _sea_frame(self) -> tuple[TriVertex, ...]:
-        """Hexagons beyond the context that touch it."""
-        ctx = set(self.context)
-        return tuple(sorted({g for h in ctx for g in tri_neighbors(h)} - ctx))
-
-    @cached_property
-    def _framed_index(self) -> dict[TriVertex, int]:
-        """Positions in :meth:`framed_spins` by hexagon."""
-        return {h: i for i, h in enumerate(self.context + self._sea_frame)}
+        return tuple(sorted({tuple(sorted((u, nbs[k - 1], nbs[k])))
+                             for u, nbs in zip(self._free_ctx, self._nb6)
+                             for k in range(6)}))
 
     @cached_property
     def _walls(self):
         """Step tables ``(ahead, keep, move)`` of the wall walk over the
-        context and its sea frame (:func:`_multi_arc_dk`).
+        context and its sea frame (:func:`_multi_arc_dk`), read off the
+        neighbour table ``_ring``.
 
         A strand state 6A + j stands for cell A and the wall between A and
         its neighbour B in direction j, walked towards the vertex they
@@ -335,19 +344,20 @@ class SpinSystem(Keeper):
         every wall has a context hexagon on one side.  The frame takes in
         the hexagons of holes that touch the context.
         """
-        idx = self._framed_index
-        ahead = [idx.get((r + dr, s + ds), -1) for r, s in idx
-                 for dr, ds in _CYCLE[1:] + _CYCLE[:1]]
-        keep = [f + 1 if f % 6 < 5 else f - 5 for f in range(len(ahead))]
+        ring = self._ring
+        keep = [f + 1 if f % 6 < 5 else f - 5 for f in range(len(ring))]
+        ahead = [ring[f] for f in keep]
         move = [6 * c + (f - 1) % 6 if c >= 0 else -1
                 for f, c in enumerate(ahead)]
         return ahead, keep, move
 
     # -- assignments ----------------------------------------------------------
 
-    def full_spins(self, spins) -> list[int]:
-        """Spins for the whole context, from free spins given as a mapping or
-        a sequence aligned with ``self.free``."""
+    def framed_spins(self, spins) -> list[int]:
+        """The sign array of the system, in :attr:`_framed_index` order:
+        the context's spins, with the free ones given as a mapping or a
+        sequence aligned with ``self.free``, then the sea sign of every
+        hexagon of the sea frame."""
         if isinstance(spins, Mapping):
             missing = [h for h in self.free if h not in spins]
             if missing:
@@ -360,12 +370,7 @@ class SpinSystem(Keeper):
                     f"expected {len(self.free)} spins, got {len(values)}")
         at = self.free_index
         return [values[at[h]] if h in at else self.fixed[h]
-                for h in self.context]
-
-    def framed_spins(self, spins) -> list[int]:
-        """:meth:`full_spins` followed by the sea sign of every hexagon of
-        the sea frame, the sign array of the wall walk."""
-        return self.full_spins(spins) + [self.sea] * len(self._sea_frame)
+                for h in self.context] + [self.sea] * len(self._sea_frame)
 
     def __repr__(self) -> str:
         return (f"SpinSystem(|free|={len(self.free)}, "
@@ -384,20 +389,16 @@ class SpinCounts(NamedTuple):
     r: int
     twice_rp: int
 
-    @property
-    def rp(self) -> float:
-        return self.twice_rp / 2.0
-
 
 def cluster_find(system: SpinSystem,
                  full: Sequence[int]) -> Callable[[int], int]:
     """Same-sign clusters of a context assignment, as a union-find.
 
-    ``full`` is aligned with ``system.context`` and may run on into its
-    sea frame.  Adjacent equal spins are joined, and so are hexagons of
-    the sea's sign with the part of the plane beyond the context that they
-    touch: the outer sea, a node at index ``len(full)``, or a hole, one
-    node each after it.  Returns the find function: two indices share a
+    ``full`` is the system's sign array (:meth:`SpinSystem.framed_spins`),
+    whose context part is read.  Adjacent equal spins are joined, and so
+    are hexagons of the sea's sign with the part of the plane beyond the
+    context that they touch: the outer sea, a node at index ``len(full)``,
+    or a hole, one node each after it.  Returns the find function: two indices share a
     cluster when it maps them to the same root.
     """
     m = len(full)
@@ -428,7 +429,7 @@ def cluster_find(system: SpinSystem,
 
 def spin_counts(system: SpinSystem, spins) -> SpinCounts:
     """Cluster, wall, magnetization and triangle counts of an assignment."""
-    full = system.full_spins(spins)
+    full = system.framed_spins(spins)
     find = cluster_find(system, full)
     k = len({find(i) for i in system._counted}) - 1
 
@@ -664,7 +665,7 @@ def assignment_log_weights(system: SpinSystem,
 
 def spins_to_loops(system: SpinSystem, spins) -> frozenset[HexEdge]:
     """Domain walls of an assignment, on the edges bordering the free set."""
-    full = system.full_spins(spins)
+    full = system.framed_spins(spins)
     return frozenset(e for e, i, j in system._wall_probes
                      if full[i] != full[j])
 
@@ -699,12 +700,13 @@ def sign_flood(system: SpinSystem, cells: Iterable[TriVertex],
                starts: Iterable[TriVertex], ends, sign: int) -> Callable:
     """Predicate on the framed sign array (:meth:`SpinSystem.framed_spins`):
     whether hexagons of ``sign`` join one of ``starts`` to one of ``ends``
-    inside ``cells``, by a flood over their indices, set up once."""
-    cells = sorted(cells)
-    pos = {h: i for i, h in enumerate(cells)}
-    at = [system._framed_index[h] for h in cells]
-    nbrs = [[pos[g] for g in tri_neighbors(h) if g in pos] for h in cells]
-    goal, entry = [h in ends for h in cells], [pos[h] for h in starts]
+    inside ``cells``, by a flood over their indices, set up once, whose
+    neighbour lists are read off the system's neighbour table."""
+    cells, idx, ring = sorted(cells), system._framed_index, system._ring
+    at = [idx[h] for h in cells]
+    pos = {a: i for i, a in enumerate(at)}
+    nbrs = [[pos[g] for g in ring[6 * a:6 * a + 6] if g in pos] for a in at]
+    goal, entry = [h in ends for h in cells], [pos[idx[h]] for h in starts]
 
     def joined(full) -> bool:
         seen, todo = bytearray(len(cells)), entry[:]

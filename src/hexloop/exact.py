@@ -516,13 +516,13 @@ def _plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _sweep_table(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
-                 max_width: int) -> Table:
+def _sweep_table(edges: tuple[HexEdge, ...],
+                 defects: frozenset[HexVertex]) -> Table:
     verts, plan, width, rank = _plan(edges, defects)
     # the width is checked here, so only on a cache miss
-    if width > max_width:
+    if width > MAX_SWEEP_WIDTH:
         raise WidthExceeded(f"sweep frontier width {width} exceeds the cap "
-                            f"of {max_width}")
+                            f"of {MAX_SWEEP_WIDTH}")
     if not defects <= set(verts):
         return Table({})
 
@@ -586,11 +586,11 @@ def _unpack(states: dict, rows: int, nbytes: int) -> Table:
 
 
 def sweep_table(edges: Iterable[HexEdge],
-                defects: Iterable[HexVertex] = (),
-                *, max_width: int = MAX_SWEEP_WIDTH) -> Table:
-    """Configuration table by dynamic programming over frontier states."""
+                defects: Iterable[HexVertex] = ()) -> Table:
+    """Configuration table by dynamic programming over frontier states;
+    :class:`WidthExceeded` past a frontier of ``MAX_SWEEP_WIDTH`` slots."""
     es = tuple(sorted({edge(u, v) for u, v in edges}))
-    return _sweep_table(es, frozenset(tuple(d) for d in defects), max_width)
+    return _sweep_table(es, frozenset(tuple(d) for d in defects))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,7 @@ def evaluate_table(table: Mapping, params: Params) -> WeightSum:
 
 def _log_Z(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
            params: Params) -> float:
-    table = _sweep_table(edges, defects, MAX_SWEEP_WIDTH)
+    table = _sweep_table(edges, defects)
     return evaluate_table(table, params).log_magnitude
 
 

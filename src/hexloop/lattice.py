@@ -137,16 +137,16 @@ def tri_distance(a: TriVertex, b: TriVertex) -> int:
 
 
 @lru_cache(maxsize=128)
-def hexagon_ball(radius: int, center: TriVertex = (0, 0)) -> frozenset[TriVertex]:
-    """All hexagons within triangular-lattice distance ``radius`` of center.
+def hexagon_ball(radius: int) -> frozenset[TriVertex]:
+    """All hexagons within triangular-lattice distance ``radius`` of the
+    origin.
 
     Cached: event predicates ask for the same balls on every sample."""
     if radius < 0:
         raise OutOfRange("radius must be nonnegative")
-    r0, s0 = center
     around = range(-radius, radius + 1)
-    return frozenset({(r0 + dr, s0 + ds) for dr in around for ds in around
-                      if tri_distance((dr, ds), (0, 0)) <= radius})
+    return frozenset({(r, s) for r in around for s in around
+                      if tri_distance((r, s), (0, 0)) <= radius})
 
 
 def hexagon_components(hexagons: Iterable[TriVertex], neighbors=tri_neighbors,

@@ -302,7 +302,7 @@ def event_from_json(obj: Mapping) -> EventSpec:
             {h for h in box if h[axis] == 0}, sign)
     if kind == "two_point":
         v = obj.get("v")
-        if v is None or len(v) != 2:
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
             raise OutOfRange("event 'two_point' needs a hexagon v = [r, s]")
         target = tuple(_integer(c, "a coordinate of v") for c in v)
         return _flood_spec(kind, (("v", target),),

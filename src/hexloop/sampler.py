@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .configs import (
-    _CYCLE,
     _LOCAL,
     Params,
     SpinCounts,
@@ -46,7 +45,7 @@ from .configs import (
 from .errors import InconsistentParity, OutOfRange
 from .exact import _spin_system
 from .lattice import ball_and_annulus, edge_hexagons
-from .observables import EventSpec, event_from_json
+from .observables import EventSpec, _integer, event_from_json
 
 
 class ChainState:
@@ -59,8 +58,8 @@ class ChainState:
     mapping from every free hexagon to a sign; anything else raises
     :class:`OutOfRange`).  The parameters are fixed at
     construction, when the per-chain update table is built from them.
-    ``seed`` and ``stream`` key the Philox generator and must lie in
-    [0, 2^64); outside it they raise :class:`OutOfRange`.
+    ``seed`` and ``stream`` key the Philox generator and must be integers
+    in [0, 2^64); anything else raises :class:`OutOfRange`.
     """
 
     def __init__(self, system: SpinSystem, params: Params, seed: int = 0,
@@ -69,11 +68,12 @@ class ChainState:
         self.params = params
         self.debug = debug
         self.sweep_count = 0
-        for name, value in (("seed", seed), ("stream", stream)):
+        key = [_integer(seed, "seed"), _integer(stream, "stream")]
+        for name, value in zip(("seed", "stream"), key):
             if not 0 <= value < 1 << 64:
                 raise OutOfRange(f"{name} must lie in [0, 2^64), got {value}")
-        key = np.array([seed, stream], dtype=np.uint64)
-        self.rng = np.random.Generator(np.random.Philox(key=key))
+        self.rng = np.random.Generator(
+            np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
         self._free_ctx = system._free_ctx
         self._full = system.framed_spins(
@@ -125,33 +125,11 @@ class ChainState:
         return [full[i] for i in self._free_ctx]
 
     @property
-    def sigma(self) -> dict:
-        """Mapping from free hexagon to its current sign."""
-        return dict(zip(self.system.free, self.free_signs()))
-
-    @property
     def counts(self) -> SpinCounts:
         """Cached statistics of the current spins."""
         return SpinCounts(self._k, self._e, self._r, self._tw)
 
     # -- single-site updates ----------------------------------------------------
-
-    def _heat_bath(self, iu: int):
-        """Exact (dk, de, dr, dtw) for flipping the iu-th free spin, its
-        sign and its heat-bath probability of +1: the ``_table`` entry of
-        its kept key, with dk from ``_multi_arc_dk`` for a multi-arc key."""
-        _, _, dk, de, dr, dtw, s, plan, ps = self._table[self._keys[iu]]
-        if plan is not None:
-            dk = _multi_arc_dk(plan, self._full, self._free_ctx[iu],
-                               self._nb6[iu], self._walls)
-        return dk, de, dr, dtw, s, ps[dk]
-
-    def plus_probability(self, u) -> float:
-        """The heat-bath probability of setting the spin at ``u`` to +1."""
-        iu = self.system.free_index.get(tuple(u))
-        if iu is None:
-            raise OutOfRange(f"{u} is not a free hexagon of this chain")
-        return self._heat_bath(iu)[5]
 
     def sweep(self) -> int:
         """One pass over all free sites in fixed order; returns flip count.
@@ -280,7 +258,7 @@ def annulus_signs_event(system: SpinSystem, k: int) -> Callable:
     """
     check_defect_free_walls(system)
     _, annulus = ball_and_annulus(k)
-    idx = system._framed_index
+    idx, ring = system._framed_index, system._ring
     fset = set(system.free)
     ahead, keep, move = system._walls
     inside = bytearray(len(ahead))
@@ -292,7 +270,7 @@ def annulus_signs_event(system: SpinSystem, k: int) -> Callable:
             continue
         on_ray = g1[1] == g2[1] == 0 and min(g1[0], g2[0]) >= 0
         for a, b in ((g1, g2), (g2, g1)):
-            f = 6 * idx[a] + _CYCLE.index((b[0] - a[0], b[1] - a[1]))
+            f = ring.index(idx[b], 6 * idx[a])  # b's slot in a's row
             inside[f] = 1
             ray[f] = on_ray
             if on_ray and a < b:
@@ -364,12 +342,13 @@ def run_chain(region, tau, params: Params, sweeps: int, burn_in=None,
     the chain's framed sign array, named ones once their support is
     validated (see ``_compile_events``).
     """
+    sweeps = _integer(sweeps, "the number of sweeps")
     if sweeps < 1:
         raise OutOfRange("need at least one sweep")
     system = _spin_system(region, tau)
-    if burn_in is None:
-        burn_in = sweeps // 10
-    elif burn_in < 0:
+    burn_in = (sweeps // 10 if burn_in is None
+               else _integer(burn_in, "the burn-in"))
+    if burn_in < 0:
         raise OutOfRange(f"burn-in must be at least 0 sweeps, got {burn_in}")
     if not params.in_monotone_region:
         warnings.warn(

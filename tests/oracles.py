@@ -10,9 +10,10 @@ positions in the plane, edge components by breadth-first search, the edge
 two hexagons share by intersecting their edge sets, and domains
 whose interior is the disc that their bounding polygon keeps a flood of
 hexagons out of; for the chain, a heat-bath sweep that walks the walls at
-every multi-arc site; for the spin layer, event truths and wall sets read
-assignment by assignment in product order, and the spin connectivity events
-by a flood over a sign mapping; and the builtin ``sum`` of Python 3.12 and
+every multi-arc site; for the spin layer, a system's index structures by
+hexagon lookups in dicts, event truths and wall sets read assignment by
+assignment in product order, and the spin connectivity events by a flood
+over a sign mapping; and the builtin ``sum`` of Python 3.12 and
 later, which compensates float rounding."""
 
 import math
@@ -22,6 +23,7 @@ from itertools import product
 from typing import Container, Iterable, Mapping
 
 from hexloop.configs import (
+    _CYCLE,
     _LOCAL,
     Params,
     SpinCounts,
@@ -58,6 +60,7 @@ from hexloop.lattice import (
     hex_neighbors,
     hex_xy,
     hexagon_ball,
+    hexagon_components,
     hexagon_corners,
     hexagon_edges,
     rhombus_hexagons,
@@ -575,6 +578,53 @@ def product_wall_sets(system: SpinSystem) -> list[frozenset]:
     replaced."""
     return [spins_to_loops(system, signs)
             for signs in product((-1, 1), repeat=len(system.free))]
+
+
+def dict_spin_structure(system: SpinSystem) -> dict:
+    """The index structures of a spin system by attribute name, each built
+    from hexagon lookups in dicts and ``tri_neighbors``: the route that
+    the neighbour table ``SpinSystem._ring`` replaced."""
+    ctx, fset = system.context, set(system.free)
+    idx = {h: i for i, h in enumerate(ctx)}
+    pairs = tuple(sorted({(idx[h], idx[g]) for h in ctx for g in
+                          tri_neighbors(h) if idx.get(g, -1) > idx[h]}))
+    free_pairs = tuple((i, j) for i, j in pairs
+                       if ctx[i] in fset or ctx[j] in fset)
+    probes = tuple((edge(c[k - 1], c[k]), i, j) for i, j in free_pairs
+                   for c, k in [(hexagon_corners(ctx[i]), _CYCLE.index(
+                       (ctx[j][0] - ctx[i][0], ctx[j][1] - ctx[i][1])))])
+    # the outer sea and each hole, found by a flood over the bounding box
+    # of the context and a margin, whose corner lies in the outer sea
+    rs, ss = zip(*ctx)
+    r0, s0 = min(rs) - 1, min(ss) - 1
+    beyond = {(r, s) for r in range(r0, max(rs) + 2)
+              for s in range(s0, max(ss) + 2)} - set(ctx)
+    parts = sorted(hexagon_components(beyond),
+                   key=lambda comp: (r0, s0) not in comp)
+    part = {g: p for p, comp in enumerate(parts) for g in comp}
+    touching = tuple(sorted({(idx[h], part[g]) for h in ctx
+                             for g in tri_neighbors(h) if g not in idx}))
+    counted = tuple(sorted(idx[h] for h in fset.union(
+        *map(tri_neighbors, fset))))
+    corners = {c for h in fset for c in hexagon_corners(h)}
+    triangles = tuple(sorted({tuple(sorted(idx[t] for t in vertex_hexagons(c)))
+                              for c in corners}))
+    nb6 = tuple(tuple(idx[(r + dr, s + ds)] for dr, ds in _CYCLE)
+                for r, s in system.free)
+    frame = tuple(sorted({g for h in ctx for g in tri_neighbors(h)}
+                         - set(ctx)))
+    framed = {h: i for i, h in enumerate(ctx + frame)}
+    ahead = [framed.get((r + dr, s + ds), -1) for r, s in framed
+             for dr, ds in _CYCLE[1:] + _CYCLE[:1]]
+    keep = [f + 1 if f % 6 < 5 else f - 5 for f in range(len(ahead))]
+    move = [6 * c + (f - 1) % 6 if c >= 0 else -1
+            for f, c in enumerate(ahead)]
+    return {"_pairs": pairs, "_free_pairs": free_pairs,
+            "_wall_probes": probes, "_exterior_touching": touching,
+            "_counted": counted, "_triangles": triangles,
+            "_free_ctx": tuple(idx[h] for h in system.free), "_nb6": nb6,
+            "_sea_frame": frame, "_framed_index": framed,
+            "_walls": (ahead, keep, move)}
 
 
 def _check_coverage(sigma: Mapping[TriVertex, int],

@@ -10,7 +10,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexloop.configs import (
@@ -43,7 +43,7 @@ from hexloop.lattice import (
     tri_neighbors,
 )
 
-from oracles import product_wall_sets, shared_edge
+from oracles import dict_spin_structure, product_wall_sets, shared_edge
 from shapes import HOLE, RING12, holes, spin_systems, with_hole
 
 BALL2 = sorted(hexagon_ball(2))
@@ -128,7 +128,7 @@ def test_flower_counts_all_plus():
     assert len(sys_.context) == 7
     c = spin_counts(sys_, [1])
     assert c == SpinCounts(k=0, e=0, r=1, twice_rp=6)
-    assert c.rp == 3.0
+    assert c.twice_rp / 2 == 3.0
 
 
 def test_flower_counts_minus_center():
@@ -263,6 +263,28 @@ def test_clusters_are_wall_loops_and_walks_are_recounts(system, data):
                     == spin_counts(system, flipped).k - k)
 
 
+# a holed ring, free at distance 3 and frozen in a mixed frame at distance
+# 2, whose hole, the hexagons at distance 1, keeps a frozen island at the
+# origin; and a context whose frozen hexagons lie apart from the free set,
+# in three parts of their own
+ISLAND = SpinSystem(hexagon_ball(3) - hexagon_ball(2), {(0, 0): -1, **{
+    h: (-1) ** i for i, h in enumerate(RING12)}}, sea=1)
+APART = SpinSystem([(0, 0), (1, 0)], {(4, 0): -1, (0, -4): 1, (-3, 3): -1},
+                   sea=-1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=spin_systems(BALL3))
+@example(system=ISLAND)
+@example(system=APART)
+def test_neighbour_table_structures_equal_the_dict_oracle(system):
+    # every structure read off the neighbour table, in its order and type
+    if system is ISLAND:
+        assert holes(system.context) == hexagon_ball(1) - {(0, 0)}
+    want = dict_spin_structure(system)
+    assert {name: getattr(system, name) for name in want} == want
+
+
 # ---------------------------------------------------------------------------
 # counts of all assignments
 # ---------------------------------------------------------------------------
@@ -336,7 +358,7 @@ def test_assignment_counts_are_kept_on_the_system():
         assignment_counts(strip)
 
 
-def test_full_spins_names_a_missing_hexagon():
+def test_framed_spins_names_a_missing_hexagon():
     system = SpinSystem([(0, 0), (1, 0)], fixed=-1)
     with pytest.raises(OutOfRange, match=r"\(1, 0\)"):
-        system.full_spins({(0, 0): 1})
+        system.framed_spins({(0, 0): 1})

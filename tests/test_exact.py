@@ -442,7 +442,7 @@ def test_unpack_row_test_equals_the_slicing_route(monkeypatch):
     monkeypatch.setattr(exact, "_unpack",
                         lambda *args: finals.append(args) or unpack(*args))
     for edges, defects in _bench_cases():
-        exact._sweep_table.__wrapped__(edges, defects, MAX_SWEEP_WIDTH)
+        exact._sweep_table.__wrapped__(edges, defects)
     assert len(finals) == 9
     # final states made up: each offset lies inside a loop level (level and
     # row above 0), each int ends mid-level, and some fields have only a
@@ -477,6 +477,14 @@ def test_bench_tables_evaluate_as_the_list_route(n, x):
         assert evaluate_table(table, p) == list_evaluate_table(table, p)
 
 
+def capped_sweep_table(edges, cap: int):
+    """``sweep_table`` under a width cap of ``cap`` from an empty cache, as
+    the cap is checked when a table is built."""
+    exact._sweep_table.cache_clear()
+    with mock.patch.object(exact, "MAX_SWEEP_WIDTH", cap):
+        return sweep_table(edges)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(edges=st.lists(st.sampled_from(BALL3_EDGES), min_size=1, unique=True),
        dr=st.integers(-9, 9), ds=st.integers(-9, 9))
@@ -495,7 +503,7 @@ def test_sweep_width_matches_the_interval_oracle(edges, dr, ds):
         assert sweep_width(es) == w
         with pytest.raises(WidthExceeded, match=(
                 f"^sweep frontier width {w} exceeds the cap of {w - 1}$")):
-            sweep_table(es, max_width=w - 1)
+            capped_sweep_table(es, w - 1)
 
 
 @st.composite
@@ -621,8 +629,7 @@ def test_every_direction_sweeps_the_same_table(scene):
     want = list(sweep_table(edges, defects).items())
     for planned in plans:
         with mock.patch.object(exact, "_plan", lambda *_: planned):
-            table = exact._sweep_table.__wrapped__(edges, defects,
-                                                   MAX_SWEEP_WIDTH)
+            table = exact._sweep_table.__wrapped__(edges, defects)
         assert list(table.items()) == want
 
 
@@ -888,7 +895,7 @@ def test_engine_caps():
     w = sweep_width(dom.edges)
     assert 2 <= w <= 6
     with pytest.raises(WidthExceeded):
-        sweep_table(dom.edges, max_width=w - 1)
+        capped_sweep_table(dom.edges, w - 1)
 
 
 def test_sweep_reaches_beyond_the_brute_cap():

@@ -417,6 +417,11 @@ def test_event_from_json_rejects_bad_specs():
         event_from_json({"type": "plus_circuit"})
     with pytest.raises(OutOfRange):
         event_from_json({"type": "two_point", "v": [1]})
+    # a scalar or a mapping is no coordinate list; a two-letter string is
+    # not one either, though it has a length of 2
+    for v in (5, "ab", {"r": 1, "s": 0}):
+        with pytest.raises(OutOfRange, match="needs a hexagon v"):
+            event_from_json({"type": "two_point", "v": v})
     with pytest.raises(OutOfRange):
         event_from_json({"type": "trapeze", "k": 2, "sign": 3})
     # a scale or coordinate that is not a whole number is not truncated

@@ -42,9 +42,11 @@ from hexloop.sampler import (
 from oracles import (
     change_probabilities,
     crossing_event,
+    heat_bath_plus,
     plus_circuit_event,
     product_truth,
     reference_sweep,
+    ring_entry,
     shared_edge,
     trapeze_crossing_event,
     two_point_event,
@@ -75,11 +77,30 @@ def negated(c: SpinCounts) -> SpinCounts:
     return SpinCounts(k=-c.k, e=-c.e, r=-c.r, twice_rp=-c.twice_rp)
 
 
+def sigma(state: ChainState) -> dict:
+    """Mapping from free hexagon to its current sign."""
+    return dict(zip(state.system.free, state.free_signs()))
+
+
+def heat_bath(state: ChainState, u) -> tuple[SpinCounts, float]:
+    """Count changes of flipping ``u`` and its heat-bath probability of
+    +1, as the chain's update finds them: the ring table or the wall walk
+    on the chain's sign array, and the chain's float expression."""
+    iu = state.system.free_index[u]
+    cu, nbs = state._free_ctx[iu], state._nb6[iu]
+    s, de, dr, dtw, dk, plan = ring_entry(state._full, cu, nbs)
+    if plan is not None:
+        dk = _multi_arc_dk(plan, state._full, cu, nbs, state._walls)
+    return (SpinCounts(k=dk, e=de, r=dr, twice_rp=dtw),
+            heat_bath_plus(state.params, dk, de, dr, dtw, s))
+
+
 def heat_bath_delta(state: ChainState, u) -> SpinCounts:
-    """Count changes of flipping ``u``, as the chain's heat-bath update
-    finds them: the ring table or the wall walk."""
-    dk, de, dr, dtw, _, _ = state._heat_bath(state.system.free_index[u])
-    return SpinCounts(k=dk, e=de, r=dr, twice_rp=dtw)
+    return heat_bath(state, u)[0]
+
+
+def heat_bath_plus_at(state: ChainState, u) -> float:
+    return heat_bath(state, u)[1]
 
 
 def recount_delta(state: ChainState, u) -> SpinCounts:
@@ -146,9 +167,9 @@ def test_delta_merges_across_the_sea():
 
 def ring_runs(state: ChainState, u) -> int:
     """Number of arcs of the site's own sign around ``u``."""
-    system = state.system
-    center = state.sigma[u]
-    ring = [state.sigma.get(g, system.fixed.get(g, system.sea))
+    system, signs = state.system, sigma(state)
+    center = signs[u]
+    ring = [signs.get(g, system.fixed.get(g, system.sea))
             for g in (tuple(a + b for a, b in zip(u, d)) for d in
                       ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))]
     return sum(1 for i in range(6) if ring[i] == center != ring[i - 1])
@@ -230,7 +251,7 @@ def test_every_ring_pattern_of_a_single_site(monkeypatch):
             weights = [log_spin_weight(params, spin_counts(system, [v]))
                        for v in (1, -1)]
             p_plus = 1.0 / (1.0 + math.exp(weights[1] - weights[0]))
-            assert state.plus_probability((0, 0)) == pytest.approx(
+            assert heat_bath_plus_at(state, (0, 0)) == pytest.approx(
                 p_plus, rel=1e-12, abs=1e-15)
             runs = sum(1 for i in range(6)
                        if ring_signs[i] == center != ring_signs[i - 1])
@@ -262,7 +283,7 @@ def test_delta_is_involution():
         state = random_state(system, rng)
         u = rng.choice(system.free)
         d = heat_bath_delta(state, u)
-        flipped = dict(state.sigma)
+        flipped = sigma(state)
         flipped[u] *= -1
         back = ChainState(system, PARAMS, init=flipped)
         assert heat_bath_delta(back, u) == negated(d)
@@ -282,13 +303,14 @@ def test_plus_probability_matches_ising_formula():
         for _ in range(25):
             system = random_system(BALL1, rng)
             state = random_state(system, rng, params)
+            signs = sigma(state)
             for u in system.free:
-                nb_sum = sum(state.sigma.get(g, system.fixed.get(g, system.sea))
+                nb_sum = sum(signs.get(g, system.fixed.get(g, system.sea))
                              for g in tri_neighbors(u))
                 want = 1.0 / (1.0 + math.exp(-2.0 * beta * nb_sum
                                              - 2.0 * params.h))
-                assert state.plus_probability(u) == pytest.approx(want,
-                                                                  abs=1e-12)
+                assert heat_bath_plus_at(state, u) == pytest.approx(want,
+                                                                   abs=1e-12)
 
 
 def test_detailed_balance_against_exact_weights():
@@ -301,7 +323,7 @@ def test_detailed_balance_against_exact_weights():
         up, down = dict(sigma), dict(sigma)
         up[u], down[u] = 1, -1
         state = ChainState(system, params, init=up)
-        p_plus = state.plus_probability(u)
+        p_plus = heat_bath_plus_at(state, u)
         log_ratio = (log_spin_weight(params, spin_counts(system, up))
                      - log_spin_weight(params, spin_counts(system, down)))
         # heat bath: p+ / p-  ==  W+ / W-, hence balance is exact
@@ -312,7 +334,7 @@ def test_detailed_balance_against_exact_weights():
 def test_flip_probability_vanishes_at_small_x():
     system = SpinSystem(hexagon_ball(2), fixed=-1, sea=-1)
     state = ChainState(system, Params(n=1.4, x=0.01), init=-1)
-    assert state.plus_probability((0, 0)) < 1e-10
+    assert heat_bath_plus_at(state, (0, 0)) < 1e-10
 
 
 def test_init_is_validated():
@@ -337,6 +359,20 @@ def test_seed_and_stream_must_fit_the_philox_key():
             ChainState(system, PARAMS, stream=bad)
 
 
+def test_seed_and_stream_must_be_integers():
+    # a fractional seed would key the Philox generator by its truncation,
+    # so that 1.5 and 1 ran one stream; an integral float is its integer
+    system = SpinSystem(BALL1, fixed=1)
+    for kw in ({"seed": 1.5}, {"stream": 1.5}, {"seed": "1"}, {"seed": True}):
+        with pytest.raises(OutOfRange, match="must be an integer"):
+            ChainState(system, PARAMS, **kw)
+        with pytest.raises(OutOfRange, match="must be an integer"):
+            run_chain(BALL1, +1, PARAMS, sweeps=5, events=[], **kw)
+    one = ChainState(system, PARAMS, seed=1.0, stream=2.0)
+    assert one.rng.random(4).tolist() == ChainState(
+        system, PARAMS, seed=1, stream=2).rng.random(4).tolist()
+
+
 def test_heat_bath_step_updates_in_place():
     # one sweep with debug, which recounts after every accepted flip; each
     # site's new sign follows its uniform, drawn by a second generator with
@@ -351,15 +387,8 @@ def test_heat_bath_step_updates_in_place():
     for iu, (h, u) in enumerate(zip(system.free, us)):
         sofar = ChainState(system, params, init=dict(zip(
             system.free, signs[:iu] + [-1] * (len(signs) - iu))))
-        assert signs[iu] == (1 if u < sofar.plus_probability(h) else -1)
+        assert signs[iu] == (1 if u < heat_bath_plus_at(sofar, h) else -1)
     assert spin_counts(system, signs) == state.counts
-
-
-def test_plus_probability_rejects_non_free_hexagon():
-    state = ChainState(SpinSystem(BALL1, fixed=1), PARAMS)
-    for u in ((9, 9), (2, 0)):  # off the context, and a frozen ring site
-        with pytest.raises(OutOfRange, match="not a free hexagon"):
-            state.plus_probability(u)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +543,9 @@ def test_init_mapping_and_sigma_view():
     system = SpinSystem(BALL1, fixed=1)
     init = {h: (1 if i % 2 else -1) for i, h in enumerate(system.free)}
     state = ChainState(system, PARAMS, init=init)
-    assert state.sigma == init
+    assert sigma(state) == init
     minus = ChainState(system, PARAMS, init=-1)
-    assert set(minus.sigma.values()) == {-1}
+    assert set(minus.free_signs()) == {-1}
 
 
 def test_components_match_brute_reachability():
@@ -524,11 +553,11 @@ def test_components_match_brute_reachability():
     for _ in range(20):
         system = random_system(RING12, rng)
         state = random_state(system, rng)
-        find = cluster_find(system, system.full_spins(state.free_signs()))
+        find = cluster_find(system, system.framed_spins(state.free_signs()))
         labels = {h: find(i) for i, h in enumerate(system.context)}
         # brute partition: same-sign adjacency plus hops through the sea
         full = dict(zip(system.context,
-                        system.full_spins(state.free_signs())))
+                        system.framed_spins(state.free_signs())))
         ctx = set(system.context)
         exterior = {h for h in ctx
                     if any(g not in ctx for g in tri_neighbors(h))}
@@ -906,3 +935,22 @@ def test_run_chain_rejects_negative_burn_in():
                   events=[])
     # zero is a valid burn-in
     run_chain(BALL1, +1, Params(n=1.4, x=0.5), sweeps=5, burn_in=0, events=[])
+
+
+def test_run_chain_rejects_fractional_sweeps_and_burn_in():
+    region, params = sorted(hexagon_ball(2)), Params(n=1.4, x=0.5)
+    events = [{"type": "annulus_loop", "k": 1}]
+    with pytest.raises(OutOfRange, match="sweeps must be an integer"):
+        run_chain(region, +1, params, sweeps=2.5, events=events)
+    with pytest.raises(OutOfRange, match="burn-in must be an integer"):
+        run_chain(region, +1, params, sweeps=5, burn_in=2.5, events=events)
+    # an integral float counts as its integer, estimate for estimate
+    assert run_chain(region, +1, params, sweeps=5.0, burn_in=2.0, seed=3,
+                     events=events) == run_chain(
+        region, +1, params, sweeps=5, burn_in=2, seed=3, events=events)
+
+
+def test_run_chain_rejects_a_two_point_event_without_coordinates():
+    with pytest.raises(OutOfRange, match="needs a hexagon v"):
+        run_chain(BALL1, +1, Params(n=1.4, x=0.5), sweeps=5,
+                  events=[{"type": "two_point", "v": 5}])
