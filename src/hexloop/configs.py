@@ -172,7 +172,7 @@ _CYCLE = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
 def _check_spin(value) -> int:
-    if value not in (-1, 1):
+    if isinstance(value, bool) or value not in (-1, 1):
         raise OutOfRange(f"spins must be +1 or -1, got {value!r}")
     return int(value)
 
@@ -355,20 +355,22 @@ class SpinSystem(Keeper):
 
     def framed_spins(self, spins) -> list[int]:
         """The sign array of the system, in :attr:`_framed_index` order:
-        the context's spins, with the free ones given as a mapping or a
-        sequence aligned with ``self.free``, then the sea sign of every
-        hexagon of the sea frame."""
+        the context's spins, with the free ones given as a mapping of the
+        free hexagons and no other, or as a sequence aligned with
+        ``self.free``, then the sea sign of every hexagon of the sea frame."""
+        at = self.free_index
         if isinstance(spins, Mapping):
+            stray = [h for h in spins if h not in at]
+            if stray:
+                raise OutOfRange(f"{stray[0]} is not a free hexagon")
             missing = [h for h in self.free if h not in spins]
             if missing:
                 raise OutOfRange(f"no spin given for free hexagon {missing[0]}")
-            values = [_check_spin(spins[h]) for h in self.free]
-        else:
-            values = [_check_spin(v) for v in spins]
-            if len(values) != len(self.free):
-                raise OutOfRange(
-                    f"expected {len(self.free)} spins, got {len(values)}")
-        at = self.free_index
+            spins = [spins[h] for h in self.free]
+        values = [_check_spin(v) for v in spins]
+        if len(values) != len(self.free):
+            raise OutOfRange(
+                f"expected {len(self.free)} spins, got {len(values)}")
         return [values[at[h]] if h in at else self.fixed[h]
                 for h in self.context] + [self.sea] * len(self._sea_frame)
 

@@ -14,8 +14,11 @@ partial configurations' polynomial packed into one exact int (see
 configuration can take, at a vertex of degree one that is no defect, and
 goes left to right or, past width 6, along the narrowest of the lattice's
 six directions, whose width is the sweep's.  A step takes one vertex, or
-both ends of a vertical edge.  The depth-first enumeration with degree
-pruning (:func:`even_subgraphs`) backs the tests' oracle, :func:`_brute_table`.
+both ends of a vertical edge.  The vertex and edge orders of each direction
+and the cycle rank, which depend on the edges alone, are kept for the defect
+sets planned next on the same edges (:data:`_layout`).  The depth-first
+enumeration with degree pruning (:func:`even_subgraphs`) backs the tests'
+oracle, :func:`_brute_table`.
 
 On top of the engines sit the relative weight of a self-avoiding walk (the
 walk's edge weight times the ratio of the sums with and without the walk
@@ -43,8 +46,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, compress, product
-from operator import add
+from itertools import accumulate, combinations, compress, product
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -71,6 +74,7 @@ from .lattice import (
     edge,
     edge_components,
     hex_xy,
+    hexagon_components,
     remove_paths,
     turn_sign,
 )
@@ -141,24 +145,9 @@ class WeightSum:
         return cls(float("-inf"), 0j)
 
     @classmethod
-    def sum_terms(cls, terms: Iterable[tuple[float, complex]]) -> "WeightSum":
-        """Log-sum-exp of ``(log magnitude, phase)`` terms, scaled by the
-        largest magnitude so intermediate exponentials stay tame."""
-        live = [(lg, ph) for lg, ph in terms if ph != 0 and lg != float("-inf")]
-        top = max((lg for lg, _ in live), default=0.0)
-        acc = 0j
-        for lg, ph in live:
-            acc += ph * math.exp(lg - top)
-        if acc == 0:
-            return cls.zero()
-        mag = abs(acc)
-        return cls(top + math.log(mag), acc / mag)
-
-    @classmethod
     def sum_logs(cls, logs: Sequence[float]) -> "WeightSum":
         """Log-sum-exp of positive terms given by their logs as float64, the
-        exps added in order into one float scaled by the largest: bit for
-        bit the real part of what :meth:`sum_terms` adds at phase 1."""
+        exps added in order into one float scaled by the largest."""
         logs = np.asarray(logs, np.float64)
         if not logs.size:
             return cls.zero()
@@ -429,6 +418,13 @@ _TURNS = ((2, 0, 0, 2), (1, -1, 3, 1), (-1, -1, 3, -1), (-2, 0, 0, -2),
           (-1, 1, -3, -1), (1, 1, -3, 1))
 
 
+#: what the plans of one edge set share, whatever the defects, as
+#: :func:`_plan` fills it in: per direction the vertices by abscissa, their
+#: neighbours' places, and by midpoint each edge's key, ends' places, lower
+#: first, and plumb flag; under None the cycle rank, which the peel keeps
+_layout = lru_cache(maxsize=1)(lambda edges: {})
+
+
 def _plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
           turns: int | None = None) -> tuple[list, list[tuple], int, int]:
     """The sweep over vertex and edge numbers, less each edge at a vertex of
@@ -441,63 +437,47 @@ def _plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
     Slots and edge numbers go by midpoint height, then abscissa; strands on
     the processed side of the cut cannot cross, so a vertex's arriving edges
     are adjacent (checked).  With no ``turns``, a plan wider than 6 is made
-    again in the narrowest direction, fewest estimated states, fewest turns."""
-    a, b, c, d = _TURNS[turns or 0]
-    pos = sorted((a * x + b * y, c * x + d * y, v)
-                 for v in {u for e in edges for u in e} for x, y in [hex_xy(v)])
-    verts = [v for *_, v in pos]
-    index = {v: i for i, v in enumerate(verts)}
-    ends = [sorted((index[u], index[v])) for u, v in edges]
-    near, arriving, fresh = ([[] for _ in verts] for _ in range(3))
-    for i, j in ends:
-        near[i].append(j)
-        near[j].append(i)
-    stack = list(range(len(verts)))
+    in the narrowest direction, fewest estimated states, fewest turns."""
+    lay, t = _layout(edges), turns or 0
+    if t not in lay:
+        a, b, c, d = _TURNS[t]
+        xy = {v: (a * x + b * y, c * x + d * y) for v in {
+            u for e in edges for u in e} for x, y in [hex_xy(v)]}
+        verts = sorted(xy, key=xy.__getitem__)
+        index = dict(zip(verts, range(len(verts))))
+        near, mid = [[] for _ in verts], []
+        for u, v in edges:
+            i, j = index[u], index[v]
+            if i > j:
+                i, j, u, v = j, i, v, u
+            (x, y), (xx, yy) = xy[u], xy[v]
+            near[i].append(j)
+            near[j].append(i)
+            mid.append((y + yy, x + xx, i, j, x == xx))
+        lay[t] = verts, near, sorted(mid)
+        lay[None] = len(edges) - len(verts) + len(hexagon_components(
+            index.values(), near.__getitem__))
+    verts, near, mid = lay[t]
+    degree = [len(ws) for ws in near]
+    stack = [i for i, d in enumerate(degree) if d == 1]
     while stack:  # a leaf that is no defect is in no configuration
         i = stack.pop()
-        if len(near[i]) == 1 and verts[i] not in defects:
-            w = near[i].pop()
-            near[w].remove(i)
+        if degree[i] == 1 and verts[i] not in defects:
+            w = next(w for w in near[i] if degree[w])  # its edge left
+            degree[i], degree[w] = 0, degree[w] - 1
             stack.append(w)
-
-    plumb, parent, rank = [], list(range(len(verts))), 0
-    for t, (*_, i, j) in enumerate(sorted(
-            (pos[i][1] + pos[j][1], pos[i][0] + pos[j][0], i, j)
-            for i, j in ends if j in near[i])):
-        fresh[i].append(t)
-        arriving[j].append(t)
-        plumb.append(pos[i][0] == pos[j][0])
-        while parent[i] != i:  # union-find, halving each path walked
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        rank += i == j
-        parent[i] = j
-
-    # vertical: the last vertex's vertical fresh edge, if it is no defect
-    order, frontier, plan, width, vertical = [], [], [], 0, None
-    for v, came, new in zip(verts, arriving, fresh):
-        if not (came or new):
-            continue
-        order.append(v)
-        lo = frontier.index(came[0]) if came else bisect_left(frontier, new[0])
-        hi = lo + len(came)
-        assert frontier[lo:hi] == came, f"{v}: arriving slots apart"
-        frontier[lo:hi] = new
-        width = max(width, len(frontier))
-        kind = (hi - lo, len(new), v in defects)
-        if came and came[0] == vertical and not kind[2]:  # its upper end
-            lo, hi, out, lower = plan.pop()
-            plan.append((lo, hi + len(came) - 1, out - 1 + len(new),
-                         lower + (kind,)))
-        else:
-            plan.append((lo, hi, len(new), (kind,)))
-        vertical = new[-1] if new and plumb[new[-1]] and not kind[2] else None
+    arriving, fresh = ([[] for _ in verts] for _ in range(2))
+    for k, (_, _, i, j, _) in enumerate(mid):
+        if degree[i] and degree[j]:
+            fresh[i].append(k)
+            arriving[j].append(k)
+    width = max(accumulate(map(sub, map(len, fresh), map(len, arriving)),
+                           initial=0))
     if turns is None and width > 6:  # the six directions at once
-        n, degree = len(pos), np.fromiter(map(len, near), np.int64, len(pos))
-        i, j = np.array(ends)[degree[ends].all(1)].T  # the edges left
+        n, degree, ends = len(verts), np.array(degree), np.array(mid)[:, 2:4]
+        i, j = ends[degree[ends].all(1)].T  # the edges left
         x, y = (np.array(_TURNS).reshape(6, 2, 2) @ np.array(
-            [p[:2] for p in pos]).T).transpose(1, 0, 2)
+            list(map(hex_xy, verts))).T).transpose(1, 0, 2)
         key, met = (x << 32) + y, np.array([v in defects for v in verts])
         seq = key.argsort(1)  # after a vertex the frontier has its edges more,
         earlier = np.bincount((np.where(  # less twice those to earlier ones
@@ -512,7 +492,26 @@ def _plan(edges: tuple[HexEdge, ...], defects: frozenset[HexVertex],
         best = min(zip(w.max(1).tolist(), cost.tolist(), range(6)))[2]
         if best:
             return _plan(edges, defects, best)
-    return order, plan, width, rank
+
+    # vertical: the last vertex's vertical fresh edge, if it is no defect
+    order, frontier, plan, vertical = [], [], [], None
+    for v, came, new in zip(verts, arriving, fresh):
+        if not (came or new):
+            continue
+        order.append(v)
+        lo = frontier.index(came[0]) if came else bisect_left(frontier, new[0])
+        hi = lo + len(came)
+        assert frontier[lo:hi] == came, f"{v}: arriving slots apart"
+        frontier[lo:hi] = new
+        kind = (hi - lo, len(new), v in defects)
+        if came and came[0] == vertical and not kind[2]:  # its upper end
+            lo, hi, out, lower = plan.pop()
+            plan.append((lo, hi + len(came) - 1, out - 1 + len(new),
+                         lower + (kind,)))
+        else:
+            plan.append((lo, hi, len(new), (kind,)))
+        vertical = new[-1] if new and mid[new[-1]][4] and not kind[2] else None
+    return order, plan, width, lay[None]
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -589,8 +588,7 @@ def sweep_table(edges: Iterable[HexEdge],
                 defects: Iterable[HexVertex] = ()) -> Table:
     """Configuration table by dynamic programming over frontier states;
     :class:`WidthExceeded` past a frontier of ``MAX_SWEEP_WIDTH`` slots."""
-    es = tuple(sorted({edge(u, v) for u, v in edges}))
-    return _sweep_table(es, frozenset(tuple(d) for d in defects))
+    return _sweep_table(_edges_of(edges), frozenset(tuple(d) for d in defects))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +721,7 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
     log_x = params.log_x
     log_full = _log_Z(domain.edges, frozenset(), params)
     all_edges = domain.edges
-    terms: dict[HexEdge, list[tuple[float, complex]]] = {z0: [(0.0, 1.0 + 0j)]}
+    terms: dict[HexEdge, complex] = {z0: 1.0 + 0j}  # added in walk order
     on_walk = {u0}
     used = {z0}
     depth = 1  # number of interior vertices visited so far
@@ -744,7 +742,7 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
                 for c in edge_components(remainder))
             log_w = depth * log_x + log_rest - log_full
             phase = cmath.exp(-1j * sigma * wound * math.pi / 3.0)
-            terms.setdefault(e, []).append((log_w, phase))
+            terms[e] = terms.get(e, 0) + WeightSum(log_w, phase).value
             # or step through to w and continue
             if w not in on_walk and len(domain.vertex_edges.get(w, ())) > 1:
                 on_walk.add(w)
@@ -755,8 +753,7 @@ def parafermion_field(domain: Domain, z0: HexEdge, params: Params,
             used.discard(e)
 
     rec(u0, direction_class(a, u0), 0)
-    return {z: WeightSum.sum_terms(ts).value
-            for z, ts in sorted(terms.items())}
+    return dict(sorted(terms.items()))
 
 
 # ---------------------------------------------------------------------------

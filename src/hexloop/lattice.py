@@ -113,13 +113,14 @@ def hexagon_edges(h: TriVertex) -> tuple[HexEdge, ...]:
 
 
 def edge_hexagons(e: HexEdge) -> tuple[TriVertex, TriVertex]:
-    """The two hexagons separated by an edge: those at both of its ends, in
-    the order of :func:`vertex_hexagons` at its up end."""
-    u, v = sorted(e, key=lambda w: w[2])
-    common = tuple(h for h in vertex_hexagons(u) if h in vertex_hexagons(v))
-    if len(common) != 2 or (u[2], v[2]) != (UP, DOWN):
+    """The two hexagons separated by an edge, in the order of
+    :func:`vertex_hexagons` at its up end (r, s): all three but the first,
+    second or third for a down end at (r, s), (r - 1, s) or (r, s - 1)."""
+    (r, s, c), (p, q, d) = e if e[0][2] == UP else e[::-1]
+    dr, ds = r - p, s - q
+    if (c, d) != (UP, DOWN) or (dr, ds) not in ((0, 0), (1, 0), (0, 1)):
         raise OutOfRange(f"{e} is not an edge")
-    return common
+    return (r + 1 - dr - ds, s), (r + ds, s + 1 - ds)
 
 
 def tri_neighbors(h: TriVertex) -> tuple[TriVertex, ...]:

@@ -154,14 +154,28 @@ def walk_pair_table(edges, a: HexVertex, b: HexVertex) -> dict:
     return table
 
 
+def sum_terms(terms) -> WeightSum:
+    """Log-sum-exp of ``(log magnitude, phase)`` terms, scaled by the
+    largest magnitude so intermediate exponentials stay tame: at phase 1,
+    bit for bit :meth:`WeightSum.sum_logs`."""
+    live = [(lg, ph) for lg, ph in terms if ph != 0 and lg != float("-inf")]
+    top = max((lg for lg, _ in live), default=0.0)
+    acc = 0j
+    for lg, ph in live:
+        acc += ph * math.exp(lg - top)
+    if acc == 0:
+        return WeightSum.zero()
+    mag = abs(acc)
+    return WeightSum(top + math.log(mag), acc / mag)
+
+
 def sum_terms_evaluate_table(table: dict, params: Params) -> WeightSum:
     """The oracle of ``exact.evaluate_table``: every term in key order as a
-    ``(log, 1 + 0j)`` pair, added by :meth:`WeightSum.sum_terms`."""
+    ``(log, 1 + 0j)`` pair, added by :func:`sum_terms`."""
     log_x = math.log(params.x)
     log_n = math.log(params.n)
-    return WeightSum.sum_terms(
-        (m * log_x + l * log_n + math.log(c), 1.0 + 0j)
-        for (m, l), c in sorted(table.items()))
+    return sum_terms((m * log_x + l * log_n + math.log(c), 1.0 + 0j)
+                     for (m, l), c in sorted(table.items()))
 
 
 def loop_sum_logs(logs) -> WeightSum:

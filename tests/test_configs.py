@@ -8,6 +8,7 @@ triangles through each corner) for one- and two-hexagon free sets.
 import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -362,3 +363,21 @@ def test_framed_spins_names_a_missing_hexagon():
     system = SpinSystem([(0, 0), (1, 0)], fixed=-1)
     with pytest.raises(OutOfRange, match=r"\(1, 0\)"):
         system.framed_spins({(0, 0): 1})
+
+
+def test_spins_of_other_hexagons_and_bools_are_refused():
+    # a mapping may hold the free hexagons only: a frozen or a far-off key
+    # is named, never ignored; and a bool is no spin, though True == 1
+    system = SpinSystem([(0, 0)], fixed=-1)
+    for stray in ((5, 5), (1, 0)):
+        spins = {(0, 0): 1, stray: -1}
+        for read in (spin_counts, spins_to_loops):
+            with pytest.raises(OutOfRange, match=re.escape(
+                    f"{stray} is not a free hexagon")):
+                read(system, spins)
+    for spins in ([True], {(0, 0): True}, [False]):
+        with pytest.raises(OutOfRange, match="got (True|False)"):
+            spin_counts(system, spins)
+    with pytest.raises(OutOfRange, match="got True"):
+        SpinSystem([(0, 0)], fixed=-1, sea=True)
+    assert spin_counts(system, {(0, 0): 1}) == spin_counts(system, [1])

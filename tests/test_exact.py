@@ -90,6 +90,7 @@ from oracles import (
     peeled_edges,
     product_truth,
     sliced_unpack,
+    sum_terms,
     sum_terms_evaluate_table,
     vertex_relation_residual,
     walk_pair_table,
@@ -159,17 +160,17 @@ def test_catalan_numbers():
 # ---------------------------------------------------------------------------
 
 def test_weight_sum_arithmetic():
-    a = WeightSum.sum_terms([(math.log(2.0), -1.0 + 0j), (0.0, -1.0 + 0j)])
+    a = sum_terms([(math.log(2.0), -1.0 + 0j), (0.0, -1.0 + 0j)])
     assert a.value == pytest.approx(-3.0)
     assert a.phase == -1.0
-    b = WeightSum.sum_terms([(math.log(2.0), 1j)])
+    b = sum_terms([(math.log(2.0), 1j)])
     assert b.value == pytest.approx(2j)
     z = WeightSum.zero()
     assert z.phase == 0 and z.value == 0j
     # exact cancellation collapses to zero
-    s = WeightSum.sum_terms([(0.0, 1.0 + 0j), (0.0, -1.0 + 0j)])
+    s = sum_terms([(0.0, 1.0 + 0j), (0.0, -1.0 + 0j)])
     assert s == WeightSum.zero()
-    assert WeightSum.sum_terms([]) == WeightSum.zero()
+    assert sum_terms([]) == WeightSum.zero()
     big = WeightSum(1e6, 1.0 + 0j)
     with pytest.raises(Overflow):
         big.value
@@ -720,6 +721,120 @@ def test_plan_equals_the_vertex_tuple_oracle(scene):
     assert kept == peeled_edges(edges, defects)
     assert (verts, plan, width) == _frontier_plan(kept, defects)
     assert rank == len(kept) - len(verts) + len(edge_components(kept))
+
+
+def turned_vertex(v, turns: int):
+    """The vertex at the doubled coordinates of ``v`` turned ``turns`` times
+    by 60 degrees about the origin hexagon, as ``exact._TURNS`` turns them
+    (twice over)."""
+    a, b, c, d = exact._TURNS[turns]
+    x, y = hex_xy(v)
+    x, y = (a * x + b * y) // 2, (c * x + d * y) // 2
+    up = y % 3 == 1  # an up vertex sits at 3s + 1, a down one at 3s + 2
+    s = (y - 2 + up) // 3
+    w = ((x - s - 2 + up) // 2, s, 0 if up else 1)
+    assert hex_xy(w) == (x, y)
+    return w
+
+
+@st.composite
+def layout_runs(draw):
+    """Two edge sets of ball r=3, each a subset (:func:`ball3_edge_subsets`)
+    or a forest, all of whose edges peel with no defect, the second at times
+    the first with one edge moved; and a run of plans that goes back and
+    forth between them: per plan the edge set, 0, 2 or 4 defects on it and
+    a direction, or none for the default one."""
+    pools = []
+    for _ in range(2):
+        if pools and draw(st.booleans()):  # as many edges, not the same
+            out = draw(st.sampled_from(pools[0]))
+            new = draw(st.sampled_from(BALL3_EDGES))
+            assume(new not in pools[0])
+            pools.append(tuple(sorted({*pools[0], new} - {out})))
+            continue
+        edges = sorted(draw(ball3_edge_subsets()))
+        if draw(st.booleans()):  # the spanning forest met in edge order
+            root = {}
+
+            def find(v):
+                while root.get(v, v) != v:
+                    v = root[v]
+                return v
+
+            forest = []
+            for u, v in edges:
+                if find(u) != find(v):
+                    root[find(u)] = find(v)
+                    forest.append((u, v))
+            edges = forest
+        assume(edges)
+        pools.append(tuple(edges))
+    run = []
+    for _ in range(draw(st.integers(2, 8))):
+        edges = draw(st.sampled_from(pools))
+        verts = sorted({u for e in edges for u in e})
+        size = draw(st.sampled_from([k for k in (0, 2, 4) if k <= len(verts)]))
+        defects = frozenset(draw(st.lists(
+            st.sampled_from(verts), min_size=size, max_size=size,
+            unique=True)))
+        run.append((edges, defects, draw(st.none() | st.integers(0, 5))))
+    return run
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(run=layout_runs())
+def test_kept_layout_plans_as_a_fresh_one_and_the_oracle(run):
+    # the plans of a run, each read off the layout that the plans before it
+    # left, equal those of fresh layouts; in each of the six directions a
+    # plan is the oracle's plan of the turned edges it keeps, and its cycle
+    # rank is the E - V + C of those edges, which no defect set changes
+    steps = [(edges, defects, t) for edges, defects, turns in run
+             for t in ([None] if turns is None else []) + list(range(6))
+             if turns in (None, t)]
+    planned = [_plan(*step) for step in steps]
+    for (edges, defects, t), got in zip(steps, planned):
+        exact._layout.cache_clear()
+        assert _plan(edges, defects, t) == got
+        if t is None:
+            assert got in [_plan(edges, defects, t) for t in range(6)]
+            continue
+        verts, plan, width, rank = got
+        kept = _usable(edges, defects)
+        turn = {v: turned_vertex(v, t) for e in edges for v in e}
+        back = {w: v for v, w in turn.items()}
+        want = _frontier_plan(tuple(edge(turn[u], turn[v]) for u, v in kept),
+                              frozenset(turn[v] for v in defects))
+        assert ([back[w] for w in want[0]], *want[1:]) == (verts, plan, width)
+        assert rank == (len(kept) - len(verts)
+                        + len(edge_components(kept))) == (
+            len(edges) - len({u for e in edges for u in e})
+            + len(edge_components(edges)))
+
+
+def test_one_layout_per_edge_set_of_a_verify_run(capsys):
+    # the catalan suite plans 48 tables on 12 edge sets, each domain's
+    # defect sets one after another, so each edge set is laid out once;
+    # the whole run lays out 34 for its 75 tables
+    for suite, layouts, tables in (("catalan", 12, 48), ("all", 34, 75)):
+        exact._layout.cache_clear()
+        exact._sweep_table.cache_clear()
+        assert cli.main(["verify", "--suite", suite]) == 0
+        assert exact._sweep_table.cache_info().misses == tables
+        assert exact._layout.cache_info().misses == layouts
+    capsys.readouterr()
+
+
+def test_a_turned_plan_lays_out_today_and_its_own_direction_only():
+    # ball r=3 with 2 and 4 defects is wider than 6 today and sweeps in
+    # directions 1 and 5: its layout then holds the rank and those two
+    # directions, the estimate reading today's
+    (edges, two), (_, four) = list(_bench_cases())[1:3]
+    for defects, turned in ((two, 1), (four, 5)):
+        exact._layout.cache_clear()
+        assert _plan(edges, defects, 0)[2] > 6
+        exact._layout.cache_clear()
+        assert _plan(edges, defects) == _plan(edges, defects, turned)
+        assert sorted(exact._layout(edges), key=str) == [0, turned, None]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

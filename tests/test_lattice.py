@@ -117,6 +117,24 @@ def test_edge_hexagons_matches_hexagon_edges():
             assert b in tri_neighbors(a)
 
 
+def test_edge_hexagons_closed_form_is_the_corner_intersection():
+    # on every edge of ball r = 6, in either order of its ends, the two
+    # hexagons are those at both ends, in up-end order; no other pair of
+    # vertices is an edge
+    edges = {e for h in hexagon_ball(6) for e in hexagon_edges(h)}
+    assert len(edges) == 420
+    for e in edges:
+        up, down = sorted(e, key=lambda v: v[2])
+        want = tuple(h for h in vertex_hexagons(up)
+                     if h in vertex_hexagons(down))
+        assert edge_hexagons(e) == edge_hexagons(e[::-1]) == want
+    for u, v in [((0, 0, UP), (0, 0, UP)), ((0, 0, UP), (1, 0, DOWN)),
+                 ((0, 0, UP), (0, 1, DOWN)), ((0, 0, UP), (5, 5, DOWN)),
+                 ((0, 0, DOWN), (1, 0, DOWN)), ((0, 0, 2), (0, 0, DOWN))]:
+        with pytest.raises(OutOfRange, match="is not an edge"):
+            edge_hexagons((u, v))
+
+
 def test_tri_distance_is_a_metric_matching_neighbors():
     for h in SAMPLE_HEXAGONS:
         assert tri_distance(h, h) == 0

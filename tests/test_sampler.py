@@ -345,6 +345,11 @@ def test_init_is_validated():
         ChainState(system, PARAMS, init={(0, 0): 1, (1, 0): 2})
     with pytest.raises(OutOfRange, match=r"\(1, 0\)"):
         ChainState(system, PARAMS, init={(0, 0): 1})
+    # a spin for a frozen hexagon, which would sit there unused, or a bool
+    with pytest.raises(OutOfRange, match=r"\(1, 1\) is not a free hexagon"):
+        ChainState(system, PARAMS, init={(0, 0): 1, (1, 0): 1, (1, 1): -1})
+    with pytest.raises(OutOfRange, match="got True"):
+        ChainState(system, PARAMS, init=True)
 
 
 def test_seed_and_stream_must_fit_the_philox_key():
